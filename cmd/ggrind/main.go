@@ -9,9 +9,9 @@
 //	ggrind -graph livejournal-sm -alg BFS -layout COO -reps 5
 //	ggrind -graph yahoo-sm -alg PR -system OOC -partitions 24
 //	ggrind -graph twitter-sm -alg PR -system OOC -shardformat v1
-//	ggrind -graph livejournal-sm -alg PR -system OOC -cacheshards 12 -order zigzag
-//	ggrind -graph yahoo-sm -alg PR -system OOC -cacheshards 8 -iodepth 4
-//	ggrind -graph twitter-sm -alg PR -system OOC -cacheshards 8 -sweepmode scatter-gather
+//	ggrind -graph livejournal-sm -alg PR -system OOC -cache-bytes 4194304 -order zigzag
+//	ggrind -graph yahoo-sm -alg PR -system OOC -cache-bytes 2097152 -iodepth 4
+//	ggrind -graph twitter-sm -alg PR -system OOC -cache-bytes 2097152 -sweepmode scatter-gather
 //	ggrind -graph twitter-sm -alg PR -system OOC -updates batch.json -compactstore
 package main
 
@@ -56,11 +56,10 @@ func run() int {
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		reps       = flag.Int("reps", 3, "repetitions; the median is reported")
 		shardDir   = flag.String("sharddir", "", "OOC shard directory (empty = fresh temp dir, removed on exit)")
-		cacheSh    = flag.Int("cacheshards", 0, "OOC LRU budget in resident shards (0 = default)")
-		noPrefetch = flag.Bool("noprefetch", false, "OOC: disable the sweep pipeline (load and apply alternate)")
+		cacheBytes = flag.Int64("cache-bytes", 0, "OOC decoded-shard cache budget in bytes, shared by the forward and reverse stores (0 = 256 MiB)")
 		domains    = flag.Int("domains", 0, "OOC modelled NUMA domain count (0 = the paper's 4)")
-		window     = flag.Int("window", 0, "OOC staging window depth k: shards staged ahead while up to D domains apply concurrently (0 = max(domains, iodepth), 1 = double buffer; clamped to the LRU budget)")
-		ioDepth    = flag.Int("iodepth", 0, "OOC async-read queue depth: uncached shard reads kept in flight at once (0 = 1, the synchronous read path; must be <= the LRU budget)")
+		window     = flag.Int("window", 0, "OOC staging window depth k: shards staged ahead while up to D domains apply concurrently (0 = max(domains, iodepth), 1 = double buffer; must be >= iodepth)")
+		ioDepth    = flag.Int("iodepth", 0, "OOC async-read queue depth: uncached shard reads kept in flight at once (0 = 1, the synchronous read path)")
 		shardFmt   = flag.String("shardformat", shard.DefaultFormat.String(), "OOC shard-file encoding: v1 (raw uint32 pairs) or v2 (delta+uvarint compressed)")
 		orderName  = flag.String("order", shard.OrderAscending.String(), "OOC sweep-order policy: ascending, zigzag (boustrophedon across sweeps) or residency-first (cached shards first, then Hilbert order)")
 		sweepName  = flag.String("sweepmode", shard.SweepEdgeCentric.String(), "OOC dense-sweep mode: edge-centric (apply each staged shard directly) or scatter-gather (scatter shards into per-partition update bins, retained across sweeps, then gather per domain)")
@@ -76,14 +75,17 @@ func run() int {
 		name string
 		val  int
 	}{
-		{"partitions", *partitions}, {"threads", *threads},
-		{"cacheshards", *cacheSh}, {"domains", *domains},
+		{"partitions", *partitions}, {"threads", *threads}, {"domains", *domains},
 		{"window", *window}, {"iodepth", *ioDepth},
 	} {
 		if f.val < 0 {
 			fmt.Fprintf(os.Stderr, "ggrind: -%s must be >= 0 (0 selects the default), got %d\n", f.name, f.val)
 			return 2
 		}
+	}
+	if *cacheBytes < 0 {
+		fmt.Fprintf(os.Stderr, "ggrind: -cache-bytes must be >= 0 (0 selects %d), got %d\n", shard.DefaultCacheBytes, *cacheBytes)
+		return 2
 	}
 	if *reps < 1 {
 		fmt.Fprintf(os.Stderr, "ggrind: -reps must be >= 1, got %d\n", *reps)
@@ -95,6 +97,31 @@ func run() int {
 	}
 	sweepMode, err := shard.ParseSweepMode(*sweepName)
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
+		return 2
+	}
+	format, err := shard.ParseFormat(*shardFmt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
+		return 2
+	}
+	order, err := shard.ParseOrder(*orderName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
+		return 2
+	}
+	oopts := shard.Options{
+		Threads:        *threads,
+		Window:         *window,
+		IODepth:        *ioDepth,
+		Topology:       sched.Topology{Domains: *domains},
+		Order:          order,
+		SweepMode:      sweepMode,
+		BinBudgetBytes: *binBudget,
+	}
+	// A contradictory knob combination (say -window below -iodepth) is a
+	// usage error too.
+	if err := oopts.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
 		return 2
 	}
@@ -128,6 +155,7 @@ func run() int {
 	fmt.Println(st.String())
 
 	var sys, rsys api.System
+	var cache *shard.SharedCache // OOC only
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.New()
@@ -168,38 +196,24 @@ func run() int {
 		if p <= 0 {
 			p = 24
 		}
-		format, err := shard.ParseFormat(*shardFmt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-			return 2
-		}
-		order, err := shard.ParseOrder(*orderName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-			return 2
-		}
-		oopts := shard.Options{
-			Threads:        *threads,
-			CacheShards:    *cacheSh,
-			NoPrefetch:     *noPrefetch,
-			Window:         *window,
-			IODepth:        *ioDepth,
-			Topology:       sched.Topology{Domains: *domains},
-			Format:         format,
-			Order:          order,
-			SweepMode:      sweepMode,
-			BinBudgetBytes: *binBudget,
+		// One cache, one budget: the forward and (for BC) reverse stores
+		// draw on the same bytes.
+		cache = shard.NewSharedCache(*cacheBytes)
+		build := func(sub string, g *graph.Graph) (*shard.Engine, error) {
+			st, err := shard.Create(filepath.Join(dir, sub), g, shard.WriteOptions{Partitions: p, Format: format})
+			if err != nil {
+				return nil, err
+			}
+			h, err := shard.NewHost(st, g, cache, oopts)
+			if err != nil {
+				return nil, err
+			}
+			return h.NewSession(), nil
 		}
 		fmt.Printf("sharding to %s (%d partitions, %v files)...\n", dir, p, format)
-		eng, err := shard.Build(filepath.Join(dir, "fwd"), g, p, oopts)
+		eng, err := build("fwd", g)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-			// A contradictory knob combination (say -iodepth above the
-			// LRU budget, or -window below it) is a usage error.
-			var oe *shard.OptionsError
-			if errors.As(err, &oe) {
-				return 2
-			}
 			return 1
 		}
 		// Mutations come before any telemetry printing: the run should
@@ -248,11 +262,12 @@ func run() int {
 				return 1
 			}
 			g = graph.FromEdges(st.NumVertices(), edges)
-			eng, err = shard.NewEngine(st, g, oopts)
+			h, err := shard.NewHost(st, g, cache, oopts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
 				return 1
 			}
+			eng = h.NewSession()
 			fmt.Printf("merged: %d edges at generation %d, %d delta files pending\n",
 				st.NumEdges(), st.Generation(), st.PendingDeltas())
 		}
@@ -260,13 +275,13 @@ func run() int {
 			fmt.Printf("store: %v format, %.1f KiB on disk (%.2f bytes/edge; raw v1 is 8)\n",
 				eng.Store().Format(), float64(disk)/1024, float64(disk)/float64(g.NumEdges()))
 		}
-		fmt.Printf("engine: OOC shards=%d cache=%d threads=%d prefetch=%v domains=%d window=%d iodepth=%d order=%v sweepmode=%v\n",
-			eng.Store().NumShards(), eng.Options().CacheShards, eng.Threads(),
-			!eng.Options().NoPrefetch, eng.Topology().Domains, eng.Options().Window,
+		fmt.Printf("engine: OOC shards=%d cache-bytes=%d threads=%d domains=%d window=%d iodepth=%d order=%v sweepmode=%v\n",
+			eng.Store().NumShards(), cache.Budget(), eng.Threads(),
+			eng.Topology().Domains, eng.Options().Window,
 			eng.Options().IODepth, eng.Options().Order, eng.Options().SweepMode)
 		sys = eng
 		if spec.NeedsReverse {
-			reng, err := shard.Build(filepath.Join(dir, "rev"), g.Reverse(), p, oopts)
+			reng, err := build("rev", g.Reverse())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
 				return 1
@@ -307,6 +322,9 @@ func run() int {
 				float64(st.BytesRead)/1024, float64(st.BytesLogical)/1024,
 				float64(st.BytesLogical)/float64(st.BytesRead))
 		}
+		cs := cache.Stats()
+		fmt.Printf("ooc cache: %d-byte budget, peak %d bytes resident, %d evictions, %d refused inserts\n",
+			cs.Budget, cs.PeakBytes, cs.Evictions, cs.Rejected)
 		fmt.Printf("ooc order: %v policy, %d planned cache hits, %d reloads avoided vs ascending\n",
 			eng.Options().Order, st.PlannedCacheHits, st.ReloadsAvoided)
 		if st.ScatterGatherSweeps > 0 {
@@ -320,18 +338,13 @@ func run() int {
 					float64(st.BinSpillBytesRead)/1024)
 			}
 		}
-		fmt.Printf("ooc pipeline: %d prefetch loads (%d overlapped an apply), %d prefetch cache promotions\n",
-			st.PrefetchLoads, st.OverlappedLoads, st.PrefetchHits)
+		fmt.Printf("ooc pipeline: %d of %d loads overlapped an apply\n", st.OverlappedLoads, st.ShardLoads)
 		fmt.Printf("ooc numa: %d domains, shards applied per domain %v, edges per domain %v\n",
 			eng.Topology().Domains, st.DomainShards, st.DomainEdges)
-		// The window/stager only exists on the pipelined path; with
-		// -noprefetch its depth and histograms would be meaningless.
-		if !eng.Options().NoPrefetch {
-			fmt.Printf("ooc window: depth k=%d, peak %d concurrent applies, apply levels %v, hand-off depths %v\n",
-				eng.Options().Window, st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
-			fmt.Printf("ooc aio: iodepth=%d, peak %d reads in flight, read depth histogram %v\n",
-				eng.Options().IODepth, st.ReadsInFlightPeak, st.ReadDepths)
-		}
+		fmt.Printf("ooc window: depth k=%d, peak %d concurrent applies, apply levels %v, hand-off depths %v\n",
+			eng.Options().Window, st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
+		fmt.Printf("ooc aio: iodepth=%d, peak %d reads in flight, read depth histogram %v\n",
+			eng.Options().IODepth, st.ReadsInFlightPeak, st.ReadDepths)
 	}
 	if rec != nil {
 		f, err := os.Create(*traceOut)

@@ -2,8 +2,7 @@
 // N sharded stores behind a single byte-budgeted, refcounted shard
 // cache, running concurrent queries that share residency, the I/O
 // budget and — for dense sweeps — the disk pass itself. The HTTP/JSON
-// API (internal/serve) lives under /v1/ (the unversioned spellings
-// remain as deprecated aliases): open, list and close stores, apply
+// API (internal/serve) lives under /v1/: open, list and close stores, apply
 // edge-update batches (POST /v1/stores/{name}/updates) and compact the
 // resulting deltas (POST /v1/stores/{name}/compact), submit queries
 // and report cache/registry stats. Mutations rehost the store at its
@@ -58,13 +57,17 @@ func main() {
 func run() error {
 	var stores storeFlags
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	cacheBytes := flag.Int64("cache-bytes", shard.DefaultCacheBytes, "shared shard-cache budget in bytes, across all stores")
+	cacheBytes := flag.Int64("cache-bytes", shard.DefaultCacheBytes, "shared shard-cache budget in bytes, across all stores (0 selects the default)")
 	threads := flag.Int("threads", 0, "worker threads per query session (0 = engine default)")
 	sweepmode := flag.String("sweepmode", shard.SweepEdgeCentric.String(), "dense-sweep strategy for every session: edge-centric or scatter-gather")
 	binBudget := flag.Int64("bin-budget", 0, "scatter/gather bin budget in bytes, shared across each store's sessions (0 = unbounded; needs -sweepmode scatter-gather)")
 	flag.Var(&stores, "store", "preload a store as name=dir (repeatable)")
 	flag.Parse()
 
+	if *cacheBytes < 0 {
+		fmt.Fprintf(os.Stderr, "gserve: -cache-bytes must be >= 0 (0 selects %d), got %d\n", shard.DefaultCacheBytes, *cacheBytes)
+		os.Exit(2)
+	}
 	mode, err := shard.ParseSweepMode(*sweepmode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gserve:", err)

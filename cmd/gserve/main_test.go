@@ -107,11 +107,12 @@ func TestGserveSmoke(t *testing.T) {
 	}
 }
 
-// TestGserveBadBinFlagsExitTwo pins the CLI contract for the bin-budget
-// knobs: malformed or inconsistent values must be rejected at parse
-// time with exit status 2 (flag-error convention), never survive into
-// a booted daemon.
-func TestGserveBadBinFlagsExitTwo(t *testing.T) {
+// TestGserveBadFlagsExitTwo pins the CLI contract for the budget and
+// sweep-mode knobs: malformed or inconsistent values must be rejected
+// at parse time with exit status 2 (flag-error convention), never
+// survive into a booted daemon — a negative -cache-bytes used to boot
+// silently on the default budget.
+func TestGserveBadFlagsExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the daemon binary")
 	}
@@ -123,6 +124,7 @@ func TestGserveBadBinFlagsExitTwo(t *testing.T) {
 		name string
 		args []string
 	}{
+		{"negative cache budget", []string{"-cache-bytes", "-5"}},
 		{"negative budget", []string{"-bin-budget", "-1"}},
 		{"budget below one bin", []string{"-sweepmode", "scatter-gather", "-bin-budget", "100"}},
 		{"budget without scatter-gather", []string{"-bin-budget", "8192"}},

@@ -8,8 +8,9 @@
 // reads concurrently through the async reader and reaping completions
 // in plan order — up to D staged shards are applied simultaneously,
 // one per modelled NUMA domain, each by that domain's workers, and the
-// LRU cache keeps hot shards resident across iterations. See README.md
-// for the window, async-read and placement model in detail.
+// byte-budgeted shard cache keeps hot shards resident across
+// iterations. See README.md for the window, async-read and placement
+// model in detail.
 package main
 
 import (
@@ -25,6 +26,17 @@ import (
 	"repro/internal/shard"
 )
 
+// engineOver opens an engine over st behind a cache of its own with the
+// given byte budget: the engine's memory bound is stated in bytes, and
+// it is the cache's, not an engine option.
+func engineOver(st *shard.Store, g *graph.Graph, cacheBytes int64, opts shard.Options) *shard.Engine {
+	h, err := shard.NewHost(st, g, shard.NewSharedCache(cacheBytes), opts)
+	if err != nil {
+		panic(err)
+	}
+	return h.NewSession()
+}
+
 func main() {
 	g := repro.Preset("livejournal-sm")
 	fmt.Printf("graph: livejournal-sm, %d vertices, %d edges\n",
@@ -34,22 +46,25 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	const shards = 24
-	// A 4-shard LRU budget: resident edge data stays bounded by ~4/24
-	// of the graph however many iterations run, and the budget is wide
-	// enough for the default staging window — max(Domains, IODepth)
-	// deep, 4 here — to keep all four modelled NUMA domains applying
-	// at once.
-	ooc, err := shard.Build(dir, g, shards, shard.Options{CacheShards: 4})
+	store, err := shard.Create(dir, g, shard.WriteOptions{Partitions: shards})
 	if err != nil {
 		panic(err)
 	}
-	bytes, err := ooc.Store().DiskBytes()
+	// decoded is what the store's edges occupy once decoded (8 bytes
+	// each): every budget below is a fraction of it. A sixth — 4 of 24
+	// shards' worth: resident edge data stays bounded by that however
+	// many iterations run, and it is wide enough for the default staging
+	// window — max(Domains, IODepth) deep, 4 here — to keep all four
+	// modelled NUMA domains applying at once.
+	decoded := 8 * g.NumEdges()
+	ooc := engineOver(store, g, decoded/6, shard.Options{})
+	bytes, err := store.DiskBytes()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("sharded to %s: %d shards (%v format), %.1f MiB on disk (%.2f bytes/edge), LRU budget 4 shards, window k=%d\n",
-		dir, ooc.Store().NumShards(), ooc.Store().Format(), float64(bytes)/(1<<20),
-		float64(bytes)/float64(g.NumEdges()), ooc.Options().Window)
+	fmt.Printf("sharded to %s: %d shards (%v format), %.1f MiB on disk (%.2f bytes/edge), cache budget %.1f MiB, window k=%d\n",
+		dir, store.NumShards(), store.Format(), float64(bytes)/(1<<20),
+		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Options().Window)
 
 	// The default store is the delta+uvarint compressed (v2) layout;
 	// write the same graph in the legacy raw encoding to see what each
@@ -84,8 +99,8 @@ func main() {
 	fmt.Printf("  io: %.1f MiB decoded from disk, %.1f MiB at raw v1 pricing — %.2fx compression in flight\n",
 		float64(st.BytesRead)/(1<<20), float64(st.BytesLogical)/(1<<20),
 		float64(st.BytesLogical)/float64(st.BytesRead))
-	fmt.Printf("  pipeline: %d prefetch loads, %d overlapped an apply; NUMA domain shards %v\n",
-		st.PrefetchLoads, st.OverlappedLoads, st.DomainShards)
+	fmt.Printf("  pipeline: %d of %d loads overlapped an apply; NUMA domain shards %v\n",
+		st.OverlappedLoads, st.ShardLoads, st.DomainShards)
 	fmt.Printf("  occupancy: peak %d concurrent shard applies, apply levels %v, window hand-off depths %v\n",
 		st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
 	if maxDiff > 1e-9 {
@@ -93,13 +108,9 @@ func main() {
 	}
 
 	// 1b. The same sweeps with the async reader issuing up to 4 uncached
-	// reads concurrently. Reaping in plan order keeps the results — and
-	// even the disk traffic — identical to the depth-1 run; only the
-	// read overlap changes.
-	deep, err := shard.NewEngine(ooc.Store(), g, shard.Options{CacheShards: 4, IODepth: 4})
-	if err != nil {
-		panic(err)
-	}
+	// reads concurrently. Reaping in plan order keeps the results
+	// identical to the depth-1 run; only the read overlap changes.
+	deep := engineOver(ooc.Store(), g, decoded/6, shard.Options{IODepth: 4})
 	deepPR := algorithms.PR(deep, 10).Ranks
 	for v := range deepPR {
 		if deepPR[v] != oocPR[v] {
@@ -107,7 +118,7 @@ func main() {
 		}
 	}
 	dst := deep.Stats()
-	fmt.Printf("PageRank again at IODepth=4: bit-identical ranks, %d disk loads (same traffic), peak %d reads in flight, read depth histogram %v\n",
+	fmt.Printf("PageRank again at IODepth=4: bit-identical ranks, %d disk loads, peak %d reads in flight, read depth histogram %v\n",
 		dst.ShardLoads, dst.ReadsInFlightPeak, dst.ReadDepths)
 
 	// 2. BFS from a low-degree vertex: early wavefronts are sparse, so
@@ -130,33 +141,28 @@ func main() {
 		after.DenseSweeps-before.DenseSweeps,
 		after.ShardsSkipped-before.ShardsSkipped)
 
-	// 3. With the LRU sized to the store, iterative algorithms pay the
-	// disk exactly once per shard and run from memory afterwards.
-	cached, err := shard.NewEngine(ooc.Store(), g, shard.Options{CacheShards: shards})
-	if err != nil {
-		panic(err)
-	}
+	// 3. With the cache sized to the store (twice its decoded edge
+	// bytes: room for the task offsets too), iterative algorithms pay
+	// the disk exactly once per shard and run from memory afterwards.
+	cached := engineOver(ooc.Store(), g, 2*decoded, shard.Options{})
 	algorithms.PR(cached, 10)
 	cst := cached.Stats()
-	fmt.Printf("PageRank with a %d-shard LRU: %d disk loads, %d cache hits\n",
-		shards, cst.ShardLoads, cst.CacheHits)
+	fmt.Printf("PageRank with a store-sized cache: %d disk loads, %d cache hits\n",
+		cst.ShardLoads, cst.CacheHits)
 
-	// 4. In between those extremes — the LRU at half the store — the
+	// 4. In between those extremes — the cache at half the store — the
 	// sweep *order* decides how much of the budget survives from one
 	// dense sweep into the next. Ascending index is the pathological
-	// case: a cyclic pattern over 24 shards against a 12-shard LRU hits
-	// never, because each sweep evicts its own tail just before the next
-	// sweep wants it. The planner's zigzag (boustrophedon) and
+	// case: a cyclic pattern over 24 shards against a cache holding 12
+	// hits never, because each sweep evicts its own tail just before the
+	// next sweep wants it. The planner's zigzag (boustrophedon) and
 	// residency-first policies reorder the identical shard set — results
 	// are bit-identical, only the disk traffic changes.
-	fmt.Printf("sweep-order ablation: 10-sweep dense PageRank, %d shards, %d-shard LRU\n",
-		shards, shards/2)
+	fmt.Printf("sweep-order ablation: 10-sweep dense PageRank, %d shards, half-store cache (%.1f MiB)\n",
+		shards, float64(decoded/2)/(1<<20))
 	var ranks0 []float64
 	for _, order := range shard.Orders() {
-		eng, err := shard.NewEngine(ooc.Store(), g, shard.Options{CacheShards: shards / 2, Order: order})
-		if err != nil {
-			panic(err)
-		}
+		eng := engineOver(ooc.Store(), g, decoded/2, shard.Options{Order: order})
 		ranks := algorithms.PR(eng, 10).Ranks
 		if ranks0 == nil {
 			ranks0 = ranks
@@ -174,7 +180,7 @@ func main() {
 
 	// The offline scorer tells the same story from the schedule alone
 	// (it derives the ascending baseline itself): reuse distances of the
-	// boustrophedon sequence fold under the LRU budget where the
+	// boustrophedon sequence fold under the cache budget where the
 	// ascending cycle's never do.
 	zig := make([][]int, 10)
 	for s := range zig {
@@ -192,7 +198,7 @@ func main() {
 		cmp.Ascending.MeanReuse, cmp.Ascending.MaxReuse, cmp.Ascending.Loads,
 		cmp.Planned.MeanReuse, cmp.Planned.MaxReuse, cmp.Planned.Loads, cmp.ReloadsAvoided)
 
-	// 5. The sweep-*mode* ablation: when the LRU thrashes, edge-centric
+	// 5. The sweep-*mode* ablation: when the cache thrashes, edge-centric
 	// dense sweeps re-read evicted shards from disk every iteration.
 	// SweepScatterGather streams each shard once into compact
 	// delta-encoded per-partition update bins (scatter) and has each
@@ -202,14 +208,12 @@ func main() {
 	// columns price disk bytes identically (8 per edge). Results are
 	// bit-identical — same disjoint 64-aligned destination ranges, same
 	// per-destination order — only the bytes moved change.
-	fmt.Printf("sweep-mode ablation: 10-sweep dense PageRank, v1 store, %d-shard LRU\n", shards/4)
+	fmt.Printf("sweep-mode ablation: 10-sweep dense PageRank, v1 store, quarter-store cache (%.1f MiB)\n",
+		float64(decoded/4)/(1<<20))
 	var ecMoved, sgMoved float64
 	var ranksEC []float64
 	for _, mode := range shard.SweepModes() {
-		eng, err := shard.NewEngine(v1st, g, shard.Options{CacheShards: shards / 4, SweepMode: mode})
-		if err != nil {
-			panic(err)
-		}
+		eng := engineOver(v1st, g, decoded/4, shard.Options{SweepMode: mode})
 		ranks := algorithms.PR(eng, 10).Ranks
 		if ranksEC == nil {
 			ranksEC = ranks
@@ -272,14 +276,8 @@ func main() {
 		panic(err)
 	}
 	mg := graph.FromEdges(mst.NumVertices(), medges)
-	inc, err := shard.NewEngine(mst, mg, shard.Options{CacheShards: shards})
-	if err != nil {
-		panic(err)
-	}
-	full, err := shard.NewEngine(mst, mg, shard.Options{CacheShards: shards})
-	if err != nil {
-		panic(err)
-	}
+	inc := engineOver(mst, mg, 2*decoded, shard.Options{})
+	full := engineOver(mst, mg, 2*decoded, shard.Options{})
 	// Re-converge two ways: incrementally — seeded with the pre-batch
 	// ranks and the batch's dirty shards, sweeping only where the fixed
 	// point actually moved — and from scratch. Same answer, strictly

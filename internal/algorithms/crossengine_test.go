@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/polymer"
 	"repro/internal/sched"
 	"repro/internal/shard"
+	"repro/internal/sweepref"
 )
 
 // Cross-engine property tests: on randomly generated graphs, every
@@ -33,41 +35,80 @@ func randomGraph(raw []uint16, nBits uint8) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// oocEngine shards g into a fresh temp directory and returns the
-// out-of-core engine over it, with the sweep pipeline (prefetch) on —
-// its default. The small cache budget forces eviction and re-reads, so
-// the differential suite also exercises the LRU path.
-func oocEngine(t *testing.T, g *graph.Graph) *shard.Engine {
+// oocStore writes g into a fresh temp directory with p partitions.
+func oocStore(t *testing.T, g *graph.Graph, p int, format shard.Format) *shard.Store {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{CacheShards: 2})
+	st, err := shard.Create(t.TempDir(), g, shard.WriteOptions{Partitions: p, Format: format})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// oocCaches remembers the cache behind every engine oocBudget built (for
+// the life of its test), so the ladder can hold each rung to its budget
+// without the engine exposing the host it is a session of.
+var oocCaches sync.Map // *shard.Engine -> *shard.SharedCache
+
+// oocBudget opens an engine over st behind a cache of its own with the
+// given byte budget.
+func oocBudget(t *testing.T, st *shard.Store, g *graph.Graph, cacheBytes int64, opts shard.Options) *shard.Engine {
+	t.Helper()
+	h, err := shard.NewHost(st, g, shard.NewSharedCache(cacheBytes), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := h.NewSession()
+	oocCaches.Store(e, h.Cache())
+	t.Cleanup(func() { oocCaches.Delete(e) })
 	return e
 }
 
-// oocNoPrefetchEngine is the OOC-prefetch differential variant's
-// counterpart: the same engine with the pipeline disabled — the strict
-// sequential sweep — so every oracle-agreement property doubles as a
-// pipeline-on/off equivalence check.
-func oocNoPrefetchEngine(t *testing.T, g *graph.Graph) *shard.Engine {
+// oocTight is oocBudget at half the store's decoded edge bytes: every
+// dense sweep evicts and re-reads, so the differential suite also
+// exercises the residency path (the ladder asserts the pressure was
+// real).
+func oocTight(t *testing.T, st *shard.Store, g *graph.Graph, opts shard.Options) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{CacheShards: 2, NoPrefetch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return oocBudget(t, st, g, st.NumEdges()*8/2, opts)
+}
+
+// oocReference is the ladder's baseline rung: the sequential sweep
+// written only against the store's public read API — calling goroutine,
+// shard-file order, no cache, no pipeline, no bucketing.
+func oocReference(t *testing.T, g *graph.Graph) api.System {
+	t.Helper()
+	return sweepref.New(oocStore(t, g, 4, shard.DefaultFormat), g)
+}
+
+// oocEngine shards g into a fresh temp directory and returns the
+// out-of-core engine over it at its defaults, behind a half-store
+// cache.
+func oocEngine(t *testing.T, g *graph.Graph) *shard.Engine {
+	t.Helper()
+	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{})
+}
+
+// oocSequentialEngine is the pipeline's remaining ablation: one shard
+// staged ahead, one read in flight, one domain applying — the engine at
+// its least concurrent — so every oracle-agreement property doubles as
+// a pipeline-narrow/wide equivalence check.
+func oocSequentialEngine(t *testing.T, g *graph.Graph) *shard.Engine {
+	t.Helper()
+	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{
+		Window: 1, IODepth: 1, Topology: sched.Topology{Domains: 1},
+	})
 }
 
 // oocWindowEngine is the concurrent-apply differential variant: a
 // k-deep staging window over a multi-domain topology, so up to D
-// shards are applied simultaneously by their domains' worker views.
-// Every oracle-agreement property therefore also pins the concurrent
-// sweep to the sequential semantics.
+// shards are applied simultaneously by their domains' worker views,
+// with the whole store resident. Every oracle-agreement property
+// therefore also pins the concurrent sweep to the sequential semantics.
 func oocWindowEngine(t *testing.T, g *graph.Graph, window int) *shard.Engine {
 	t.Helper()
 	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{
-		Threads: 4, CacheShards: 4, Window: window,
+		Threads: 4, Window: window,
 		Topology: sched.Topology{Domains: 4},
 	})
 	if err != nil {
@@ -84,14 +125,10 @@ func oocWindowEngine(t *testing.T, g *graph.Graph, window int) *shard.Engine {
 // the sequential semantics.
 func oocIODepthEngine(t *testing.T, g *graph.Graph, depth int) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 8, shard.Options{
-		Threads: 4, CacheShards: 4, Window: 4, IODepth: depth,
+	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
+		Threads: 4, Window: 4, IODepth: depth,
 		Topology: sched.Topology{Domains: 4},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
 
 // oocV1StoreEngine is the on-disk format differential variant: the same
@@ -102,26 +139,18 @@ func oocIODepthEngine(t *testing.T, g *graph.Graph, depth int) *shard.Engine {
 // v1-store and v2-store execution to bit-identical results.
 func oocV1StoreEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{CacheShards: 2, Format: shard.FormatV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return oocTight(t, oocStore(t, g, 4, shard.FormatV1), g, shard.Options{})
 }
 
 // oocOrderEngine is the sweep-order differential variant: the pipelined
 // engine with the given non-default order policy over a deliberately
-// tight LRU, so the planner actually permutes plans mid-algorithm (a
+// tight cache, so the planner actually permutes plans mid-algorithm (a
 // multi-round traversal alternates zigzag parity and keeps shifting the
 // resident set residency-first fronts). Ordering may change only when a
 // shard is read — every oracle-agreement property pins that.
 func oocOrderEngine(t *testing.T, g *graph.Graph, order shard.Order) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{CacheShards: 2, Order: order})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{Order: order})
 }
 
 // oocScatterGatherEngine is the partition-centric differential variant:
@@ -133,15 +162,11 @@ func oocOrderEngine(t *testing.T, g *graph.Graph, order shard.Order) *shard.Engi
 // is exactly what every oracle-agreement property pins.
 func oocScatterGatherEngine(t *testing.T, g *graph.Graph, window, depth int) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 8, shard.Options{
-		Threads: 4, CacheShards: 4, Window: window, IODepth: depth,
+	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
+		Threads: 4, Window: window, IODepth: depth,
 		SweepMode: shard.SweepScatterGather,
 		Topology:  sched.Topology{Domains: 4},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
 
 // oocBinBudgetEngine is the eviction-pressure rung: the scatter/gather
@@ -151,34 +176,25 @@ func oocScatterGatherEngine(t *testing.T, g *graph.Graph, window, depth int) *sh
 // change bytes moved, never a single result bit.
 func oocBinBudgetEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 8, shard.Options{
-		Threads: 4, CacheShards: 4, Window: 4,
+	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
+		Threads: 4, Window: 4,
 		SweepMode:      shard.SweepScatterGather,
 		BinBudgetBytes: shard.MinBinBudgetBytes,
 		Topology:       sched.Topology{Domains: 4},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
 
 // oocSharedSessionEngine is the multi-tenant differential variant: a
-// session of a shard.Host, fetching through the daemon's refcounted
-// byte-budgeted SharedCache instead of a private LRU. The deliberately
-// tiny byte budget keeps the cache evicting and refusing inserts
-// (transient shards) mid-algorithm, so every oracle-agreement property
-// also pins the shared-residency path to the private-engine semantics.
+// session of a shard.Host handed an explicit daemon-style SharedCache.
+// The deliberately tiny byte budget keeps the cache evicting and
+// refusing inserts (transient shards) mid-algorithm, so every
+// oracle-agreement property also pins the refused-insert path.
 func oocSharedSessionEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	h, err := shard.BuildHost(t.TempDir(), g, 4, shard.NewSharedCache(1<<13), shard.Options{
-		Threads: 4, CacheShards: 2,
+	return oocBudget(t, oocStore(t, g, 4, shard.DefaultFormat), g, 1<<13, shard.Options{
+		Threads:  4,
 		Topology: sched.Topology{Domains: 2},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h.NewSession()
 }
 
 // oocMutatedStoreEngine is the log-structured differential variant: the
@@ -227,11 +243,7 @@ func oocMutatedStoreEngine(t *testing.T, g *graph.Graph, compact bool) *shard.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := shard.NewEngine(st, g, shard.Options{CacheShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return oocTight(t, st, g, shard.Options{})
 }
 
 func enginesFor(t *testing.T, g *graph.Graph) []api.System {
@@ -241,8 +253,9 @@ func enginesFor(t *testing.T, g *graph.Graph) []api.System {
 		core.NewEngine(g, core.Options{Layout: core.LayoutCSC}),
 		ligra.New(g, 0),
 		polymer.New(g, polymer.GGv1(), 0),
+		oocReference(t, g),
 		oocEngine(t, g),
-		oocNoPrefetchEngine(t, g),
+		oocSequentialEngine(t, g),
 		oocWindowEngine(t, g, 4),
 		oocIODepthEngine(t, g, 2),
 		oocIODepthEngine(t, g, 4),

@@ -26,7 +26,7 @@ func extendedSystems(t *testing.T, g *graph.Graph) map[string]api.System {
 		"ggv2-coo": core.NewEngine(g, core.Options{Layout: core.LayoutCOO}),
 		"ligra":    ligra.New(g, 0),
 		"ooc":      oocEngine(t, g),
-		"ooc-nopf": oocNoPrefetchEngine(t, g),
+		"ooc-seq":  oocSequentialEngine(t, g),
 		"ooc-win":  oocWindowEngine(t, g, 4),
 	}
 }

@@ -15,8 +15,11 @@ import (
 // — must produce bit-identical results on the out-of-core engine across
 // the whole concurrency ladder:
 //
-//   - the strict sequential sweep (NoPrefetch: loads and applies
-//     alternate on one goroutine) — the reference;
+//   - the reference: a sequential sweep written only against the
+//     store's public read API (sweepref: calling goroutine, shard-file
+//     order, no cache, no pipeline, no bucketing);
+//   - the engine at its least concurrent (Window 1, IODepth 1, one
+//     domain) and at its defaults, both behind a half-store cache;
 //   - the k=1 window (the original double buffer's staging depth) with
 //     cross-domain concurrent apply;
 //   - the k=D window, where up to all four modelled NUMA domains apply
@@ -29,9 +32,14 @@ import (
 //     compressed (v2) default and the raw layout must decode to
 //     per-destination-identical shards, and therefore identical results;
 //   - the zigzag and residency-first sweep-order policies over a
-//     deliberately tight LRU, so the sweep planner permutes shard plans
-//     mid-algorithm: plan order may change only when a shard is read,
-//     never what is computed.
+//     deliberately tight cache, so the sweep planner permutes shard
+//     plans mid-algorithm: plan order may change only when a shard is
+//     read, never what is computed.
+//
+// Every rung but the two whole-store window ones runs behind a cache
+// of half the store's decoded bytes (the shared-session rung: 8 KiB)
+// and must show budget pressure — evictions or refused inserts — so
+// none quietly becomes an everything-resident run.
 //
 // This is the strongest form of the concurrency correctness claim:
 // neither staging depth nor cross-domain interleaving may change *what*
@@ -47,13 +55,14 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 	src := SourceVertex(directed)
 	symSrc := SourceVertex(symmetric)
 
-	// The concurrency ladder, sequential reference first.
+	// The concurrency ladder, public-API reference first.
 	variants := []struct {
 		name string
 		mk   func(t *testing.T, g *graph.Graph) api.System
 	}{
-		{"sequential", func(t *testing.T, g *graph.Graph) api.System { return oocNoPrefetchEngine(t, g) }},
-		{"prefetch", func(t *testing.T, g *graph.Graph) api.System { return oocEngine(t, g) }},
+		{"reference", oocReference},
+		{"sequential", func(t *testing.T, g *graph.Graph) api.System { return oocSequentialEngine(t, g) }},
+		{"defaults", func(t *testing.T, g *graph.Graph) api.System { return oocEngine(t, g) }},
 		{"window-1", func(t *testing.T, g *graph.Graph) api.System { return oocWindowEngine(t, g, 1) }},
 		{"window-D", func(t *testing.T, g *graph.Graph) api.System { return oocWindowEngine(t, g, 4) }},
 		// Async-read rungs: several uncached reads in flight at once,
@@ -128,14 +137,22 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 				if r.needReverse {
 					rsys = v.mk(t, r.g.Reverse())
 				}
-				got := r.run(v.mk(t, r.g), rsys)
-				if v.name == "sequential" {
+				sys := v.mk(t, r.g)
+				got := r.run(sys, rsys)
+				if v.name == "reference" {
 					want = got
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s results differ between the sequential sweep and %s:\nsequential: %+v\n%s: %+v",
+					t.Fatalf("%s results differ between the reference sweep and %s:\nreference: %+v\n%s: %+v",
 						r.name, v.name, want, v.name, got)
+				}
+				// Every rung built behind a budget must have pressed it (TC
+				// never sweeps: no loads, nothing to press).
+				if c, ok := oocCaches.Load(sys); ok {
+					if cs := c.(*shard.SharedCache).Stats(); cs.Loads > 0 && cs.Evictions+cs.Rejected == 0 {
+						t.Fatalf("%s on the rung %s never pressed its %d-byte budget: %+v", r.name, v.name, cs.Budget, cs)
+					}
 				}
 			}
 		})

@@ -22,17 +22,6 @@ type OutOfCoreResult struct {
 	Slowdown  float64 // OutOfCore / InMemory
 }
 
-// PrefetchResult is the pipeline ablation: the same cold-cache
-// multi-iteration PageRank run with the sweep pipeline on and off. A
-// one-shard LRU defeats caching across sweeps, so every iteration
-// re-reads (nearly) the whole store and the pipeline's load/apply
-// overlap is the only difference between the two columns.
-type PrefetchResult struct {
-	On      float64 // seconds, prefetch pipeline enabled
-	Off     float64 // seconds, loads and applies strictly alternating
-	Speedup float64 // Off / On: >1 means the pipeline won
-}
-
 // WindowResult is the staging-window occupancy ablation: the same
 // multi-iteration PageRank with a 1-deep window (the original double
 // buffer's staging depth) and a D-deep window, both with cross-domain
@@ -51,12 +40,11 @@ type WindowResult struct {
 
 // IODepthResult is the async-read ablation: the same cold-cache
 // multi-iteration PageRank with the aio reader capped at one in-flight
-// read (the synchronous pipeline's budget) and at IODepth = D. The LRU
-// sits at D shards against a larger store, so every sweep keeps
-// reading from disk and the read overlap is the only difference
-// between the columns. Admission is plan-ordered either way, so the
-// loads and bytes columns must match exactly — depth may change only
-// when a read happens, never what is read or computed.
+// read (the synchronous pipeline's budget) and at IODepth = D, behind a
+// cache too small to admit any shard, so every sweep reads its whole
+// plan from disk and the read overlap is the only difference between
+// the columns. The loads and bytes columns must match exactly — depth
+// may change only when a read happens, never what is read or computed.
 type IODepthResult struct {
 	D1      float64 // seconds, IODepth 1
 	DN      float64 // seconds, IODepth = Depth
@@ -93,8 +81,8 @@ type FormatResult struct {
 
 // OrderColumn is one sweep-order policy's column in the order ablation:
 // a cold-start multi-iteration dense PageRank over the shared store with
-// a half-store LRU, the regime where ascending order's cyclic evictions
-// hit hardest.
+// a cache budget of half the store's decoded bytes, the regime where
+// ascending order's cyclic evictions hit hardest.
 type OrderColumn struct {
 	Order          shard.Order
 	Time           float64 // seconds
@@ -106,18 +94,18 @@ type OrderColumn struct {
 
 // OrderResult is the sweep-order ablation: the same 10-iteration dense
 // PageRank once per Options.Order policy, all over the same store and
-// LRU budget, bit-identical by construction — only the disk traffic may
-// differ. Columns follows shard.Orders() order: ascending (the
+// cache budget, bit-identical by construction — only the disk traffic
+// may differ. Columns follows shard.Orders() order: ascending (the
 // baseline), zigzag, residency-first.
 type OrderResult struct {
-	CacheShards int // the LRU budget all columns ran with (NumShards/2)
-	Columns     []OrderColumn
+	CacheBytes int64 // the cache budget all columns ran with (half the decoded store)
+	Columns    []OrderColumn
 }
 
 // ScatterGatherResult is the sweep-mode ablation: the same cold-cache
 // 10-iteration dense PageRank over one raw (v1) store — so disk bytes
 // are priced identically, 8 per edge — swept edge-centric (the tight
-// LRU thrashes, so every iteration re-reads most of the store from
+// cache thrashes, so every iteration re-reads most of the store from
 // disk) and scatter/gather (the first iteration scatters each shard
 // once into compact delta-encoded update bins; every later iteration
 // gathers the retained bins with zero disk traffic). The claim under
@@ -129,7 +117,7 @@ type ScatterGatherResult struct {
 	SGTime  float64 // seconds, scatter/gather sweeps
 	Speedup float64 // ECTime / SGTime: >1 means two-phase won time too
 
-	CacheShards     int   // the tight LRU budget both columns ran with
+	CacheBytes      int64 // the tight cache budget both columns ran with
 	ECDiskBytes     int64 // edge-centric Stats.BytesRead across the measured runs
 	SGDiskBytes     int64 // scatter/gather Stats.BytesRead (the cold scatter passes)
 	BinBytesWritten int64 // bytes appended to update bins at scatter
@@ -174,8 +162,8 @@ type BinBudgetColumn struct {
 // every bin replayed from disk every sweep — must pull strictly fewer
 // disk bytes than the edge-centric mode's re-reads over the same store.
 type BinBudgetResult struct {
-	Footprint   int64 // unbounded column's total bin bytes: the budget baseline
-	CacheShards int   // the tight LRU budget every column ran with
+	Footprint  int64 // unbounded column's total bin bytes: the budget baseline
+	CacheBytes int64 // the tight shard-cache budget every column ran with
 
 	Full BinBudgetColumn // BinBudgetBytes = 0, nothing spills
 	Half BinBudgetColumn // BinBudgetBytes = Footprint/2, cold tail spills
@@ -217,32 +205,61 @@ type UpdateResult struct {
 // well within 1e-12 per rank.
 const IncTolerance = 1e-15
 
+// Report is everything OutOfCore measures: the headline in-memory vs.
+// out-of-core comparison and one result per ablation.
+type Report struct {
+	// Figure has one X index per algorithm (the note lines give the
+	// mapping) and one series per engine.
+	Figure        *Figure
+	Results       []OutOfCoreResult
+	Window        WindowResult
+	IODepth       IODepthResult
+	Format        FormatResult
+	Order         OrderResult
+	ScatterGather ScatterGatherResult
+	BinBudget     BinBudgetResult
+	Update        UpdateResult
+}
+
+// budgetEngine opens an engine over st behind a cache of its own with
+// the given byte budget — every ablation states its memory in bytes.
+func budgetEngine(st *shard.Store, g *graph.Graph, cacheBytes int64, opts shard.Options) (*shard.Engine, error) {
+	h, err := shard.NewHost(st, g, shard.NewSharedCache(cacheBytes), opts)
+	if err != nil {
+		return nil, err
+	}
+	return h.NewSession(), nil
+}
+
+// decodedBytes is what st's edges occupy once decoded (8 bytes each) —
+// the unit the ablations' cache budgets are fractions of.
+func decodedBytes(st *shard.Store) int64 { return 8 * st.NumEdges() }
+
+// streamingCache is a cache budget no shard fits: every insert is
+// refused, so every sweep streams its whole plan from disk and the
+// engine's footprint is the staging window alone.
+const streamingCache int64 = 1
+
 // OutOfCore runs a representative algorithm slate on the in-memory
 // GG-v2 engine and on the shard.Engine over the same graph, reporting
-// the streaming overhead the LRU cache and frontier-aware sweeps are
+// the streaming overhead the shard cache and frontier-aware sweeps are
 // meant to bound, plus a stack of ablations on multi-iteration
-// PageRank: the prefetch pipeline on/off (cold cache), the staging
-// window k=1 vs k=D with concurrent domain apply, the async-read queue
-// at IODepth=1 vs IODepth=D, the on-disk format ablation:
+// PageRank: the staging window k=1 vs k=D with concurrent domain apply;
+// the async-read queue at IODepth=1 vs IODepth=D; the on-disk format —
 // the same store written v1 (raw) vs v2 (delta+uvarint), bytes and time
-// per cold-cache sweep, the sweep-order ablation: ascending vs
-// zigzag vs residency-first over a half-store LRU, loads and bytes per
-// policy, and the sweep-mode ablation: edge-centric vs partition-centric
-// scatter/gather over a raw store, total bytes moved per mode and
-// bit-exact rank agreement, the bin-budget ablation: the scatter/gather
-// bin store unbounded vs half-footprint vs minimum budget, spill
-// traffic per column and bit-exact rank agreement, and the log-structured-update ablation:
-// an edge batch applied as delta shards, then incremental vs
-// from-scratch re-convergence over the mutated store. dir receives the
-// shard files; shards and threads 0 select defaults. The returned
-// figure has one X index per algorithm (the note lines give the
-// mapping) and one series per engine.
-func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, []OutOfCoreResult, PrefetchResult, WindowResult, IODepthResult, FormatResult, OrderResult, ScatterGatherResult, BinBudgetResult, UpdateResult, error) {
+// per cold-cache sweep; the sweep order — ascending vs zigzag vs
+// residency-first over a half-store cache, loads and bytes per policy;
+// the sweep mode — edge-centric vs partition-centric scatter/gather
+// over a raw store, total bytes moved per mode and bit-exact rank
+// agreement; the bin budget — the scatter/gather bin store unbounded vs
+// half-footprint vs minimum budget, spill traffic per column and
+// bit-exact rank agreement; and log-structured updates — an edge batch
+// applied as delta shards, then incremental vs from-scratch
+// re-convergence over the mutated store. dir receives the shard files;
+// shards and threads 0 select defaults.
+func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Report, error) {
 	if shards <= 0 {
 		shards = 16
-	}
-	fail := func(err error) (*Figure, []OutOfCoreResult, PrefetchResult, WindowResult, IODepthResult, FormatResult, OrderResult, ScatterGatherResult, BinBudgetResult, UpdateResult, error) {
-		return nil, nil, PrefetchResult{}, WindowResult{}, IODepthResult{}, FormatResult{}, OrderResult{}, ScatterGatherResult{}, BinBudgetResult{}, UpdateResult{}, err
 	}
 	inMem := core.NewEngine(g, core.Options{Threads: threads})
 	// Domains: 1 keeps the headline Slowdown column measuring streaming
@@ -251,8 +268,9 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 	// of the pool. The ablations below run the shipped default.
 	ooc, err := shard.Build(dir, g, shards, shard.Options{Threads: threads, Topology: sched.Topology{Domains: 1}})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
+	st := ooc.Store()
 	runs := []struct {
 		alg string
 		run func(sys api.System)
@@ -269,7 +287,7 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 		YLabel: "seconds",
 		Series: []Series{{Name: "GG-v2"}, {Name: "OOC"}},
 	}
-	var results []OutOfCoreResult
+	rep := &Report{Figure: fig}
 	for i, r := range runs {
 		mem := MedianTime(reps, func() { r.run(inMem) })
 		str := MedianTime(reps, func() { r.run(ooc) })
@@ -279,51 +297,32 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 			OutOfCore: Seconds(str),
 			Slowdown:  Speedup(str, mem),
 		}
-		results = append(results, res)
+		rep.Results = append(rep.Results, res)
 		fig.Series[0].X = append(fig.Series[0].X, float64(i))
 		fig.Series[0].Y = append(fig.Series[0].Y, res.InMemory)
 		fig.Series[1].X = append(fig.Series[1].X, float64(i))
 		fig.Series[1].Y = append(fig.Series[1].Y, res.OutOfCore)
 		fig.Notes = append(fig.Notes, fmt.Sprintf("alg %d = %s (%.1fx streaming overhead)", i, r.alg, res.Slowdown))
 	}
-	st := ooc.Stats()
+	ost := ooc.Stats()
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"OOC engine: %d shards, %d disk loads, %d cache hits, %d shard visits skipped",
-		ooc.Store().NumShards(), st.ShardLoads, st.CacheHits, st.ShardsSkipped))
-
-	// Pipeline ablation: cold-cache (one-shard LRU) 10-iteration
-	// PageRank, prefetch on vs off over the already-written store,
-	// both under the engine's default (4-domain) placement.
-	pfOn, err := shard.NewEngine(ooc.Store(), g, shard.Options{Threads: threads, CacheShards: 1})
-	if err != nil {
-		return fail(err)
-	}
-	pfOff, err := shard.NewEngine(ooc.Store(), g, shard.Options{Threads: threads, CacheShards: 1, NoPrefetch: true})
-	if err != nil {
-		return fail(err)
-	}
-	on := MedianTime(reps, func() { algorithms.PR(pfOn, 10) })
-	off := MedianTime(reps, func() { algorithms.PR(pfOff, 10) })
-	pf := PrefetchResult{On: Seconds(on), Off: Seconds(off), Speedup: Speedup(off, on)}
-	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"cold-cache PR ablation: prefetch on %.3fs vs off %.3fs (%.2fx)", pf.On, pf.Off, pf.Speedup))
-	ast := pfOn.Stats()
-	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"OOC pipeline: %d prefetch loads (%d overlapped an apply), %d prefetch cache promotions, domain shards %v",
-		ast.PrefetchLoads, ast.OverlappedLoads, ast.PrefetchHits, ast.DomainShards))
+		st.NumShards(), ost.ShardLoads, ost.CacheHits, ost.ShardsSkipped))
 
 	// Occupancy ablation: the same 10-iteration PageRank with a 1-deep
 	// vs a D-deep staging window, both with concurrent domain apply and
-	// a D-shard LRU (big enough to let the deep window actually fill,
-	// small enough against the store to keep the sweep streaming).
+	// a cache budget of D shards' worth of the store (big enough to let
+	// the deep window actually fill, small enough against the store to
+	// keep the sweep streaming).
 	d := sched.DefaultTopology().Domains
-	wOne, err := shard.NewEngine(ooc.Store(), g, shard.Options{Threads: threads, CacheShards: d, Window: 1})
+	dShards := decodedBytes(st) * int64(d) / int64(st.NumShards())
+	wOne, err := budgetEngine(st, g, dShards, shard.Options{Threads: threads, Window: 1})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	wDeep, err := shard.NewEngine(ooc.Store(), g, shard.Options{Threads: threads, CacheShards: d, Window: d})
+	wDeep, err := budgetEngine(st, g, dShards, shard.Options{Threads: threads, Window: d})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	k1 := MedianTime(reps, func() { algorithms.PR(wOne, 10) })
 	kD := MedianTime(reps, func() { algorithms.PR(wDeep, 10) })
@@ -333,26 +332,27 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 		PeakKD:  wDeep.Stats().ConcurrentApplyPeak,
 		Domains: d,
 	}
+	rep.Window = win
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"occupancy ablation: window k=1 %.3fs (peak %d concurrent applies) vs k=%d %.3fs (peak %d), %.2fx",
 		win.K1, win.PeakK1, win.Domains, win.KD, win.PeakKD, win.Speedup))
 	wst := wDeep.Stats()
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"OOC window k=%d: apply levels %v, hand-off depth histogram %v",
-		win.Domains, wst.ApplyLevels, wst.WindowDepths))
+		"OOC window k=%d: %d loads (%d overlapped an apply), domain shards %v, apply levels %v, hand-off depth histogram %v",
+		win.Domains, wst.ShardLoads, wst.OverlappedLoads, wst.DomainShards, wst.ApplyLevels, wst.WindowDepths))
 
 	// Async-read ablation: the same 10-iteration PageRank with one
 	// in-flight read (the synchronous budget) vs IODepth = D, both over
-	// the D-deep window with a D-shard LRU so the sweep keeps reading
-	// from disk. Plan-ordered admission makes the disk traffic columns
-	// byte-identical; only the overlap (and the peak) may differ.
-	io1, err := shard.NewEngine(ooc.Store(), g, shard.Options{Threads: threads, CacheShards: d, Window: d, IODepth: 1})
+	// the D-deep window and a cache that admits nothing, so every sweep
+	// reads every planned shard from disk: the disk traffic columns are
+	// byte-identical and only the overlap (and the peak) may differ.
+	io1, err := budgetEngine(st, g, streamingCache, shard.Options{Threads: threads, Window: d, IODepth: 1})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	ioD, err := shard.NewEngine(ooc.Store(), g, shard.Options{Threads: threads, CacheShards: d, Window: d, IODepth: d})
+	ioD, err := budgetEngine(st, g, streamingCache, shard.Options{Threads: threads, Window: d, IODepth: d})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	d1 := MedianTime(reps, func() { algorithms.PR(io1, 10) })
 	dN := MedianTime(reps, func() { algorithms.PR(ioD, 10) })
@@ -364,54 +364,60 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 		LoadsD1: io1.Stats().ShardLoads,
 		LoadsDN: ioD.Stats().ShardLoads,
 	}
+	rep.IODepth = iod
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"async-read ablation: iodepth=1 %.3fs (peak %d reads in flight) vs iodepth=%d %.3fs (peak %d), %.2fx; read depth histogram %v",
 		iod.D1, iod.PeakD1, iod.Depth, iod.DN, iod.PeakDN, iod.Speedup, ioD.Stats().ReadDepths))
 
 	// Format ablation: the same graph written as a v1 (raw) and a v2
 	// (compressed) store, each swept by the cold-cache 10-iteration
-	// PageRank. A one-shard LRU makes every iteration re-decode (nearly)
-	// the whole store, so BytesRead is ~10× the store size per run and
-	// the bytes ratio is exactly the per-sweep disk traffic saved.
+	// PageRank. A cache that admits nothing makes every iteration
+	// re-decode the whole store, so BytesRead is 10× the store size per
+	// run and the bytes ratio is exactly the per-sweep disk traffic
+	// saved.
 	fr, err := formatAblation(g, dir, shards, threads, reps)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
+	rep.Format = fr
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"format ablation: v1 %.2f B/edge on disk vs v2 %.2f B/edge; cold-cache PR read %.2fx fewer bytes (v1 %.3fs, v2 %.3fs, %.2fx)",
 		fr.V1BytesPerEdge, fr.V2BytesPerEdge, fr.Ratio, fr.V1Time, fr.V2Time, fr.Speedup))
 
 	// Sweep-order ablation: the same 10-iteration dense PageRank over
-	// the shared store under each Options.Order policy, with the LRU at
-	// half the shard count — the paper-motivated regime where ascending
-	// order evicts the tail of sweep i exactly before sweep i+1 needs it
-	// while zigzag and residency-first start each sweep on what is still
+	// the shared store under each Options.Order policy, with the cache at
+	// half the store — the paper-motivated regime where ascending order
+	// evicts the tail of sweep i exactly before sweep i+1 needs it while
+	// zigzag and residency-first start each sweep on what is still
 	// resident. Results are bit-identical across policies (plan order
 	// changes when a shard is read, never what is computed); loads and
 	// BytesRead are the whole point.
-	or, err := orderAblation(ooc.Store(), g, threads, reps)
+	or, err := orderAblation(st, g, threads, reps)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
+	rep.Order = or
 	for _, col := range or.Columns {
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
-			"order ablation (%d-shard LRU): %s %.3fs, %d loads, %d cache hits, %.1f KiB read, %d reloads avoided",
-			or.CacheShards, col.Order, col.Time, col.Loads, col.CacheHits,
+			"order ablation (%.1f KiB cache): %s %.3fs, %d loads, %d cache hits, %.1f KiB read, %d reloads avoided",
+			float64(or.CacheBytes)/1024, col.Order, col.Time, col.Loads, col.CacheHits,
 			float64(col.BytesRead)/1024, col.ReloadsAvoided))
 	}
 
 	// Sweep-mode ablation: the same cold-cache dense PageRank over a raw
-	// (v1) store in both sweep modes, with the LRU tight enough that the
-	// edge-centric column re-reads the store every iteration while the
-	// scatter/gather column pays one cold pass and then replays retained
-	// bins. Bytes moved is the headline; ranks must agree bit for bit.
+	// (v1) store in both sweep modes, with the cache tight enough that
+	// the edge-centric column re-reads the store every iteration while
+	// the scatter/gather column pays one cold pass and then replays
+	// retained bins. Bytes moved is the headline; ranks must agree bit
+	// for bit.
 	sgr, err := scatterGatherAblation(g, dir, shards, threads, reps)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
+	rep.ScatterGather = sgr
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"scatter/gather ablation (v1 store, %d-shard LRU): edge-centric moved %.1f KiB from disk vs scatter/gather %.1f KiB total (%.1f disk + %.1f bin writes + %.1f bin replays), %d bin reuses, ranks bit-identical=%v",
-		sgr.CacheShards, float64(sgr.ECDiskBytes)/1024, float64(sgr.SGMovedBytes)/1024,
+		"scatter/gather ablation (v1 store, %.1f KiB cache): edge-centric moved %.1f KiB from disk vs scatter/gather %.1f KiB total (%.1f disk + %.1f bin writes + %.1f bin replays), %d bin reuses, ranks bit-identical=%v",
+		float64(sgr.CacheBytes)/1024, float64(sgr.ECDiskBytes)/1024, float64(sgr.SGMovedBytes)/1024,
 		float64(sgr.SGDiskBytes)/1024, float64(sgr.BinBytesWritten)/1024, float64(sgr.BinBytesRead)/1024,
 		sgr.BinShardsReused, sgr.RanksIdentical))
 
@@ -422,11 +428,12 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 	// under the edge-centric re-reads over the same store.
 	bbr, err := binBudgetAblation(g, dir, shards, threads, reps)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
+	rep.BinBudget = bbr
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"bin-budget ablation (v1 store, %d-shard LRU, footprint %.1f KiB): unbounded moved %.1f KiB; half budget moved %.1f KiB (%.1f KiB spilled, %d replays); min budget moved %.1f KiB (%.1f KiB spilled, %d replays); edge-centric re-read %.1f KiB; ranks bit-identical=%v",
-		bbr.CacheShards, float64(bbr.Footprint)/1024, float64(bbr.Full.MovedBytes)/1024,
+		"bin-budget ablation (v1 store, %.1f KiB cache, footprint %.1f KiB): unbounded moved %.1f KiB; half budget moved %.1f KiB (%.1f KiB spilled, %d replays); min budget moved %.1f KiB (%.1f KiB spilled, %d replays); edge-centric re-read %.1f KiB; ranks bit-identical=%v",
+		float64(bbr.CacheBytes)/1024, float64(bbr.Footprint)/1024, float64(bbr.Full.MovedBytes)/1024,
 		float64(bbr.Half.MovedBytes)/1024, float64(bbr.Half.Spilled)/1024, bbr.Half.Replays,
 		float64(bbr.Zero.MovedBytes)/1024, float64(bbr.Zero.Spilled)/1024, bbr.Zero.Replays,
 		float64(bbr.ECDiskBytes)/1024, bbr.RanksIdentical))
@@ -437,14 +444,15 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Figure, 
 	// the headline; the two fixed points must agree to ~1e-12.
 	ur, err := updateAblation(g, dir, shards, threads, reps)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
+	rep.Update = ur
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"update ablation: batch +%d/-%d edges dirtied %d/%d shards in %.3fs; incremental re-convergence %.3fs / %d loads / %d visits vs full %.3fs / %d loads / %d visits (%.2fx), max rank diff %.2g; compaction %.3fs",
 		ur.Inserted, ur.Deleted, ur.DirtyShards, ur.TotalShards, ur.ApplyTime,
 		ur.IncTime, ur.IncLoads, ur.IncVisits, ur.FullTime, ur.FullLoads, ur.FullVisits,
 		ur.Speedup, ur.MaxDiff, ur.CompactTime))
-	return fig, results, pf, win, iod, fr, or, sgr, bbr, ur, nil
+	return rep, nil
 }
 
 // updateAblation builds a store holding two vertex-disjoint copies of
@@ -481,8 +489,9 @@ func updateAblation(g *graph.Graph, dir string, shards, threads, reps int) (Upda
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	opts := shard.Options{Threads: threads, CacheShards: st.NumShards()}
-	pre, err := shard.NewEngine(st, graph.FromEdges(2*n, initial), opts)
+	// Twice the decoded store: everything stays resident, offsets and all.
+	opts, resident := shard.Options{Threads: threads}, 2*8*int64(len(all))
+	pre, err := budgetEngine(st, graph.FromEdges(2*n, initial), resident, opts)
 	if err != nil {
 		return UpdateResult{}, err
 	}
@@ -507,11 +516,11 @@ func updateAblation(g *graph.Graph, dir string, shards, threads, reps int) (Upda
 		return UpdateResult{}, err
 	}
 	merged := graph.FromEdges(2*n, all)
-	full, err := shard.NewEngine(mst, merged, opts)
+	full, err := budgetEngine(mst, merged, resident, opts)
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	inc, err := shard.NewEngine(mst, merged, opts)
+	inc, err := budgetEngine(mst, merged, resident, opts)
 	if err != nil {
 		return UpdateResult{}, err
 	}
@@ -550,25 +559,20 @@ func updateAblation(g *graph.Graph, dir string, shards, threads, reps int) (Upda
 // scatterGatherAblation writes its own raw (v1) store — raw pricing
 // makes the disk columns comparable byte for byte — and runs the
 // cold-cache 10-iteration dense PageRank once per sweep mode over the
-// same quarter-store LRU, collecting the movement counters and the
-// final ranks from each side.
+// same quarter-store cache budget, collecting the movement counters and
+// the final ranks from each side.
 func scatterGatherAblation(g *graph.Graph, dir string, shards, threads, reps int) (ScatterGatherResult, error) {
 	var sgr ScatterGatherResult
 	st, err := shard.Create(filepath.Join(dir, "sg-v1"), g, shard.WriteOptions{Partitions: shards, Format: shard.FormatV1})
 	if err != nil {
 		return ScatterGatherResult{}, err
 	}
-	sgr.CacheShards = st.NumShards() / 4
-	if sgr.CacheShards < 1 {
-		sgr.CacheShards = 1
-	}
-	ec, err := shard.NewEngine(st, g, shard.Options{Threads: threads, CacheShards: sgr.CacheShards})
+	sgr.CacheBytes = decodedBytes(st) / 4
+	ec, err := budgetEngine(st, g, sgr.CacheBytes, shard.Options{Threads: threads})
 	if err != nil {
 		return ScatterGatherResult{}, err
 	}
-	sg, err := shard.NewEngine(st, g, shard.Options{
-		Threads: threads, CacheShards: sgr.CacheShards, SweepMode: shard.SweepScatterGather,
-	})
+	sg, err := budgetEngine(st, g, sgr.CacheBytes, shard.Options{Threads: threads, SweepMode: shard.SweepScatterGather})
 	if err != nil {
 		return ScatterGatherResult{}, err
 	}
@@ -599,8 +603,8 @@ func scatterGatherAblation(g *graph.Graph, dir string, shards, threads, reps int
 // first and its BinWrites — every bin scattered exactly once, retained
 // for the engine's lifetime — is the measured footprint the half budget
 // derives from. The edge-centric reference runs over the unbounded
-// column's store with the same LRU, pricing what the sweeps would have
-// re-read with no bins at all.
+// column's store with the same cache budget, pricing what the sweeps
+// would have re-read with no bins at all.
 func binBudgetAblation(g *graph.Graph, dir string, shards, threads, reps int) (BinBudgetResult, error) {
 	var br BinBudgetResult
 	run := func(sub string, budget int64) (BinBudgetColumn, []float64, *shard.Store, error) {
@@ -608,14 +612,9 @@ func binBudgetAblation(g *graph.Graph, dir string, shards, threads, reps int) (B
 		if err != nil {
 			return BinBudgetColumn{}, nil, nil, err
 		}
-		cache := st.NumShards() / 4
-		if cache < 1 {
-			cache = 1
-		}
-		br.CacheShards = cache
-		eng, err := shard.NewEngine(st, g, shard.Options{
-			Threads: threads, CacheShards: cache,
-			SweepMode: shard.SweepScatterGather, BinBudgetBytes: budget,
+		br.CacheBytes = decodedBytes(st) / 4
+		eng, err := budgetEngine(st, g, br.CacheBytes, shard.Options{
+			Threads: threads, SweepMode: shard.SweepScatterGather, BinBudgetBytes: budget,
 		})
 		if err != nil {
 			return BinBudgetColumn{}, nil, nil, err
@@ -652,7 +651,7 @@ func binBudgetAblation(g *graph.Graph, dir string, shards, threads, reps int) (B
 	}
 	br.Zero = zero
 
-	ec, err := shard.NewEngine(fullStore, g, shard.Options{Threads: threads, CacheShards: br.CacheShards})
+	ec, err := budgetEngine(fullStore, g, br.CacheBytes, shard.Options{Threads: threads})
 	if err != nil {
 		return BinBudgetResult{}, err
 	}
@@ -677,16 +676,11 @@ func binBudgetAblation(g *graph.Graph, dir string, shards, threads, reps int) (B
 }
 
 // orderAblation runs the cold-start order columns over an
-// already-written store with a half-store LRU budget.
+// already-written store with a half-store cache budget.
 func orderAblation(st *shard.Store, g *graph.Graph, threads, reps int) (OrderResult, error) {
-	or := OrderResult{CacheShards: st.NumShards() / 2}
-	if or.CacheShards < 1 {
-		or.CacheShards = 1
-	}
+	or := OrderResult{CacheBytes: decodedBytes(st) / 2}
 	for _, order := range shard.Orders() {
-		eng, err := shard.NewEngine(st, g, shard.Options{
-			Threads: threads, CacheShards: or.CacheShards, Order: order,
-		})
+		eng, err := budgetEngine(st, g, or.CacheBytes, shard.Options{Threads: threads, Order: order})
 		if err != nil {
 			return OrderResult{}, err
 		}
@@ -720,7 +714,7 @@ func formatAblation(g *graph.Graph, dir string, shards, threads, reps int) (Form
 		if err != nil {
 			return FormatResult{}, err
 		}
-		eng, err := shard.NewEngine(st, g, shard.Options{Threads: threads, CacheShards: 1})
+		eng, err := budgetEngine(st, g, streamingCache, shard.Options{Threads: threads})
 		if err != nil {
 			return FormatResult{}, err
 		}

@@ -31,7 +31,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -529,10 +528,7 @@ func errStatus(err error) (int, string) {
 	}
 }
 
-// Handler returns the HTTP/JSON API. Every route lives under /v1/;
-// the unversioned spellings from the daemon's first release remain as
-// deprecated aliases that answer identically plus a Deprecation header
-// pointing at the successor.
+// Handler returns the HTTP/JSON API. Every route lives under /v1/.
 //
 //	POST   /v1/stores                 {"name": "...", "dir": "..."}  open a store
 //	GET    /v1/stores                                                list open stores
@@ -550,21 +546,7 @@ func errStatus(err error) (int, string) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	// handle registers the /v1/ route and its deprecated unversioned
-	// alias. The alias serves the same handler with RFC 8594-style
-	// deprecation headers, so existing clients keep working while being
-	// told where to go.
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" "+strings.TrimPrefix(path, "/v1"), func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-			h(w, r)
-		})
-	}
-
-	handle("POST /v1/stores", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/stores", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Name string `json:"name"`
 			Dir  string `json:"dir"`
@@ -583,11 +565,11 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusCreated, info)
 	})
 
-	handle("GET /v1/stores", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stores", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats().Stores)
 	})
 
-	handle("DELETE /v1/stores/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/stores/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.CloseStore(r.PathValue("name")); err != nil {
 			httpErr(w, err)
 			return
@@ -595,7 +577,7 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	handle("POST /v1/stores/{name}/updates", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/stores/{name}/updates", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Insert []wireEdge `json:"insert"`
 			Delete []wireEdge `json:"delete"`
@@ -617,7 +599,7 @@ func (s *Server) Handler() http.Handler {
 		})
 	})
 
-	handle("POST /v1/stores/{name}/compact", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/stores/{name}/compact", func(w http.ResponseWriter, r *http.Request) {
 		gen, err := s.CompactStore(r.PathValue("name"))
 		if err != nil {
 			httpErr(w, err)
@@ -626,7 +608,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"generation": gen})
 	})
 
-	handle("POST /v1/queries", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/queries", func(w http.ResponseWriter, r *http.Request) {
 		var spec QuerySpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			httpErr(w, err)
@@ -640,7 +622,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
 	})
 
-	handle("GET /v1/queries/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/queries/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		s.mu.Lock()
 		q, ok := s.queries[id]
@@ -660,7 +642,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, q.info())
 	})
 
-	handle("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 

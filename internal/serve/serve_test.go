@@ -299,48 +299,6 @@ func TestServeUpdatesAndCompact(t *testing.T) {
 	}
 }
 
-// TestServeDeprecatedAliases pins the compatibility surface: the
-// unversioned spellings answer identically to their /v1/ successors,
-// plus RFC 8594-style deprecation headers naming the successor.
-func TestServeDeprecatedAliases(t *testing.T) {
-	dir, _ := writeStore(t, 8)
-	s := New(Config{Options: shard.Options{Threads: 2}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	if resp := postJSON(t, c, ts.URL+"/stores", map[string]string{"name": "tiny", "dir": dir}, nil); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("open store via alias: %s", resp.Status)
-	}
-	resp, err := c.Get(ts.URL + "/stores")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("list via alias: %s", resp.Status)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("alias response missing the Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/stores>; rel="successor-version"` {
-		t.Fatalf("alias Link header = %q", link)
-	}
-	var listed []storeInfo
-	if err := json.NewDecoder(resp.Body).Decode(&listed); err != nil || len(listed) != 1 {
-		t.Fatalf("alias listing = %+v (%v)", listed, err)
-	}
-	// The versioned route answers without the deprecation headers.
-	r2, err := c.Get(ts.URL + "/v1/stores")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.Header.Get("Deprecation") != "" || r2.Header.Get("Link") != "" {
-		t.Fatal("versioned route carries deprecation headers")
-	}
-}
-
 // TestServeSessionConformance runs the api.System contract check over
 // a served session — the adapter the differential ladder drives.
 func TestServeSessionConformance(t *testing.T) {
@@ -445,8 +403,7 @@ func TestBinBudgetRehostReleasesBins(t *testing.T) {
 	dir, g := writeStore(t, 8)
 	const budget = int64(16 << 10) // half this store's bin footprint: spills happen
 	s := New(Config{Options: shard.Options{
-		Threads: 2, CacheShards: 4,
-		SweepMode: shard.SweepScatterGather, BinBudgetBytes: budget,
+		Threads: 2, SweepMode: shard.SweepScatterGather, BinBudgetBytes: budget,
 	}})
 	if err := s.OpenStore("tiny", dir); err != nil {
 		t.Fatal(err)

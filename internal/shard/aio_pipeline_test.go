@@ -15,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sched"
+	"repro/internal/sweepref"
 )
 
 // TestAIOReadsRunAheadToIODepth proves the read pipeline genuinely
@@ -28,8 +29,8 @@ import (
 func TestAIOReadsRunAheadToIODepth(t *testing.T) {
 	g := gen.TinySocial()
 	const depth = 4
-	e := buildTestEngine(t, g, 12, Options{
-		Threads: 2, CacheShards: 8, Window: 4, IODepth: depth,
+	e := buildSlotEngine(t, g, 12, 8, Options{
+		Threads: 2, Window: 4, IODepth: depth,
 		Topology: sched.Topology{Domains: 1},
 	})
 
@@ -92,20 +93,13 @@ func TestAIOReadsRunAheadToIODepth(t *testing.T) {
 // injection ladder: per-shard read delays force completions to reorder
 // across the in-flight reads, and an iterative CAS traversal plus
 // PageRank must still be bit-identical at IODepth 1, 2 and 4 to the
-// sequential NoPrefetch reference — the engine's reap-in-plan-order
-// discipline, not completion timing, decides every result.
+// sequential public-API reference sweep — the engine's
+// reap-in-plan-order discipline, not completion timing, decides every
+// result.
 func TestAIOJitterBitIdenticalAcrossIODepths(t *testing.T) {
 	g := gen.TinySocial()
-	run := func(opts Options, jitter bool) ([]int64, []int32, []float64) {
-		e := buildTestEngine(t, g, 10, opts)
-		if jitter {
-			e.onLoadBegin = func(si int) {
-				// Deterministic per-shard delays, spread so that a later
-				// plan entry's read regularly completes before an earlier
-				// one's.
-				time.Sleep(time.Duration(si%3) * time.Millisecond)
-			}
-		}
+	st := createStore(t, t.TempDir(), g, 10)
+	run := func(e api.System) ([]int64, []int32, []float64) {
 		parents := make([]int32, g.NumVertices())
 		for i := range parents {
 			parents[i] = -1
@@ -120,11 +114,17 @@ func TestAIOJitterBitIdenticalAcrossIODepths(t *testing.T) {
 		return sizes, parents, prOnSystem(e, 5)
 	}
 
-	wantSizes, wantParents, wantRanks := run(Options{Threads: 4, CacheShards: 4, NoPrefetch: true}, false)
+	wantSizes, wantParents, wantRanks := run(sweepref.New(st, g))
 	for _, depth := range []int{1, 2, 4} {
-		sizes, parents, ranks := run(Options{
-			Threads: 4, CacheShards: 4, Window: 4, IODepth: depth,
-		}, true)
+		e := slotEngine(t, st, g, 2, Options{Threads: 4, Window: 4, IODepth: depth})
+		e.onLoadBegin = func(si int) {
+			// Deterministic per-shard delays, spread so that a later
+			// plan entry's read regularly completes before an earlier
+			// one's.
+			time.Sleep(time.Duration(si%3) * time.Millisecond)
+		}
+		sizes, parents, ranks := run(e)
+		requireEvictions(t, e)
 		if !reflect.DeepEqual(sizes, wantSizes) {
 			t.Fatalf("IODepth=%d: frontier sizes %v, want %v", depth, sizes, wantSizes)
 		}
@@ -140,19 +140,15 @@ func TestAIOJitterBitIdenticalAcrossIODepths(t *testing.T) {
 // TestAIOTeardownOnMidFlightReadError: a read failure with IODepth > 1
 // — other reads genuinely in flight when the failure strikes — aborts
 // the sweep with the engine's panic prefix, leaks no goroutine (the
-// reader's workers included), keeps the LRU inside its budget, and
-// leaves the engine fully serviceable: once the file is restored, a
-// healthy sweep produces correct counts.
+// reader's workers included), keeps the cache inside its budget with
+// nothing pinned, and leaves the engine fully serviceable: once the
+// file is restored, a healthy sweep produces correct counts.
 func TestAIOTeardownOnMidFlightReadError(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	const budget = 4
-	e, err := Build(dir, g, 12, Options{Threads: 4, CacheShards: budget, Window: 4, IODepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := slotEngine(t, createStore(t, dir, g, 12), g, 4, Options{Threads: 4, Window: 4, IODepth: 4})
 	victim := filepath.Join(dir, "shard-0005.bin")
 	saved, err := os.ReadFile(victim)
 	if err != nil {
@@ -175,9 +171,7 @@ func TestAIOTeardownOnMidFlightReadError(t *testing.T) {
 		}()
 		e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
 	}()
-	if n := e.cache.len(); n > budget {
-		t.Fatalf("LRU holds %d shards after the failed sweep, budget is %d", n, budget)
-	}
+	checkQuiescent(t, e)
 
 	// The engine must remain reusable once the fault clears.
 	if err := os.WriteFile(victim, saved, 0o644); err != nil {

@@ -1,16 +1,9 @@
 package shard
 
 // The scatter/gather bin residency layer. A binCache is one store
-// generation's retained update bins — host-shared, refcounted and
-// byte-budgeted, mirroring SharedCache's invariants at every
-// observation point, not just at quiescence:
-//
-//   - a bin pinned by an in-flight gather (pins > 0) is never evicted,
-//   - with a budget set, resident bin bytes never exceed it, and
-//   - an insert that cannot fit after evicting every cold unpinned bin
-//     is refused, never blocked on: the sweep still gathers the bin
-//     (transient, accounted under Rejected) and the budget stays a hard
-//     bound rather than a high-water mark.
+// generation's retained update bins: the residency core (see
+// residency.go: byte budget, pins, refuse-don't-block; budget 0 retains
+// everything) keyed by shard index, plus the spill codec.
 //
 // Past the in-memory budget, cold bins spill to generation-suffixed
 // files next to the store (bin-%04d-g%06d.spill): a bin is a pure
@@ -24,18 +17,15 @@ package shard
 // sweep retention semantics already prove bit-identical.
 //
 // One binCache hangs off each hostCore, so every session of a Host
-// shares one budget instead of multiplying the footprint per query;
-// private engines own a private cache. All methods are safe for
-// concurrent use.
+// shares one budget instead of multiplying the footprint per query.
+// All methods are safe for concurrent use.
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -64,88 +54,46 @@ type BinCacheStats struct {
 	SpilledBytes int64 // encoded bytes written to spill files
 }
 
-// binEntry is one resident bin plus its refcount. pins counts the
-// sweeps currently holding the bin between acquire/put and the end of
-// their gather; eviction skips any entry with pins > 0.
-type binEntry struct {
-	b     *binShard
-	bytes int64
-	pins  int
-}
-
 // binCache is the refcounted, byte-budgeted bin LRU every session of a
-// host shares. budget 0 disables eviction and spill entirely — the
-// historical retain-everything semantics.
+// host shares.
 type binCache struct {
-	budget int64
-	dir    string // store directory spill files live in
-	gen    int64  // store generation the bins (and spill files) describe
+	res *residency[int, *binShard]
+	dir string // store directory spill files live in
+	gen int64  // store generation the bins (and spill files) describe
 
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used; values are *binEntry
-	idx     map[int]*list.Element
-	spilled map[int]bool // shard idx -> a valid spill file exists on disk
-	bytes   int64
-	closed  bool // drop ran: the host was evicted/rehosted
-
-	peakBytes, hits, replays, evictions, rejected, spillBytes int64
+	// Guarded by res.mu.
+	spilled             map[int]bool // shard idx -> a valid spill file exists on disk
+	closed              bool         // drop ran: the host was evicted/rehosted
+	replays, spillBytes int64
 }
 
 // newBinCache builds the bin store for one opened store generation.
 func newBinCache(budget int64, dir string, gen int64) *binCache {
 	return &binCache{
-		budget:  budget,
+		res:     newResidency[int, *binShard](budget),
 		dir:     dir,
 		gen:     gen,
-		ll:      list.New(),
-		idx:     make(map[int]*list.Element),
 		spilled: make(map[int]bool),
 	}
 }
 
 // Stats returns a consistent snapshot of the cache counters.
 func (c *binCache) Stats() BinCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := BinCacheStats{
-		Budget:       c.budget,
-		Bytes:        c.bytes,
-		PeakBytes:    c.peakBytes,
-		Resident:     int64(c.ll.Len()),
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	rs := c.res.statsLocked()
+	return BinCacheStats{
+		Budget:       rs.Budget,
+		Bytes:        rs.Bytes,
+		PeakBytes:    rs.PeakBytes,
+		Resident:     rs.Resident,
+		Pinned:       rs.Pinned,
 		Spilled:      int64(len(c.spilled)),
-		Hits:         c.hits,
+		Hits:         rs.Hits,
 		Replays:      c.replays,
-		Evictions:    c.evictions,
-		Rejected:     c.rejected,
+		Evictions:    rs.Evictions,
+		Rejected:     rs.Rejected,
 		SpilledBytes: c.spillBytes,
-	}
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*binEntry).pins > 0 {
-			s.Pinned++
-		}
-	}
-	return s
-}
-
-// releaseFunc builds the one-shot unpin for ent. A pinned entry is
-// never evicted, so ent is still live when the release runs; on a
-// closed cache the final unpin also retires the entry, so a rehosted
-// store's bin bytes reach zero once its old sessions drain.
-func (c *binCache) releaseFunc(ent *binEntry) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			ent.pins--
-			if c.closed && ent.pins == 0 {
-				if el, ok := c.idx[ent.b.idx]; ok && el.Value.(*binEntry) == ent {
-					c.ll.Remove(el)
-					delete(c.idx, ent.b.idx)
-					c.bytes -= ent.bytes
-				}
-			}
-			c.mu.Unlock()
-		})
 	}
 }
 
@@ -154,87 +102,42 @@ func (c *binCache) releaseFunc(ent *binEntry) func() {
 // gather is done. A miss means the sweep must replay the spill file
 // (hasSpill) or re-scatter the shard.
 func (c *binCache) acquire(si int) (*binShard, func(), bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[si]
-	if c.closed || !ok {
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	if c.closed {
 		return nil, nil, false
 	}
-	ent := el.Value.(*binEntry)
-	c.ll.MoveToFront(el)
-	ent.pins++
-	c.hits++
-	return ent.b, c.releaseFunc(ent), true
+	return c.res.getLocked(si)
 }
 
-// put admits a freshly scattered (or spill-replayed) bin, pinned,
-// evicting cold unpinned bins to make room. If another session raced
-// the insert, its identical entry is adopted — same host, same store
-// generation, same deterministic encoding — and b is dropped. If the
-// bytes cannot fit after evicting everything evictable, the insert is
-// refused: the returned release is a no-op and the caller gathers b
-// uncached (a transient bin). Every bin that leaves (or never enters)
-// memory is spilled to disk — written at most once per generation — so
-// the next sweep replays it sequentially instead of re-reading the
-// base shard. Returns the canonical bin to gather, its release, and
-// the evicted-bin / spilled-byte counts this call incurred, for the
-// calling session's stats.
+// put admits a freshly scattered (or spill-replayed) bin, pinned (see
+// residency.addLocked: a raced insert adopts the identical resident
+// bin — same host, same store generation, same deterministic encoding
+// — and a bin that cannot fit is refused and gathered uncached). Every
+// bin that leaves (or never enters) memory is spilled to disk — written
+// at most once per generation — so the next sweep replays it
+// sequentially instead of re-reading the base shard. Returns the
+// canonical bin to gather, its release, and the evicted-bin /
+// spilled-byte counts this call incurred, for the calling session's
+// stats.
 func (c *binCache) put(b *binShard) (bin *binShard, release func(), evicted, spilledBytes int64) {
-	var toSpill []*binShard
-	c.mu.Lock()
+	c.res.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.res.mu.Unlock()
 		return b, func() {}, 0, 0
 	}
-	if el, ok := c.idx[b.idx]; ok {
-		ent := el.Value.(*binEntry)
-		c.ll.MoveToFront(el)
-		ent.pins++
-		rel := c.releaseFunc(ent)
-		c.mu.Unlock()
-		return ent.b, rel, 0, 0
+	bin, release, admitted, victims := c.res.addLocked(b.idx, b, b.bytes)
+	evicted = int64(len(victims))
+	if !admitted {
+		victims = append(victims, b)
 	}
-	admitted := true
-	if c.budget > 0 {
-		for c.bytes+b.bytes > c.budget {
-			var victim *list.Element
-			for el := c.ll.Back(); el != nil; el = el.Prev() {
-				if el.Value.(*binEntry).pins == 0 {
-					victim = el
-					break
-				}
-			}
-			if victim == nil {
-				admitted = false
-				c.rejected++
-				break
-			}
-			ent := victim.Value.(*binEntry)
-			c.ll.Remove(victim)
-			delete(c.idx, ent.b.idx)
-			c.bytes -= ent.bytes
-			c.evictions++
-			evicted++
-			if !c.spilled[ent.b.idx] {
-				toSpill = append(toSpill, ent.b)
-			}
+	toSpill := victims[:0]
+	for _, v := range victims {
+		if !c.spilled[v.idx] {
+			toSpill = append(toSpill, v)
 		}
 	}
-	if admitted {
-		ent := &binEntry{b: b, bytes: b.bytes, pins: 1}
-		c.idx[b.idx] = c.ll.PushFront(ent)
-		c.bytes += ent.bytes
-		if c.bytes > c.peakBytes {
-			c.peakBytes = c.bytes
-		}
-		release = c.releaseFunc(ent)
-	} else {
-		release = func() {}
-		if !c.spilled[b.idx] {
-			toSpill = append(toSpill, b)
-		}
-	}
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 	// Spill outside the lock: the writes are plain file I/O and the
 	// budget invariant does not depend on them (the victims' bytes were
 	// already subtracted). A failed write just loses the spill — the
@@ -242,24 +145,13 @@ func (c *binCache) put(b *binShard) (bin *binShard, release func(), evicted, spi
 	for _, sb := range toSpill {
 		spilledBytes += c.spill(sb)
 	}
-	return b, release, evicted, spilledBytes
-}
-
-// peekBin returns shard si's resident bin without pinning or promoting
-// it — test inspection only; sweeps go through acquire.
-func (c *binCache) peekBin(si int) *binShard {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[si]; ok {
-		return el.Value.(*binEntry).b
-	}
-	return nil
+	return bin, release, evicted, spilledBytes
 }
 
 // hasSpill reports whether shard si has a live spill file to replay.
 func (c *binCache) hasSpill(si int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
 	return !c.closed && c.spilled[si]
 }
 
@@ -269,11 +161,11 @@ func (c *binCache) hasSpill(si int) bool {
 // missing file, truncation, CRC or structural mismatch — is an error;
 // the caller drops the record and re-scatters.
 func (c *binCache) loadSpill(si int, lo graph.VID) (*binShard, int64, error) {
-	c.mu.Lock()
+	c.res.mu.Lock()
 	ok := !c.closed && c.spilled[si]
 	gen := c.gen
 	path := c.spillPath(si)
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("shard: no spill file recorded for shard %d", si)
 	}
@@ -285,46 +177,37 @@ func (c *binCache) loadSpill(si int, lo graph.VID) (*binShard, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	c.mu.Lock()
+	c.res.mu.Lock()
 	c.replays++
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 	return b, int64(len(data)), nil
 }
 
 // dropSpill forgets shard si's spill record and deletes the file — the
 // corrupt/unreadable recovery path.
 func (c *binCache) dropSpill(si int) {
-	c.mu.Lock()
+	c.res.mu.Lock()
 	delete(c.spilled, si)
 	path := c.spillPath(si)
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 	os.Remove(path)
 }
 
 // drop releases the whole bin store — the host-evict/rehost path. All
 // unpinned bins leave memory immediately and every spill file is
-// deleted; bins still pinned by in-flight gathers stay until their
-// release, which (with the cache closed) retires them, so a drained
-// old-generation host holds zero bin bytes and zero spill files.
+// deleted; bins still pinned by in-flight gathers retire at their
+// release, so a drained old-generation host holds zero bin bytes and
+// zero spill files. Later puts are unaccounted transients.
 func (c *binCache) drop() {
-	c.mu.Lock()
+	c.res.mu.Lock()
 	c.closed = true
 	paths := make([]string, 0, len(c.spilled))
 	for si := range c.spilled {
 		paths = append(paths, c.spillPath(si))
 	}
 	c.spilled = make(map[int]bool)
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		ent := el.Value.(*binEntry)
-		if ent.pins == 0 {
-			c.ll.Remove(el)
-			delete(c.idx, ent.b.idx)
-			c.bytes -= ent.bytes
-		}
-	}
-	c.mu.Unlock()
+	c.res.dropLocked(func(int) bool { return true })
+	c.res.mu.Unlock()
 	for _, p := range paths {
 		os.Remove(p)
 	}
@@ -338,7 +221,7 @@ func (c *binCache) spillPath(si int) string {
 }
 
 // spill writes b's spill file via a unique temp + rename — atomic
-// against concurrent writers (two private engines over one store
+// against concurrent writers (two hosts over one store
 // produce interchangeable files; the last rename wins) — and records
 // it. No fsync: a spill is a disposable cache artifact whose CRC
 // catches a torn write, and the recovery is a re-scatter, not data
@@ -362,18 +245,18 @@ func (c *binCache) spill(b *binShard) int64 {
 		os.Remove(tmp)
 		return 0
 	}
-	c.mu.Lock()
+	c.res.mu.Lock()
 	if c.closed {
 		// Raced drop: the store was rehosted while this spill was in
 		// flight; the file must not outlive the generation's cleanup.
 		path := c.spillPath(b.idx)
-		c.mu.Unlock()
+		c.res.mu.Unlock()
 		os.Remove(path)
 		return 0
 	}
 	c.spilled[b.idx] = true
 	c.spillBytes += int64(len(data))
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 	return int64(len(data))
 }
 

@@ -142,11 +142,12 @@ func (s *passSub) unsub() {
 }
 
 // sweepPipelined runs one EdgeMap's staged, windowed, NUMA-concurrent
-// sweep — the default dense/sparse execution path. On shared sessions
-// a dense edge-centric sweep additionally co-schedules: it leads a
-// pass (publishing every staged shard) or follows one already open.
+// sweep — the default dense/sparse execution path. A dense
+// edge-centric sweep additionally co-schedules with the host's other
+// sessions: it leads a pass (publishing every staged shard — to nobody,
+// on a lone session) or follows one already open.
 func (e *Engine) sweepPipelined(plan []int, sparse bool, cur *frontier.Bitmap, cond func(graph.VID) bool, op api.EdgeOp, next *frontier.Bitmap, accs []sweepAccum) {
-	if e.board != nil && !sparse && e.opts.SweepMode == SweepEdgeCentric {
+	if !sparse && e.opts.SweepMode == SweepEdgeCentric {
 		if pass := e.board.lead(); pass != nil {
 			// Leader: the normal pipeline, publishing each shard at its
 			// apply hand-off. close is deferred before the window's stop,
@@ -197,7 +198,7 @@ func (e *Engine) coFollow(sub *passSub, plan []int, cur *frontier.Bitmap, cond f
 	}
 	// If the operator panics mid-snoop, detach so the leader stops
 	// publishing into a dead subscription; the panic unwinds to the
-	// caller exactly as on the unpipelined path.
+	// caller.
 	defer sub.unsub()
 	need := make(map[int]bool, len(plan))
 	for _, si := range plan {

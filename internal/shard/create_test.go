@@ -42,24 +42,4 @@ func TestCreateOptionValidation(t *testing.T) {
 			t.Fatalf("got %v, want *OptionsError for Format", err)
 		}
 	})
-
-	t.Run("DeprecatedWrappersAlias", func(t *testing.T) {
-		a, err := Write(t.TempDir(), g, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := WriteFormat(t.TempDir(), g, 4, FormatV1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.NumShards() != 4 || b.NumShards() != 4 {
-			t.Fatalf("wrappers built %d/%d shards, want 4", a.NumShards(), b.NumShards())
-		}
-		if a.Format() != DefaultFormat || b.Format() != FormatV1 {
-			t.Fatalf("wrappers built formats %v/%v", a.Format(), b.Format())
-		}
-		if _, err := WriteFormat(t.TempDir(), g, 4, Format(7)); err == nil {
-			t.Fatal("WriteFormat accepted an unknown format")
-		}
-	})
 }

@@ -32,7 +32,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/aio"
 	"repro/internal/graph"
 )
 
@@ -374,7 +373,7 @@ func writeDeltaFile(path string, ins, del pairList) error {
 // ref, a minimum-size bound before any allocation, every ID validated
 // in range, and no trailing bytes. Close errors fail the decode.
 func readDeltaFile(path string, n int, lo, hi graph.VID, ref deltaRef) (ins, del pairList, size int64, err error) {
-	f, err := aio.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return pairList{}, pairList{}, 0, err
 	}

@@ -26,7 +26,7 @@ func storeEdges(t *testing.T, s *Store) map[[2]graph.VID]int {
 // or removed, so Open never has stale partial files to trip over.
 func TestWriteLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Write(dir, gen.TinySocial(), 8); err != nil {
+	if _, err := Create(dir, gen.TinySocial(), WriteOptions{Partitions: 8}); err != nil {
 		t.Fatal(err)
 	}
 	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
@@ -48,7 +48,7 @@ func TestWriteLeavesNoTempFiles(t *testing.T) {
 func TestCrashMidRewriteLeavesOldStore(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.TinySocial()
-	s, err := Write(dir, g, 8)
+	s, err := Create(dir, g, WriteOptions{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTornShardFileNeverDecodesSilently(t *testing.T) {
 	for _, format := range []Format{FormatV1, FormatV2} {
 		t.Run(format.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			if _, err := WriteFormat(dir, gen.TinySocial(), 8, format); err != nil {
+			if _, err := Create(dir, gen.TinySocial(), WriteOptions{Partitions: 8, Format: format}); err != nil {
 				t.Fatal(err)
 			}
 			s, err := Open(dir)

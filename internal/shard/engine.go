@@ -12,53 +12,44 @@ import (
 	"repro/internal/sched"
 )
 
-// Options configures the out-of-core engine.
+// Options configures the out-of-core engine. The memory budget is not
+// here: it is the byte budget of the SharedCache the engine fetches
+// through (NewHost's cache argument; NewEngine uses a cache of its own
+// at DefaultCacheBytes).
 type Options struct {
 	// Threads is the worker parallelism for intra-shard application and
 	// vertex operators; 0 selects GOMAXPROCS.
 	Threads int
-	// CacheShards is the LRU budget in resident shards; 0 selects
-	// DefaultCacheShards. The engine's edge-data footprint is bounded by
-	// this many decoded shards plus the one being loaded.
-	CacheShards int
 	// SparseDiv is the density threshold divisor: a frontier with
 	// |F| + Σ out-deg ≤ |E|/SparseDiv takes the sparse path (load only
 	// shards with active sources); denser frontiers stream the full
 	// shard sequence. 0 selects the paper's 20.
 	SparseDiv int64
-	// NoPrefetch disables the sweep pipeline: shards are loaded and
-	// applied strictly alternately on the sweep goroutine, the pre-
-	// pipeline behaviour and the sequential reference the differential
-	// suites compare against. The zero value — prefetch on — runs the
-	// windowed, cross-domain concurrent pipeline.
-	NoPrefetch bool
 	// Window is the staging window depth k: how many shards the
 	// pipeline may hold staged ahead of the applies (loaded from disk,
-	// loading, or promoted from the LRU, not yet begun applying). The
+	// loading, or promoted from the cache, not yet begun applying). The
 	// original double buffer is k = 1; deeper windows let the staging
 	// goroutine run ahead — an io_uring submission queue of depth k,
 	// with up to IODepth of its entries genuinely reading at once — so
 	// the concurrent per-domain applies never starve. At any moment the
-	// depth is additionally bounded by max(IODepth, min(k, CacheShards −
-	// in-flight applies)), keeping staged shards inside the LRU budget.
-	// 0 selects max(domain count, IODepth); values above CacheShards
-	// are clamped to it, and an explicit value below IODepth is
-	// rejected (the window must cover every in-flight read). Ignored
-	// when NoPrefetch is set.
+	// depth is additionally bounded by max(IODepth, min(k, slots −
+	// in-flight applies)), where slots is how many of the store's
+	// largest decoded shard the cache budget holds, keeping staged
+	// shards inside the budget. 0 selects max(domain count, IODepth);
+	// an explicit value below IODepth is rejected (the window must
+	// cover every in-flight read).
 	Window int
 	// IODepth is the uncached-read budget: how many shard reads the
 	// staging pipeline may keep in flight simultaneously through the
-	// internal/aio reader. 1 — the default — is the historical "one
-	// uncached load in flight" engine; deeper budgets issue up to
-	// IODepth reads ahead of the reap point, each executed (read +
-	// streaming decode) on a worker of the NUMA domain that will apply
-	// the shard. Results are bit-identical at any depth: reads complete
-	// out of order, but shards are admitted to the LRU and handed to
-	// the applies strictly in plan order. Must fit the cache
-	// (IODepth ≤ CacheShards; the engine's footprint contract is
-	// CacheShards + IODepth decoded shards) and is contradictory with
-	// NoPrefetch — it disables the pipeline that would issue the reads;
-	// both combinations are rejected with *OptionsError.
+	// internal/aio reader, host-wide across every session. 1 — the
+	// default — is the historical "one uncached load in flight" engine;
+	// deeper budgets issue up to IODepth reads ahead of the reap point,
+	// each executed (read + streaming decode) on a worker of the NUMA
+	// domain that will apply the shard. Results are bit-identical at any
+	// depth: reads complete out of order, but shards are admitted to
+	// the cache and handed to the applies strictly in plan order. The
+	// footprint contract is the cache budget plus IODepth decoded
+	// shards plus the shards mid-apply.
 	IODepth int
 	// Topology is the modelled NUMA topology shards are placed on;
 	// the zero value selects sched.DefaultTopology (4 domains, the
@@ -78,12 +69,6 @@ type Options struct {
 	// is bit-identical: shards own disjoint destination ranges, so plan
 	// order can change only when a shard is read, never what is computed.
 	Order Order
-	// Format is the shard-file encoding Build writes; 0 selects
-	// DefaultFormat (v2, delta+uvarint compressed). Engines over
-	// already-written stores read whatever the manifest declares, and
-	// the resolved Options always report that actual store format —
-	// NewEngine overwrites this field from the store.
-	Format Format
 	// SweepMode selects how dense sweeps move updates from edges to
 	// destination state. SweepEdgeCentric — the zero value — applies
 	// each staged shard in place, the historical path and the
@@ -99,11 +84,10 @@ type Options struct {
 	// order is bucket order either way). Bins encode the full shard
 	// (the frontier filter moves to gather), so they are retained and
 	// replayed by every later dense sweep without touching the plan,
-	// the LRU or the disk — the bytes-moved win on iterative dense
+	// the cache or the disk — the bytes-moved win on iterative dense
 	// algorithms. Sparse frontiers always take the edge-centric path
 	// (PCPM only wins when dense). Composes with Window, IODepth and
-	// Order; rejected with NoPrefetch, which disables the staging
-	// pipeline the scatter phase runs on. See scattergather.go.
+	// Order. See scattergather.go.
 	SweepMode SweepMode
 	// BinBudgetBytes bounds the in-memory footprint of the
 	// scatter/gather mode's retained update bins. 0 — the default —
@@ -123,20 +107,13 @@ type Options struct {
 	BinBudgetBytes int64
 }
 
-// DefaultCacheShards is the default LRU budget. It is deliberately small
-// — out of core means most shards live on disk — while still letting
-// mid-size working sets (BFS wavefronts that revisit the same ranges)
-// hit the cache.
-const DefaultCacheShards = 8
-
 // OptionsError is the typed rejection normalize returns for a
 // nonsensical or contradictory Options value. Zero values still select
-// defaults (the long-standing construction idiom), and Window is still
-// clamped down to CacheShards (a documented, monotone adjustment); but
-// negative knobs and genuinely contradictory combinations — an IODepth
-// the cache cannot hold, a window narrower than the read budget it
-// must cover, NoPrefetch with a multi-read budget — are errors, never
-// silent rewrites that run something other than what was asked for.
+// defaults (the long-standing construction idiom); negative knobs,
+// unknown enum values and the one genuinely contradictory combination —
+// a window narrower than the read budget it must cover — are errors,
+// never silent rewrites that run something other than what was asked
+// for.
 type OptionsError struct {
 	Field  string // the offending Options field
 	Value  int64  // the rejected value
@@ -152,9 +129,6 @@ func (o Options) normalize() (Options, error) {
 	if o.Threads < 0 {
 		return o, &OptionsError{"Threads", int64(o.Threads), "must be >= 0 (0 selects GOMAXPROCS)"}
 	}
-	if o.CacheShards < 0 {
-		return o, &OptionsError{"CacheShards", int64(o.CacheShards), "must be >= 0 (0 selects DefaultCacheShards)"}
-	}
 	if o.SparseDiv < 0 {
 		return o, &OptionsError{"SparseDiv", o.SparseDiv, "must be >= 0 (0 selects the paper's 20)"}
 	}
@@ -167,12 +141,11 @@ func (o Options) normalize() (Options, error) {
 	if o.Topology.Domains < 0 {
 		return o, &OptionsError{"Topology.Domains", int64(o.Topology.Domains), "must be >= 0 (0 selects the default topology)"}
 	}
+	if !o.Order.valid() {
+		return o, &OptionsError{"Order", int64(o.Order), "unknown sweep order (have ascending, zigzag, residency-first)"}
+	}
 	if !o.SweepMode.valid() {
 		return o, &OptionsError{"SweepMode", int64(o.SweepMode), "unknown sweep mode (have edge-centric, scatter-gather)"}
-	}
-	if o.NoPrefetch && o.SweepMode == SweepScatterGather {
-		return o, &OptionsError{"SweepMode", int64(o.SweepMode),
-			"contradicts NoPrefetch: the scatter phase runs on the staging pipeline NoPrefetch disables"}
 	}
 	if o.BinBudgetBytes < 0 {
 		return o, &OptionsError{"BinBudgetBytes", o.BinBudgetBytes, "must be >= 0 (0 retains every bin unbounded)"}
@@ -185,9 +158,6 @@ func (o Options) normalize() (Options, error) {
 		return o, &OptionsError{"BinBudgetBytes", o.BinBudgetBytes,
 			"only meaningful with SweepMode = SweepScatterGather; the edge-centric sweep keeps no bins to budget"}
 	}
-	if o.CacheShards == 0 {
-		o.CacheShards = DefaultCacheShards
-	}
 	if o.SparseDiv == 0 {
 		o.SparseDiv = 20
 	}
@@ -197,25 +167,11 @@ func (o Options) normalize() (Options, error) {
 	if o.IODepth == 0 {
 		o.IODepth = 1
 	}
-	if o.IODepth > o.CacheShards {
-		return o, &OptionsError{"IODepth", int64(o.IODepth),
-			fmt.Sprintf("exceeds CacheShards = %d; every in-flight read holds a cache slot, so the budget cannot cover it", o.CacheShards)}
-	}
-	if o.NoPrefetch && o.IODepth > 1 {
-		return o, &OptionsError{"IODepth", int64(o.IODepth),
-			"contradicts NoPrefetch: the sequential path cannot issue concurrent reads"}
-	}
 	if o.Window == 0 {
-		o.Window = o.Topology.Domains
-		if o.Window < o.IODepth {
-			o.Window = o.IODepth
-		}
+		o.Window = max(o.Topology.Domains, o.IODepth)
 	} else if o.Window < o.IODepth {
 		return o, &OptionsError{"Window", int64(o.Window),
 			fmt.Sprintf("narrower than IODepth = %d; the staging window must cover every in-flight read", o.IODepth)}
-	}
-	if o.Window > o.CacheShards {
-		o.Window = o.CacheShards
 	}
 	return o, nil
 }
@@ -235,7 +191,7 @@ type Stats struct {
 	DenseSweeps   int64 // EdgeMaps that streamed the full shard sequence
 	SparseSweeps  int64 // EdgeMaps that loaded only shards with active sources
 	ShardLoads    int64 // shard files decoded from disk (by either path)
-	CacheHits     int64 // shard applications served from the LRU cache
+	CacheHits     int64 // shard applications served from the cache
 	ShardsSkipped int64 // shard visits avoided by frontier-awareness
 
 	// I/O volume. BytesRead is the on-disk size of every shard file
@@ -248,10 +204,12 @@ type Stats struct {
 	BytesLogical int64
 
 	// Sweep-order planner counters. PlannedCacheHits is the number of
-	// plan entries the planner predicted the LRU would serve as the
-	// cache stood at plan time — an exact simulation of the sweep's own
-	// fetch sequence, so over a fault-free run it equals the CacheHits
-	// those sweeps then collect. ReloadsAvoided is the number of disk
+	// plan entries the planner predicted the cache would serve as it
+	// stood at plan time — a byte-priced simulation of the sweep's own
+	// fetch sequence against the cache the engine fetches through, so
+	// over a lone engine's fault-free run it tracks the CacheHits those
+	// sweeps then collect (exactly, when applies finish in plan order;
+	// see shadowLRU). ReloadsAvoided is the number of disk
 	// loads a whole-run ascending baseline would have issued minus the
 	// loads the chosen order actually needs, accumulated sweep by sweep
 	// against a persistent shadow of the baseline's cache (reordering
@@ -295,7 +253,7 @@ type Stats struct {
 	BinSpillReplays     int64
 	BinSpillBytesRead   int64
 
-	// Multi-tenant counters (zero on private engines; see host.go).
+	// Multi-tenant counters (zero on a lone session; see host.go).
 	// SharedReads counts uncached reads this session resolved without
 	// touching disk because another session's load for the same shard
 	// was already in flight — or had just landed — in the shared cache
@@ -308,14 +266,13 @@ type Stats struct {
 	CoScheduledSweeps int64
 	CoSharedShards    int64
 
-	// Pipeline counters (zero when NoPrefetch).
-	PrefetchHits    int64 // staged shards promoted from the LRU cache
-	PrefetchLoads   int64 // staged shards decoded from disk for the stager
-	OverlappedLoads int64 // pipeline loads that overlapped an in-progress apply
+	// OverlappedLoads counts disk loads that overlapped an in-progress
+	// apply — the pipeline doing its job.
+	OverlappedLoads int64
 
-	// Async-read occupancy (the internal/aio path; NoPrefetch engines
-	// only ever record depth 1). ReadDepths[d] counts uncached reads
-	// that began with d reads in flight engine-wide, itself included
+	// Async-read occupancy (the internal/aio path). ReadDepths[d] counts
+	// uncached reads that began with d reads in flight engine-wide,
+	// itself included
 	// (index 0 is unused; the histogram is sized IODepth+1);
 	// ReadsInFlightPeak is the maximum simultaneous uncached reads
 	// observed. An IODepth=1 engine records ReadsInFlightPeak == 1 on
@@ -328,14 +285,13 @@ type Stats struct {
 	// that began with l+1 shards mid-apply engine-wide (ApplyLevels[0]
 	// is a lone apply, ApplyLevels[Domains-1] full occupancy);
 	// ConcurrentApplyPeak is the maximum simultaneous applies observed.
-	// The unpipelined path only ever records level 0.
 	ApplyLevels         []int64
 	ConcurrentApplyPeak int64
 
 	// WindowDepths[d] counts staging hand-offs that completed with d
 	// shards resident in the window (loaded or loading, not yet begun
 	// applying); index 0 is unused. The depth never exceeds
-	// max(1, min(Options.Window, CacheShards − in-flight applies)).
+	// max(IODepth, min(Options.Window, slots − in-flight applies)).
 	WindowDepths []int64
 
 	// Modelled NUMA placement: per-domain shard applications and edges
@@ -368,100 +324,69 @@ type Stats struct {
 //
 // Sweeps are pipelined (plan → stage → apply → publish): once the
 // planner fixes the shard order, a staging goroutine keeps up to
-// Options.Window shards staged ahead — promoted from the LRU, or read
+// Options.Window shards staged ahead — promoted from the cache, or read
 // through the internal/aio reader with up to Options.IODepth uncached
 // reads in flight at once — and up to
 // min(Domains, Threads) staged shards are applied simultaneously, one
 // per modelled NUMA domain, each by the workers of the domain that
 // owns its destination range (round-robin by shard index, the
 // placement Polymer uses for in-memory partitions, here also run with
-// Polymer's all-sockets-at-once concurrency). Results are bit-identical with the
-// pipeline on or off and at any window depth: shards own disjoint
-// destination ranges and operators write destination state only, so
-// each destination's updates happen in shard-file order regardless of
-// cross-domain timing.
+// Polymer's all-sockets-at-once concurrency). Results are bit-identical
+// at any window depth: shards own disjoint destination ranges and
+// operators write destination state only, so each destination's updates
+// happen in shard-file order regardless of cross-domain timing.
+//
+// Every Engine is one session of a Host (see host.go): it owns its
+// stats, planner state and per-sweep accumulators, and shares the
+// immutable hostCore, the byte-budgeted SharedCache, the aio read
+// budget and the co-scheduling board with any other session of the
+// same host. NewEngine builds a host with exactly one session.
 //
 // EdgeMap cannot return an error through the api.System interface, so a
 // shard that fails to load mid-sweep panics with the underlying error.
 // Engines over corrupt directories fail fast in NewEngine instead when
 // the manifest is unreadable.
 type Engine struct {
-	st   *Store
-	g    *graph.Graph
-	pool *sched.Pool
-	opts Options
-	// gen is the store generation the engine was built over. The
-	// engine's graph metadata, feeds and planner state all describe
-	// that generation; after an ApplyBatch or Compact on the store the
-	// engine is stale, and every sweep entry point checks the pin
-	// rather than silently mixing views (see checkGen).
-	gen int64
+	*hostCore
 
-	home  []int32    // vertex -> shard whose destination range holds it
-	feeds [][]uint64 // per-shard source-range summary (Store.SourceSummary)
-	cache engineCache
-
-	// Multi-tenant wiring (all nil on private engines): sessions built
-	// by Host.NewSession share the refcounted byte-budgeted cache, the
-	// aio read budget and the co-scheduling board with every other
-	// session on the same store. See host.go and copass.go.
-	shared   *SharedCache
+	cache    *SharedCache
 	board    *passBoard
 	ioBudget *aio.Budget
+	// slots is how many of the store's largest decoded shard the cache
+	// budget holds (at least one): the unit the staging window's
+	// budget bound counts in.
+	slots int
 
-	// Modelled NUMA placement: shard si's destination range lives on
-	// domain domainOf[si] and is applied by domains[domainOf[si]]'s
-	// workers (a per-domain view of pool).
-	domainOf []int32
-	domains  []*sched.DomainView
+	// Sweep-order planner state: sweepSeq numbers the planned sweeps so
+	// OrderZigzag can alternate direction; shadow models the cache a
+	// whole-run ascending baseline would hold, the counterfactual
+	// ReloadsAvoided is charged against; pending is the current sweep's
+	// staged accounting, published by commitPlan only when the sweep
+	// completes. All of these are touched only by orderPlan/commitPlan
+	// on the sweep goroutine — EdgeMap calls are serial per engine, like
+	// every api.System.
+	sweepSeq int64
+	shadow   *shadowLRU
+	pending  *plannedStats
 
-	// Sweep-order planner state: hilbertKey[si] is shard si's position
-	// on the Hilbert curve over (shard, source-range centroid), the tail
-	// order OrderResidencyFirst schedules uncached shards in; sweepSeq
-	// numbers the planned sweeps so OrderZigzag can alternate direction;
-	// shadow models the cache a whole-run ascending baseline would hold,
-	// the counterfactual ReloadsAvoided is charged against; pending is
-	// the current sweep's staged accounting, published by commitPlan
-	// only when the sweep completes. All of these are touched only by
-	// orderPlan/commitPlan on the sweep goroutine — EdgeMap calls are
-	// serial per engine, like every api.System.
-	hilbertKey []uint64
-	sweepSeq   int64
-	shadow     *shadowLRU
-	pending    *plannedStats
-
-	// Scatter/gather bin store (SweepScatterGather engines only; nil
-	// otherwise): each shard's retained scatter bin — the whole shard
-	// re-encoded as (dstOffset, src) zigzag-delta varint segments — is
-	// built by the first dense sweep that visits the shard and replayed
-	// by every later one. Bins never go stale within a generation, and
-	// the cache is owned by the hostCore, so every session of a Host
-	// shares one copy (and, with Options.BinBudgetBytes set, one byte
-	// budget with LRU eviction and disk spill — see bincache.go)
-	// instead of duplicating the footprint per query. Unbounded, the
-	// footprint is roughly the v2-compressed store size.
-	bins *binCache
-
-	// applying counts shards currently mid-apply (up to one per domain
-	// on the pipelined path); the read path samples it to count loads
-	// that overlapped an apply, and applyShard derives the occupancy
-	// stats from it. loading counts uncached shard reads in flight
-	// (at most Options.IODepth; exactly one at a time on the
-	// NoPrefetch and IODepth=1 paths) and feeds the ReadDepths and
-	// ReadsInFlightPeak stats.
+	// applying counts shards currently mid-apply (up to one per domain);
+	// the read path samples it to count loads that overlapped an apply,
+	// and applyShard derives the occupancy stats from it. loading counts
+	// this session's uncached shard reads in flight (at most
+	// Options.IODepth) and feeds the ReadDepths and ReadsInFlightPeak
+	// stats.
 	applying int32
 	loading  int32
 
 	stats Stats
 
 	// Test hooks (nil outside tests): onLoadBegin fires before a shard
-	// file is read (on an aio worker goroutine when the pipeline is on,
-	// up to IODepth concurrently), onLoadEnd after it is decoded and
-	// bucketed; onApplyBegin/onApplyEnd bracket
-	// one shard's parallel application (on its domain's apply goroutine
-	// when the pipeline is on, on the sweep goroutine otherwise);
-	// onStage fires when a staged shard enters the window, carrying the
-	// observed window depth and in-flight apply count.
+	// file is read (on an aio worker goroutine, up to IODepth
+	// concurrently), onLoadEnd after it is decoded and bucketed;
+	// onApplyBegin/onApplyEnd bracket one shard's parallel application
+	// (on its domain's apply goroutine); onStage fires when a staged
+	// shard enters the window, carrying the observed window depth and
+	// in-flight apply count.
 	onLoadBegin, onLoadEnd   func(shard int)
 	onApplyBegin, onApplyEnd func(shard int)
 	onStage                  func(shard, depth, applying int)
@@ -473,23 +398,47 @@ type Engine struct {
 var _ api.System = (*Engine)(nil)
 
 // hostCore is the store-derived immutable substrate one construction
-// pays for and every execution context shares: the resolved options,
+// pays for and every session of a Host shares: the resolved options,
 // the worker pool and its per-domain views, the vertex→shard map, the
-// source summaries and the planner's Hilbert keys. A private engine
-// owns its core alone; a Host hands one core to N sessions.
+// source summaries, the planner's Hilbert keys and per-shard byte
+// prices, and the scatter/gather bin store.
 type hostCore struct {
 	st   *Store
 	g    *graph.Graph
 	opts Options
 	pool *sched.Pool
+	// gen is the store generation the core was built over. The graph
+	// metadata, feeds and planner state all describe that generation;
+	// after an ApplyBatch or Compact on the store its engines are stale,
+	// and every sweep entry point checks the pin rather than silently
+	// mixing views (see checkGen).
+	gen int64
 
-	home       []int32
-	feeds      [][]uint64
-	domainOf   []int32
-	domains    []*sched.DomainView
-	hilbertKey []uint64
-	gen        int64
-	bins       *binCache // scatter/gather bin store; nil when edge-centric
+	home  []int32    // vertex -> shard whose destination range holds it
+	feeds [][]uint64 // per-shard source-range summary (Store.SourceSummary)
+
+	// Modelled NUMA placement: shard si's destination range lives on
+	// domain domainOf[si] and is applied by domains[domainOf[si]]'s
+	// workers (a per-domain view of pool).
+	domainOf []int32
+	domains  []*sched.DomainView
+
+	// hilbertKey[si] is shard si's position on the Hilbert curve over
+	// (shard, source-range centroid), the tail order OrderResidencyFirst
+	// schedules uncached shards in. shardBytes[si] is exactly what shard
+	// si costs the cache once decoded (decodedBytes over the manifest's
+	// live edge count), the price the planner's LRU simulation uses;
+	// maxShardBytes is the largest of them, the window's slot size.
+	hilbertKey    []uint64
+	shardBytes    []int64
+	maxShardBytes int64
+
+	// bins is the scatter/gather bin store (nil when edge-centric): each
+	// shard's retained scatter bin — the whole shard re-encoded as
+	// (dstOffset, src) zigzag-delta varint segments — is built by the
+	// first dense sweep that visits the shard and replayed by every
+	// later one, by every session (see bincache.go).
+	bins *binCache
 }
 
 // newHostCore validates (st, g, opts) and builds the shared substrate —
@@ -503,99 +452,63 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !opts.Order.valid() {
-		return nil, fmt.Errorf("shard: unknown sweep order %v", opts.Order)
-	}
-	// The resolved options describe the engine as it runs: whatever
-	// format was requested for writing, this engine decodes the opened
-	// store's actual encoding.
-	opts.Format = st.format
 	feeds, err := st.SourceSummary()
 	if err != nil {
 		return nil, err
 	}
-	home := make([]int32, g.NumVertices())
-	for i := 0; i < st.NumShards(); i++ {
-		lo, hi := st.Range(i)
-		for v := lo; v < hi; v++ {
-			home[v] = int32(i)
-		}
-	}
-	pool := sched.NewPool(opts.Threads)
-	domainOf := make([]int32, st.NumShards())
-	for i := range domainOf {
-		domainOf[i] = int32(opts.Topology.DomainOf(i))
-	}
-	var bins *binCache
-	if opts.SweepMode == SweepScatterGather {
-		bins = newBinCache(opts.BinBudgetBytes, st.dir, st.Generation())
-	}
-	return &hostCore{
+	c := &hostCore{
 		st:         st,
 		g:          g,
 		opts:       opts,
-		pool:       pool,
-		home:       home,
-		feeds:      feeds,
-		domainOf:   domainOf,
-		domains:    opts.Topology.Split(pool),
-		hilbertKey: hilbertKeys(feeds, st.NumShards()),
+		pool:       sched.NewPool(opts.Threads),
 		gen:        st.Generation(),
-		bins:       bins,
-	}, nil
-}
+		home:       make([]int32, g.NumVertices()),
+		feeds:      feeds,
+		domainOf:   make([]int32, st.NumShards()),
+		hilbertKey: hilbertKeys(feeds, st.NumShards()),
+		shardBytes: make([]int64, st.NumShards()),
 
-// newEngine builds one execution context over the core: per-sweep
-// planner state, per-query stats, and the residency backend — a
-// private LRU for standalone engines, a session view of the shared
-// refcounted cache for Host sessions.
-func (c *hostCore) newEngine(cache engineCache) *Engine {
-	return &Engine{
-		st:         c.st,
-		g:          c.g,
-		pool:       c.pool,
-		opts:       c.opts,
-		home:       c.home,
-		feeds:      c.feeds,
-		cache:      cache,
-		gen:        c.gen,
-		domainOf:   c.domainOf,
-		domains:    c.domains,
-		hilbertKey: c.hilbertKey,
-		shadow:     newShadowLRU(c.opts.CacheShards),
-		bins:       c.bins,
-		stats: Stats{
-			DomainShards: make([]int64, c.opts.Topology.Domains),
-			DomainEdges:  make([]int64, c.opts.Topology.Domains),
-			ApplyLevels:  make([]int64, c.opts.Topology.Domains),
-			WindowDepths: make([]int64, c.opts.Window+1),
-			ReadDepths:   make([]int64, c.opts.IODepth+1),
-		},
+		maxShardBytes: 1,
 	}
+	c.domains = opts.Topology.Split(c.pool)
+	for i := range c.domainOf {
+		lo, hi := st.Range(i)
+		for v := lo; v < hi; v++ {
+			c.home[v] = int32(i)
+		}
+		c.domainOf[i] = int32(opts.Topology.DomainOf(i))
+		c.shardBytes[i] = decodedBytes(st.m.EdgeCounts[i], c.taskCount(i))
+		c.maxShardBytes = max(c.maxShardBytes, c.shardBytes[i])
+	}
+	if opts.SweepMode == SweepScatterGather {
+		c.bins = newBinCache(opts.BinBudgetBytes, st.dir, c.gen)
+	}
+	return c, nil
 }
 
-// NewEngine builds the out-of-core engine for an opened store. g must be
-// the graph the store was written from (its per-vertex metadata — not
-// its adjacency — backs the api.System contract); mismatched dimensions
-// are rejected. The engine is private: it owns its LRU cache and serves
-// one query at a time. A store that must serve N concurrent queries is
-// opened once through NewHost instead.
+// NewEngine builds the out-of-core engine for an opened store: the one
+// session of a new Host over a SharedCache of its own at
+// DefaultCacheBytes. g must be the graph the store was written from
+// (its per-vertex metadata — not its adjacency — backs the api.System
+// contract); mismatched dimensions are rejected. Callers that want a
+// specific budget, or N concurrent queries over one store, use NewHost.
 func NewEngine(st *Store, g *graph.Graph, opts Options) (*Engine, error) {
-	core, err := newHostCore(st, g, opts)
+	h, err := NewHost(st, g, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return core.newEngine(newLRUCache(core.opts.CacheShards)), nil
+	return h.NewSession(), nil
 }
 
-// Build shards g into dir with p partitions and returns an engine over
-// the new store — the one-call construction examples and tests use.
+// Build shards g into dir with p partitions in the default format and
+// returns an engine over the new store — the one-call construction
+// examples and tests use.
 func Build(dir string, g *graph.Graph, p int, opts Options) (*Engine, error) {
-	st, err := Create(dir, g, WriteOptions{Partitions: p, Format: opts.Format})
+	h, err := BuildHost(dir, g, p, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return NewEngine(st, g, opts)
+	return h.NewSession(), nil
 }
 
 // Name implements api.System.
@@ -641,8 +554,6 @@ func (e *Engine) Stats() Stats {
 		BinBytesSpilled:     atomic.LoadInt64(&e.stats.BinBytesSpilled),
 		BinSpillReplays:     atomic.LoadInt64(&e.stats.BinSpillReplays),
 		BinSpillBytesRead:   atomic.LoadInt64(&e.stats.BinSpillBytesRead),
-		PrefetchHits:        atomic.LoadInt64(&e.stats.PrefetchHits),
-		PrefetchLoads:       atomic.LoadInt64(&e.stats.PrefetchLoads),
 		OverlappedLoads:     atomic.LoadInt64(&e.stats.OverlappedLoads),
 		ReadsInFlightPeak:   atomic.LoadInt64(&e.stats.ReadsInFlightPeak),
 		ConcurrentApplyPeak: atomic.LoadInt64(&e.stats.ConcurrentApplyPeak),
@@ -687,24 +598,6 @@ func (e *Engine) VertexFilter(f *frontier.Frontier, pred func(graph.VID) bool) *
 	return api.VertexFilter(e.pool, e.g, f, pred)
 }
 
-// EdgeMap applies op over the active edges of f with a frontier-aware,
-// concurrent shard sweep: plan → stage → apply → publish. The planner
-// picks the shard sequence (exact for sparse frontiers, summary-pruned
-// for dense ones); a staging goroutine keeps up to Options.Window
-// shards staged ahead (at most Options.IODepth uncached reads in
-// flight, admitted to the LRU strictly in plan order); up to
-// min(Domains, Threads) staged shards are applied simultaneously, one
-// per modelled NUMA domain, each by its own domain's workers; the next
-// frontier is published
-// once, after the barrier, with aggregated statistics. Results are
-// bit-identical to the sequential NoPrefetch sweep at any window depth
-// and domain count: shards own disjoint 64-aligned destination ranges,
-// operators write destination state only, and all in-edges of a
-// destination live in one shard, so neither staging depth nor
-// cross-domain interleaving can reorder any destination's updates. The
-// direction hint is ignored: every traversal is a destination-grouped
-// sweep, which is the only order an out-of-core layout supports
-// without a second edge copy on disk.
 // checkGen panics if the store moved past the generation this engine
 // was built over. An ApplyBatch or Compact changes on-disk content the
 // engine's cached residents, graph metadata and planner state do not
@@ -717,6 +610,23 @@ func (e *Engine) checkGen() {
 	}
 }
 
+// EdgeMap applies op over the active edges of f with a frontier-aware,
+// concurrent shard sweep: plan → stage → apply → publish. The planner
+// picks the shard sequence (exact for sparse frontiers, summary-pruned
+// for dense ones); a staging goroutine keeps up to Options.Window
+// shards staged ahead (at most Options.IODepth uncached reads in
+// flight, admitted to the cache strictly in plan order); up to
+// min(Domains, Threads) staged shards are applied simultaneously, one
+// per modelled NUMA domain, each by its own domain's workers; the next
+// frontier is published once, after the barrier, with aggregated
+// statistics. Results are bit-identical to a sequential shard-file-order
+// sweep at any window depth and domain count: shards own disjoint
+// 64-aligned destination ranges, operators write destination state
+// only, and all in-edges of a destination live in one shard, so neither
+// staging depth nor cross-domain interleaving can reorder any
+// destination's updates. The direction hint is ignored: every traversal
+// is a destination-grouped sweep, which is the only order an
+// out-of-core layout supports without a second edge copy on disk.
 func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *frontier.Frontier {
 	e.checkGen()
 	n := e.g.NumVertices()
@@ -743,33 +653,14 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 	// domains never share an entry even when Split had to deal the same
 	// pool-global worker ID to several domains (Threads < Domains).
 	accs := make([]sweepAccum, len(e.domains)*e.pool.Threads())
-	switch {
-	case !sparse && e.opts.SweepMode == SweepScatterGather:
+	if !sparse && e.opts.SweepMode == SweepScatterGather {
 		// Dense sweeps in scatter/gather mode take the two-phase path;
-		// sparse sweeps stay edge-centric below (PCPM only wins when the
-		// bins amortise over dense iterations — see scattergather.go).
-		// The order planner runs inside, on the subset of shards whose
-		// bins are not yet resident — the only shards fetched.
+		// sparse sweeps stay edge-centric (PCPM only wins when the bins
+		// amortise over dense iterations — see scattergather.go). The
+		// order planner runs inside, on the subset of shards whose bins
+		// are not yet resident — the only shards fetched.
 		e.sweepScatterGather(f, plan, cur, cond, op, next, accs)
-	case e.opts.NoPrefetch:
-		// Unpipelined: load and apply alternate on the sweep goroutine —
-		// the sequential reference the concurrent pipeline must match
-		// bit for bit. The sweep-order planner sits between plan and
-		// stage: it permutes the baseline plan (never its membership) per
-		// Options.Order, so the sweep sees an ordered plan exactly as it
-		// would an ascending one.
-		plan = e.orderPlan(plan)
-		for _, si := range plan {
-			sh := e.load(si)
-			func() {
-				// The pin taken by load must drop even when the operator
-				// panics out of the sweep, or a shared session would leave
-				// the shard unevictable forever.
-				defer e.cache.release(si)
-				e.applyShard(si, sh, cur, cond, op, next, accs)
-			}()
-		}
-	default:
+	} else {
 		e.sweepPipelined(plan, sparse, cur, cond, op, next, accs)
 	}
 	// The sweep completed (an aborted one panics out above): publish the
@@ -840,43 +731,9 @@ func (e *Engine) planDense(f *frontier.Frontier) []int {
 	return plan
 }
 
-// load returns shard si ready for application on the NoPrefetch path:
-// loads happen one at a time on the sweep goroutine, so at most one
-// uncached shard is in flight (the pipelined path bounds the same
-// quantity by Options.IODepth; see window.go). A load failure panics —
-// EdgeMap cannot return an error.
-func (e *Engine) load(si int) *resident {
-	sh, err := e.fetch(si, false)
-	if err != nil {
-		panic(fmt.Sprintf("shard: engine sweep: %v", err))
-	}
-	return sh
-}
-
-// fetch is the synchronous load path: shard si from the LRU cache when
-// resident, otherwise decoded from disk on the calling goroutine.
-// prefetching marks calls on behalf of the staging pipeline, which
-// additionally maintain the pipeline counters — including overlap, a
-// disk load that intersected an in-progress apply.
-func (e *Engine) fetch(si int, prefetching bool) (*resident, error) {
-	if sh, ok := e.cache.get(si); ok {
-		atomic.AddInt64(&e.stats.CacheHits, 1)
-		if prefetching {
-			atomic.AddInt64(&e.stats.PrefetchHits, 1)
-		}
-		return sh, nil
-	}
-	res, err := e.readShard(si)
-	if err != nil {
-		return nil, err
-	}
-	e.finishLoad(res, prefetching)
-	return res.sh, nil
-}
-
 // loadResult is one uncached read's outcome, carried from the reading
-// goroutine (an aio worker, or the reaper itself on the synchronous
-// paths) to the reap point where it is admitted to the cache.
+// goroutine (an aio worker, or the reaper itself on admit's fallback)
+// to the reap point where it is admitted to the cache.
 type loadResult struct {
 	sh         *resident
 	diskBytes  int64
@@ -884,20 +741,26 @@ type loadResult struct {
 	shared     bool // served by another session's load; no disk touched
 }
 
+// stagedShard is one fetched shard on its way to an apply, carrying the
+// cache pin taken for it: whoever consumes the record — the apply loop
+// on every exit path — calls release exactly once. A refused
+// (transient) insert carries a no-op release.
+type stagedShard struct {
+	sh      *resident
+	release func()
+}
+
 // readShard executes one uncached read — decode from disk, bucket for
-// the owning domain's workers — without touching the LRU or the load
-// counters; those belong to the reap point (finishLoad), which runs in
-// plan order. readShard itself may run on any goroutine, concurrently
-// with up to IODepth-1 other reads. On shared sessions the read is
-// single-flight through the SharedCache: if another session's load for
-// the same shard is in flight (or just landed), this session shares
-// its result instead of touching disk.
+// the owning domain's workers — without touching the cache or the load
+// counters; those belong to the reap point (admit), which runs in plan
+// order. readShard itself may run on any goroutine, concurrently
+// with up to IODepth-1 other reads. The read is single-flight through
+// the cache: if another session's load for the same shard is in flight
+// (or just landed), this session shares its result instead of touching
+// disk.
 func (e *Engine) readShard(si int) (loadResult, error) {
-	if e.shared == nil {
-		return e.readShardDisk(si)
-	}
 	var res loadResult
-	sh, shared, err := e.shared.load(cacheKey{e.st, si}, func() (*resident, error) {
+	sh, shared, err := e.cache.load(cacheKey{e.st, si}, func() (*resident, error) {
 		r, err := e.readShardDisk(si)
 		if err != nil {
 			return nil, err
@@ -947,44 +810,20 @@ func (e *Engine) readShardDisk(si int) (loadResult, error) {
 	return loadResult{sh: sh, diskBytes: diskBytes, overlapped: overlapped}, nil
 }
 
-// finishLoad admits one completed uncached read: the I/O counters and
-// the cache insertion. On the pipelined path it runs on the staging
-// goroutine in plan order — reads may complete out of order, but the
-// LRU sees the same insertion sequence a synchronous sweep would issue.
-func (e *Engine) finishLoad(res loadResult, prefetching bool) {
-	if res.shared {
-		// Another session's disk load (or a raced insert) covered this
-		// read: no disk traffic to account to this session — it neither
-		// loaded the shard nor found it resident at fetch time.
-		atomic.AddInt64(&e.stats.SharedReads, 1)
-		e.cache.put(res.sh)
-		return
-	}
-	atomic.AddInt64(&e.stats.BytesRead, res.diskBytes)
-	atomic.AddInt64(&e.stats.BytesLogical, v1EncodedBytes(int64(len(res.sh.src))))
-	atomic.AddInt64(&e.stats.ShardLoads, 1)
-	if prefetching {
-		atomic.AddInt64(&e.stats.PrefetchLoads, 1)
-		if res.overlapped {
-			atomic.AddInt64(&e.stats.OverlappedLoads, 1)
-		}
-	}
-	e.cache.put(res.sh)
-}
-
 // admit resolves plan entry si at its reap point on the staging
-// goroutine: from the LRU if resident, else from the async read
-// ticket issued for it (at submission time, or by pump's fallback
+// goroutine, pinned: from the cache if resident, else from the async
+// read ticket issued for it (at submission time, or by pump's fallback
 // when an issue-time hit prediction was invalidated by an interleaved
-// eviction). The synchronous readShard branch is defensive only —
-// pump always supplies a ticket for a shard the cache no longer
-// holds, so every uncached read stays under the reader's IODepth
-// budget.
-func (e *Engine) admit(si int, t *aio.Ticket[loadResult]) (*resident, error) {
-	if sh, ok := e.cache.get(si); ok {
+// eviction). The ticketless read covers the last gap — another
+// session's insert evicting the shard between pump's peek and this
+// fetch. Reads may complete out of order, but admit runs in plan
+// order, so the cache sees the same get/add sequence a synchronous
+// sweep would issue.
+func (e *Engine) admit(si int, t *aio.Ticket[loadResult]) (stagedShard, error) {
+	k := cacheKey{e.st, si}
+	if sh, release, ok := e.cache.get(k); ok {
 		atomic.AddInt64(&e.stats.CacheHits, 1)
-		atomic.AddInt64(&e.stats.PrefetchHits, 1)
-		return sh, nil
+		return stagedShard{sh, release}, nil
 	}
 	var res loadResult
 	var err error
@@ -994,33 +833,51 @@ func (e *Engine) admit(si int, t *aio.Ticket[loadResult]) (*resident, error) {
 		res, err = e.readShard(si)
 	}
 	if err != nil {
-		return nil, err
+		return stagedShard{}, err
 	}
-	e.finishLoad(res, true)
-	return res.sh, nil
+	if res.shared {
+		// Another session's disk load (or a raced insert) covered this
+		// read: no disk traffic to account to this session — it neither
+		// loaded the shard nor found it resident at fetch time.
+		atomic.AddInt64(&e.stats.SharedReads, 1)
+	} else {
+		atomic.AddInt64(&e.stats.BytesRead, res.diskBytes)
+		atomic.AddInt64(&e.stats.BytesLogical, v1EncodedBytes(int64(len(res.sh.src))))
+		atomic.AddInt64(&e.stats.ShardLoads, 1)
+		if res.overlapped {
+			atomic.AddInt64(&e.stats.OverlappedLoads, 1)
+		}
+	}
+	sh, release, _ := e.cache.add(k, res.sh)
+	return stagedShard{sh, release}, nil
 }
 
 // tasksPerWorker oversubscribes intra-shard tasks relative to workers so
 // self-scheduling can balance skewed destination sub-ranges.
 const tasksPerWorker = 4
 
+// shardUnits is the number of BoundaryAlign-vertex units in shard si's
+// destination range.
+func (c *hostCore) shardUnits(si int) int {
+	lo, hi := c.st.Range(si)
+	return (int(hi-lo) + partition.BoundaryAlign - 1) / partition.BoundaryAlign
+}
+
+// taskCount is the number of apply tasks shard si buckets into: sized
+// for the workers that will actually apply it — its owning domain's
+// view, not the full pool — and never more than its units.
+func (c *hostCore) taskCount(si int) int {
+	return max(1, min(c.domains[c.domainOf[si]].Threads()*tasksPerWorker, c.shardUnits(si)))
+}
+
 // bucket regroups a decoded shard's edges into destination sub-ranges
 // aligned to partition.BoundaryAlign via a stable counting sort. Within
 // a bucket the shard file's order is preserved, and all in-edges of a
 // destination share a bucket, so per-destination application order does
 // not depend on the task count.
-func (e *Engine) bucket(si int, coo *graph.COO) *resident {
-	lo, hi := e.st.Range(si)
-	units := (int(hi-lo) + partition.BoundaryAlign - 1) / partition.BoundaryAlign
-	// Size tasks for the workers that will actually apply this shard —
-	// its owning domain's view, not the full pool.
-	tasks := e.domains[e.domainOf[si]].Threads() * tasksPerWorker
-	if tasks > units {
-		tasks = units
-	}
-	if tasks < 1 {
-		tasks = 1
-	}
+func (c *hostCore) bucket(si int, coo *graph.COO) *resident {
+	lo, _ := c.st.Range(si)
+	units, tasks := c.shardUnits(si), c.taskCount(si)
 	// unitTask[u] is the task owning 64-vertex unit u; units are dealt to
 	// tasks in contiguous, near-equal runs.
 	unitTask := make([]int32, units)

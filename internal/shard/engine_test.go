@@ -13,6 +13,8 @@ import (
 	"repro/internal/sched"
 )
 
+// buildTestEngine shards g and opens an engine behind the default
+// cache, which holds every test graph whole.
 func buildTestEngine(t *testing.T, g *graph.Graph, p int, opts Options) *Engine {
 	t.Helper()
 	e, err := Build(t.TempDir(), g, p, opts)
@@ -20,6 +22,62 @@ func buildTestEngine(t *testing.T, g *graph.Graph, p int, opts Options) *Engine 
 		t.Fatal(err)
 	}
 	return e
+}
+
+// slotEngine opens an engine over st behind a cache of its own whose
+// byte budget is exactly slots of the store's largest decoded shard —
+// the byte-unit spelling of "an LRU of that many shards". Tests that
+// need eviction pressure build through it and assert Evictions > 0, so
+// none quietly becomes an everything-resident run.
+func slotEngine(t *testing.T, st *Store, g *graph.Graph, slots int, opts Options) *Engine {
+	t.Helper()
+	h, err := NewHost(st, g, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The slot size depends on the resolved options (task counts), so
+	// the cache is sized off the built core, before any session exists.
+	h.cache = NewSharedCache(int64(slots) * h.core.maxShardBytes)
+	return h.NewSession()
+}
+
+// buildSlotEngine is slotEngine over a freshly written store.
+func buildSlotEngine(t *testing.T, g *graph.Graph, p, slots int, opts Options) *Engine {
+	t.Helper()
+	return slotEngine(t, createStore(t, t.TempDir(), g, p), g, slots, opts)
+}
+
+// createStore writes g into dir with p partitions in the default format.
+func createStore(t *testing.T, dir string, g *graph.Graph, p int) *Store {
+	t.Helper()
+	st, err := Create(dir, g, WriteOptions{Partitions: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkQuiescent is the pin-leak check every sweep exit path must pass:
+// with no sweep running the engine's cache holds no pin, and its
+// resident bytes (and high-water mark) are inside the budget.
+func checkQuiescent(t *testing.T, e *Engine) {
+	t.Helper()
+	s := e.cache.Stats()
+	if s.Pinned != 0 {
+		t.Fatalf("no sweep in flight but %d shards are still pinned", s.Pinned)
+	}
+	if s.Bytes > s.Budget || s.PeakBytes > s.Budget {
+		t.Fatalf("resident %d / peak %d bytes exceed the %d-byte budget", s.Bytes, s.PeakBytes, s.Budget)
+	}
+}
+
+// requireEvictions fails a test whose budget turned out to hold
+// everything it touched.
+func requireEvictions(t *testing.T, e *Engine) {
+	t.Helper()
+	if s := e.cache.Stats(); s.Evictions == 0 {
+		t.Fatalf("fixture broken: the %d-byte budget never forced an eviction (%+v)", s.Budget, s)
+	}
 }
 
 func TestEngineConformance(t *testing.T) {
@@ -36,37 +94,41 @@ func TestEngineConformance(t *testing.T) {
 	// bug would surface. "starved-domains" runs more domains than
 	// workers, the configuration where Split hands the same worker ID to
 	// several concurrently-applying domains.
-	configs := map[string]Options{
-		"default":         {},
-		"serial-tiny":     {Threads: 1, CacheShards: 1},
-		"aggressive-lru":  {Threads: 4, CacheShards: 2},
-		"pipelined-mt":    {Threads: 8, CacheShards: 2},
-		"no-prefetch-mt":  {Threads: 8, CacheShards: 2, NoPrefetch: true},
-		"windowed-mt":     {Threads: 8, CacheShards: 4, Window: 4},
-		"window-one":      {Threads: 4, CacheShards: 2, Window: 1},
-		"starved-domains": {Threads: 2, CacheShards: 4, Window: 4, Topology: sched.Topology{Domains: 6}},
-		"aio-depth-2":     {Threads: 4, CacheShards: 4, Window: 4, IODepth: 2},
-		"aio-depth-max":   {Threads: 8, CacheShards: 4, IODepth: 4, Topology: sched.Topology{Domains: 4}},
-		"aio-tight-cache": {Threads: 4, CacheShards: 2, IODepth: 2, Window: 2},
-		"scatter-gather":  {Threads: 8, CacheShards: 2, SweepMode: SweepScatterGather},
-		"sg-window-one":   {Threads: 4, CacheShards: 2, Window: 1, SweepMode: SweepScatterGather},
-		"sg-aio-depth":    {Threads: 8, CacheShards: 4, Window: 4, IODepth: 4, SweepMode: SweepScatterGather, Topology: sched.Topology{Domains: 4}},
+	configs := map[string]struct {
+		slots int // cache budget in largest-shard units; 0 = the default cache
+		opts  Options
+	}{
+		"default":         {0, Options{}},
+		"serial-tiny":     {1, Options{Threads: 1}},
+		"aggressive-lru":  {2, Options{Threads: 4}},
+		"pipelined-mt":    {2, Options{Threads: 8}},
+		"windowed-mt":     {4, Options{Threads: 8, Window: 4}},
+		"window-one":      {2, Options{Threads: 4, Window: 1}},
+		"sequential":      {2, Options{Threads: 8, Window: 1, IODepth: 1, Topology: sched.Topology{Domains: 1}}},
+		"starved-domains": {4, Options{Threads: 2, Window: 4, Topology: sched.Topology{Domains: 6}}},
+		"aio-depth-2":     {4, Options{Threads: 4, Window: 4, IODepth: 2}},
+		"aio-depth-max":   {4, Options{Threads: 8, IODepth: 4, Topology: sched.Topology{Domains: 4}}},
+		"aio-tight-cache": {2, Options{Threads: 4, IODepth: 2, Window: 2}},
+		"scatter-gather":  {2, Options{Threads: 8, SweepMode: SweepScatterGather}},
+		"sg-window-one":   {2, Options{Threads: 4, Window: 1, SweepMode: SweepScatterGather}},
+		"sg-aio-depth":    {4, Options{Threads: 8, Window: 4, IODepth: 4, SweepMode: SweepScatterGather, Topology: sched.Topology{Domains: 4}}},
 	}
 	for gname, g := range graphs {
-		for cname, opts := range configs {
-			e := buildTestEngine(t, g, 8, opts)
+		for cname, c := range configs {
+			e := buildTestEngine(t, g, 8, c.opts)
+			if c.slots > 0 {
+				e = slotEngine(t, e.st, g, c.slots, c.opts)
+			}
 			if err := api.CheckSystem(e); err != nil {
 				t.Errorf("%s/%s: %v", gname, cname, err)
 			}
+			checkQuiescent(t, e)
 		}
 	}
 }
 
 func TestEngineRejectsMismatchedGraph(t *testing.T) {
-	st, err := Write(t.TempDir(), gen.Chain(64), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := createStore(t, t.TempDir(), gen.Chain(64), 4)
 	if _, err := NewEngine(st, gen.Chain(32), Options{}); err == nil {
 		t.Fatal("engine accepted a graph that does not match the store")
 	}
@@ -88,19 +150,20 @@ func bfsOp(parents []int32) api.EdgeOp {
 
 // TestOutOfCoreSweepLoadsOneShardAtATime is the resident-set check: with
 // a one-shard cache budget, a full iterative run keeps at most one
-// uncached shard in flight at any moment and at most one shard resident
-// in the cache — the defining property of out-of-core execution.
+// uncached shard in flight at any moment and never more than the
+// budget's bytes resident in the cache — the defining property of
+// out-of-core execution.
 func TestOutOfCoreSweepLoadsOneShardAtATime(t *testing.T) {
 	g := gen.TinySocial()
-	e := buildTestEngine(t, g, 12, Options{CacheShards: 1})
+	e := buildSlotEngine(t, g, 12, 1, Options{})
 
 	var inFlight, maxInFlight int64
 	e.onLoadBegin = func(int) {
 		if n := atomic.AddInt64(&inFlight, 1); n > atomic.LoadInt64(&maxInFlight) {
 			atomic.StoreInt64(&maxInFlight, n)
 		}
-		if e.cache.len() > 1 {
-			t.Errorf("cache holds %d shards during a load, budget is 1", e.cache.len())
+		if s := e.cache.Stats(); s.Bytes > s.Budget {
+			t.Errorf("cache holds %d bytes during a load, budget is %d", s.Bytes, s.Budget)
 		}
 	}
 	e.onLoadEnd = func(int) { atomic.AddInt64(&inFlight, -1) }
@@ -125,9 +188,8 @@ func TestOutOfCoreSweepLoadsOneShardAtATime(t *testing.T) {
 	if got := atomic.LoadInt64(&maxInFlight); got != 1 {
 		t.Fatalf("max concurrent uncached shard loads = %d, want 1", got)
 	}
-	if e.cache.len() > 1 {
-		t.Fatalf("cache holds %d shards after the run, budget is 1", e.cache.len())
-	}
+	checkQuiescent(t, e)
+	requireEvictions(t, e)
 	if st := e.Stats(); st.ShardLoads == 0 {
 		t.Fatal("no shard loads recorded; the hooks observed nothing")
 	}
@@ -234,7 +296,7 @@ func TestOutOfCoreDenseSweepSkipsUnfedShards(t *testing.T) {
 func TestEngineDeterministic(t *testing.T) {
 	g := gen.TinySocial()
 	run := func() []int64 {
-		e := buildTestEngine(t, g, 10, Options{CacheShards: 3})
+		e := buildSlotEngine(t, g, 10, 3, Options{})
 		parents := make([]int32, g.NumVertices())
 		for i := range parents {
 			parents[i] = -1
@@ -247,6 +309,7 @@ func TestEngineDeterministic(t *testing.T) {
 			f = e.EdgeMap(f, bfsOp(parents), api.DirAuto)
 			sizes = append(sizes, f.Count())
 		}
+		requireEvictions(t, e)
 		return sizes
 	}
 	want := run()
@@ -269,7 +332,7 @@ func TestEngineDeterministic(t *testing.T) {
 func TestEngineCacheAvoidsRereads(t *testing.T) {
 	g := gen.TinySocial()
 	const p = 6
-	e := buildTestEngine(t, g, p, Options{CacheShards: p})
+	e := buildTestEngine(t, g, p, Options{})
 	op := api.EdgeOp{
 		Update:       func(u, v graph.VID) bool { return true },
 		UpdateAtomic: func(u, v graph.VID) bool { return true },

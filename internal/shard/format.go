@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/aio"
 	"repro/internal/graph"
 )
 
@@ -244,7 +243,7 @@ func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdge
 }
 
 func readShardV1(path string, n int, lo, hi graph.VID, wantEdges int64) (c *graph.COO, size int64, err error) {
-	f, err := aio.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -359,7 +358,7 @@ func uvarintLen(x uint64) int64 {
 }
 
 func readShardV2(path string, n int, lo, hi graph.VID, wantEdges int64) (c *graph.COO, size int64, err error) {
-	f, err := aio.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}

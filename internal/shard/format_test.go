@@ -56,11 +56,11 @@ func TestFormatRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := randomTestGraph(r)
 		p := 1 + r.Intn(6)
-		v1, err := WriteFormat(t.TempDir(), g, p, FormatV1)
+		v1, err := Create(t.TempDir(), g, WriteOptions{Partitions: p, Format: FormatV1})
 		if err != nil {
 			t.Fatalf("trial %d: write v1: %v", trial, err)
 		}
-		v2, err := WriteFormat(t.TempDir(), g, p, FormatV2)
+		v2, err := Create(t.TempDir(), g, WriteOptions{Partitions: p, Format: FormatV2})
 		if err != nil {
 			t.Fatalf("trial %d: write v2: %v", trial, err)
 		}
@@ -146,11 +146,11 @@ func TestV2HugeCountRejected(t *testing.T) {
 // same loads), while a v1 store records exact equality.
 func TestFormatBytesOnMicroGraph(t *testing.T) {
 	g := gen.TinySocial()
-	v1, err := WriteFormat(t.TempDir(), g, 8, FormatV1)
+	v1, err := Create(t.TempDir(), g, WriteOptions{Partitions: 8, Format: FormatV1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := WriteFormat(t.TempDir(), g, 8, FormatV2)
+	v2, err := Create(t.TempDir(), g, WriteOptions{Partitions: 8, Format: FormatV2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +172,15 @@ func TestFormatBytesOnMicroGraph(t *testing.T) {
 		st         *Store
 		compressed bool
 	}{{v1, false}, {v2, true}} {
-		eng, err := NewEngine(tc.st, g, Options{CacheShards: 1})
+		eng, err := NewEngine(tc.st, g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tc.st.Sweep(func(_, _ graph.VID) {}); err != nil {
 			t.Fatal(err)
 		}
-		// Drive the byte counters through the engine path: one dense sweep
-		// with a 1-shard LRU decodes every planned shard from disk.
+		// Drive the byte counters through the engine path: one cold dense
+		// sweep decodes every planned shard from disk.
 		eng.EdgeMap(frontier.All(g), api.EdgeOp{
 			Update:       func(u, v graph.VID) bool { return true },
 			UpdateAtomic: func(u, v graph.VID) bool { return true },

@@ -242,7 +242,7 @@ func validManifest() manifest {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	st, err := Write(dir, gen.Chain(256), 4)
+	st, err := Create(dir, gen.Chain(256), WriteOptions{Partitions: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -258,7 +258,7 @@ func rawShardFile(format Format) []byte {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	if _, err := WriteFormat(dir, gen.Chain(256), 4, format); err != nil {
+	if _, err := Create(dir, gen.Chain(256), WriteOptions{Partitions: 4, Format: format}); err != nil {
 		panic(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "shard-0001.bin"))

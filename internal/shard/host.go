@@ -1,11 +1,11 @@
 package shard
 
-// The construction/execution split for multi-tenant serving. A Host is
-// one opened store's shared substrate — the validated options, worker
-// pool, NUMA views, vertex→shard map, source summaries, Hilbert keys —
-// plus the three things N concurrent queries must share rather than
-// duplicate: the refcounted byte-budgeted SharedCache, the aio read
-// budget, and the co-scheduling passBoard. NewSession stamps out one
+// The construction/execution split. A Host is one opened store's shared
+// substrate — the validated options, worker pool, NUMA views,
+// vertex→shard map, source summaries, Hilbert keys — plus the three
+// things N concurrent queries must share rather than duplicate: the
+// refcounted byte-budgeted SharedCache, the aio read budget, and the
+// co-scheduling passBoard. NewSession stamps out one
 // execution context (an *Engine implementing api.System) per query:
 // sessions get their own stats, planner state and vertex-state arrays
 // but fetch through the shared cache, read under the shared I/O
@@ -35,14 +35,13 @@ type Host struct {
 	budget *aio.Budget
 }
 
-// NewHost opens the store's shared substrate. cache is the daemon-wide
-// shared LRU — pass the same value to every Host so all stores share
-// one byte budget; nil builds a private SharedCache with
-// DefaultCacheBytes. opts validates exactly as NewEngine's, and every
-// session inherits the resolved value. The host-wide uncached-read
-// budget equals the resolved Options.IODepth: a lone session gets the
-// same read-ahead a private engine would, and concurrent sessions
-// share that budget instead of multiplying it.
+// NewHost opens the store's shared substrate. cache is the memory
+// budget, in bytes, the host's sessions fetch through — pass the same
+// value to every Host of a daemon so all stores share one budget; nil
+// builds a SharedCache of the host's own at DefaultCacheBytes. Every
+// session inherits the resolved opts. The host-wide uncached-read
+// budget equals the resolved Options.IODepth: concurrent sessions
+// share it instead of multiplying it.
 func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host, error) {
 	core, err := newHostCore(st, g, opts)
 	if err != nil {
@@ -58,10 +57,11 @@ func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host
 	}, nil
 }
 
-// BuildHost shards g into dir and returns a host over the new store —
-// the one-call counterpart of Build for multi-tenant use.
+// BuildHost shards g into dir with p partitions in the default format
+// and returns a host over the new store — Build with a caller-chosen
+// cache budget.
 func BuildHost(dir string, g *graph.Graph, p int, cache *SharedCache, opts Options) (*Host, error) {
-	st, err := Create(dir, g, WriteOptions{Partitions: p, Format: opts.Format})
+	st, err := Create(dir, g, WriteOptions{Partitions: p})
 	if err != nil {
 		return nil, err
 	}
@@ -69,17 +69,27 @@ func BuildHost(dir string, g *graph.Graph, p int, cache *SharedCache, opts Optio
 }
 
 // NewSession returns a fresh execution context over the host's store.
-// The session implements api.System; its results are bit-identical to
-// a private engine's on the same store, whatever other sessions are
-// doing concurrently. Sessions need no teardown — a session that
-// finishes (or panics out of) its last sweep holds no cache pins and
-// no goroutines.
+// The session implements api.System; its results are bit-identical
+// whatever other sessions are doing concurrently. Sessions need no
+// teardown — a session that finishes (or panics out of) its last sweep
+// holds no cache pins and no goroutines.
 func (h *Host) NewSession() *Engine {
-	e := h.core.newEngine(newSessionCache(h.cache, h.core.st))
-	e.shared = h.cache
-	e.board = &h.board
-	e.ioBudget = h.budget
-	return e
+	c := h.core
+	return &Engine{
+		hostCore: c,
+		cache:    h.cache,
+		board:    &h.board,
+		ioBudget: h.budget,
+		slots:    int(max(1, h.cache.Budget()/c.maxShardBytes)),
+		shadow:   &shadowLRU{budget: h.cache.Budget(), cost: c.shardBytes},
+		stats: Stats{
+			DomainShards: make([]int64, c.opts.Topology.Domains),
+			DomainEdges:  make([]int64, c.opts.Topology.Domains),
+			ApplyLevels:  make([]int64, c.opts.Topology.Domains),
+			WindowDepths: make([]int64, c.opts.Window+1),
+			ReadDepths:   make([]int64, c.opts.IODepth+1),
+		},
+	}
 }
 
 // Store returns the hosted store.
@@ -107,13 +117,12 @@ func (h *Host) BinStats() BinCacheStats {
 // Topology returns the modelled NUMA topology sessions place shards on.
 func (h *Host) Topology() sched.Topology { return h.core.opts.Topology }
 
-// Evict drops the host's unpinned resident shards from the shared
-// cache and releases its scatter/gather bin store (unpinned bins leave
-// memory immediately, every spill file is deleted) — the close-store
-// path, which internal/serve takes when an update or compaction
-// rehosts the store at a new generation. Shards and bins pinned by
-// in-flight queries stay until released — then shards age out by LRU
-// and bins retire outright, so a drained old host holds zero bin
+// Evict drops the host's resident shards from the cache and releases
+// its scatter/gather bin store (every spill file is deleted) — the
+// close-store path, which internal/serve takes when an update or
+// compaction rehosts the store at a new generation. Unpinned shards
+// and bins leave memory immediately; those pinned by in-flight queries
+// retire at their final unpin, so a drained old host holds zero
 // bytes.
 func (h *Host) Evict() {
 	h.cache.dropStore(h.core.st)

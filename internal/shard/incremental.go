@@ -225,13 +225,13 @@ func (e *Engine) fedBy(changed []uint64, p int) []int {
 // hits and loads like any sweep) and streams its edges to f in
 // per-destination order, releasing the pin before returning.
 func (e *Engine) visitShard(si int, f func(u, v graph.VID)) error {
-	sh, err := e.fetch(si, false)
+	st, err := e.admit(si, nil)
 	if err != nil {
 		return err
 	}
-	defer e.cache.release(si)
-	for i := range sh.src {
-		f(sh.src[i], sh.dst[i])
+	defer st.release()
+	for i := range st.sh.src {
+		f(st.sh.src[i], st.sh.dst[i])
 	}
 	return nil
 }

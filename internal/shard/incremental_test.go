@@ -103,7 +103,7 @@ func TestIncrementalPRMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0, err := NewEngine(st0, g0, Options{Threads: 2, CacheShards: p})
+	e0, err := NewEngine(st0, g0, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,10 @@ func TestIncrementalPRMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// CacheShards >= shard count, so ShardLoads counts distinct shards
-	// visited: the locality claim is about I/O, not visit arithmetic.
-	eInc, err := NewEngine(st, g, Options{Threads: 2, CacheShards: p})
+	// The default cache holds the store, so ShardLoads counts distinct
+	// shards visited: the locality claim is about I/O, not visit
+	// arithmetic.
+	eInc, err := NewEngine(st, g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestIncrementalPRMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eFull, err := NewEngine(st, g, Options{Threads: 2, CacheShards: p})
+	eFull, err := NewEngine(st, g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestIncrementalCCInsertOnlyExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0, err := NewEngine(st0, g0, Options{Threads: 2, CacheShards: p})
+	e0, err := NewEngine(st0, g0, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestIncrementalCCInsertOnlyExact(t *testing.T) {
 		t.Fatal("communities already merged before the bridge batch")
 	}
 
-	eInc, err := NewEngine(st, g, Options{Threads: 2, CacheShards: p})
+	eInc, err := NewEngine(st, g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestIncrementalCCInsertOnlyExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eFull, err := NewEngine(st, g, Options{Threads: 2, CacheShards: p})
+	eFull, err := NewEngine(st, g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

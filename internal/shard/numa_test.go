@@ -18,7 +18,7 @@ import (
 // the round-robin shape locality.MeasureNUMATraffic models.
 func TestShardDomainAssignmentDeterministicAndTotal(t *testing.T) {
 	g := gen.TinySocial()
-	st, err := Write(t.TempDir(), g, 12)
+	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,61 @@ package shard
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/sched"
 )
 
-// TestOptionsNormalizeRejections: every negative knob and every
-// contradictory combination is rejected with a typed *OptionsError
-// naming the offending field — construction-time validation, not a
-// mid-sweep surprise.
+// TestOptionsSurface pins the exact field list of Options, so a new
+// knob is a visible diff here rather than a quiet addition.
+func TestOptionsSurface(t *testing.T) {
+	want := []string{"Threads", "SparseDiv", "Window", "IODepth", "Topology", "Order", "SweepMode", "BinBudgetBytes"}
+	var got []string
+	for i, typ := 0, reflect.TypeOf(Options{}); i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard.Options fields are %v, want exactly %v", got, want)
+	}
+}
+
+// checkConstructorsAgree asserts that Validate, NewEngine and NewHost
+// give the same verdict on opts — and, on a rejection, the same typed
+// error naming the same field.
+func checkConstructorsAgree(t *testing.T, opts Options, field string) {
+	t.Helper()
+	g := gen.Chain(64)
+	st := createStore(t, t.TempDir(), g, 4)
+	_, engineErr := NewEngine(st, g, opts)
+	_, hostErr := NewHost(st, g, NewSharedCache(1<<20), opts)
+	for name, err := range map[string]error{"Validate": opts.Validate(), "NewEngine": engineErr, "NewHost": hostErr} {
+		if field == "" {
+			if err != nil {
+				t.Fatalf("%s(%+v) = %v, want accepted", name, opts, err)
+			}
+			continue
+		}
+		var oe *OptionsError
+		if !errors.As(err, &oe) {
+			t.Fatalf("%s(%+v) returned %T (%v), want *OptionsError", name, opts, err, err)
+		}
+		if oe.Field != field {
+			t.Fatalf("%s names field %q, want %q (%v)", name, oe.Field, field, err)
+		}
+		if !strings.Contains(err.Error(), "shard: invalid Options."+field) {
+			t.Fatalf("%s error text %q lacks the canonical prefix", name, err)
+		}
+	}
+}
+
+// TestOptionsNormalizeRejections: every negative knob, every unknown
+// enum value and the one contradictory combination is rejected with a
+// typed *OptionsError naming the offending field, identically by
+// Validate and by both constructors — construction-time validation, not
+// a mid-sweep surprise.
 func TestOptionsNormalizeRejections(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -19,74 +64,60 @@ func TestOptionsNormalizeRejections(t *testing.T) {
 		field string
 	}{
 		{"negative-threads", Options{Threads: -1}, "Threads"},
-		{"negative-cacheshards", Options{CacheShards: -2}, "CacheShards"},
 		{"negative-sparsediv", Options{SparseDiv: -1}, "SparseDiv"},
 		{"negative-window", Options{Window: -4}, "Window"},
 		{"negative-iodepth", Options{IODepth: -1}, "IODepth"},
 		{"negative-domains", Options{Topology: sched.Topology{Domains: -3}}, "Topology.Domains"},
-		{"iodepth-exceeds-budget", Options{CacheShards: 4, IODepth: 5}, "IODepth"},
-		{"iodepth-under-noprefetch", Options{NoPrefetch: true, IODepth: 2}, "IODepth"},
-		{"window-narrower-than-iodepth", Options{CacheShards: 8, Window: 2, IODepth: 4}, "Window"},
+		{"window-narrower-than-iodepth", Options{Window: 2, IODepth: 4}, "Window"},
+		{"negative-order", Options{Order: -1}, "Order"},
+		{"unknown-order", Options{Order: 99}, "Order"},
 		{"negative-sweepmode", Options{SweepMode: -1}, "SweepMode"},
 		{"unknown-sweepmode", Options{SweepMode: 7}, "SweepMode"},
-		{"scattergather-under-noprefetch", Options{NoPrefetch: true, SweepMode: SweepScatterGather}, "SweepMode"},
-		{"scattergather-iodepth-exceeds-budget", Options{SweepMode: SweepScatterGather, CacheShards: 2, IODepth: 3}, "IODepth"},
-		{"scattergather-window-under-iodepth", Options{SweepMode: SweepScatterGather, CacheShards: 8, Window: 1, IODepth: 2}, "Window"},
+		{"scattergather-window-under-iodepth", Options{SweepMode: SweepScatterGather, Window: 1, IODepth: 2}, "Window"},
+		{"negative-bin-budget", Options{SweepMode: SweepScatterGather, BinBudgetBytes: -1}, "BinBudgetBytes"},
+		{"bin-budget-below-minimum", Options{SweepMode: SweepScatterGather, BinBudgetBytes: MinBinBudgetBytes - 1}, "BinBudgetBytes"},
+		{"bin-budget-edge-centric", Options{BinBudgetBytes: MinBinBudgetBytes}, "BinBudgetBytes"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.opts.normalize()
-			if err == nil {
-				t.Fatalf("normalize(%+v) accepted an invalid configuration", tc.opts)
-			}
-			var oe *OptionsError
-			if !errors.As(err, &oe) {
-				t.Fatalf("normalize returned %T (%v), want *OptionsError", err, err)
-			}
-			if oe.Field != tc.field {
-				t.Fatalf("error names field %q, want %q (%v)", oe.Field, tc.field, err)
-			}
-			if !strings.Contains(err.Error(), "shard: invalid Options."+tc.field) {
-				t.Fatalf("error text %q lacks the canonical prefix", err)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkConstructorsAgree(t, tc.opts, tc.field) })
 	}
 }
 
-// TestOptionsNormalizeDefaults pins the zero-value construction idiom
-// and the documented monotone adjustments: zeros select defaults,
-// Window defaults to max(Domains, IODepth) and is clamped down to the
-// LRU budget, and a valid IODepth survives untouched.
+// TestOptionsNormalizeDefaults pins the zero-value construction idiom:
+// zeros select defaults, Window defaults to max(Domains, IODepth), and
+// explicit valid values survive untouched — no clamp rewrites them.
 func TestOptionsNormalizeDefaults(t *testing.T) {
+	domains := sched.DefaultTopology().Domains
 	cases := []struct {
 		name            string
 		in              Options
 		iodepth, window int
-		cacheShards     int
 	}{
-		{"all-zero", Options{}, 1, sched.DefaultTopology().Domains, DefaultCacheShards},
-		{"window-clamped-to-budget", Options{CacheShards: 3, Window: 5}, 1, 3, 3},
-		{"window-defaults-to-iodepth", Options{CacheShards: 6, IODepth: 3, Topology: sched.Topology{Domains: 2}}, 3, 3, 6},
-		{"window-defaults-to-domains", Options{CacheShards: 8, IODepth: 2}, 2, sched.DefaultTopology().Domains, 8},
-		{"explicit-survives", Options{CacheShards: 4, Window: 4, IODepth: 2}, 2, 4, 4},
-		{"default-window-clamped", Options{CacheShards: 2, IODepth: 2, Topology: sched.Topology{Domains: 8}}, 2, 2, 2},
+		{"all-zero", Options{}, 1, domains},
+		{"window-defaults-to-iodepth", Options{IODepth: 3, Topology: sched.Topology{Domains: 2}}, 3, 3},
+		{"window-defaults-to-domains", Options{IODepth: 2}, 2, domains},
+		{"explicit-survives", Options{Window: 4, IODepth: 2}, 2, 4},
+		{"deep-window-survives", Options{Window: 64}, 1, 64},
+		{"iodepth-past-domains", Options{IODepth: 2, Topology: sched.Topology{Domains: 8}}, 2, 8},
 		// Scatter/gather inherits the same window/IODepth resolution —
 		// the mode changes the apply, not the staging pipeline.
-		{"scattergather-all-defaults", Options{SweepMode: SweepScatterGather}, 1, sched.DefaultTopology().Domains, DefaultCacheShards},
-		{"scattergather-iodepth-survives", Options{SweepMode: SweepScatterGather, CacheShards: 6, IODepth: 3, Topology: sched.Topology{Domains: 2}}, 3, 3, 6},
+		{"scattergather-all-defaults", Options{SweepMode: SweepScatterGather}, 1, domains},
+		{"scattergather-iodepth-survives", Options{SweepMode: SweepScatterGather, IODepth: 3, Topology: sched.Topology{Domains: 2}}, 3, 3},
+		{"scattergather-minimum-bin-budget", Options{SweepMode: SweepScatterGather, BinBudgetBytes: MinBinBudgetBytes}, 1, domains},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			checkConstructorsAgree(t, tc.in, "")
 			got, err := tc.in.normalize()
 			if err != nil {
 				t.Fatalf("normalize(%+v): %v", tc.in, err)
 			}
-			if got.IODepth != tc.iodepth || got.Window != tc.window || got.CacheShards != tc.cacheShards {
-				t.Fatalf("normalize(%+v) = IODepth %d, Window %d, CacheShards %d; want %d, %d, %d",
-					tc.in, got.IODepth, got.Window, got.CacheShards, tc.iodepth, tc.window, tc.cacheShards)
+			if got.IODepth != tc.iodepth || got.Window != tc.window {
+				t.Fatalf("normalize(%+v) = IODepth %d, Window %d; want %d, %d",
+					tc.in, got.IODepth, got.Window, tc.iodepth, tc.window)
 			}
-			if got.Window < got.IODepth {
-				t.Fatalf("normalized Window %d < IODepth %d: downstream code relies on this never happening", got.Window, got.IODepth)
+			if got.SparseDiv != 20 && tc.in.SparseDiv == 0 {
+				t.Fatalf("normalize(%+v) left SparseDiv at %d, want the paper's 20", tc.in, got.SparseDiv)
 			}
 		})
 	}

@@ -19,6 +19,7 @@ package shard
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -37,8 +38,8 @@ const (
 	// OrderZigzag alternates sweep direction across consecutive EdgeMaps
 	// (boustrophedon): sweep i+1 starts on the shards sweep i finished
 	// with — precisely the ones the LRU still holds — so an iterative
-	// dense algorithm gets CacheShards hits per sweep where ascending
-	// order gets none.
+	// dense algorithm hits on as many shards per sweep as the cache
+	// budget holds, where ascending order hits on none.
 	OrderZigzag
 	// OrderResidencyFirst schedules the plan greedily for the cache as it
 	// stands: shards currently resident in the LRU run first (all hits,
@@ -86,10 +87,10 @@ type plannedStats struct {
 
 // orderPlan permutes a sweep's baseline plan (always ascending, as
 // planSparse/planDense emit it) according to Options.Order, and stages
-// the planner stats: PlannedCacheHits is the exact number of LRU hits
-// the ordered plan will collect from the cache as it stands right now
-// (the planner and the sweep see the same deterministic LRU, so the
-// prediction is exact, not a heuristic), and ReloadsAvoided is the net
+// the planner stats: PlannedCacheHits is the number of hits the ordered
+// plan will collect from the cache as it stands right now (a byte-priced
+// simulation of the cache's own policy — see shadowLRU for when it is
+// exact), and ReloadsAvoided is the net
 // number of loads the chosen order saves against the whole-run
 // ascending baseline. Applies to sparse and dense plans alike. The
 // stats are only *staged* here — commitPlan publishes them after the
@@ -103,7 +104,7 @@ func (e *Engine) orderPlan(plan []int) []int {
 	if len(plan) == 0 {
 		return plan
 	}
-	resident := e.cache.snapshot()
+	resident := e.cache.snapshotStore(e.st)
 	ordered := plan
 	switch e.opts.Order {
 	case OrderZigzag:
@@ -116,15 +117,19 @@ func (e *Engine) orderPlan(plan []int) []int {
 	case OrderResidencyFirst:
 		ordered = e.residencyFirst(plan, resident)
 	}
-	hits := simulateLRU(ordered, resident, e.opts.CacheShards)
-	// The shadow cache replays the baseline plan from the state a pure
-	// ascending run would be in by now, so the accumulated delta is the
-	// whole-run saving, not a per-sweep counterfactual: reordering one
-	// sweep also changes which shards the *next* sweep finds resident.
-	// Replay a clone; the persistent shadow advances only on commit.
-	base := e.shadow.clone()
-	baseHits := base.replay(plan)
-	e.pending = &plannedStats{hits: int64(hits), baseHits: int64(baseHits), shadowAfter: base.mru}
+	hits := int64(e.shadow.seeded(resident).replay(ordered))
+	e.pending = &plannedStats{hits: hits, baseHits: hits}
+	if e.opts.Order != OrderAscending {
+		// The shadow cache replays the baseline plan from the state a
+		// pure ascending run would be in by now, so the accumulated delta
+		// is the whole-run saving, not a per-sweep counterfactual:
+		// reordering one sweep also changes which shards the *next* sweep
+		// finds resident. Replay a clone; the persistent shadow advances
+		// only on commit. An ascending engine is its own baseline: it
+		// avoids nothing by definition and keeps no shadow.
+		base := e.shadow.seeded(e.shadow.mru)
+		e.pending.baseHits, e.pending.shadowAfter = int64(base.replay(plan)), base.mru
+	}
 	return ordered
 }
 
@@ -195,73 +200,53 @@ func hilbertKeys(feeds [][]uint64, p int) []uint64 {
 	return keys
 }
 
-// shadowLRU is an index-only model of the shard cache's exact policy —
-// hit promotes to the front, miss inserts at the front and evicts the
-// back. The planner uses it two ways: seeded from the live cache's
-// snapshot to predict the sweep it just ordered (during a sweep only the
-// plan's fetches touch the cache, in plan order, so the prediction is
-// exact), and as the engine's persistent shadow of the cache a
-// whole-run ascending baseline would have, which ReloadsAvoided is
-// measured against.
+// shadowLRU is an index-only model of the shard cache's exact policy:
+// a hit promotes to the front; a miss evicts from the back until the
+// shard's decoded bytes fit the budget, then inserts at the front (a
+// shard larger than the whole budget is refused, as the cache refuses
+// it). The planner uses it two ways: seeded from the live cache's
+// snapshot to predict the sweep it just ordered, and as the engine's
+// persistent shadow of the cache a whole-run ascending baseline would
+// have, which ReloadsAvoided is measured against. For a lone session
+// the prediction is exact under any interleaving (a sweep's pins sit on
+// shards it already visited, so a skipped victim cannot cost it a hit);
+// the baseline matches a real ascending run's loads only when applies
+// finish in plan order. Other sessions make both estimates.
 type shadowLRU struct {
-	cap int
-	mru []int
+	budget int64
+	cost   []int64 // per-shard decoded bytes (hostCore.shardBytes)
+	mru    []int
 }
 
-func newShadowLRU(capacity int) *shadowLRU {
-	if capacity < 1 {
-		capacity = 1 // mirror newLRUCache's floor
-	}
-	return &shadowLRU{cap: capacity}
-}
-
-// seed resets the model to the given resident set, most recently used
-// first.
-func (s *shadowLRU) seed(resident []int) {
-	s.mru = s.mru[:0]
-	for _, si := range resident {
-		if len(s.mru) < s.cap {
-			s.mru = append(s.mru, si)
-		}
-	}
-}
-
-// clone returns an independent copy of the model.
-func (s *shadowLRU) clone() *shadowLRU {
-	return &shadowLRU{cap: s.cap, mru: append([]int(nil), s.mru...)}
+// seeded returns a fresh model of the same cache holding resident, most
+// recently used first.
+func (s *shadowLRU) seeded(resident []int) *shadowLRU {
+	return &shadowLRU{budget: s.budget, cost: s.cost, mru: append([]int(nil), resident...)}
 }
 
 // replay runs plan through the model, mutating it, and returns the hit
 // count.
 func (s *shadowLRU) replay(plan []int) int {
+	var bytes int64
+	for _, si := range s.mru {
+		bytes += s.cost[si]
+	}
 	hits := 0
 	for _, si := range plan {
-		pos := -1
-		for i, r := range s.mru {
-			if r == si {
-				pos = i
-				break
-			}
-		}
-		if pos >= 0 {
+		if pos := slices.Index(s.mru, si); pos >= 0 {
 			hits++
 			copy(s.mru[1:pos+1], s.mru[:pos])
 			s.mru[0] = si
 			continue
 		}
-		if len(s.mru) < s.cap {
-			s.mru = append(s.mru, 0)
+		for bytes+s.cost[si] > s.budget && len(s.mru) > 0 {
+			bytes -= s.cost[s.mru[len(s.mru)-1]]
+			s.mru = s.mru[:len(s.mru)-1]
 		}
-		copy(s.mru[1:], s.mru)
-		s.mru[0] = si
+		if bytes+s.cost[si] <= s.budget {
+			bytes += s.cost[si]
+			s.mru = slices.Insert(s.mru, 0, si)
+		}
 	}
 	return hits
-}
-
-// simulateLRU predicts the hits one planned sweep will collect from a
-// cache currently holding resident (MRU first).
-func simulateLRU(plan []int, resident []int, capacity int) int {
-	sim := newShadowLRU(capacity)
-	sim.seed(resident)
-	return sim.replay(plan)
 }

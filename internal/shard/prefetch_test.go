@@ -14,6 +14,7 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sweepref"
 )
 
 // passOp is the no-op operator dense-sweep tests drive the engine with.
@@ -34,7 +35,7 @@ func passOp() api.EdgeOp {
 // failure.
 func TestPrefetchOverlapOccurs(t *testing.T) {
 	g := gen.TinySocial()
-	e := buildTestEngine(t, g, 8, Options{CacheShards: 1})
+	e := buildSlotEngine(t, g, 8, 1, Options{})
 
 	applyStarted := make(chan struct{})
 	secondLoadDone := make(chan struct{})
@@ -74,70 +75,48 @@ func TestPrefetchOverlapOccurs(t *testing.T) {
 	e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
 
 	st := e.Stats()
-	if st.PrefetchLoads < 2 {
-		t.Fatalf("only %d prefetch loads; the plan should span several shards", st.PrefetchLoads)
+	if st.ShardLoads < 2 {
+		t.Fatalf("only %d loads; the plan should span several shards", st.ShardLoads)
 	}
 	if st.OverlappedLoads == 0 {
 		t.Fatal("no load overlapped an apply despite the enforced interleaving")
 	}
-	if st.OverlappedLoads >= st.PrefetchLoads {
+	if st.OverlappedLoads >= st.ShardLoads {
 		t.Fatalf("%d of %d loads overlapped; the first load precedes any apply and cannot overlap",
-			st.OverlappedLoads, st.PrefetchLoads)
+			st.OverlappedLoads, st.ShardLoads)
 	}
 }
 
-// TestNoPrefetchIsSequential: with the pipeline off, loads and applies
-// strictly alternate on one goroutine and no pipeline counter moves.
-func TestNoPrefetchIsSequential(t *testing.T) {
-	g := gen.TinySocial()
-	e := buildTestEngine(t, g, 8, Options{CacheShards: 1, NoPrefetch: true})
-	var applying int32
-	e.onApplyBegin = func(int) { atomic.StoreInt32(&applying, 1) }
-	e.onApplyEnd = func(int) { atomic.StoreInt32(&applying, 0) }
-	e.onLoadBegin = func(si int) {
-		if atomic.LoadInt32(&applying) != 0 {
-			t.Errorf("shard %d loaded while an apply was in progress with NoPrefetch", si)
-		}
-	}
-	e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
-	st := e.Stats()
-	if st.PrefetchLoads != 0 || st.PrefetchHits != 0 || st.OverlappedLoads != 0 {
-		t.Fatalf("pipeline counters moved with NoPrefetch: %+v", st)
-	}
-	if st.ShardLoads == 0 {
-		t.Fatal("no loads recorded")
-	}
-}
-
-// TestPrefetchServesFromCache: when the LRU covers the store, later
-// sweeps stage every shard from the cache and the prefetcher reads no
-// files.
+// TestPrefetchServesFromCache: when the cache covers the store, later
+// sweeps stage every shard from it and the stager reads no files.
 func TestPrefetchServesFromCache(t *testing.T) {
 	g := gen.TinySocial()
 	const p = 6
-	e := buildTestEngine(t, g, p, Options{CacheShards: p})
+	e := buildTestEngine(t, g, p, Options{})
 	for i := 0; i < 3; i++ {
 		e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
 	}
 	st := e.Stats()
-	if st.PrefetchLoads > int64(p) {
-		t.Fatalf("%d prefetch loads across 3 sweeps, want at most %d", st.PrefetchLoads, p)
+	if st.ShardLoads > int64(p) {
+		t.Fatalf("%d loads across 3 sweeps, want at most %d", st.ShardLoads, p)
 	}
-	if st.PrefetchHits == 0 {
-		t.Fatal("no staged shard was promoted from the LRU across repeat sweeps")
+	if want := 2 * st.ShardLoads; st.CacheHits != want {
+		t.Fatalf("%d staged shards promoted from the cache across two repeat sweeps of %d shards, want %d",
+			st.CacheHits, st.ShardLoads, want)
 	}
 }
 
-// TestPrefetchTeardownLeaksNoGoroutines is the hand-rolled goleak check:
-// after full sweeps, a panicking mid-sweep load, and a panicking
-// operator, the goroutine count settles back to the baseline — no
-// staging goroutine outlives its EdgeMap.
+// TestPrefetchTeardownLeaksNoGoroutines is the hand-rolled goleak check
+// on a NewEngine-built engine: after full sweeps, a panicking operator
+// and a panicking mid-sweep load, the goroutine count settles back to
+// the baseline — no staging goroutine outlives its EdgeMap — and on
+// each of the three exit paths the engine's cache is left with no pin.
 func TestPrefetchTeardownLeaksNoGoroutines(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	e, err := Build(dir, g, 12, Options{Threads: 1, CacheShards: 1})
+	e, err := NewEngine(createStore(t, dir, g, 12), g, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +125,7 @@ func TestPrefetchTeardownLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
 	}
+	checkQuiescent(t, e)
 
 	// A panicking operator unwinds the sweep mid-plan; the deferred
 	// pipeline stop must still reap the staging and apply goroutines.
@@ -164,14 +144,15 @@ func TestPrefetchTeardownLeaksNoGoroutines(t *testing.T) {
 			UpdateAtomic: func(u, v graph.VID) bool { panic("operator boom") },
 		}, api.DirAuto)
 	}()
+	checkQuiescent(t, e)
 
-	// A mid-sweep load failure: delete a shard file, defeat the cache,
+	// A mid-sweep load failure: delete a shard file, empty the cache,
 	// and sweep again. The staging goroutine delivers the error, the
 	// sweep re-panics it, and teardown still reaps everything.
 	if err := os.Remove(filepath.Join(dir, "shard-0005.bin")); err != nil {
 		t.Fatal(err)
 	}
-	e.cache = newLRUCache(1)
+	e.cache.dropStore(e.st)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -180,6 +161,7 @@ func TestPrefetchTeardownLeaksNoGoroutines(t *testing.T) {
 		}()
 		e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
 	}()
+	checkQuiescent(t, e)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for settledGoroutines() > baseline && time.Now().Before(deadline) {
@@ -199,15 +181,16 @@ func settledGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// TestPrefetchOnOffBitIdentical is the engine-level determinism core of
-// the cross-engine differential suite's OOC-prefetch variant: an
-// iterative CAS traversal — the most schedule-sensitive workload —
-// produces identical frontier sequences and identical parents with the
-// pipeline on and off, under full parallelism.
-func TestPrefetchOnOffBitIdentical(t *testing.T) {
+// TestPipelineMatchesReferenceBitIdentical is the engine-level
+// determinism core of the cross-engine differential suite: an iterative
+// CAS traversal — the most schedule-sensitive workload — produces
+// identical frontier sequences and identical parents on the pipelined
+// engine under full parallelism and on the sequential public-API
+// reference sweep.
+func TestPipelineMatchesReferenceBitIdentical(t *testing.T) {
 	g := gen.TinySocial()
-	run := func(noPrefetch bool) ([]int64, []int32) {
-		e := buildTestEngine(t, g, 10, Options{CacheShards: 2, NoPrefetch: noPrefetch})
+	pipelined := buildSlotEngine(t, g, 10, 2, Options{})
+	run := func(e api.System) ([]int64, []int32) {
 		parents := make([]int32, g.NumVertices())
 		for i := range parents {
 			parents[i] = -1
@@ -222,19 +205,20 @@ func TestPrefetchOnOffBitIdentical(t *testing.T) {
 		}
 		return sizes, parents
 	}
-	onSizes, onParents := run(false)
-	offSizes, offParents := run(true)
+	onSizes, onParents := run(pipelined)
+	offSizes, offParents := run(sweepref.New(pipelined.st, g))
+	requireEvictions(t, pipelined)
 	if len(onSizes) != len(offSizes) {
-		t.Fatalf("prefetch on ran %d rounds, off ran %d", len(onSizes), len(offSizes))
+		t.Fatalf("the pipeline ran %d rounds, the reference %d", len(onSizes), len(offSizes))
 	}
 	for r := range onSizes {
 		if onSizes[r] != offSizes[r] {
-			t.Fatalf("round %d: frontier %d with prefetch vs %d without", r, onSizes[r], offSizes[r])
+			t.Fatalf("round %d: frontier %d pipelined vs %d on the reference", r, onSizes[r], offSizes[r])
 		}
 	}
 	for v := range onParents {
 		if onParents[v] != offParents[v] {
-			t.Fatalf("parent[%d] = %d with prefetch vs %d without", v, onParents[v], offParents[v])
+			t.Fatalf("parent[%d] = %d pipelined vs %d on the reference", v, onParents[v], offParents[v])
 		}
 	}
 }
@@ -243,14 +227,14 @@ func TestPrefetchOnOffBitIdentical(t *testing.T) {
 // a multi-threaded, multi-domain sweep with several shards staged ahead
 // is torn down cleanly when the operator panics mid-apply — the panic
 // propagates to the EdgeMap caller (recoverable), no pipeline goroutine
-// leaks, the LRU stays inside its budget, and the engine remains fully
-// serviceable: a subsequent healthy sweep produces correct counts.
+// leaks, the cache stays inside its budget with nothing pinned, and the
+// engine remains fully serviceable: a subsequent healthy sweep produces
+// correct counts.
 func TestConcurrentTeardownOnOperatorPanic(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
-	const budget = 4
-	e := buildTestEngine(t, g, 12, Options{Threads: 8, CacheShards: budget, Window: 4})
+	e := buildSlotEngine(t, g, 12, 4, Options{Threads: 8, Window: 4})
 	boom := api.EdgeOp{
 		Update:       func(u, v graph.VID) bool { panic("operator boom") },
 		UpdateAtomic: func(u, v graph.VID) bool { panic("operator boom") },
@@ -268,9 +252,7 @@ func TestConcurrentTeardownOnOperatorPanic(t *testing.T) {
 			}()
 			e.EdgeMap(frontier.All(g), boom, api.DirAuto)
 		}()
-		if n := e.cache.len(); n > budget {
-			t.Fatalf("round %d: LRU holds %d shards after the panic, budget is %d", i, n, budget)
-		}
+		checkQuiescent(t, e)
 	}
 
 	// The engine must still work: count in-edges and check them against
@@ -305,17 +287,14 @@ func TestConcurrentTeardownOnOperatorPanic(t *testing.T) {
 // TestConcurrentTeardownOnLoadError: a shard-read error with k > 1
 // shards staged ahead aborts the whole pipeline — the error surfaces as
 // the engine's sweep panic, the apply goroutines drain without applying
-// stale work twice, no goroutine leaks, and the LRU budget is intact.
+// stale work twice, no goroutine leaks, and the cache budget is intact
+// with nothing pinned.
 func TestConcurrentTeardownOnLoadError(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	const budget = 2
-	e, err := Build(dir, g, 12, Options{Threads: 4, CacheShards: budget, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := slotEngine(t, createStore(t, dir, g, 12), g, 2, Options{Threads: 4, Window: 2})
 	// Shard 5 is mid-plan for this graph (shards 0..6 carry edges), so
 	// the failure strikes with earlier shards already staged and
 	// applying.
@@ -353,9 +332,7 @@ func TestConcurrentTeardownOnLoadError(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if n := e.cache.len(); n > budget {
-		t.Fatalf("LRU holds %d shards after the failed sweep, budget is %d", n, budget)
-	}
+	checkQuiescent(t, e)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for settledGoroutines() > baseline && time.Now().Before(deadline) {

@@ -45,17 +45,28 @@ func decodeBinSegments(t *testing.T, b *binShard) [][][2]graph.VID {
 	return segs
 }
 
+// peekBin returns shard si's resident bin without pinning or promoting
+// it.
+func peekBin(c *binCache, si int) *binShard {
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	if el, ok := c.res.idx[si]; ok {
+		return el.Value.(*resEntry[int, *binShard]).val
+	}
+	return nil
+}
+
 // TestScatterGatherBitIdenticalToEdgeCentric is the engine-level core of
 // the differential rungs: the most schedule-sensitive workload (an
 // iterative CAS BFS whose rounds cross the sparse/dense boundary, so
 // scatter/gather engines mix bin replays with edge-centric fallbacks)
 // and float accumulation (PageRank, where any reassociation would move
 // bits) produce results identical to the edge-centric mode under a
-// tight LRU that forces bin reuse to matter.
+// tight cache budget that forces bin reuse to matter.
 func TestScatterGatherBitIdenticalToEdgeCentric(t *testing.T) {
 	g := gen.TinySocial()
 	bfs := func(mode SweepMode) ([]int64, []int32) {
-		e := buildTestEngine(t, g, 10, Options{Threads: 4, CacheShards: 2, SweepMode: mode})
+		e := buildSlotEngine(t, g, 10, 2, Options{Threads: 4, SweepMode: mode})
 		parents := make([]int32, g.NumVertices())
 		for i := range parents {
 			parents[i] = -1
@@ -86,8 +97,8 @@ func TestScatterGatherBitIdenticalToEdgeCentric(t *testing.T) {
 		}
 	}
 
-	ec := buildTestEngine(t, g, 10, Options{Threads: 4, CacheShards: 2})
-	sg := buildTestEngine(t, g, 10, Options{Threads: 4, CacheShards: 2, SweepMode: SweepScatterGather})
+	ec := buildSlotEngine(t, g, 10, 2, Options{Threads: 4})
+	sg := buildSlotEngine(t, g, 10, 2, Options{Threads: 4, SweepMode: SweepScatterGather})
 	ecRanks := prOnSystem(ec, 10)
 	sgRanks := prOnSystem(sg, 10)
 	for v := range ecRanks {
@@ -111,7 +122,7 @@ func TestScatterGatherBitIdenticalToEdgeCentric(t *testing.T) {
 func TestScatterGatherBinsPartitionShards(t *testing.T) {
 	g := gen.TinySocial()
 	const p = 8
-	e := buildTestEngine(t, g, p, Options{Threads: 4, CacheShards: p, SweepMode: SweepScatterGather})
+	e := buildTestEngine(t, g, p, Options{Threads: 4, SweepMode: SweepScatterGather})
 	e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
 
 	want := make(map[[2]graph.VID]int)
@@ -121,7 +132,7 @@ func TestScatterGatherBinsPartitionShards(t *testing.T) {
 	got := make(map[[2]graph.VID]int)
 	binsPerDomain := make([]int64, e.opts.Topology.Domains)
 	for si := 0; si < e.st.NumShards(); si++ {
-		b := e.bins.peekBin(si)
+		b := peekBin(e.bins, si)
 		if b == nil {
 			continue
 		}
@@ -173,10 +184,11 @@ func TestScatterGatherBinsPartitionShards(t *testing.T) {
 func TestScatterGatherReusesBins(t *testing.T) {
 	g := gen.TinySocial()
 	const iters = 5
-	ec := buildTestEngine(t, g, 8, Options{Threads: 4, CacheShards: 2})
-	sg := buildTestEngine(t, g, 8, Options{Threads: 4, CacheShards: 2, SweepMode: SweepScatterGather})
+	ec := buildSlotEngine(t, g, 8, 2, Options{Threads: 4})
+	sg := buildSlotEngine(t, g, 8, 2, Options{Threads: 4, SweepMode: SweepScatterGather})
 	prOnSystem(ec, iters)
 	prOnSystem(sg, iters)
+	requireEvictions(t, ec)
 
 	ecs, sgs := ec.Stats(), sg.Stats()
 	if sgs.ScatterGatherSweeps != iters {
@@ -193,15 +205,17 @@ func TestScatterGatherReusesBins(t *testing.T) {
 			sgs.BinBytesRead, sgs.BinBytesWritten)
 	}
 	if sgs.ShardLoads >= ecs.ShardLoads {
-		t.Fatalf("scatter/gather loaded %d shards, edge-centric %d; bin retention should beat the thrashing LRU",
+		t.Fatalf("scatter/gather loaded %d shards, edge-centric %d; bin retention should beat the thrashing cache",
 			sgs.ShardLoads, ecs.ShardLoads)
 	}
 	// The first sweep scatters every planned shard; later sweeps load
 	// nothing, so total loads equal the distinct planned shards and the
-	// read volume is one cold pass over the store.
-	if sgs.ShardLoads*int64(iters) != ecs.ShardLoads {
-		t.Fatalf("scatter/gather loaded %d shards across %d iterations, edge-centric %d; expected exactly one cold pass",
-			sgs.ShardLoads, iters, ecs.ShardLoads)
+	// read volume is one cold pass over the store. (The thrashing
+	// edge-centric engine pays about that per sweep — about, because
+	// which cold shard its cache evicts depends on apply timing.)
+	if planned := int64(len(sg.planDense(frontier.All(g)))); sgs.ShardLoads != planned {
+		t.Fatalf("scatter/gather loaded %d shards across %d iterations over a %d-shard plan; expected exactly one cold pass",
+			sgs.ShardLoads, iters, planned)
 	}
 }
 
@@ -210,7 +224,7 @@ func TestScatterGatherReusesBins(t *testing.T) {
 // traversal still matches the edge-centric engine exactly.
 func TestScatterGatherSparseFallsBack(t *testing.T) {
 	g := gen.Chain(256)
-	e := buildTestEngine(t, g, 8, Options{Threads: 2, CacheShards: 2, SweepMode: SweepScatterGather})
+	e := buildSlotEngine(t, g, 8, 2, Options{Threads: 2, SweepMode: SweepScatterGather})
 	parents := make([]int32, g.NumVertices())
 	for i := range parents {
 		parents[i] = -1
@@ -240,15 +254,15 @@ func TestScatterGatherSparseFallsBack(t *testing.T) {
 // fault battery for the two-phase path: a panicking operator strikes
 // during gather (scatter runs no operator code), the original panic
 // value propagates from EdgeMap, no gather or pipeline goroutine leaks,
-// the LRU stays inside budget, the retained bins stay valid, and the
+// the cache stays inside budget with nothing pinned, the retained bins
+// stay valid, and the
 // engine remains fully serviceable. Round 0 panics with fresh scatters;
 // later rounds panic with every bin reused — both teardown shapes.
 func TestScatterGatherTeardownOnOperatorPanic(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
-	const budget = 4
-	e := buildTestEngine(t, g, 12, Options{Threads: 8, CacheShards: budget, Window: 4, SweepMode: SweepScatterGather})
+	e := buildSlotEngine(t, g, 12, 4, Options{Threads: 8, Window: 4, SweepMode: SweepScatterGather})
 	boom := api.EdgeOp{
 		Update:       func(u, v graph.VID) bool { panic("operator boom") },
 		UpdateAtomic: func(u, v graph.VID) bool { panic("operator boom") },
@@ -264,9 +278,7 @@ func TestScatterGatherTeardownOnOperatorPanic(t *testing.T) {
 			}()
 			e.EdgeMap(frontier.All(g), boom, api.DirAuto)
 		}()
-		if n := e.cache.len(); n > budget {
-			t.Fatalf("round %d: LRU holds %d shards after the panic, budget is %d", i, n, budget)
-		}
+		checkQuiescent(t, e)
 	}
 
 	// Bins scattered before the aborted gathers are just the shards
@@ -301,18 +313,15 @@ func TestScatterGatherTeardownOnOperatorPanic(t *testing.T) {
 // TestScatterGatherTeardownOnLoadError: a shard-read failure mid-scatter
 // aborts the sweep before gather runs — the engine's sweep panic
 // surfaces, the failed shard is neither scattered nor binned, no
-// goroutine leaks, the LRU budget holds, and once the file returns the
+// goroutine leaks, the cache budget holds with nothing pinned, and once
+// the file returns the
 // engine produces exact results again.
 func TestScatterGatherTeardownOnLoadError(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	const budget = 2
-	e, err := Build(dir, g, 12, Options{Threads: 4, CacheShards: budget, Window: 2, SweepMode: SweepScatterGather})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := slotEngine(t, createStore(t, dir, g, 12), g, 2, Options{Threads: 4, Window: 2, SweepMode: SweepScatterGather})
 	victim := filepath.Join(dir, "shard-0005.bin")
 	aside := victim + ".aside"
 	if err := os.Rename(victim, aside); err != nil {
@@ -349,12 +358,10 @@ func TestScatterGatherTeardownOnLoadError(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if e.bins.peekBin(5) != nil {
+	if peekBin(e.bins, 5) != nil {
 		t.Error("the unreadable shard acquired a bin")
 	}
-	if n := e.cache.len(); n > budget {
-		t.Fatalf("LRU holds %d shards after the failed sweep, budget is %d", n, budget)
-	}
+	checkQuiescent(t, e)
 
 	// Engine reusable once the file is back: the in-edge count must be
 	// exact, mixing bins retained from the aborted sweep with a fresh

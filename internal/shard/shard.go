@@ -24,11 +24,12 @@
 //	           vertices' out-lists) for sparse frontiers, source-range
 //	           summary pruning for dense ones; then order it by the
 //	           configured sweep-order policy (Options.Order — ascending,
-//	           zigzag or residency-first), which keeps the LRU tail of
-//	           one sweep alive into the next without changing results;
-//	prefetch — a dedicated staging goroutine keeps up to Window shards
+//	           zigzag or residency-first), which keeps the cache's tail
+//	           of one sweep alive into the next without changing results;
+//	stage    — a dedicated staging goroutine keeps up to Window shards
 //	           staged ahead while earlier shards are being applied:
-//	           cached shards are promoted from the LRU, uncached ones
+//	           cached shards are pinned in the byte-budgeted SharedCache
+//	           the engine fetches through, uncached ones
 //	           are read through the internal/aio reader with up to
 //	           IODepth reads in flight at once, reaped strictly in plan
 //	           order (IODepth = 1, Window = 1 is the original strict
@@ -195,20 +196,6 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 		return nil, err
 	}
 	return &Store{dir: dir, format: wo.Format, m: m}, nil
-}
-
-// Write shards g into dir with p partitions in the default format.
-//
-// Deprecated: use Create(dir, g, WriteOptions{Partitions: p}).
-func Write(dir string, g *graph.Graph, p int) (*Store, error) {
-	return Create(dir, g, WriteOptions{Partitions: p})
-}
-
-// WriteFormat is Write with an explicit shard-file format.
-//
-// Deprecated: use Create(dir, g, WriteOptions{Partitions: p, Format: format}).
-func WriteFormat(dir string, g *graph.Graph, p int, format Format) (*Store, error) {
-	return Create(dir, g, WriteOptions{Partitions: p, Format: format})
 }
 
 // Open loads an existing sharded graph directory.

@@ -15,7 +15,7 @@ import (
 func TestWriteOpenRoundTrip(t *testing.T) {
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	st, err := Write(dir, g, 8)
+	st, err := Create(dir, g, WriteOptions{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSourceSummaryComputedWhenAbsent(t *testing.T) {
 	// identical summary from a streaming pass.
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	st, err := Write(dir, g, 8)
+	st, err := Create(dir, g, WriteOptions{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSourceSummaryComputedWhenAbsent(t *testing.T) {
 
 func TestSweepVisitsEveryEdgeOnce(t *testing.T) {
 	g := gen.TinySocial()
-	st, err := Write(t.TempDir(), g, 16)
+	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSweepVisitsEveryEdgeOnce(t *testing.T) {
 
 func TestShardDestinationsInRange(t *testing.T) {
 	g := gen.TinyRoad()
-	st, err := Write(t.TempDir(), g, 8)
+	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestShardDestinationsInRange(t *testing.T) {
 
 func TestOutDegreesMatchGraph(t *testing.T) {
 	g := gen.TinySocial()
-	st, err := Write(t.TempDir(), g, 8)
+	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestStoreFailurePaths(t *testing.T) {
 					other = FormatV2
 				}
 				otherDir := t.TempDir()
-				if _, err := WriteFormat(otherDir, gen.Chain(256), 4, other); err != nil {
+				if _, err := Create(otherDir, gen.Chain(256), WriteOptions{Partitions: 4, Format: other}); err != nil {
 					t.Fatal(err)
 				}
 				data, err := os.ReadFile(filepath.Join(otherDir, "shard-0000.bin"))
@@ -385,7 +385,7 @@ func TestStoreFailurePaths(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, format), func(t *testing.T) {
 				g := gen.Chain(256)
 				dir := t.TempDir()
-				if _, err := WriteFormat(dir, g, 4, format); err != nil {
+				if _, err := Create(dir, g, WriteOptions{Partitions: 4, Format: format}); err != nil {
 					t.Fatal(err)
 				}
 				tc.corrupt(t, dir)
@@ -408,7 +408,7 @@ func TestStoreFailurePaths(t *testing.T) {
 }
 
 func TestLoadShardRejectsOutOfRangeIndex(t *testing.T) {
-	st, err := Write(t.TempDir(), gen.Chain(32), 4)
+	st, err := Create(t.TempDir(), gen.Chain(32), WriteOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,17 @@
 package shard
 
-// The multi-tenant residency layer. A SharedCache is one byte-budgeted,
-// refcounted LRU shared by every session of every store a daemon hosts:
-// a shard resident for one in-flight query is free for every other
-// query on the same store, and eviction considers only shards no query
-// is currently applying (refcount zero). Two invariants hold at every
-// observation point, not just at quiescence:
-//
-//   - a pinned shard (refcount > 0) is never evicted, and
-//   - the decoded bytes resident in the cache never exceed the budget.
-//
-// Both follow from the same rule: an insert that cannot fit after
-// evicting every cold unpinned shard is *refused* — the load's result
-// is still returned to the session that needs it (a transient shard,
-// accounted under Rejected) but it is never admitted, so the budget is
-// a hard bound rather than a high-water mark. Nothing ever blocks on
-// the budget, so sessions cannot deadlock against each other however
-// small it is.
-//
-// Uncached reads are single-flight per (store, shard): concurrent
-// sessions missing on the same shard elect one loader and the rest
-// share its result (SharedReads), so co-scheduled queries cannot
-// multiply disk traffic for the same bytes.
+// The shard residency layer. A SharedCache is the residency core (see
+// residency.go: byte budget, pins, refuse-don't-block) keyed by
+// (store, shard), plus a single-flight table: a shard resident for one
+// in-flight query is free for every other query on the same store, and
+// concurrent sessions missing on the same shard elect one loader and
+// the rest share its result (SharedReads), so co-scheduled queries
+// cannot multiply disk traffic for the same bytes. One cache serves
+// every session of every Host it is handed to; an engine built by
+// NewEngine is simply the only session of a cache of its own.
 
 import (
-	"container/list"
-	"sync"
+	"repro/internal/graph"
 )
 
 // DefaultCacheBytes is the shared-cache budget a daemon gets when none
@@ -33,22 +19,33 @@ import (
 // decoded, small enough to stay out of core in spirit.
 const DefaultCacheBytes int64 = 256 << 20
 
+// resident is a shard decoded and regrouped for parallel application:
+// edges are stably bucketed into destination sub-ranges whose bounds are
+// aligned to 64 vertices, so each sub-range's task owns its frontier
+// bitmap words exclusively and updates need no atomics. Bucketing
+// preserves the shard file's edge order within each sub-range, and since
+// all in-edges of a destination fall into one bucket, the per-destination
+// application order is independent of the task count.
+type resident struct {
+	idx      int
+	src, dst []graph.VID
+	off      []int // len = tasks+1; task t owns edges [off[t], off[t+1])
+}
+
+// decodedBytes prices a decoded shard of the given edge and task counts:
+// the bucketed src/dst copies plus the task offsets — the memory the
+// budget actually bounds. The planner prices its simulation with the
+// same formula from the manifest's edge counts.
+func decodedBytes(edges int64, tasks int) int64 { return edges*8 + int64(tasks+1)*8 }
+
+func residentBytes(sh *resident) int64 { return decodedBytes(int64(len(sh.src)), len(sh.off)-1) }
+
 // cacheKey names one shard of one open store. The *Store identity is
 // the namespace, so a daemon hosting many stores shares one budget
 // without name bookkeeping.
 type cacheKey struct {
 	st  *Store
 	idx int
-}
-
-// sharedEntry is one resident shard plus its refcount. pins counts the
-// sessions currently holding the shard between fetch and the end of
-// its apply; eviction skips any entry with pins > 0.
-type sharedEntry struct {
-	key   cacheKey
-	sh    *resident
-	bytes int64
-	pins  int
 }
 
 // sharedLoad is one in-flight uncached read: the elected loader
@@ -76,15 +73,12 @@ type SharedCacheStats struct {
 // SharedCache is the refcounted, byte-budgeted shard LRU N concurrent
 // sessions share. All methods are safe for concurrent use.
 type SharedCache struct {
-	budget int64
+	res *residency[cacheKey, *resident]
 
-	mu       sync.Mutex
-	ll       *list.List // front = most recently used; values are *sharedEntry
-	idx      map[cacheKey]*list.Element
-	inflight map[cacheKey]*sharedLoad
-	bytes    int64
-
-	peakBytes, hits, loads, shared, evictions, rejected int64
+	// Guarded by res.mu, so a miss and the election of its loader are
+	// one atomic step.
+	inflight      map[cacheKey]*sharedLoad
+	loads, shared int64
 }
 
 // NewSharedCache builds a shared cache with the given byte budget;
@@ -94,107 +88,37 @@ func NewSharedCache(budget int64) *SharedCache {
 		budget = DefaultCacheBytes
 	}
 	return &SharedCache{
-		budget:   budget,
-		ll:       list.New(),
-		idx:      make(map[cacheKey]*list.Element),
+		res:      newResidency[cacheKey, *resident](budget),
 		inflight: make(map[cacheKey]*sharedLoad),
 	}
 }
 
-// residentBytes prices a decoded shard: the bucketed src/dst copies
-// plus the task offsets — the memory the budget actually bounds.
-func residentBytes(sh *resident) int64 {
-	return int64(len(sh.src)+len(sh.dst))*4 + int64(len(sh.off))*8
-}
-
 // Budget returns the configured byte budget.
-func (c *SharedCache) Budget() int64 { return c.budget }
-
-// Bytes returns the decoded bytes resident right now; by construction
-// it never exceeds Budget at any observation point.
-func (c *SharedCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *SharedCache) Budget() int64 { return c.res.budget }
 
 // Stats returns a consistent snapshot of the cache counters.
 func (c *SharedCache) Stats() SharedCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := SharedCacheStats{
-		Budget:    c.budget,
-		Bytes:     c.bytes,
-		PeakBytes: c.peakBytes,
-		Resident:  int64(c.ll.Len()),
-		Hits:      c.hits,
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	rs := c.res.statsLocked()
+	return SharedCacheStats{
+		Budget:    rs.Budget,
+		Bytes:     rs.Bytes,
+		PeakBytes: rs.PeakBytes,
+		Resident:  rs.Resident,
+		Pinned:    rs.Pinned,
+		Hits:      rs.Hits,
 		Loads:     c.loads,
 		Shared:    c.shared,
-		Evictions: c.evictions,
-		Rejected:  c.rejected,
-	}
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*sharedEntry).pins > 0 {
-			s.Pinned++
-		}
-	}
-	return s
-}
-
-// releaseFunc builds the one-shot unpin for ent. A pinned entry is
-// never evicted, so ent is guaranteed still live when the release runs.
-func (c *SharedCache) releaseFunc(ent *sharedEntry) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			ent.pins--
-			c.mu.Unlock()
-		})
+		Evictions: rs.Evictions,
+		Rejected:  rs.Rejected,
 	}
 }
 
-// get returns shard k pinned and promoted to most recently used, plus
-// its release; the caller must invoke release when the apply is done.
-func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[k]
-	if !ok {
-		return nil, nil, false
-	}
-	ent := el.Value.(*sharedEntry)
-	c.ll.MoveToFront(el)
-	ent.pins++
-	c.hits++
-	return ent.sh, c.releaseFunc(ent), true
-}
-
-// peek reports whether shard k is resident without promoting or
-// pinning it — the stager's issue-time residency prediction.
-func (c *SharedCache) peek(k cacheKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.idx[k]
-	return ok
-}
-
-// add admits a freshly loaded shard, pinned, evicting cold unpinned
-// entries to make room. If another session raced the insert, its entry
-// is adopted (promoted and pinned) and sh is dropped. If the bytes
-// cannot fit after evicting everything evictable — every other
-// resident shard is pinned, or the shard alone exceeds the budget —
-// the insert is refused: the returned release is a no-op, admitted is
-// false, and the caller simply uses sh uncached (a transient shard).
-// The budget is therefore never exceeded, not even transiently.
-func (c *SharedCache) add(k cacheKey, sh *resident) (release func(), admitted bool) {
-	need := residentBytes(sh)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// The shard is reaching (or has reached) residency: retire the
-	// resolved single-flight record load retained for the gap between
-	// read completion and this insertion. An unresolved record belongs
-	// to a newer read for the same key — leave it to its own reap.
+// retireLoadLocked drops k's single-flight record if it has resolved.
+// An unresolved record belongs to a read still in progress — leave it
+// to its own reap.
+func (c *SharedCache) retireLoadLocked(k cacheKey) {
 	if w, ok := c.inflight[k]; ok {
 		select {
 		case <-w.done:
@@ -202,37 +126,25 @@ func (c *SharedCache) add(k cacheKey, sh *resident) (release func(), admitted bo
 		default:
 		}
 	}
-	if el, ok := c.idx[k]; ok {
-		ent := el.Value.(*sharedEntry)
-		c.ll.MoveToFront(el)
-		ent.pins++
-		return c.releaseFunc(ent), true
-	}
-	for c.bytes+need > c.budget {
-		var victim *list.Element
-		for el := c.ll.Back(); el != nil; el = el.Prev() {
-			if el.Value.(*sharedEntry).pins == 0 {
-				victim = el
-				break
-			}
-		}
-		if victim == nil {
-			c.rejected++
-			return func() {}, false
-		}
-		ent := victim.Value.(*sharedEntry)
-		c.ll.Remove(victim)
-		delete(c.idx, ent.key)
-		c.bytes -= ent.bytes
-		c.evictions++
-	}
-	ent := &sharedEntry{key: k, sh: sh, bytes: need, pins: 1}
-	c.idx[k] = c.ll.PushFront(ent)
-	c.bytes += need
-	if c.bytes > c.peakBytes {
-		c.peakBytes = c.bytes
-	}
-	return c.releaseFunc(ent), true
+}
+
+// get returns shard k pinned and promoted, plus its release.
+func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) { return c.res.get(k) }
+
+// peek reports whether shard k is resident without promoting it.
+func (c *SharedCache) peek(k cacheKey) bool { return c.res.peek(k) }
+
+// add admits a freshly loaded shard, pinned, and returns the shard to
+// apply (see residency.addLocked for adoption and refusal). The shard
+// is reaching residency, so the resolved single-flight record load
+// retained for the gap between read completion and this insertion is
+// retired.
+func (c *SharedCache) add(k cacheKey, sh *resident) (canon *resident, release func(), admitted bool) {
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	c.retireLoadLocked(k)
+	canon, release, admitted, _ = c.res.addLocked(k, sh, residentBytes(sh))
+	return canon, release, admitted
 }
 
 // load is the single-flight read path: if shard k is resident or
@@ -242,33 +154,31 @@ func (c *SharedCache) add(k cacheKey, sh *resident) (release func(), admitted bo
 // A waiter inherits the loader's error — read failures are properties
 // of the store, not the session.
 func (c *SharedCache) load(k cacheKey, read func() (*resident, error)) (sh *resident, shared bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.idx[k]; ok {
-		ent := el.Value.(*sharedEntry)
-		c.ll.MoveToFront(el)
+	c.res.mu.Lock()
+	if sh, ok := c.res.touchLocked(k); ok {
 		c.shared++
-		c.mu.Unlock()
-		return ent.sh, true, nil
+		c.res.mu.Unlock()
+		return sh, true, nil
 	}
 	if w, ok := c.inflight[k]; ok {
-		c.mu.Unlock()
+		c.res.mu.Unlock()
 		<-w.done
 		if w.err != nil {
 			return nil, true, w.err
 		}
-		c.mu.Lock()
+		c.res.mu.Lock()
 		c.shared++
-		c.mu.Unlock()
+		c.res.mu.Unlock()
 		return w.sh, true, nil
 	}
 	w := &sharedLoad{done: make(chan struct{})}
 	c.inflight[k] = w
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 
 	sh, err = read()
 	w.sh, w.err = sh, err
 
-	c.mu.Lock()
+	c.res.mu.Lock()
 	if err != nil {
 		// Failed loads retry: nothing will admit this key, so the record
 		// must not outlive the attempt (and must not pin the error for
@@ -282,7 +192,7 @@ func (c *SharedCache) load(k cacheKey, read func() (*resident, error)) (sh *resi
 		// multiply loads for the same resident bytes" would be a race.
 		c.loads++
 	}
-	c.mu.Unlock()
+	c.res.mu.Unlock()
 	close(w.done)
 	return sh, false, err
 }
@@ -290,118 +200,27 @@ func (c *SharedCache) load(k cacheKey, read func() (*resident, error)) (sh *resi
 // snapshotStore returns st's resident shard indices, most recently
 // used first — the per-store view the sweep-order planner consumes.
 func (c *SharedCache) snapshotStore(st *Store) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if ent := el.Value.(*sharedEntry); ent.key.st == st {
-			out = append(out, ent.key.idx)
-		}
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	keys := c.res.keysLocked(func(k cacheKey) bool { return k.st == st })
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = k.idx
 	}
 	return out
 }
 
-// lenStore returns the number of st's shards resident.
-func (c *SharedCache) lenStore(st *Store) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*sharedEntry).key.st == st {
-			n++
-		}
-	}
-	return n
-}
-
-// dropStore evicts every unpinned resident shard of st — the
-// close-store path. Shards still pinned by in-flight queries stay
-// until released, then age out by LRU like any cold entry.
+// dropStore retires every resident shard of st — the close-store path.
+// Unpinned shards leave immediately; shards still pinned by in-flight
+// queries leave at their final unpin. Either way each counts as one
+// eviction, here.
 func (c *SharedCache) dropStore(st *Store) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, w := range c.inflight {
-		if k.st != st {
-			continue
-		}
-		select {
-		case <-w.done:
-			delete(c.inflight, k)
-		default:
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	for k := range c.inflight {
+		if k.st == st {
+			c.retireLoadLocked(k)
 		}
 	}
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		ent := el.Value.(*sharedEntry)
-		if ent.key.st == st && ent.pins == 0 {
-			c.ll.Remove(el)
-			delete(c.idx, ent.key)
-			c.bytes -= ent.bytes
-			c.evictions++
-		}
-	}
+	c.res.evictions += c.res.dropLocked(func(k cacheKey) bool { return k.st == st })
 }
-
-// sessionCache adapts one session's view of the SharedCache to the
-// engineCache interface the sweep machinery drives. It tracks the
-// release for every pin the session acquires — including the no-op
-// release of a refused (transient) insert — so the engine's
-// release-by-index calls resolve to the right unpin even when the
-// cache declined to admit the shard.
-type sessionCache struct {
-	c  *SharedCache
-	st *Store
-
-	mu  sync.Mutex
-	rel map[int][]func()
-}
-
-func newSessionCache(c *SharedCache, st *Store) *sessionCache {
-	return &sessionCache{c: c, st: st, rel: make(map[int][]func())}
-}
-
-func (s *sessionCache) track(i int, release func()) {
-	s.mu.Lock()
-	s.rel[i] = append(s.rel[i], release)
-	s.mu.Unlock()
-}
-
-func (s *sessionCache) get(i int) (*resident, bool) {
-	sh, release, ok := s.c.get(cacheKey{s.st, i})
-	if !ok {
-		return nil, false
-	}
-	s.track(i, release)
-	return sh, true
-}
-
-func (s *sessionCache) peek(i int) bool {
-	return s.c.peek(cacheKey{s.st, i})
-}
-
-func (s *sessionCache) put(sh *resident) {
-	release, _ := s.c.add(cacheKey{s.st, sh.idx}, sh)
-	s.track(sh.idx, release)
-}
-
-func (s *sessionCache) release(i int) {
-	s.mu.Lock()
-	fns := s.rel[i]
-	if len(fns) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	fn := fns[len(fns)-1]
-	if len(fns) == 1 {
-		delete(s.rel, i)
-	} else {
-		s.rel[i] = fns[:len(fns)-1]
-	}
-	s.mu.Unlock()
-	fn()
-}
-
-func (s *sessionCache) snapshot() []int { return s.c.snapshotStore(s.st) }
-
-func (s *sessionCache) len() int { return s.c.lenStore(s.st) }

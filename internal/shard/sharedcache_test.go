@@ -1,18 +1,17 @@
 package shard
 
-// The shared-cache concurrency battery: the refcount/budget property
-// test (sequential randomized ops with invariants checked at every
-// observation point, then a concurrent hammer under -race), the
-// two-query hammer over real host sessions, the co-scheduling
-// accounting regression (concurrent dense PR + CC strictly cheaper
-// than the sum of solo runs), and the mid-sweep operator-panic
-// teardown with a second session surviving on the same store.
+// The shared-cache session battery (the cache's own residency
+// invariants live in residency_test.go): the two-query hammer over real
+// host sessions, the co-scheduling accounting regression (concurrent
+// dense PR + CC strictly cheaper than the sum of solo runs), and the
+// mid-sweep operator-panic teardown with a second session surviving on
+// the same store.
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,163 +32,6 @@ func fakeResident(idx, edges int) *resident {
 	}
 }
 
-// checkInvariants asserts the cache's structural invariants — the ones
-// the tentpole promises hold at every observation point: accounted
-// bytes match the resident set and never exceed the budget, the index
-// and the LRU list agree, and no refcount is negative.
-func checkInvariants(t *testing.T, c *SharedCache) {
-	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum int64
-	n := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*sharedEntry)
-		sum += ent.bytes
-		n++
-		if ent.pins < 0 {
-			t.Fatalf("shard %v has negative refcount %d", ent.key.idx, ent.pins)
-		}
-		if got, ok := c.idx[ent.key]; !ok || got != el {
-			t.Fatalf("LRU list and index disagree on shard %v", ent.key.idx)
-		}
-	}
-	if n != len(c.idx) {
-		t.Fatalf("LRU holds %d entries but index holds %d", n, len(c.idx))
-	}
-	if sum != c.bytes {
-		t.Fatalf("accounted bytes %d != resident sum %d", c.bytes, sum)
-	}
-	if c.bytes > c.budget {
-		t.Fatalf("resident bytes %d exceed budget %d", c.bytes, c.budget)
-	}
-}
-
-// TestSharedCacheRefcountProperty drives a randomized op sequence —
-// pinning gets, pinned adds, releases — against a budget that can only
-// hold a few shards, checking after every single operation that bytes
-// never exceed the budget and that no pinned shard has been evicted.
-// Shard sizes vary so eviction has to reason in bytes, not counts, and
-// some shards exceed the whole budget so the transient (refused
-// insert) path is exercised too.
-func TestSharedCacheRefcountProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	st := &Store{}
-	const budget = 1 << 12 // a few mid-size shards
-	c := NewSharedCache(budget)
-
-	type pin struct {
-		key      cacheKey
-		release  func()
-		admitted bool
-	}
-	var pins []pin
-	sizeOf := func(i int) int { return 8 + (i%40)*20 } // 8..788 edges; some shards near/over budget alone
-
-	for step := 0; step < 5000; step++ {
-		i := rng.Intn(24)
-		k := cacheKey{st, i}
-		switch op := rng.Intn(10); {
-		case op < 4: // fetch-hit path
-			if sh, release, ok := c.get(k); ok {
-				if sh.idx != i {
-					t.Fatalf("get(%d) returned shard %d", i, sh.idx)
-				}
-				pins = append(pins, pin{k, release, true})
-			}
-		case op < 7: // load-and-admit path
-			release, admitted := c.add(k, fakeResident(i, sizeOf(i)))
-			pins = append(pins, pin{k, release, admitted})
-		default: // finish an apply
-			if len(pins) > 0 {
-				j := rng.Intn(len(pins))
-				pins[j].release()
-				pins = append(pins[:j], pins[j+1:]...)
-			}
-		}
-		checkInvariants(t, c)
-		for _, p := range pins {
-			if p.admitted && !c.peek(p.key) {
-				t.Fatalf("step %d: shard %d evicted while pinned", step, p.key.idx)
-			}
-		}
-	}
-	for _, p := range pins {
-		p.release()
-	}
-	checkInvariants(t, c)
-	s := c.Stats()
-	if s.Pinned != 0 {
-		t.Fatalf("all pins released but Stats reports %d pinned", s.Pinned)
-	}
-	if s.Rejected == 0 {
-		t.Fatal("the op mix never exercised the refused-insert (transient) path")
-	}
-	if s.Evictions == 0 || s.Hits == 0 {
-		t.Fatalf("op mix too tame: evictions=%d hits=%d", s.Evictions, s.Hits)
-	}
-}
-
-// TestSharedCacheConcurrentPins is the same property under real
-// concurrency: workers pin, hold and release shards while a sampler
-// asserts the byte budget at arbitrary observation points. Each worker
-// additionally asserts its own admitted pins stay resident while held
-// — under -race this also proves the locking discipline.
-func TestSharedCacheConcurrentPins(t *testing.T) {
-	st := &Store{}
-	const budget = 1 << 12
-	c := NewSharedCache(budget)
-
-	stop := make(chan struct{})
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if b := c.Bytes(); b > budget {
-					t.Errorf("observed %d resident bytes over budget %d", b, budget)
-					return
-				}
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for step := 0; step < 2000; step++ {
-				i := rng.Intn(16)
-				k := cacheKey{st, i}
-				sh, release, ok := c.get(k)
-				admitted := ok
-				if !ok {
-					release, admitted = c.add(k, fakeResident(i, 8+(i%40)*20))
-				} else if sh.idx != i {
-					t.Errorf("get(%d) returned shard %d", i, sh.idx)
-				}
-				if admitted && !c.peek(k) {
-					t.Errorf("shard %d not resident while this worker pins it", i)
-				}
-				release()
-			}
-		}(int64(100 + w))
-	}
-	wg.Wait()
-	close(stop)
-	samplerWG.Wait()
-	checkInvariants(t, c)
-	if s := c.Stats(); s.Pinned != 0 {
-		t.Fatalf("workers done but %d shards still pinned", s.Pinned)
-	}
-}
-
 // buildHostOver writes g into a fresh store and opens a Host over it
 // with the given shared-cache budget.
 func buildHostOver(t *testing.T, g *graph.Graph, p int, budget int64, opts Options) *Host {
@@ -201,12 +43,39 @@ func buildHostOver(t *testing.T, g *graph.Graph, p int, budget int64, opts Optio
 	return h
 }
 
+// TestDropStoreCountsEvictions pins the close-store accounting the
+// daemon's cache stats report: every shard dropStore retires is one
+// eviction, counted at the drop whether it leaves on the spot or — still
+// pinned — at its final unpin; another store's shards are untouched.
+func TestDropStoreCountsEvictions(t *testing.T) {
+	c, st, other := NewSharedCache(1<<20), &Store{}, &Store{}
+	var pinned func()
+	for k := 0; k < 4; k++ {
+		_, release, _ := c.add(cacheKey{st, k}, fakeResident(k, 64))
+		if k == 0 {
+			pinned = release
+		} else {
+			release()
+		}
+	}
+	_, release, _ := c.add(cacheKey{other, 0}, fakeResident(0, 64))
+	release()
+	c.dropStore(st)
+	if s := c.Stats(); s.Evictions != 4 || s.Resident != 2 {
+		t.Fatalf("dropping 3 cold + 1 pinned shard: %+v, want 4 evictions and 2 residents", s)
+	}
+	pinned()
+	if s := c.Stats(); s.Evictions != 4 || s.Resident != 1 || !c.peek(cacheKey{other, 0}) {
+		t.Fatalf("after the final unpin: %+v, want the other store's shard alone", s)
+	}
+}
+
 // TestSharedSessionsTwoQueryHammer runs PageRank and an iterative
 // connected-components traversal concurrently, repeatedly, over two
 // sessions of one host with a byte budget far below the store — so
 // eviction, refused inserts and single-flight sharing all fire under
 // contention — and requires both queries' results to stay bit-identical
-// to private solo engines. CI runs this under -race -count=2.
+// to a solo engine's. CI runs this under -race -count=2.
 func TestSharedSessionsTwoQueryHammer(t *testing.T) {
 	g := gen.TinySocial()
 	const shards = 12
@@ -241,7 +110,7 @@ func TestSharedSessionsTwoQueryHammer(t *testing.T) {
 				t.Fatalf("round %d: label[%d] = %d, want %d", round, v, gotLabels[v], wantLabels[v])
 			}
 		}
-		checkInvariants(t, h.Cache())
+		checkResidency(t, h.Cache().res)
 		if s := h.Cache().Stats(); s.Pinned != 0 {
 			t.Fatalf("round %d: queries done but %d shards still pinned", round, s.Pinned)
 		}
@@ -258,24 +127,19 @@ func ccOnSystem(sys api.System) []int32 {
 	for v := range labels {
 		labels[v] = int32(v)
 	}
+	// Source labels are read while another domain's apply may be
+	// lowering them, so both sides go through atomics; the min-label
+	// fixpoint does not depend on which value a racing read observes.
+	relax := func(u, v graph.VID) bool {
+		if lu := atomic.LoadInt32(&labels[u]); lu < atomic.LoadInt32(&labels[v]) {
+			atomic.StoreInt32(&labels[v], lu)
+			return true
+		}
+		return false
+	}
 	f := frontier.All(g)
 	for rounds := 0; f.Count() > 0 && rounds < n; rounds++ {
-		f = sys.EdgeMap(f, api.EdgeOp{
-			Update: func(u, v graph.VID) bool {
-				if labels[u] < labels[v] {
-					labels[v] = labels[u]
-					return true
-				}
-				return false
-			},
-			UpdateAtomic: func(u, v graph.VID) bool {
-				if labels[u] < labels[v] {
-					labels[v] = labels[u]
-					return true
-				}
-				return false
-			},
-		}, api.DirAuto)
+		f = sys.EdgeMap(f, api.EdgeOp{Update: relax, UpdateAtomic: relax}, api.DirAuto)
 	}
 	return labels
 }
@@ -374,7 +238,7 @@ func TestSharedSessionPanicTeardown(t *testing.T) {
 
 	// LRU restored: nothing pinned, budget honoured, store serviceable
 	// — including by the session that panicked.
-	checkInvariants(t, h.Cache())
+	checkResidency(t, h.Cache().res)
 	if s := h.Cache().Stats(); s.Pinned != 0 {
 		t.Fatalf("peer panic leaked %d pinned shards", s.Pinned)
 	}

@@ -18,19 +18,21 @@ package shard
 //
 // The split between issue and reap is what keeps deeper IODepths
 // bit-identical *and* stats-identical: reads complete out of order,
-// but the LRU is only consulted and mutated at the reap point, on the
-// staging goroutine, in plan order — the exact get/put sequence a
+// but the cache is only consulted and mutated at the reap point, on
+// the staging goroutine, in plan order — the exact get/add sequence a
 // synchronous sweep would issue, which is also why the planner's
-// shadow-LRU prediction (PlannedCacheHits) stays exact at any depth.
+// shadow-LRU prediction (PlannedCacheHits) does not depend on depth.
 //
-// The stager is throttled by a bounded window: at most
-// max(IODepth, min(Window, CacheShards − in-flight applies)) shards
-// may sit staged ahead (issued, loading, loaded or promoted, not yet
-// begun applying), and staged plus mid-apply shards together never
-// exceed CacheShards + IODepth, the engine's footprint of "the LRU
-// budget plus the reads in flight". IODepth = 1 is exactly the
-// pre-aio pipeline: a floor of one, a footprint of CacheShards + 1,
-// one uncached load in flight.
+// The stager is throttled by a bounded window, counted in slots — how
+// many of the store's largest decoded shard the cache's byte budget
+// holds: at most max(IODepth, min(Window, slots − in-flight applies))
+// shards may sit staged ahead (issued, loading, loaded or promoted, not
+// yet begun applying), and staged plus mid-apply shards together never
+// exceed slots + IODepth, the engine's footprint of "the cache budget
+// plus the reads in flight". Every staged or applying shard holds a
+// cache pin, so this bound is what keeps a lone session's pins inside
+// the budget — no refused inserts — whenever the budget holds more
+// shards than IODepth plus the concurrent applies.
 
 import (
 	"fmt"
@@ -47,7 +49,7 @@ type loadFailure struct{ err error }
 
 // stagedRead is one plan entry the stager has claimed a window credit
 // for: ticket is its in-flight async read, or nil when the stager
-// predicted the LRU would serve it at reap time.
+// predicted the cache would serve it at reap time.
 type stagedRead struct {
 	si     int
 	ticket *aio.Ticket[loadResult]
@@ -55,10 +57,10 @@ type stagedRead struct {
 
 // sweepWindow owns one sweep's pipeline: the staging goroutine, the
 // aio reader, the per-domain apply goroutines and the bounded-window
-// accounting that couples them to the LRU budget.
+// accounting that couples them to the cache budget.
 type sweepWindow struct {
 	e        *Engine
-	k        int // window depth cap (Options.Window, already bounded by the LRU budget)
+	k        int // window depth cap (Options.Window)
 	depth    int // uncached-read budget (Options.IODepth)
 	applyCap int // max simultaneous applies: min(Domains, Pool.Threads())
 	reader   *aio.Reader[loadResult]
@@ -70,16 +72,19 @@ type sweepWindow struct {
 	aborted  bool
 	cause    any // first failure: a loadFailure or an operator panic value
 
-	queues     []chan *resident // per-domain hand-off, capacity = that domain's plan share
-	applyWG    sync.WaitGroup   // one count per running apply goroutine
-	stagerDone chan struct{}    // closed when the staging goroutine has exited
+	queues     []chan stagedShard // per-domain hand-off, capacity = that domain's plan share
+	applyWG    sync.WaitGroup     // one count per running apply goroutine
+	stagerDone chan struct{}      // closed when the staging goroutine has exited
 }
 
 // startSweep launches the pipeline for a planned shard sequence: one
 // apply goroutine per domain with work, fed in plan order through
 // per-domain queues, the aio reader sized to the plan's per-domain
-// shares, plus the staging goroutine. apply runs one resident shard
-// (it is the closure over this EdgeMap's frontier and operator state).
+// shares (drawing reads from the host-wide budget, so the device sees
+// at most IODepth uncached reads in flight across every concurrent
+// query on the store), plus the staging goroutine. apply runs one
+// resident shard (it is the closure over this EdgeMap's frontier and
+// operator state).
 // The caller must invoke wait, and should defer stop as the teardown
 // barrier — stop is idempotent and returns only after every pipeline
 // goroutine (the reader's workers included) has exited, so no sweep
@@ -114,22 +119,15 @@ func (e *Engine) startSweep(plan []int, apply func(*resident)) *sweepWindow {
 		w.cond.Broadcast()
 		w.mu.Unlock()
 	}
-	if e.ioBudget != nil {
-		// Shared sessions draw reads from the host-wide budget, so the
-		// device sees at most that many uncached reads in flight across
-		// every concurrent query on the store.
-		w.reader = aio.NewShared[loadResult](perDomain, e.ioBudget, notify)
-	} else {
-		w.reader = aio.New[loadResult](perDomain, w.depth, notify)
-	}
-	w.queues = make([]chan *resident, len(e.domains))
+	w.reader = aio.NewShared[loadResult](perDomain, e.ioBudget, notify)
+	w.queues = make([]chan stagedShard, len(e.domains))
 	for d, n := range perDomain {
 		if n == 0 {
 			continue
 		}
 		// Full-capacity queues: the stager never blocks on a hand-off,
 		// only on window credits, so teardown has a single wake-up path.
-		w.queues[d] = make(chan *resident, n)
+		w.queues[d] = make(chan stagedShard, n)
 		w.applyWG.Add(1)
 		go w.applyLoop(d, apply)
 	}
@@ -139,7 +137,7 @@ func (e *Engine) startSweep(plan []int, apply func(*resident)) *sweepWindow {
 
 // stage is the staging goroutine: for each plan entry it claims a
 // window credit (reaping ready reads while it waits), predicts the
-// LRU's answer with a non-promoting peek, and either issues an async
+// cache's answer with a non-promoting peek, and either issues an async
 // read on the shard's domain queue or records a predicted hit.
 // Completions are reaped — admitted to the cache, counted, handed to
 // the applies — strictly in plan order by pump, never here. On a load
@@ -160,21 +158,25 @@ func (w *sweepWindow) stage(plan []int) {
 			return
 		}
 		var t *aio.Ticket[loadResult]
-		if !w.e.cache.peek(si) {
-			idx := si
-			t = w.reader.Submit(int(w.e.domainOf[si]), func() (loadResult, error) {
-				return w.e.readShard(idx)
-			})
+		if !w.e.cache.peek(cacheKey{w.e.st, si}) {
+			t = w.submit(si)
 		}
 		fifo = append(fifo, stagedRead{si: si, ticket: t})
 	}
 	w.pump(&fifo, false)
 }
 
+// submit issues shard si's async read on its domain's queue.
+func (w *sweepWindow) submit(si int) *aio.Ticket[loadResult] {
+	return w.reader.Submit(int(w.e.domainOf[si]), func() (loadResult, error) {
+		return w.e.readShard(si)
+	})
+}
+
 // pump drives the reap side of the pipeline while the stager has
 // something to wait for: every time the FIFO head's read has completed
 // (or the head never needed one), the head is reaped — admitted to the
-// LRU and counted in plan order, recorded in the window stats, handed
+// cache and counted in plan order, recorded in the window stats, handed
 // to its domain's apply queue. With wantCredit, pump returns true once
 // it has claimed a window credit for the next plan entry; without, it
 // returns true once the FIFO has fully drained (end of plan). false
@@ -192,7 +194,7 @@ func (w *sweepWindow) pump(fifo *[]stagedRead, wantCredit bool) bool {
 			if head.ticket == nil || head.ticket.Ready() {
 				*fifo = (*fifo)[1:]
 				w.mu.Unlock()
-				if head.ticket == nil && !w.e.cache.peek(head.si) {
+				if head.ticket == nil && !w.e.cache.peek(cacheKey{w.e.st, head.si}) {
 					// The issue-time hit prediction was invalidated by an
 					// interleaved eviction (an earlier reap pushed this
 					// shard off the cold end). Read it through the reader
@@ -200,10 +202,7 @@ func (w *sweepWindow) pump(fifo *[]stagedRead, wantCredit bool) bool {
 					// the fallback too; the planner simulation already
 					// predicted a miss at this plan position, so the
 					// stats stay exact.
-					idx := head.si
-					head.ticket = w.reader.Submit(int(w.e.domainOf[idx]), func() (loadResult, error) {
-						return w.e.readShard(idx)
-					})
+					head.ticket = w.submit(head.si)
 				}
 				sh, err := w.e.admit(head.si, head.ticket)
 				if err != nil {
@@ -218,7 +217,7 @@ func (w *sweepWindow) pump(fifo *[]stagedRead, wantCredit bool) bool {
 			}
 		}
 		if wantCredit && w.staged < w.limitLocked() &&
-			w.staged+w.applying < w.e.opts.CacheShards+w.depth {
+			w.staged+w.applying < w.e.slots+w.depth {
 			w.staged++
 			w.mu.Unlock()
 			return true
@@ -238,42 +237,35 @@ func (w *sweepWindow) pump(fifo *[]stagedRead, wantCredit bool) bool {
 // draining its queue so the stager can never wedge on teardown.
 func (w *sweepWindow) applyLoop(d int, apply func(*resident)) {
 	defer w.applyWG.Done()
-	for sh := range w.queues[d] {
+	for st := range w.queues[d] {
 		w.beginApply()
 		func() {
 			defer w.endApply()
 			// Drop the cache pin admit took for this shard on every exit:
 			// applied, drained after an abort, or panicked mid-apply — a
-			// leaked pin on a shared session would make the shard
-			// unevictable for every other query on the store.
-			defer w.e.cache.release(sh.idx)
+			// leaked pin would make the shard unevictable for every
+			// other query on the store.
+			defer st.release()
 			defer func() {
 				if r := recover(); r != nil {
 					w.fail(r)
 				}
 			}()
 			if !w.isAborted() {
-				apply(sh)
+				apply(st.sh)
 			}
 		}()
 	}
 }
 
 // limitLocked is the dynamic window bound: the configured depth k,
-// shrunk so staged shards plus in-flight applies stay inside the LRU
+// shrunk so staged shards plus in-flight applies stay inside the cache
 // budget, floored at IODepth so the read pipeline never self-throttles
 // below its budget (at IODepth = 1 this is the original floor of one:
 // with a one-shard budget the pre-aio pipeline already kept one shard
 // staged ahead of the apply).
 func (w *sweepWindow) limitLocked() int {
-	l := w.e.opts.CacheShards - w.applying
-	if l > w.k {
-		l = w.k
-	}
-	if l < w.depth {
-		l = w.depth
-	}
-	return l
+	return max(w.depth, min(w.k, w.e.slots-w.applying))
 }
 
 // release returns an unused credit (the read behind it failed).
@@ -345,8 +337,7 @@ func (w *sweepWindow) fail(cause any) {
 // wait blocks until the pipeline has fully drained, then re-raises the
 // sweep's failure — if any — on the calling (sweep) goroutine: load
 // errors with the engine's panic prefix, operator panics verbatim.
-// EdgeMap cannot return an error through api.System, so this is the
-// same surfacing the unpipelined path uses.
+// EdgeMap cannot return an error through api.System.
 func (w *sweepWindow) wait() {
 	<-w.stagerDone
 	w.applyWG.Wait()

@@ -26,8 +26,8 @@ import (
 // serial oracle, so the forced concurrency is also proven harmless.
 func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
 	g := gen.TinySocial()
-	e := buildTestEngine(t, g, 16, Options{
-		Threads: 4, CacheShards: 8, Window: 4,
+	e := buildSlotEngine(t, g, 16, 8, Options{
+		Threads: 4, Window: 4,
 		Topology: sched.Topology{Domains: 4},
 	})
 
@@ -82,7 +82,7 @@ func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
 // the shape assertions catch torn or mis-sized snapshots.
 func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 	g := gen.TinySocial()
-	e := buildTestEngine(t, g, 16, Options{Threads: 4, CacheShards: 4, Window: 4})
+	e := buildSlotEngine(t, g, 16, 4, Options{Threads: 4, Window: 4})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -135,11 +135,12 @@ func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 //
 //  1. never more than IODepth uncached loads in flight (exactly one on
 //     the historical IODepth = 1 configurations);
-//  2. window depth <= max(IODepth, min(k, LRU budget - in-flight
-//     applies)), sampled atomically with the apply count at every
-//     staging hand-off, and staged + mid-apply shards <= budget +
-//     IODepth (the engine's footprint: the LRU budget plus the reads
-//     in flight — the pre-aio "budget + 1" at depth one);
+//  2. window depth <= max(IODepth, min(k, slots - in-flight applies)),
+//     slots being the cache budget in largest-shard units, sampled
+//     atomically with the apply count at every staging hand-off, and
+//     staged + mid-apply shards <= slots + IODepth (the engine's
+//     footprint: the cache budget plus the reads in flight — the
+//     pre-aio "budget + 1" at depth one);
 //  3. every staged shard is applied exactly once per sweep, and nothing
 //     is applied that was not staged;
 //  4. never more than min(Domains, Threads) applies in flight, so
@@ -147,22 +148,28 @@ func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 //     outnumber workers and Split dealt borrowed worker IDs.
 func TestSweepWindowInvariants(t *testing.T) {
 	g := gen.TinySocial()
-	configs := []Options{
-		{Threads: 1, CacheShards: 1, Window: 1},
-		{Threads: 2, CacheShards: 2, Window: 2, Topology: sched.Topology{Domains: 2}},
-		{Threads: 4, CacheShards: 3, Window: 5}, // window clamped to the budget
-		{Threads: 4, CacheShards: 8, Window: 4},
-		{Threads: 2, CacheShards: 4, Window: 1, Topology: sched.Topology{Domains: 8}},
-		{Threads: 8, CacheShards: 2, Window: 2, Topology: sched.Topology{Domains: 3}},
-		{Threads: 4, CacheShards: 4, Window: 4, IODepth: 2},
-		{Threads: 4, CacheShards: 4, Window: 4, IODepth: 4, Topology: sched.Topology{Domains: 2}},
-		{Threads: 8, CacheShards: 2, Window: 2, IODepth: 2, Topology: sched.Topology{Domains: 4}},
-		{Threads: 2, CacheShards: 6, IODepth: 3}, // defaulted window must cover the read budget
+	configs := []struct {
+		slots int
+		opts  Options
+	}{
+		{1, Options{Threads: 1, Window: 1}},
+		{2, Options{Threads: 2, Window: 2, Topology: sched.Topology{Domains: 2}}},
+		{3, Options{Threads: 4, Window: 5}}, // the budget, not the window, is the binding bound
+		{8, Options{Threads: 4, Window: 4}},
+		{4, Options{Threads: 2, Window: 1, Topology: sched.Topology{Domains: 8}}},
+		{2, Options{Threads: 8, Window: 2, Topology: sched.Topology{Domains: 3}}},
+		{4, Options{Threads: 4, Window: 4, IODepth: 2}},
+		{4, Options{Threads: 4, Window: 4, IODepth: 4, Topology: sched.Topology{Domains: 2}}},
+		{2, Options{Threads: 8, Window: 2, IODepth: 2, Topology: sched.Topology{Domains: 4}}},
+		{6, Options{Threads: 2, IODepth: 3}}, // defaulted window must cover the read budget
 	}
-	for ci, opts := range configs {
+	for ci, c := range configs {
 		t.Run(fmt.Sprintf("config-%d", ci), func(t *testing.T) {
-			e := buildTestEngine(t, g, 12, opts)
-			k, budget, iodepth := e.opts.Window, e.opts.CacheShards, e.opts.IODepth
+			e := buildSlotEngine(t, g, 12, c.slots, c.opts)
+			k, budget, iodepth := e.opts.Window, e.slots, e.opts.IODepth
+			if budget != c.slots {
+				t.Fatalf("engine counts %d slots in a budget of %d largest shards", budget, c.slots)
+			}
 			applyCap := e.Topology().Domains
 			if th := e.Threads(); th < applyCap {
 				applyCap = th
@@ -196,11 +203,11 @@ func TestSweepWindowInvariants(t *testing.T) {
 					limit = iodepth
 				}
 				if depth > limit {
-					t.Errorf("window depth %d with %d applies in flight exceeds max(IODepth=%d, min(k=%d, budget=%d - applying)) = %d",
+					t.Errorf("window depth %d with %d applies in flight exceeds max(IODepth=%d, min(k=%d, slots=%d - applying)) = %d",
 						depth, applying, iodepth, k, budget, limit)
 				}
 				if depth+applying > budget+iodepth {
-					t.Errorf("%d staged + %d applying shards exceed the footprint contract of budget %d + IODepth %d",
+					t.Errorf("%d staged + %d applying shards exceed the footprint contract of %d slots + IODepth %d",
 						depth, applying, budget, iodepth)
 				}
 				mu.Lock()
@@ -278,6 +285,7 @@ func TestSweepWindowInvariants(t *testing.T) {
 			if int(histogram) != stageEvents {
 				t.Fatalf("WindowDepths histogram sums to %d but %d hand-offs were staged", histogram, stageEvents)
 			}
+			checkQuiescent(t, e)
 		})
 	}
 }
@@ -302,8 +310,8 @@ func newParents(n int) []int32 {
 func TestWindowRunsAheadToDepthK(t *testing.T) {
 	g := gen.TinySocial()
 	const k = 3
-	e := buildTestEngine(t, g, 12, Options{
-		Threads: 1, CacheShards: 8, Window: k,
+	e := buildSlotEngine(t, g, 12, 8, Options{
+		Threads: 1, Window: k,
 		Topology: sched.Topology{Domains: 1},
 	})
 
