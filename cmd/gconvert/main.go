@@ -4,8 +4,8 @@
 // optionally gzip-compressed (.gz). It can also materialise a generated
 // preset to disk, which is how the repo's datasets are exported for use
 // with the original C++ systems, and shard a graph into an out-of-core
-// store directory (-shardout) in either shard-file encoding
-// (-shardformat v1 raw / v2 delta+uvarint compressed).
+// store directory (-shardout) in any shard-file encoding
+// (-shardformat v1 raw / v2 delta+uvarint / v3 run-grouped, the default).
 //
 // Examples:
 //
@@ -35,7 +35,7 @@ func main() {
 		out      = flag.String("out", "", "output graph file")
 		shardOut = flag.String("shardout", "", "write an out-of-core shard store to this directory")
 		shards   = flag.Int("shards", 24, "partition count for -shardout")
-		shardFmt = flag.String("shardformat", shard.DefaultFormat.String(), "shard-file encoding for -shardout: v1 (raw uint32 pairs) or v2 (delta+uvarint compressed)")
+		shardFmt = flag.String("shardformat", shard.DefaultFormat.String(), "shard-file encoding for -shardout: v1 (raw uint32 pairs), v2 (delta+uvarint) or v3 (run-grouped group-varint, decoded in batch)")
 		stats    = flag.Bool("stats", false, "print graph statistics")
 	)
 	flag.Parse()

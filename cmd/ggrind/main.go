@@ -60,7 +60,7 @@ func run() int {
 		domains    = flag.Int("domains", 0, "OOC modelled NUMA domain count (0 = the paper's 4)")
 		window     = flag.Int("window", 0, "OOC staging window depth k: shards staged ahead while up to D domains apply concurrently (0 = max(domains, iodepth), 1 = double buffer; must be >= iodepth)")
 		ioDepth    = flag.Int("iodepth", 0, "OOC async-read queue depth: uncached shard reads kept in flight at once (0 = 1, the synchronous read path)")
-		shardFmt   = flag.String("shardformat", shard.DefaultFormat.String(), "OOC shard-file encoding: v1 (raw uint32 pairs) or v2 (delta+uvarint compressed)")
+		shardFmt   = flag.String("shardformat", shard.DefaultFormat.String(), "OOC shard-file encoding: v1 (raw uint32 pairs), v2 (delta+uvarint) or v3 (run-grouped group-varint, decoded in batch)")
 		orderName  = flag.String("order", shard.OrderAscending.String(), "OOC sweep-order policy: ascending, zigzag (boustrophedon across sweeps) or residency-first (cached shards first, then Hilbert order)")
 		sweepName  = flag.String("sweepmode", shard.SweepEdgeCentric.String(), "OOC dense-sweep mode: edge-centric (apply each staged shard directly) or scatter-gather (scatter shards into per-partition update bins, retained across sweeps, then gather per domain)")
 		binBudget  = flag.Int64("binbudget", 0, "OOC scatter/gather bin budget in bytes: cold bins past it spill to disk and replay sequentially (0 = retain every bin; needs -sweepmode scatter-gather)")

@@ -66,7 +66,7 @@ func main() {
 		dir, store.NumShards(), store.Format(), float64(bytes)/(1<<20),
 		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Options().Window)
 
-	// The default store is the delta+uvarint compressed (v2) layout;
+	// The default store is the run-grouped group-varint (v3) layout;
 	// write the same graph in the legacy raw encoding to see what each
 	// dense sweep stops paying for.
 	v1dir := dir + "-v1"
@@ -79,9 +79,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("same graph as a raw v1 store: %.1f MiB (%.2f bytes/edge) — v2 is %.2fx smaller\n",
+	fmt.Printf("same graph as a raw v1 store: %.1f MiB (%.2f bytes/edge) — %v is %.2fx smaller\n",
 		float64(v1bytes)/(1<<20), float64(v1bytes)/float64(g.NumEdges()),
-		float64(v1bytes)/float64(bytes))
+		store.Format(), float64(v1bytes)/float64(bytes))
 
 	// 1. The generic algorithm layer runs unmodified out of core;
 	// PageRank matches the in-memory engine exactly.

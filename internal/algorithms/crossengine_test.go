@@ -75,7 +75,7 @@ func oocTight(t *testing.T, st *shard.Store, g *graph.Graph, opts shard.Options)
 
 // oocReference is the ladder's baseline rung: the sequential sweep
 // written only against the store's public read API — calling goroutine,
-// shard-file order, no cache, no pipeline, no bucketing.
+// shard-file order, no cache, no pipeline, no task split.
 func oocReference(t *testing.T, g *graph.Graph) api.System {
 	t.Helper()
 	return sweepref.New(oocStore(t, g, 4, shard.DefaultFormat), g)
@@ -131,15 +131,16 @@ func oocIODepthEngine(t *testing.T, g *graph.Graph, depth int) *shard.Engine {
 	})
 }
 
-// oocV1StoreEngine is the on-disk format differential variant: the same
-// pipelined engine over a store written in the legacy raw (v1) shard
-// encoding instead of the default compressed (v2) one. Decoded shards
-// must be per-destination identical across formats, so every
-// oracle-agreement property and the full pipeline ladder also pin
-// v1-store and v2-store execution to bit-identical results.
-func oocV1StoreEngine(t *testing.T, g *graph.Graph) *shard.Engine {
+// oocFormatEngine is the on-disk format differential variant: the same
+// pipelined engine over a store written in an older shard encoding — the
+// raw (v1) or the delta+uvarint (v2) one — instead of the default
+// run-grouped (v3). Loaded shards must be element-for-element identical
+// across formats, so every oracle-agreement property and the full
+// pipeline ladder also pin v1-, v2- and v3-store execution to
+// bit-identical results.
+func oocFormatEngine(t *testing.T, g *graph.Graph, format shard.Format) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 4, shard.FormatV1), g, shard.Options{})
+	return oocTight(t, oocStore(t, g, 4, format), g, shard.Options{})
 }
 
 // oocOrderEngine is the sweep-order differential variant: the pipelined
@@ -259,7 +260,8 @@ func enginesFor(t *testing.T, g *graph.Graph) []api.System {
 		oocWindowEngine(t, g, 4),
 		oocIODepthEngine(t, g, 2),
 		oocIODepthEngine(t, g, 4),
-		oocV1StoreEngine(t, g),
+		oocFormatEngine(t, g, shard.FormatV1),
+		oocFormatEngine(t, g, shard.FormatV2),
 		oocOrderEngine(t, g, shard.OrderZigzag),
 		oocOrderEngine(t, g, shard.OrderResidencyFirst),
 		oocScatterGatherEngine(t, g, 1, 1),

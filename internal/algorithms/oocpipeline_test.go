@@ -17,7 +17,7 @@ import (
 //
 //   - the reference: a sequential sweep written only against the
 //     store's public read API (sweepref: calling goroutine, shard-file
-//     order, no cache, no pipeline, no bucketing);
+//     order, no cache, no pipeline, no task split);
 //   - the engine at its least concurrent (Window 1, IODepth 1, one
 //     domain) and at its defaults, both behind a half-store cache;
 //   - the k=1 window (the original double buffer's staging depth) with
@@ -27,10 +27,11 @@ import (
 //   - the async-read rungs (IODepth 2 and D): the aio reader keeps
 //     several uncached shard reads in flight at once, so reads complete
 //     out of plan order while admission stays plan-ordered;
-//   - the same engine over a store written in the legacy raw (v1)
-//     shard-file encoding, so the on-disk format joins the ladder: the
-//     compressed (v2) default and the raw layout must decode to
-//     per-destination-identical shards, and therefore identical results;
+//   - the same engine over stores written in the raw (v1) and the
+//     delta+uvarint (v2) shard-file encodings, so the on-disk format
+//     joins the ladder: they and the run-grouped (v3) default every
+//     other rung runs on must load to identical shards, and therefore
+//     identical results;
 //   - the zigzag and residency-first sweep-order policies over a
 //     deliberately tight cache, so the sweep planner permutes shard
 //     plans mid-algorithm: plan order may change only when a shard is
@@ -69,9 +70,11 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 		// completions reordering freely, admission still in plan order.
 		{"iodepth-2", func(t *testing.T, g *graph.Graph) api.System { return oocIODepthEngine(t, g, 2) }},
 		{"iodepth-D", func(t *testing.T, g *graph.Graph) api.System { return oocIODepthEngine(t, g, 4) }},
-		// The same ladder endpoint over a raw (v1) store: the on-disk
-		// format must change bytes, never results.
-		{"v1-store", func(t *testing.T, g *graph.Graph) api.System { return oocV1StoreEngine(t, g) }},
+		// The same ladder endpoint over a raw (v1) and a delta+uvarint
+		// (v2) store — every other rung runs on the default v3: the
+		// on-disk format must change bytes, never results.
+		{"v1-store", func(t *testing.T, g *graph.Graph) api.System { return oocFormatEngine(t, g, shard.FormatV1) }},
+		{"v2-store", func(t *testing.T, g *graph.Graph) api.System { return oocFormatEngine(t, g, shard.FormatV2) }},
 		// Sweep-order rungs: the planner reorders what the stager walks,
 		// so these double as interleaving fodder for the concurrent sweep.
 		{"order-zigzag", func(t *testing.T, g *graph.Graph) api.System {

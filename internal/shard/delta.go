@@ -188,19 +188,10 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		if len(bIns.src) == 0 && len(bDel.src) == 0 {
 			continue
 		}
-		// Merge in memory to learn the exact new live count and source
-		// summary — the same zip loadShard will replay, so the counts
-		// written here are exactly what reads reproduce.
 		cur, _, err := s.loadShard(si)
 		if err != nil {
 			return nil, err
 		}
-		curS := append([]graph.VID(nil), cur.Src...)
-		curD := append([]graph.VID(nil), cur.Dst...)
-		sort.Sort(&dstSrcOrder{src: curS, dst: curD})
-		mS, mD := mergeSortedPairs(curS, curD, bIns.src, bIns.dst)
-		mS, mD = removeAllPairs(mS, mD, bDel.src, bDel.dst)
-
 		name := deltaFileName(si, gen)
 		if err := writeDeltaFile(filepath.Join(s.dir, name), bIns, bDel); err != nil {
 			return nil, err
@@ -209,15 +200,22 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		newM.Deltas[si] = append(refs, deltaRef{
 			File: name, Gen: gen, Ins: int64(len(bIns.src)), Del: int64(len(bDel.src)),
 		})
+		// Learn the exact new live count and source summary — what
+		// loadShard's zip will reproduce — without materialising the
+		// merge: the tombstones filter the sorted base and the sorted
+		// inserts alike, in place (cur is this call's own decode, and
+		// the inserts are already on disk).
+		before := int64(len(cur.Src) + len(bIns.src))
+		liveBase, _ := removeAllPairs(cur.Src, cur.Dst, bDel.src, bDel.dst)
+		liveIns, _ := removeAllPairs(bIns.src, bIns.dst, bDel.src, bDel.dst)
+		live := int64(len(liveBase) + len(liveIns))
 		res.Inserted += int64(len(bIns.src))
-		res.Deleted += int64(len(cur.Src)) + int64(len(bIns.src)) - int64(len(mS))
-		newM.Edges += int64(len(mS)) - newM.EdgeCounts[si]
-		newM.EdgeCounts[si] = int64(len(mS))
+		res.Deleted += before - live
+		newM.Edges += live - newM.EdgeCounts[si]
+		newM.EdgeCounts[si] = live
 		sum := make([]uint64, summaryWords(p))
-		for _, u := range mS {
-			j := s.Home(u)
-			sum[j/64] |= 1 << (j % 64)
-		}
+		addSources(sum, s.m.Bounds, liveBase)
+		addSources(sum, s.m.Bounds, liveIns)
 		newM.SrcSummary[si] = sum
 		contentDirty[si] = true
 	}
@@ -325,15 +323,10 @@ func deltaFileName(si int, gen int64) string {
 }
 
 // writeDeltaFile encodes one delta shard — magic, uvarint insert and
-// tombstone counts, then the two v2-encoded streams — under the same
-// temp+fsync+rename discipline as base shard files.
+// tombstone counts, then the two v2-encoded streams — atomically, like
+// base shard files.
 func writeDeltaFile(path string, ins, del pairList) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = func() error {
+	return writeFileAtomic(path, func(f *os.File) error {
 		w := bufio.NewWriter(f)
 		if _, err := w.Write(deltaMagic[:]); err != nil {
 			return err
@@ -351,21 +344,7 @@ func writeDeltaFile(path string, ins, del pairList) error {
 			return err
 		}
 		return w.Flush()
-	}()
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // readDeltaFile decodes one delta shard file with the base decoders'
@@ -373,79 +352,62 @@ func writeDeltaFile(path string, ins, del pairList) error {
 // ref, a minimum-size bound before any allocation, every ID validated
 // in range, and no trailing bytes. Close errors fail the decode.
 func readDeltaFile(path string, n int, lo, hi graph.VID, ref deltaRef) (ins, del pairList, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return pairList{}, pairList{}, 0, err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			ins, del, size, err = pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: close: %v", path, cerr)
+	size, err = readFileWith(path, func(f *os.File, size int64) error {
+		br := bufio.NewReader(f)
+		var magic [4]byte
+		if _, err := io.ReadFull(br, magic[:]); err != nil {
+			return fmt.Errorf("shard: %s: delta magic: %v", path, err)
 		}
-	}()
-	fi, err := f.Stat()
-	if err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: %v", path, err)
-	}
-	br := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: delta magic: %v", path, err)
-	}
-	if magic != deltaMagic {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: not a delta shard file (magic %q)", path, magic[:])
-	}
-	insCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: insert count varint: %v", path, err)
-	}
-	delCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: tombstone count varint: %v", path, err)
-	}
-	// Bound both counts before any arithmetic or allocation sized by
-	// them (the v2 decoder's maxCount guard, doubled for two streams),
-	// then hold them to the manifest's declaration.
-	if insCount > maxDeltaEdges || delCount > maxDeltaEdges ||
-		int64(insCount) != ref.Ins || int64(delCount) != ref.Del {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: declares %d inserts / %d tombstones, manifest says %d / %d",
-			path, insCount, delCount, ref.Ins, ref.Del)
-	}
-	// Every edge costs at least two stream bytes; the trailing-bytes
-	// check below makes the size agreement exact.
-	minSize := 4 + uvarintLen(insCount) + uvarintLen(delCount) + 2*int64(insCount) + 2*int64(delCount)
-	if fi.Size() < minSize {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: file is %d bytes, need at least %d for %d+%d edges",
-			path, fi.Size(), minSize, insCount, delCount)
-	}
-	ins.src, ins.dst, err = decodeV2Stream(br, path, n, lo, hi, int64(insCount))
-	if err != nil {
-		return pairList{}, pairList{}, 0, err
-	}
-	del.src, del.dst, err = decodeV2Stream(br, path, n, lo, hi, int64(delCount))
-	if err != nil {
-		return pairList{}, pairList{}, 0, err
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
+		if magic != deltaMagic {
+			return fmt.Errorf("shard: %s: not a delta shard file (magic %q)", path, magic[:])
+		}
+		insCount, err := binary.ReadUvarint(br)
 		if err != nil {
-			return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: after %d edges: %v", path, insCount+delCount, err)
+			return fmt.Errorf("shard: %s: insert count varint: %v", path, err)
 		}
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: trailing bytes after %d edges", path, insCount+delCount)
+		delCount, err := binary.ReadUvarint(br)
+		if err != nil {
+			return fmt.Errorf("shard: %s: tombstone count varint: %v", path, err)
+		}
+		// Bound both counts before any arithmetic or allocation sized by
+		// them (the v2 decoder's maxCount guard, doubled for two streams),
+		// then hold them to the manifest's declaration.
+		if insCount > maxDeltaEdges || delCount > maxDeltaEdges ||
+			int64(insCount) != ref.Ins || int64(delCount) != ref.Del {
+			return fmt.Errorf("shard: %s: declares %d inserts / %d tombstones, manifest says %d / %d",
+				path, insCount, delCount, ref.Ins, ref.Del)
+		}
+		// Every edge costs at least two stream bytes; the trailing-bytes
+		// check below makes the size agreement exact.
+		minSize := 4 + uvarintLen(insCount) + uvarintLen(delCount) + 2*int64(insCount) + 2*int64(delCount)
+		if size < minSize {
+			return fmt.Errorf("shard: %s: file is %d bytes, need at least %d for %d+%d edges",
+				path, size, minSize, insCount, delCount)
+		}
+		if ins.src, ins.dst, err = decodeV2Stream(br, path, n, lo, hi, int64(insCount)); err != nil {
+			return err
+		}
+		if del.src, del.dst, err = decodeV2Stream(br, path, n, lo, hi, int64(delCount)); err != nil {
+			return err
+		}
+		return expectEOF(br, path, int64(insCount+delCount))
+	})
+	if err != nil {
+		return pairList{}, pairList{}, 0, err
 	}
-	return ins, del, fi.Size(), nil
+	return ins, del, size, nil
 }
 
 // mergeDeltas folds shard i's pending delta files into its decoded
-// base COO. The base is (dst,src)-sorted once (v2 bases already are,
-// making the sort a near-no-op; v1 bases arrive in CSR order), then
-// each generation's inserts are zipped in and its tombstones filtered
-// out — all linear passes over sorted streams. The result's
+// base COO, in the base's own arrays where it can: the base is
+// (dst,src)-sorted by construction (readShardFile), so each
+// generation's inserts are zipped in and its tombstones filtered out as
+// block moves between the few positions a delta touches. The result's
 // per-destination source order is ascending, exactly what a
-// from-scratch rebuild of the merged multiset decodes to, which is
-// why every engine path is bit-identical over a mutated store.
+// from-scratch rebuild of the merged multiset decodes to, which is why
+// every engine path is bit-identical over a mutated store.
 func (s *Store) mergeDeltas(i int, base *graph.COO, size int64) (*graph.COO, int64, error) {
-	src := append([]graph.VID(nil), base.Src...)
-	dst := append([]graph.VID(nil), base.Dst...)
-	sort.Sort(&dstSrcOrder{src: src, dst: dst})
+	src, dst := base.Src, base.Dst
 	lo, hi := s.m.Bounds[i], s.m.Bounds[i+1]
 	for _, ref := range s.m.Deltas[i] {
 		ins, del, n, err := readDeltaFile(filepath.Join(s.dir, ref.File), s.m.Vertices, lo, hi, ref)
@@ -463,6 +425,23 @@ func (s *Store) mergeDeltas(i int, base *graph.COO, size int64) (*graph.COO, int
 	return &graph.COO{N: base.N, Src: src, Dst: dst}, size, nil
 }
 
+// dstSrcOrder sorts parallel src/dst slices by (dst, src) — the order
+// of every delta stream and every loaded shard. Equal pairs (parallel
+// edges) are interchangeable, so the unstable sort is still
+// deterministic in output.
+type dstSrcOrder struct {
+	src, dst []graph.VID
+}
+
+func (o *dstSrcOrder) Len() int { return len(o.src) }
+func (o *dstSrcOrder) Less(i, j int) bool {
+	return pairLess(o.dst[i], o.src[i], o.dst[j], o.src[j])
+}
+func (o *dstSrcOrder) Swap(i, j int) {
+	o.src[i], o.src[j] = o.src[j], o.src[i]
+	o.dst[i], o.dst[j] = o.dst[j], o.dst[i]
+}
+
 // pairLess orders (dst,src) pairs — the v2 on-disk order.
 func pairLess(d1, s1, d2, s2 graph.VID) bool {
 	if d1 != d2 {
@@ -471,48 +450,60 @@ func pairLess(d1, s1, d2, s2 graph.VID) bool {
 	return s1 < s2
 }
 
+// seekPair returns the first index at or after from whose pair is not
+// below (d,s) in a (dst,src)-sorted list. It gallops from from, so the
+// cost is logarithmic in the distance moved: zipping a short sorted list
+// against a long one costs O(short · log(long/short)), and two of
+// similar length stay linear.
+func seekPair(aS, aD []graph.VID, from int, d, s graph.VID) int {
+	hi := from
+	for step := 1; hi < len(aS) && pairLess(aD[hi], aS[hi], d, s); step *= 2 {
+		from, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(aS))
+	return from + sort.Search(hi-from, func(k int) bool { return !pairLess(aD[from+k], aS[from+k], d, s) })
+}
+
 // mergeSortedPairs zips two (dst,src)-sorted edge lists into one,
-// preserving duplicates from both sides (parallel edges are legal).
+// preserving duplicates from both sides (parallel edges are legal). a is
+// moved in whole blocks between the positions b's pairs land on.
 func mergeSortedPairs(aS, aD, bS, bD []graph.VID) ([]graph.VID, []graph.VID) {
 	if len(bS) == 0 {
 		return aS, aD
 	}
 	outS := make([]graph.VID, 0, len(aS)+len(bS))
 	outD := make([]graph.VID, 0, len(aS)+len(bS))
-	i, j := 0, 0
-	for i < len(aS) && j < len(bS) {
-		if !pairLess(bD[j], bS[j], aD[i], aS[i]) {
-			outS, outD = append(outS, aS[i]), append(outD, aD[i])
-			i++
-		} else {
-			outS, outD = append(outS, bS[j]), append(outD, bD[j])
-			j++
-		}
+	i := 0
+	for j := range bS {
+		p := seekPair(aS, aD, i, bD[j], bS[j])
+		outS = append(append(outS, aS[i:p]...), bS[j])
+		outD = append(append(outD, aD[i:p]...), bD[j])
+		i = p
 	}
-	outS = append(append(outS, aS[i:]...), bS[j:]...)
-	outD = append(append(outD, aD[i:]...), bD[j:]...)
-	return outS, outD
+	return append(outS, aS[i:]...), append(outD, aD[i:]...)
 }
 
 // removeAllPairs filters, in place, every copy of every (dst,src)
-// pair named in the sorted tombstone list out of the sorted edge
-// list. A tombstone matching nothing is a no-op (deleting a missing
-// edge is legal); the cursor does not advance on a match, so runs of
-// parallel copies all fall to one tombstone.
+// pair named in the sorted, deduplicated tombstone list out of the
+// sorted edge list. A tombstone matching nothing is a no-op (deleting a
+// missing edge is legal); a run of parallel copies all falls to one
+// tombstone. Survivors move down in whole blocks, and not at all before
+// the first match.
 func removeAllPairs(aS, aD, tS, tD []graph.VID) ([]graph.VID, []graph.VID) {
-	if len(tS) == 0 {
-		return aS, aD
-	}
-	k, j := 0, 0
-	for i := 0; i < len(aS); i++ {
-		for j < len(tS) && pairLess(tD[j], tS[j], aD[i], aS[i]) {
-			j++
+	k, i := 0, 0 // write and read cursors
+	keep := func(end int) {
+		if k != i {
+			copy(aS[k:], aS[i:end])
+			copy(aD[k:], aD[i:end])
 		}
-		if j < len(tS) && tD[j] == aD[i] && tS[j] == aS[i] {
-			continue
-		}
-		aS[k], aD[k] = aS[i], aD[i]
-		k++
+		k += end - i
 	}
+	for j := range tS {
+		p := seekPair(aS, aD, i, tD[j], tS[j])
+		keep(p)
+		for i = p; i < len(aS) && aD[i] == tD[j] && aS[i] == tS[j]; i++ {
+		}
+	}
+	keep(len(aS))
 	return aS[:k], aD[:k]
 }

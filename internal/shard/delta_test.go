@@ -14,9 +14,8 @@ import (
 // ApplyBatch calls (and optional Compacts and reopens), the store's
 // per-destination edge streams are identical to a store rebuilt from
 // scratch from the merged edge multiset. Per-destination identity is
-// the strongest equivalence the engine can observe — bucketing
-// preserves it and all application order derives from it — so it is
-// what the property battery compares.
+// the strongest equivalence the engine can observe — all application
+// order derives from it — so it is what the property battery compares.
 
 // edgeMultiset tracks the expected live multiset under the batch
 // semantics: inserts add copies, a tombstone removes all copies.
@@ -87,7 +86,7 @@ func multisetOf(g *graph.Graph) edgeMultiset {
 // every batch — through the live store, through a reopen, and again
 // after compaction — against a from-scratch rebuild.
 func TestApplyBatchRandomEquivalence(t *testing.T) {
-	for _, format := range []Format{FormatV1, FormatV2} {
+	for _, format := range []Format{FormatV1, FormatV2, FormatV3} {
 		for seed := int64(1); seed <= 3; seed++ {
 			g := gen.ErdosRenyi(320, 1200, uint64(seed))
 			n := g.NumVertices()

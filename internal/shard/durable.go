@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -19,27 +20,32 @@ func writeManifest(dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+	err = writeFileAtomic(filepath.Join(dir, "manifest.json"), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	return syncDir(dir)
 }
 
-// writeFileAtomic writes data to path via a fsync'd temporary file and
-// an atomic rename — the manifest's durability discipline. A reader
-// racing the write (or surviving a crash during it) sees either the
-// old file or the new one, never a torn prefix; combined with the
-// shard files' own temp+rename writes and the final directory sync, a
+// writeFileAtomic creates path's content with write, via a fsync'd
+// temporary file and an atomic rename — the durability discipline of
+// every file in a store: manifest, base shards, delta shards. A reader
+// racing the write (or surviving a crash during it) sees either the old
+// file or the new one, never a torn prefix — at worst a stale *.tmp,
+// which Open ignores; combined with the final directory sync, a
 // conversion that dies at any point leaves the directory openable as
 // whatever complete store it last had, or failing with a typed
 // validation error — never silently corrupt.
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
+func writeFileAtomic(path string, write func(f *os.File) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -51,9 +57,29 @@ func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
+}
+
+// readFileWith opens path and runs decode over the file and its size,
+// returning the size. A close error fails an otherwise successful
+// decode, like the write path does: a delayed I/O error surfacing at
+// close must not let the decode pass as valid.
+func readFileWith(path string, decode func(f *os.File, size int64) error) (size int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("shard: %s: close: %v", path, cerr)
+		}
+	}()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("shard: %s: %v", path, err)
+	}
+	return fi.Size(), decode(f, fi.Size())
 }
 
 // syncDir fsyncs a directory, making the renames inside it durable:

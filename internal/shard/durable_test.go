@@ -81,7 +81,7 @@ func TestCrashMidRewriteLeavesOldStore(t *testing.T) {
 // torn or swapped file would be — must surface as a typed validation
 // error from the read path, never as silently wrong edges.
 func TestTornShardFileNeverDecodesSilently(t *testing.T) {
-	for _, format := range []Format{FormatV1, FormatV2} {
+	for _, format := range []Format{FormatV1, FormatV2, FormatV3} {
 		t.Run(format.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			if _, err := Create(dir, gen.TinySocial(), WriteOptions{Partitions: 8, Format: format}); err != nil {

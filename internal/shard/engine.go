@@ -81,7 +81,7 @@ type Options struct {
 	// domain replay only its own bins into its destination ranges: pure
 	// sequential reads, no atomics, bit-identical to the edge-centric
 	// apply by the same disjointness argument (per-destination update
-	// order is bucket order either way). Bins encode the full shard
+	// order is resident order either way). Bins encode the full shard
 	// (the frontier filter moves to gather), so they are retained and
 	// replayed by every later dense sweep without touching the plan,
 	// the cache or the disk — the bytes-moved win on iterative dense
@@ -382,7 +382,7 @@ type Engine struct {
 
 	// Test hooks (nil outside tests): onLoadBegin fires before a shard
 	// file is read (on an aio worker goroutine, up to IODepth
-	// concurrently), onLoadEnd after it is decoded and bucketed;
+	// concurrently), onLoadEnd after it is decoded;
 	// onApplyBegin/onApplyEnd bracket one shard's parallel application
 	// (on its domain's apply goroutine); onStage fires when a staged
 	// shard enters the window, carrying the observed window depth and
@@ -750,10 +750,10 @@ type stagedShard struct {
 	release func()
 }
 
-// readShard executes one uncached read — decode from disk, bucket for
-// the owning domain's workers — without touching the cache or the load
-// counters; those belong to the reap point (admit), which runs in plan
-// order. readShard itself may run on any goroutine, concurrently
+// readShard executes one uncached read — decode from disk, split into
+// the owning domain's apply tasks — without touching the cache or the
+// load counters; those belong to the reap point (admit), which runs in
+// plan order. readShard itself may run on any goroutine, concurrently
 // with up to IODepth-1 other reads. The read is single-flight through
 // the cache: if another session's load for the same shard is in flight
 // (or just landed), this session shares its result instead of touching
@@ -777,8 +777,8 @@ func (e *Engine) readShard(si int) (loadResult, error) {
 	return res, nil
 }
 
-// readShardDisk is the actual disk read + decode + bucket, plus the
-// in-flight read occupancy stats.
+// readShardDisk is the actual disk read + decode, plus the in-flight
+// read occupancy stats.
 func (e *Engine) readShardDisk(si int) (loadResult, error) {
 	if e.onLoadBegin != nil {
 		e.onLoadBegin(si)
@@ -800,7 +800,7 @@ func (e *Engine) readShardDisk(si int) (loadResult, error) {
 	if err != nil {
 		return loadResult{}, err
 	}
-	sh := e.bucket(si, coo)
+	sh := e.newResident(si, coo)
 	if atomic.LoadInt32(&e.applying) != 0 {
 		overlapped = true
 	}
@@ -863,54 +863,35 @@ func (c *hostCore) shardUnits(si int) int {
 	return (int(hi-lo) + partition.BoundaryAlign - 1) / partition.BoundaryAlign
 }
 
-// taskCount is the number of apply tasks shard si buckets into: sized
+// taskCount is the number of apply tasks shard si splits into: sized
 // for the workers that will actually apply it — its owning domain's
 // view, not the full pool — and never more than its units.
 func (c *hostCore) taskCount(si int) int {
 	return max(1, min(c.domains[c.domainOf[si]].Threads()*tasksPerWorker, c.shardUnits(si)))
 }
 
-// bucket regroups a decoded shard's edges into destination sub-ranges
-// aligned to partition.BoundaryAlign via a stable counting sort. Within
-// a bucket the shard file's order is preserved, and all in-edges of a
-// destination share a bucket, so per-destination application order does
-// not depend on the task count.
-func (c *hostCore) bucket(si int, coo *graph.COO) *resident {
+// newResident wraps a loaded shard's arrays — as decoded, never copied
+// — with the offsets of its apply tasks.
+func (c *hostCore) newResident(si int, coo *graph.COO) *resident {
 	lo, _ := c.st.Range(si)
-	units, tasks := c.shardUnits(si), c.taskCount(si)
-	// unitTask[u] is the task owning 64-vertex unit u; units are dealt to
-	// tasks in contiguous, near-equal runs.
-	unitTask := make([]int32, units)
-	for t := 0; t < tasks; t++ {
-		for u := t * units / tasks; u < (t+1)*units/tasks; u++ {
-			unitTask[u] = int32(t)
-		}
+	return &resident{idx: si, src: coo.Src, dst: coo.Dst, off: taskOffsets(coo, lo, c.shardUnits(si), c.taskCount(si))}
+}
+
+// taskOffsets cuts a (dst,src)-sorted shard whose destination range
+// starts at lo and spans units BoundaryAlign-vertex units into tasks
+// apply tasks: units are dealt to tasks in contiguous, near-equal runs,
+// and since the shard is destination-sorted each task's edges are one
+// contiguous range, found by a search per task boundary. All in-edges of
+// a destination share a task and keep their order, so per-destination
+// application order does not depend on the task count.
+func taskOffsets(c *graph.COO, lo graph.VID, units, tasks int) []int {
+	off := make([]int, tasks+1)
+	for t := 1; t < tasks; t++ {
+		first := lo + graph.VID(t*units/tasks*partition.BoundaryAlign)
+		off[t] = seekPair(c.Src, c.Dst, off[t-1], first, 0)
 	}
-	taskOf := func(d graph.VID) int32 {
-		return unitTask[int(d-lo)/partition.BoundaryAlign]
-	}
-	counts := make([]int, tasks+1)
-	for _, d := range coo.Dst {
-		counts[taskOf(d)+1]++
-	}
-	for t := 0; t < tasks; t++ {
-		counts[t+1] += counts[t]
-	}
-	sh := &resident{
-		idx: si,
-		src: make([]graph.VID, len(coo.Src)),
-		dst: make([]graph.VID, len(coo.Dst)),
-		off: counts,
-	}
-	cursor := make([]int, tasks)
-	for i, d := range coo.Dst {
-		t := taskOf(d)
-		at := sh.off[t] + cursor[t]
-		sh.src[at] = coo.Src[i]
-		sh.dst[at] = d
-		cursor[t]++
-	}
-	return sh
+	off[tasks] = len(c.Dst)
+	return off
 }
 
 // sweepAccum collects per-worker next-frontier statistics, padded to a

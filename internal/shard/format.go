@@ -17,62 +17,69 @@ import (
 // the source and destination arrays as little-endian uint32s — fixed
 // 8 bytes per edge, in the partitioner's CSR (source-major) order.
 //
-// FormatV2 is the compressed layout: within each shard the edges are
-// sorted by (destination, source), both streams are delta-encoded and
-// written as uvarints. Destination deltas are almost always zero (runs
-// of in-edges) or tiny, and source deltas within a run are gaps between
-// sorted neighbour IDs, so a typical shard costs 2–4 bytes per edge —
-// the bandwidth lever for an engine whose dense sweeps re-read the
-// whole edge set from disk every iteration. The re-sorting is
-// semantics-preserving: per-destination source order is ascending in
-// both formats (v1 inherits it from the CSR walk), and the engine's
-// apply only depends on per-destination order, so results are
-// bit-identical across formats.
+// FormatV2 is the first compressed layout: within each shard the edges
+// are sorted by (destination, source), both streams are delta-encoded
+// and written as uvarints — one destination delta (almost always zero)
+// and one source gap per edge, 2–4 bytes per edge, decoded one varint at
+// a time.
+//
+// FormatV3, the default, keeps the (destination, source) order but
+// groups it into runs: each destination is stored once, with its run
+// length, and the run's source gaps go to a byte-aligned group-varint
+// stream (one control byte per four values). That is both fewer bytes —
+// no per-edge destination delta, so 1.7–2.1 bytes per edge once
+// destinations average more than an in-edge or two (on shards of
+// single-edge runs it comes out level with v2) — and a decoder that
+// works in batches over one in-memory image of the file instead of
+// pulling bytes through a reader (formatv3.go): the two levers of an
+// engine whose dense sweeps re-read and re-decode the whole edge set
+// every iteration.
+//
+// Whatever the format, a loaded shard is (destination, source)-sorted:
+// v2 and v3 are written that way, and a v1 shard is stably sorted by
+// destination as it loads (its CSR walk already visits each
+// destination's sources in ascending order). The engine's apply depends
+// only on per-destination order, which is ascending sources in every
+// format, so results are bit-identical across formats.
 type Format int
 
 const (
 	// FormatV1 is the raw uint32-pairs layout of ggrind-shards-v1 stores.
 	FormatV1 Format = 1
 	// FormatV2 is the (dst,src)-sorted delta+uvarint layout of
-	// ggrind-shards-v2 stores — the default Write format.
+	// ggrind-shards-v2 stores; delta shard files keep its stream.
 	FormatV2 Format = 2
+	// FormatV3 is the run-grouped group-varint layout of
+	// ggrind-shards-v3 stores — the default Create format.
+	FormatV3 Format = 3
 )
 
-// DefaultFormat is the format Write uses when none is specified.
-const DefaultFormat = FormatV2
+// DefaultFormat is the format Create uses when none is specified.
+const DefaultFormat = FormatV3
 
-// String returns the flag-friendly name ("v1", "v2").
+// String returns the flag-friendly name ("v1", "v2", "v3").
 func (f Format) String() string {
-	switch f {
-	case FormatV1:
-		return "v1"
-	case FormatV2:
-		return "v2"
+	if f.valid() {
+		return fmt.Sprintf("v%d", int(f))
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
 }
 
 // ParseFormat converts a -shardformat flag value into a Format.
 func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "v1", "1":
-		return FormatV1, nil
-	case "v2", "2":
-		return FormatV2, nil
+	for f := FormatV1; f <= FormatV3; f++ {
+		if s == f.String() || s == f.String()[1:] {
+			return f, nil
+		}
 	}
-	return 0, fmt.Errorf("shard: unknown format %q (want v1 or v2)", s)
+	return 0, fmt.Errorf("shard: unknown format %q (want v1, v2 or v3)", s)
 }
 
-func (f Format) valid() bool { return f == FormatV1 || f == FormatV2 }
+func (f Format) valid() bool { return f >= FormatV1 && f <= FormatV3 }
 
 // manifestMagic returns the manifest magic string for stores of this
-// format.
-func (f Format) manifestMagic() string {
-	if f == FormatV2 {
-		return manifestMagicV2
-	}
-	return manifestMagicV1
-}
+// format — the store's format declaration.
+func (f Format) manifestMagic() string { return "ggrind-shards-" + f.String() }
 
 // VIDRangeError reports a decoded vertex ID outside its permitted
 // half-open range [Lo, Hi) — a source at or beyond the vertex count, or
@@ -108,40 +115,22 @@ func v1EncodedBytes(edges int64) int64 { return 8 + 2*vidBytes*edges }
 // confused without the mismatch surfacing as a structural error.
 var shardMagicV2 = [4]byte{'G', 'G', 'S', '2'}
 
-// writeShardFile encodes one shard's COO in the given format. c is not
-// modified: the v2 path sorts a copy. The bytes are written to a
-// temporary name, fsync'd and atomically renamed into place: a crash
-// mid-conversion leaves at worst a stale *.tmp (which Open ignores),
-// never a half-written file under the shard's real name that a later
-// sweep would decode as corrupt.
+// writeShardFile encodes one shard's COO in the given format, atomically
+// (writeFileAtomic); for v2 and v3 c must already be (dst,src)-sorted
+// (Create sorts with sortByDst, Compact writes what loadShard merged).
 func writeShardFile(path string, c *graph.COO, format Format) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case FormatV1:
-		err = writeShardV1(f, c)
-	case FormatV2:
-		err = writeShardV2(f, c)
-	default:
-		err = fmt.Errorf("shard: cannot write format %v", format)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeFileAtomic(path, func(f *os.File) error {
+		switch format {
+		case FormatV1:
+			return writeShardV1(f, c)
+		case FormatV2:
+			return writeShardV2(f, c)
+		case FormatV3:
+			_, err := f.Write(encodeShardV3(c.Src, c.Dst))
+			return err
+		}
+		return fmt.Errorf("shard: cannot write format %v", format)
+	})
 }
 
 func writeShardV1(f *os.File, c *graph.COO) error {
@@ -155,20 +144,43 @@ func writeShardV1(f *os.File, c *graph.COO) error {
 }
 
 func writeShardV2(f *os.File, c *graph.COO) error {
-	src := append([]graph.VID(nil), c.Src...)
-	dst := append([]graph.VID(nil), c.Dst...)
-	sort.Sort(&dstSrcOrder{src: src, dst: dst})
 	w := bufio.NewWriter(f)
 	if _, err := w.Write(shardMagicV2[:]); err != nil {
 		return err
 	}
-	if err := putUvarint(w, uint64(len(src))); err != nil {
+	if err := putUvarint(w, uint64(len(c.Src))); err != nil {
 		return err
 	}
-	if err := encodeV2Stream(w, src, dst); err != nil {
+	if err := encodeV2Stream(w, c.Src, c.Dst); err != nil {
 		return err
 	}
 	return w.Flush()
+}
+
+// sortByDst returns c's edges stably sorted by destination — one
+// counting sort over the shard's destination range [lo,hi), O(E + hi-lo).
+// A CSR-order edge list (the partitioner's, a v1 file's) visits each
+// destination's sources in ascending order, so for such input the result
+// is the full (dst,src) order the v2/v3 encoders and the delta merges
+// consume. Every destination must already be known to lie in [lo,hi).
+func sortByDst(c *graph.COO, lo, hi graph.VID) *graph.COO {
+	next := make([]int, hi-lo+1)
+	for _, d := range c.Dst {
+		next[d-lo+1]++
+	}
+	out := &graph.COO{N: c.N, Src: make([]graph.VID, len(c.Src)), Dst: make([]graph.VID, len(c.Dst))}
+	for v := range next[1:] {
+		next[v+1] += next[v]
+		run := out.Dst[next[v]:next[v+1]]
+		for i := range run {
+			run[i] = lo + graph.VID(v)
+		}
+	}
+	for i, d := range c.Dst {
+		out.Src[next[d-lo]] = c.Src[i]
+		next[d-lo]++
+	}
+	return out
 }
 
 // putUvarint writes one uvarint to w.
@@ -207,80 +219,61 @@ func encodeV2Stream(w *bufio.Writer, src, dst []graph.VID) error {
 	return nil
 }
 
-// dstSrcOrder sorts parallel src/dst slices by (dst, src) — the v2
-// on-disk order. Equal pairs (parallel edges) are interchangeable, so
-// the unstable sort is still deterministic in output.
-type dstSrcOrder struct {
-	src, dst []graph.VID
-}
-
-func (o *dstSrcOrder) Len() int { return len(o.src) }
-func (o *dstSrcOrder) Less(i, j int) bool {
-	if o.dst[i] != o.dst[j] {
-		return o.dst[i] < o.dst[j]
-	}
-	return o.src[i] < o.src[j]
-}
-func (o *dstSrcOrder) Swap(i, j int) {
-	o.src[i], o.src[j] = o.src[j], o.src[i]
-	o.dst[i], o.dst[j] = o.dst[j], o.dst[i]
-}
-
 // readShardFile decodes one shard file in the given format, returning
-// the COO and the on-disk bytes consumed (the file size). Every decoded
-// source must be a vertex and every destination must fall inside the
-// shard's [lo,hi) range — violations surface as *VIDRangeError, never
-// as silently corrupt edges — and no allocation is sized by untrusted
-// input before it is validated against the file's actual size.
+// the (dst,src)-sorted COO and the on-disk bytes consumed (the file
+// size). Every decoded source must be a vertex and every destination
+// must fall inside the shard's [lo,hi) range — violations surface as
+// *VIDRangeError, never as silently corrupt edges — and no allocation is
+// sized by untrusted input before it is validated against the file's
+// actual size.
 func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdges int64) (*graph.COO, int64, error) {
 	switch format {
 	case FormatV1:
-		return readShardV1(path, n, lo, hi, wantEdges)
+		c, size, err := readShardV1(path, n, lo, hi, wantEdges)
+		if err != nil {
+			return nil, 0, err
+		}
+		c = sortByDst(c, lo, hi)
+		// A v1 file from another writer may list a destination's sources
+		// in any order; the delta zips need them ascending.
+		if o := (&dstSrcOrder{c.Src, c.Dst}); !sort.IsSorted(o) {
+			sort.Sort(o)
+		}
+		return c, size, nil
 	case FormatV2:
 		return readShardV2(path, n, lo, hi, wantEdges)
+	case FormatV3:
+		return readShardV3(path, n, lo, hi, wantEdges)
 	}
 	return nil, 0, fmt.Errorf("shard: cannot read format %v", format)
 }
 
 func readShardV1(path string, n int, lo, hi graph.VID, wantEdges int64) (c *graph.COO, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Propagate close errors like the write path does: a delayed I/O
-	// error surfacing at close must not let an otherwise-successful
-	// decode pass as valid.
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			c, size, err = nil, 0, fmt.Errorf("shard: %s: close: %v", path, cerr)
+	size, err = readFileWith(path, func(f *os.File, size int64) error {
+		var count int64
+		if err := binary.Read(f, binary.LittleEndian, &count); err != nil {
+			return fmt.Errorf("shard: %s: %v", path, err)
 		}
-	}()
-	var count int64
-	if err := binary.Read(f, binary.LittleEndian, &count); err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: %v", path, err)
-	}
-	if count != wantEdges || count < 0 {
-		return nil, 0, fmt.Errorf("shard: %s: edge count %d, manifest says %d", path, count, wantEdges)
-	}
-	// Validate the edge count against the file's actual size before
-	// allocating anything sized by it: a corrupt (or hostile) manifest
-	// could otherwise declare an absurd count and turn LoadShard into an
-	// allocation of arbitrary size. The arithmetic cannot overflow —
-	// counts above MaxInt64/(2*vidBytes) are rejected first.
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: %v", path, err)
-	}
-	const maxCount = (1<<63 - 1 - 8) / (2 * vidBytes)
-	if count > maxCount || fi.Size() != v1EncodedBytes(count) {
-		return nil, 0, fmt.Errorf("shard: %s: file is %d bytes, want %d for %d edges",
-			path, fi.Size(), v1EncodedBytes(count), count)
-	}
-	c, err = decodeShardV1(f, path, n, lo, hi, count)
+		if count != wantEdges || count < 0 {
+			return fmt.Errorf("shard: %s: edge count %d, manifest says %d", path, count, wantEdges)
+		}
+		// Validate the edge count against the file's actual size before
+		// allocating anything sized by it: a corrupt (or hostile) manifest
+		// could otherwise declare an absurd count and turn LoadShard into an
+		// allocation of arbitrary size. The arithmetic cannot overflow —
+		// counts above MaxInt64/(2*vidBytes) are rejected first.
+		const maxCount = (1<<63 - 1 - 8) / (2 * vidBytes)
+		if count > maxCount || size != v1EncodedBytes(count) {
+			return fmt.Errorf("shard: %s: file is %d bytes, want %d for %d edges",
+				path, size, v1EncodedBytes(count), count)
+		}
+		c, err = decodeShardV1(f, path, n, lo, hi, count)
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return c, fi.Size(), nil
+	return c, size, nil
 }
 
 // v1DecodeChunkBytes is the streaming granularity of the raw (v1)
@@ -358,62 +351,60 @@ func uvarintLen(x uint64) int64 {
 }
 
 func readShardV2(path string, n int, lo, hi graph.VID, wantEdges int64) (c *graph.COO, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	// See readShardV1: close errors fail the decode, like the write path.
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			c, size, err = nil, 0, fmt.Errorf("shard: %s: close: %v", path, cerr)
+	size, err = readFileWith(path, func(f *os.File, size int64) error {
+		br := bufio.NewReader(f)
+		var magic [4]byte
+		if _, err := io.ReadFull(br, magic[:]); err != nil {
+			return fmt.Errorf("shard: %s: v2 magic: %v", path, err)
 		}
-	}()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: %v", path, err)
-	}
-	br := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: v2 magic: %v", path, err)
-	}
-	if magic != shardMagicV2 {
-		return nil, 0, fmt.Errorf("shard: %s: not a v2 shard file (magic %q)", path, magic[:])
-	}
-	count64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: edge count varint: %v", path, err)
-	}
-	// Bound the count before any arithmetic on it: beyond maxCount the
-	// minimum-size computation below would overflow int64 and a hostile
-	// count could slip past it into the allocation — the v2 counterpart
-	// of readShardV1's maxCount guard.
-	const maxCount = (1<<63 - 1 - 4 - binary.MaxVarintLen64) / 2
-	if count64 > maxCount || int64(count64) != wantEdges {
-		return nil, 0, fmt.Errorf("shard: %s: edge count %d, manifest says %d", path, count64, wantEdges)
-	}
-	count := int64(count64)
-	// Every edge costs at least two varint bytes, so the smallest file
-	// that can hold the declared count is known before any allocation —
-	// the v2 counterpart of the v1 exact-size check (varint streams are
-	// variable-width, so a lower bound is the strongest prior check; the
-	// trailing-bytes check below makes the size agreement exact).
-	if minSize := 4 + uvarintLen(count64) + 2*count; fi.Size() < minSize {
-		return nil, 0, fmt.Errorf("shard: %s: file is %d bytes, need at least %d for %d edges",
-			path, fi.Size(), minSize, count)
-	}
-	srcArr, dstArr, err := decodeV2Stream(br, path, n, lo, hi, count)
+		if magic != shardMagicV2 {
+			return fmt.Errorf("shard: %s: not a v2 shard file (magic %q)", path, magic[:])
+		}
+		count64, err := binary.ReadUvarint(br)
+		if err != nil {
+			return fmt.Errorf("shard: %s: edge count varint: %v", path, err)
+		}
+		// Bound the count before any arithmetic on it: beyond maxCount the
+		// minimum-size computation below would overflow int64 and a hostile
+		// count could slip past it into the allocation — the v2 counterpart
+		// of readShardV1's maxCount guard.
+		const maxCount = (1<<63 - 1 - 4 - binary.MaxVarintLen64) / 2
+		if count64 > maxCount || int64(count64) != wantEdges {
+			return fmt.Errorf("shard: %s: edge count %d, manifest says %d", path, count64, wantEdges)
+		}
+		count := int64(count64)
+		// Every edge costs at least two varint bytes, so the smallest file
+		// that can hold the declared count is known before any allocation —
+		// the v2 counterpart of the v1 exact-size check (varint streams are
+		// variable-width, so a lower bound is the strongest prior check; the
+		// trailing-bytes check below makes the size agreement exact).
+		if minSize := 4 + uvarintLen(count64) + 2*count; size < minSize {
+			return fmt.Errorf("shard: %s: file is %d bytes, need at least %d for %d edges",
+				path, size, minSize, count)
+		}
+		srcArr, dstArr, err := decodeV2Stream(br, path, n, lo, hi, count)
+		if err != nil {
+			return err
+		}
+		c = &graph.COO{N: n, Src: srcArr, Dst: dstArr}
+		return expectEOF(br, path, count)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	c = &graph.COO{N: n, Src: srcArr, Dst: dstArr}
+	return c, size, nil
+}
+
+// expectEOF fails unless br is exhausted: a v2 stream's size agreement
+// is only exact once nothing follows its last edge.
+func expectEOF(br *bufio.Reader, path string, edges int64) error {
 	if _, err := br.ReadByte(); err != io.EOF {
 		if err != nil {
-			return nil, 0, fmt.Errorf("shard: %s: after %d edges: %v", path, count, err)
+			return fmt.Errorf("shard: %s: after %d edges: %v", path, edges, err)
 		}
-		return nil, 0, fmt.Errorf("shard: %s: trailing bytes after %d edges", path, count)
+		return fmt.Errorf("shard: %s: trailing bytes after %d edges", path, edges)
 	}
-	return c, fi.Size(), nil
+	return nil
 }
 
 // decodeV2Stream reads count edges in the v2 delta+uvarint layout from

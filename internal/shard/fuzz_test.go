@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -17,9 +18,10 @@ import (
 )
 
 // Native fuzz targets for the decoding surfaces a shard directory
-// exposes: the JSON manifest, the binary shard files in both on-disk
-// formats (raw v1, delta+uvarint v2), the GGD2 delta-shard files and
-// the bin spill files the budgeted scatter/gather cache replays. The
+// exposes: the JSON manifest, the binary shard files in all three
+// on-disk formats (raw v1, delta+uvarint v2, run-grouped v3), the GGD2
+// delta-shard files and the bin spill files the budgeted scatter/gather
+// cache replays. The
 // contract under fuzz is the
 // one TestStoreFailurePaths pins with fixed fixtures — arbitrary bytes
 // must produce an error or a valid store, never a panic and never an
@@ -124,6 +126,43 @@ func FuzzShardFileV2(f *testing.F) {
 	})
 }
 
+// FuzzShardFileV3 feeds arbitrary bytes to the v3 (run-grouped
+// group-varint) batch decoder, with the manifest's edge-count
+// expectation read from the fuzzed header as in the v2 target. Forged
+// run headers, control bytes that disagree with the data section,
+// overflowing gaps and trailing garbage must all surface as errors, and
+// anything accepted must decode to in-range, (dst,src)-sorted edges
+// that re-encode to a file decoding to the same edges.
+func FuzzShardFileV3(f *testing.F) {
+	for _, tc := range shardFileV3Cases() {
+		f.Add(tc.v3)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := int64(-1) // mismatches any parsed count unless the header declares one
+		if len(data) > 4 && bytes.Equal(data[:4], shardMagicV3[:]) {
+			if c, k := binary.Uvarint(data[4:]); k > 0 && c <= math.MaxInt64 {
+				want = int64(c)
+			}
+		}
+		const n, lo, hi = 256, 64, 128
+		c, err := decodeShardV3(data, "fuzz", n, lo, hi, want)
+		if err != nil {
+			return
+		}
+		checkDecodedInvariants(t, c, want, n, lo, hi)
+		for i := 1; i < len(c.Dst); i++ {
+			if pairLess(c.Dst[i], c.Src[i], c.Dst[i-1], c.Src[i-1]) {
+				t.Fatalf("accepted v3 file not sorted by (dst,src) at edge %d: (%d,%d) after (%d,%d)",
+					i, c.Src[i], c.Dst[i], c.Src[i-1], c.Dst[i-1])
+			}
+		}
+		again, err := decodeShardV3(encodeShardV3(c.Src, c.Dst), "fuzz-reencoded", n, lo, hi, want)
+		if err != nil || !slices.Equal(again.Src, c.Src) || !slices.Equal(again.Dst, c.Dst) {
+			t.Fatalf("accepted v3 file does not survive a re-encode (err = %v)", err)
+		}
+	})
+}
+
 // FuzzDeltaShard feeds arbitrary bytes to the delta shard-file decoder.
 // As in the base-format targets, the manifest's expectation (the
 // deltaRef) is parsed from the fuzzed header when it parses, so the
@@ -194,7 +233,7 @@ func checkDecodedInvariants(t *testing.T, c *graph.COO, want int64, n int, lo, h
 	}
 }
 
-// manifestSeeds returns the corpus: valid v1 and v2 manifests plus the
+// manifestSeeds returns the corpus: valid manifests of every format plus the
 // corrupt shapes TestStoreFailurePaths enumerates, serialised to bytes.
 func manifestSeeds() [][]byte {
 	valid := validManifest()
@@ -213,15 +252,17 @@ func manifestSeeds() [][]byte {
 	}
 	return [][]byte{
 		mutate(func(*manifest) {}),
-		// The same store declared in the other format — the structural
-		// fields are format-independent, so both magics must open.
-		mutate(func(m *manifest) { m.Magic = manifestMagicV1 }),
+		// The same store declared in the other formats — the structural
+		// fields are format-independent, so every magic must open.
+		mutate(func(m *manifest) { m.Magic = FormatV1.manifestMagic() }),
 		[]byte("{"),
 		[]byte("null"),
 		[]byte(`{"magic":"ggrind-shards-v1"}`),
 		[]byte(`{"magic":"ggrind-shards-v2"}`),
+		[]byte(`{"magic":"ggrind-shards-v3"}`),
 		mutate(func(m *manifest) { m.Magic = "not-a-shard-store" }),
-		mutate(func(m *manifest) { m.Magic = "ggrind-shards-v3" }),
+		mutate(func(m *manifest) { m.Magic = FormatV2.manifestMagic() }),
+		mutate(func(m *manifest) { m.Magic = "ggrind-shards-v4" }),
 		mutate(func(m *manifest) { m.EdgeCounts = m.EdgeCounts[:1] }),
 		mutate(func(m *manifest) { m.Bounds = m.Bounds[:2] }),
 		mutate(func(m *manifest) { m.SrcSummary = m.SrcSummary[:1] }),
@@ -234,7 +275,7 @@ func manifestSeeds() [][]byte {
 	}
 }
 
-// validManifest writes a real 4-shard store (default v2 format) and
+// validManifest writes a real 4-shard store (default format) and
 // returns its manifest.
 func validManifest() manifest {
 	dir, err := os.MkdirTemp("", "shard-fuzz-seed-*")
@@ -323,6 +364,76 @@ func shardFileV2Seeds() [][]byte {
 		shardMagicV2[:],                    // magic only, count truncated
 		build(1, 64),                       // source varint missing
 		rawShardFile(FormatV1),             // mixed-format: raw v1 bytes
+	}
+}
+
+// v3Case is one v3 file image over the fuzz targets' fixed geometry
+// (n=256, destinations [64,128)) with what decoding it must report:
+// field is the *VIDRangeError field, "" for a structural error, "ok" for
+// a valid file. v2 carries the same corruption in the v2 stream where
+// one exists, so the table test can hold the two decoders to the same
+// typed error.
+type v3Case struct {
+	name   string
+	v3, v2 []byte
+	count  int64
+	field  string
+	edge   int64
+}
+
+// shardFileV3Cases is the corrupt-every-field table: the seed corpus of
+// FuzzShardFileV3 and the fixture of TestV3CorruptionTable.
+func shardFileV3Cases() []v3Case {
+	uvarints := func(magic [4]byte, vals ...uint64) []byte {
+		out := append([]byte(nil), magic[:]...)
+		var tmp [binary.MaxVarintLen64]byte
+		for _, v := range vals {
+			out = append(out, tmp[:binary.PutUvarint(tmp[:], v)]...)
+		}
+		return out
+	}
+	// v3 image: count, runs, header varints, then raw control + data.
+	v3 := func(count, runs uint64, hdr []uint64, tail ...byte) []byte {
+		return append(uvarints(shardMagicV3, append([]uint64{count, runs}, hdr...)...), tail...)
+	}
+	v2 := func(count uint64, vals ...uint64) []byte {
+		return uvarints(shardMagicV2, append([]uint64{count}, vals...)...)
+	}
+	valid := rawShardFile(FormatV3)
+	realCount, _ := binary.Uvarint(valid[4:])
+	real := int64(realCount)
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] = 'X'
+	// Two runs: 64 <- {3, 5} and 66 <- {9}: headers (len 2, skip 64),
+	// (len 1, skip 1); control 0b000000; data 3, 2, 9.
+	hdr := []uint64{1<<1 | 1, 64, 0<<1 | 1, 1}
+	return []v3Case{
+		{name: "real shard", v3: valid, v2: rawShardFile(FormatV2), count: real, field: "ok"},
+		{name: "two runs", v3: v3(3, 2, hdr, 0, 3, 2, 9), v2: v2(3, 64, 3, 0, 2, 2, 9), count: 3, field: "ok"},
+		{name: "empty shard", v3: v3(0, 0, nil), v2: v2(0), count: 0, field: "ok"},
+		{name: "bad magic", v3: badMagic, count: real},
+		{name: "raw v1 bytes", v3: rawShardFile(FormatV1), count: real},
+		{name: "magic only", v3: shardMagicV3[:], v2: shardMagicV2[:], count: 0},
+		{name: "run count missing", v3: v3(3, 2, nil)[:5], count: 3},
+		{name: "count disagrees with manifest", v3: v3(3, 2, hdr, 0, 3, 2, 9), v2: v2(3, 64, 3, 0, 2, 2, 9), count: 4},
+		{name: "count outruns the file", v3: v3(1<<40, 2, hdr, 0, 3, 2, 9), v2: v2(1<<40, 64, 3), count: 1 << 40},
+		{name: "count near MaxInt64", v3: v3(1<<63-1, 2, hdr, 0, 3, 2, 9), v2: v2(1<<63-1, 64, 3), count: 1<<63 - 1},
+		{name: "more runs than edges", v3: v3(3, 4, hdr, 0, 3, 2, 9), count: 3},
+		{name: "destination below the range", v3: v3(1, 1, []uint64{1, 63}, 0, 3), v2: v2(1, 63, 3), count: 1, field: "destination"},
+		{name: "destination at the range's end", v3: v3(1, 1, []uint64{1, 128}, 0, 3), v2: v2(1, 128, 3), count: 1, field: "destination"},
+		{name: "destination skip overflows the range", v3: v3(2, 2, []uint64{1, 64, 1, 1 << 40}, 0, 3, 3), v2: v2(2, 64, 3, 1<<40, 0), count: 2, field: "destination", edge: 1},
+		{name: "destination skip wraps uint64", v3: v3(2, 2, []uint64{1, 64, 1, math.MaxUint64}, 0, 3, 3), count: 2, field: "destination", edge: 1},
+		{name: "header varint truncated", v3: v3(1, 1, nil, 0x81, 0x81, 0x81), count: 1},
+		{name: "flagged header without its skip", v3: v3(1, 1, []uint64{1}, 0x80, 0x80), count: 1},
+		{name: "run overruns the count", v3: v3(3, 2, []uint64{1<<1 | 1, 64, 5 << 1}, 0, 3, 2, 9), count: 3},
+		{name: "runs cover too few edges", v3: v3(3, 1, []uint64{1<<1 | 1, 64}, 0, 3, 2, 9), count: 3},
+		{name: "control bytes missing", v3: v3(3, 2, nil, 0x03, 0xc0, 0x80, 0x00, 0x01, 0x81, 0x00), count: 3}, // overlong skips pad the file past the size bound
+		{name: "unused control bits set", v3: v3(3, 2, hdr, 0b01000000, 3, 2, 9, 0), count: 3},
+		{name: "control bytes outrun the data", v3: v3(3, 2, hdr, 0b000001, 3, 2, 9), count: 3},
+		{name: "trailing byte", v3: v3(3, 2, hdr, 0, 3, 2, 9, 0), v2: v2(3, 64, 3, 0, 2, 2, 9, 0), count: 3},
+		{name: "source beyond the vertex count", v3: v3(1, 1, []uint64{1, 64}, 0b01, 0x2c, 0x01), v2: v2(1, 64, 300), count: 1, field: "source"},
+		{name: "source gap overflows the vertex count", v3: v3(2, 1, []uint64{1<<1 | 1, 64}, 0b1100, 3, 0, 0, 0, 1), v2: v2(2, 64, 3, 0, 1<<24), count: 2, field: "source", edge: 1},
+		{name: "maximal gap on a maximal source", v3: v3(2, 1, []uint64{1<<1 | 1, 64}, 0b1100, 255, 0xff, 0xff, 0xff, 0xff), v2: v2(2, 64, 255, 0, math.MaxUint32), count: 2, field: "source", edge: 1},
 	}
 }
 
@@ -504,6 +615,11 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	write("FuzzManifest", manifestSeeds())
 	write("FuzzShardFile", shardFileSeeds())
 	write("FuzzShardFileV2", shardFileV2Seeds())
+	var v3Seeds [][]byte
+	for _, tc := range shardFileV3Cases() {
+		v3Seeds = append(v3Seeds, tc.v3)
+	}
+	write("FuzzShardFileV3", v3Seeds)
 	write("FuzzDeltaShard", deltaShardSeeds())
 	write("FuzzBinSpill", binSpillSeeds())
 }

@@ -7,14 +7,14 @@ package shard
 //
 //   scatter — each staged shard's edges are streamed exactly once and
 //   re-encoded into a compact per-shard bin of (dstOffset, src) pairs:
-//   pure sequential appends, one segment per destination sub-range
-//   bucket, on the shard's own NUMA domain, so no scatter ever writes
+//   pure sequential appends, one segment per apply
+//   task, on the shard's own NUMA domain, so no scatter ever writes
 //   across domains. Shards flow through the same ordered, windowed,
 //   IODepth-bounded staging pipeline as an edge-centric sweep.
 //
 //   gather — after the window barrier, each domain replays only its own
 //   bins into its 64-aligned destination ranges: pure sequential reads,
-//   no atomics. Segments mirror the resident's bucket boundaries, so
+//   no atomics. Segments mirror the resident's task boundaries, so
 //   gather's parallel replay writes the same disjoint destination
 //   sub-ranges in the same per-destination order as the edge-centric
 //   apply — bit-identical by the same disjointness argument that makes
@@ -86,16 +86,15 @@ func ParseSweepMode(s string) (SweepMode, error) {
 
 // binShard is one shard's scattered update bin: every (dstOffset, src)
 // pair the shard contributes to its own destination range, delta-
-// encoded as zigzag uvarints. Segment t holds bucket t's pairs in
-// bucket order, so the segment set inherits the resident's disjoint
-// 64-aligned destination sub-ranges. Deltas are signed (zigzag)
-// because v1 buckets keep the shard file's source-major order, where
-// destinations bounce around within the bucket; v2 buckets are
-// (dst,src)-sorted and encode near-minimally either way.
+// encoded as zigzag uvarints. Segment t holds apply task t's pairs in
+// the resident's order, so the segment set inherits the resident's
+// disjoint 64-aligned destination sub-ranges. Deltas are signed
+// (zigzag): residents are (dst,src)-sorted, so the source delta goes
+// negative wherever a new destination's run begins.
 type binShard struct {
 	idx     int
 	lo      graph.VID // destination-range base the offsets are relative to
-	segs    [][]byte  // per-bucket encoded streams, bucket order preserved
+	segs    [][]byte  // per-task encoded streams, resident order preserved
 	entries int64     // (dstOffset, src) pairs across all segments
 	bytes   int64     // encoded bytes across all segments
 }
@@ -201,7 +200,7 @@ func (e *Engine) admitBin(held []*binShard, releases []func(), b *binShard) {
 }
 
 // scatterShard encodes one resident shard into its bin on the shard's
-// owning domain, one worker task per bucket — the scatter phase's only
+// owning domain, one worker per apply task — the scatter phase's only
 // work. It runs as the staging window's "apply" (on the domain's apply
 // goroutine), so it keeps the same occupancy bookkeeping and hooks as
 // applyShard; DomainShards/DomainEdges are charged at gather, the
@@ -311,9 +310,9 @@ func (e *Engine) gatherPlan(plan []int, held []*binShard, needCur bool, cur *fro
 }
 
 // gatherBin replays one bin on its domain's workers, one task per
-// segment. Segments are the resident's buckets, so every destination
+// segment. Segments are the resident's apply tasks, so every destination
 // (and every next-frontier bitmap word) is written by exactly one
-// worker, per-destination order is bucket order, and the non-atomic
+// worker, per-destination order is resident order, and the non-atomic
 // Update path is safe — exactly applyShard's contract, with the edges
 // decoded from the bin instead of the resident.
 func (e *Engine) gatherBin(dom int, b *binShard, needCur bool, cur *frontier.Bitmap, cond func(graph.VID) bool, op api.EdgeOp, next *frontier.Bitmap, accs []sweepAccum) {

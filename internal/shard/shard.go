@@ -7,10 +7,11 @@
 // The package has two layers. Store is the storage substrate: a graph's
 // partitioned COO is written to one file per shard, and iteration
 // streams shards from disk so resident edge data is bounded by a single
-// shard regardless of |E|. Two on-disk encodings coexist (see Format):
-// the legacy raw uint32 pairs (v1) and the default delta+uvarint
-// compressed layout (v2), which cuts the bytes every dense sweep
-// re-reads from disk to a fraction of the raw size. Decoding is
+// shard regardless of |E|. Three on-disk encodings coexist (see Format):
+// the legacy raw uint32 pairs (v1), the delta+uvarint compressed layout
+// (v2) and the default run-grouped group-varint layout (v3), which cuts
+// the bytes every dense sweep re-reads from disk to a quarter of the raw
+// size and decodes them in batch from one read of the file. Decoding is
 // defensive end to end — manifests and shard files are validated
 // structurally (magic, bounds, alignment, edge-count/file-size
 // agreement, varint ranges) before anything is allocated or trusted, so
@@ -33,7 +34,10 @@
 //	           are read through the internal/aio reader with up to
 //	           IODepth reads in flight at once, reaped strictly in plan
 //	           order (IODepth = 1, Window = 1 is the original strict
-//	           double buffer);
+//	           double buffer). A load decodes the file straight into the
+//	           resident's destination-sorted arrays (zipping in pending
+//	           deltas) and finds each apply task's edge range with one
+//	           search per task boundary — no regrouping pass;
 //	apply    — the resident shard is applied in parallel over 64-aligned
 //	           destination sub-ranges by the workers of the modelled
 //	           NUMA domain that owns the shard's destination range
@@ -101,14 +105,6 @@ type manifest struct {
 	DirtyGen       []int64      `json:"dirty_gen,omitempty"`
 }
 
-// The manifest magic doubles as the store's format declaration: v1
-// stores hold raw uint32-pair shard files, v2 stores hold the
-// (dst,src)-sorted delta+uvarint files (see Format).
-const (
-	manifestMagicV1 = "ggrind-shards-v1"
-	manifestMagicV2 = "ggrind-shards-v2"
-)
-
 // Store is an opened sharded graph directory.
 type Store struct {
 	dir    string
@@ -143,7 +139,7 @@ func (wo WriteOptions) normalize() (WriteOptions, error) {
 		wo.Format = DefaultFormat
 	}
 	if !wo.Format.valid() {
-		return wo, &OptionsError{"Format", int64(wo.Format), "unknown shard-file format (have v1, v2)"}
+		return wo, &OptionsError{"Format", int64(wo.Format), "unknown shard-file format (have v1, v2, v3)"}
 	}
 	return wo, nil
 }
@@ -177,11 +173,11 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	for i, part := range pcoo.Parts {
 		m.EdgeCounts = append(m.EdgeCounts, part.NumEdges())
 		summary := make([]uint64, summaryWords(pt.P))
-		for _, u := range part.Src {
-			j := pt.Home(u)
-			summary[j/64] |= 1 << (j % 64)
-		}
+		addSources(summary, pt.Bounds, part.Src)
 		m.SrcSummary = append(m.SrcSummary, summary)
+		if wo.Format != FormatV1 { // v1 keeps the partitioner's CSR order
+			part = sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])
+		}
 		if err := writeShardFile(shardPath(dir, i), part, wo.Format); err != nil {
 			return nil, err
 		}
@@ -208,13 +204,12 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("shard: bad manifest: %v", err)
 	}
-	var format Format
-	switch m.Magic {
-	case manifestMagicV1:
-		format = FormatV1
-	case manifestMagicV2:
-		format = FormatV2
-	default:
+	// The manifest magic doubles as the store's format declaration.
+	format := FormatV1
+	for format.valid() && m.Magic != format.manifestMagic() {
+		format++
+	}
+	if !format.valid() {
 		return nil, fmt.Errorf("shard: bad magic %q", m.Magic)
 	}
 	if m.Shards != len(m.EdgeCounts) || len(m.Bounds) != m.Shards+1 {
@@ -386,13 +381,26 @@ func (s *Store) SourceSummary() ([][]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, u := range c.Src {
-			j := s.Home(u)
-			summary[i][j/64] |= 1 << (j % 64)
-		}
+		addSources(summary[i], s.m.Bounds, c.Src)
 	}
 	s.m.SrcSummary = summary
 	return summary, nil
+}
+
+// addSources sets, in the source-range summary sum, the bit of every
+// destination range of bounds that holds one of srcs. The O(log P)
+// range lookup is paid only when a source leaves the previous source's
+// range, which sorted runs of sources seldom do.
+func addSources(sum []uint64, bounds, srcs []graph.VID) {
+	pt := partition.Partitioning{P: len(bounds) - 1, Bounds: bounds}
+	var lo, hi graph.VID
+	for _, u := range srcs {
+		if u < lo || u >= hi {
+			j := pt.Home(u)
+			lo, hi = pt.Range(j)
+			sum[j/64] |= 1 << (j % 64)
+		}
+	}
 }
 
 // LoadShard reads shard i's edges from disk, validating that every
@@ -405,10 +413,9 @@ func (s *Store) LoadShard(i int) (*graph.COO, error) {
 }
 
 // loadShard is LoadShard plus the on-disk byte count of the decoded
-// file(s) — the engine's BytesRead accounting. A shard with pending
-// deltas decodes its base file and merges the delta files in
-// (mergeDeltas); a shard without any returns the base COO untouched,
-// preserving the legacy file order (v1 stores stream in CSR order).
+// file(s) — the engine's BytesRead accounting. The result is
+// (dst,src)-sorted in freshly allocated arrays the caller owns; a shard
+// with pending deltas has them zipped in (mergeDeltas).
 func (s *Store) loadShard(i int) (*graph.COO, int64, error) {
 	if i < 0 || i >= s.m.Shards {
 		return nil, 0, fmt.Errorf("shard: index %d out of range", i)

@@ -152,13 +152,13 @@ func TestOutDegreesMatchGraph(t *testing.T) {
 
 // TestStoreFailurePaths: every way a shard directory can be wrong must
 // surface as an error — never a panic, never silently wrong data. The
-// format-agnostic cases run against stores written in both on-disk
-// formats; byte-level shard corruptions are format-specific.
+// format-agnostic cases run against stores written in every on-disk
+// format; byte-level shard corruptions are format-specific.
 func TestStoreFailurePaths(t *testing.T) {
 	manifestOf := func(dir string) string { return filepath.Join(dir, "manifest.json") }
 	cases := []struct {
 		name string
-		// formats to write the store in before corrupting; nil = both.
+		// formats to write the store in before corrupting; nil = all.
 		formats []Format
 		// corrupt mutates a freshly written 4-shard store directory.
 		corrupt func(t *testing.T, dir string)
@@ -315,11 +315,12 @@ func TestStoreFailurePaths(t *testing.T) {
 			},
 		},
 		{
-			name:    "v2 header disagrees with manifest edge count",
-			formats: []Format{FormatV2},
+			name:    "compressed header disagrees with manifest edge count",
+			formats: []Format{FormatV2, FormatV3},
 			corrupt: func(t *testing.T, dir string) {
 				// Shard 0 of Chain(256) holds 63 edges, so its count
-				// varint is the single byte after the 4-byte magic.
+				// varint is the single byte after the 4-byte magic (v2
+				// and v3 alike).
 				path := filepath.Join(dir, "shard-0000.bin")
 				data, err := os.ReadFile(path)
 				if err != nil {
@@ -335,8 +336,8 @@ func TestStoreFailurePaths(t *testing.T) {
 			},
 		},
 		{
-			name:    "v2 shard file has trailing bytes",
-			formats: []Format{FormatV2},
+			name:    "compressed shard file has trailing bytes",
+			formats: []Format{FormatV2, FormatV3},
 			corrupt: func(t *testing.T, dir string) {
 				path := filepath.Join(dir, "shard-0000.bin")
 				data, err := os.ReadFile(path)
@@ -350,18 +351,16 @@ func TestStoreFailurePaths(t *testing.T) {
 		},
 		{
 			// A mixed-format directory: the manifest declares one
-			// encoding, the shard file holds the other. Both pairings
-			// must fail structurally, not decode garbage.
+			// encoding, the shard file holds another (the next format
+			// round-robin). Every pairing must fail structurally, not
+			// decode garbage.
 			name: "shard file in the other format",
 			corrupt: func(t *testing.T, dir string) {
 				st, err := Open(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				other := FormatV1
-				if st.Format() == FormatV1 {
-					other = FormatV2
-				}
+				other := st.Format()%FormatV3 + 1
 				otherDir := t.TempDir()
 				if _, err := Create(otherDir, gen.Chain(256), WriteOptions{Partitions: 4, Format: other}); err != nil {
 					t.Fatal(err)
@@ -379,7 +378,7 @@ func TestStoreFailurePaths(t *testing.T) {
 	for _, tc := range cases {
 		formats := tc.formats
 		if formats == nil {
-			formats = []Format{FormatV1, FormatV2}
+			formats = []Format{FormatV1, FormatV2, FormatV3}
 		}
 		for _, format := range formats {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, format), func(t *testing.T) {

@@ -19,12 +19,12 @@ import (
 // decoded, small enough to stay out of core in spirit.
 const DefaultCacheBytes int64 = 256 << 20
 
-// resident is a shard decoded and regrouped for parallel application:
-// edges are stably bucketed into destination sub-ranges whose bounds are
-// aligned to 64 vertices, so each sub-range's task owns its frontier
-// bitmap words exclusively and updates need no atomics. Bucketing
-// preserves the shard file's edge order within each sub-range, and since
-// all in-edges of a destination fall into one bucket, the per-destination
+// resident is a shard decoded for parallel application: its edges,
+// (dst,src)-sorted as loadShard returns them, and the offsets that cut
+// them into destination sub-ranges whose bounds are aligned to 64
+// vertices, so each sub-range's task owns its frontier bitmap words
+// exclusively and updates need no atomics. All in-edges of a destination
+// fall into one sub-range in file order, so the per-destination
 // application order is independent of the task count.
 type resident struct {
 	idx      int
@@ -33,9 +33,9 @@ type resident struct {
 }
 
 // decodedBytes prices a decoded shard of the given edge and task counts:
-// the bucketed src/dst copies plus the task offsets — the memory the
-// budget actually bounds. The planner prices its simulation with the
-// same formula from the manifest's edge counts.
+// the src/dst arrays plus the task offsets — the memory the budget
+// actually bounds. The planner prices its simulation with the same
+// formula from the manifest's edge counts.
 func decodedBytes(edges int64, tasks int) int64 { return edges*8 + int64(tasks+1)*8 }
 
 func residentBytes(sh *resident) int64 { return decodedBytes(int64(len(sh.src)), len(sh.off)-1) }
