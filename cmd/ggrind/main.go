@@ -9,9 +9,7 @@
 //	ggrind -graph livejournal-sm -alg BFS -layout COO -reps 5
 //	ggrind -graph yahoo-sm -alg PR -system OOC -partitions 24
 //	ggrind -graph twitter-sm -alg PR -system OOC -shardformat v1
-//	ggrind -graph livejournal-sm -alg PR -system OOC -cache-bytes 4194304 -order zigzag
-//	ggrind -graph yahoo-sm -alg PR -system OOC -cache-bytes 2097152 -iodepth 4
-//	ggrind -graph twitter-sm -alg PR -system OOC -cache-bytes 2097152 -sweepmode scatter-gather
+//	ggrind -graph livejournal-sm -alg PR -system OOC -cache-bytes 4194304 -domains 1
 //	ggrind -graph twitter-sm -alg PR -system OOC -updates batch.json -compactstore
 package main
 
@@ -57,13 +55,8 @@ func run() int {
 		reps       = flag.Int("reps", 3, "repetitions; the median is reported")
 		shardDir   = flag.String("sharddir", "", "OOC shard directory (empty = fresh temp dir, removed on exit)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "OOC decoded-shard cache budget in bytes, shared by the forward and reverse stores (0 = 256 MiB)")
-		domains    = flag.Int("domains", 0, "OOC modelled NUMA domain count (0 = the paper's 4)")
-		window     = flag.Int("window", 0, "OOC staging window depth k: shards staged ahead while up to D domains apply concurrently (0 = max(domains, iodepth), 1 = double buffer; must be >= iodepth)")
-		ioDepth    = flag.Int("iodepth", 0, "OOC async-read queue depth: uncached shard reads kept in flight at once (0 = 1, the synchronous read path)")
+		domains    = flag.Int("domains", 0, "OOC modelled NUMA domain count, which is also the staging window depth (0 = the paper's 4)")
 		shardFmt   = flag.String("shardformat", shard.DefaultFormat.String(), "OOC shard-file encoding: v1 (raw uint32 pairs), v2 (delta+uvarint) or v3 (run-grouped group-varint, decoded in batch)")
-		orderName  = flag.String("order", shard.OrderAscending.String(), "OOC sweep-order policy: ascending, zigzag (boustrophedon across sweeps) or residency-first (cached shards first, then Hilbert order)")
-		sweepName  = flag.String("sweepmode", shard.SweepEdgeCentric.String(), "OOC dense-sweep mode: edge-centric (apply each staged shard directly) or scatter-gather (scatter shards into per-partition update bins, retained across sweeps, then gather per domain)")
-		binBudget  = flag.Int64("binbudget", 0, "OOC scatter/gather bin budget in bytes: cold bins past it spill to disk and replay sequentially (0 = retain every bin; needs -sweepmode scatter-gather)")
 		updates    = flag.String("updates", "", `OOC: apply a JSON edge batch {"insert":[{"src":0,"dst":1},...],"delete":[...]} to the store before running, then rebuild the engine at the new generation`)
 		compactSt  = flag.Bool("compactstore", false, "OOC: compact delta shards into a new base generation before running (after -updates, if both are given)")
 	)
@@ -76,7 +69,6 @@ func run() int {
 		val  int
 	}{
 		{"partitions", *partitions}, {"threads", *threads}, {"domains", *domains},
-		{"window", *window}, {"iodepth", *ioDepth},
 	} {
 		if f.val < 0 {
 			fmt.Fprintf(os.Stderr, "ggrind: -%s must be >= 0 (0 selects the default), got %d\n", f.name, f.val)
@@ -91,40 +83,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ggrind: -reps must be >= 1, got %d\n", *reps)
 		return 2
 	}
-	if *binBudget < 0 {
-		fmt.Fprintf(os.Stderr, "ggrind: -binbudget must be >= 0 (0 retains every bin), got %d\n", *binBudget)
-		return 2
-	}
-	sweepMode, err := shard.ParseSweepMode(*sweepName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-		return 2
-	}
 	format, err := shard.ParseFormat(*shardFmt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
 		return 2
 	}
-	order, err := shard.ParseOrder(*orderName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-		return 2
-	}
-	oopts := shard.Options{
-		Threads:        *threads,
-		Window:         *window,
-		IODepth:        *ioDepth,
-		Topology:       sched.Topology{Domains: *domains},
-		Order:          order,
-		SweepMode:      sweepMode,
-		BinBudgetBytes: *binBudget,
-	}
-	// A contradictory knob combination (say -window below -iodepth) is a
-	// usage error too.
-	if err := oopts.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-		return 2
-	}
+	oopts := shard.Options{Threads: *threads, Topology: sched.Topology{Domains: *domains}}
 	if (*updates != "" || *compactSt) && *system != "OOC" {
 		fmt.Fprintf(os.Stderr, "ggrind: -updates and -compactstore mutate a sharded store and need -system OOC\n")
 		return 2
@@ -275,10 +239,8 @@ func run() int {
 			fmt.Printf("store: %v format, %.1f KiB on disk (%.2f bytes/edge; raw v1 is 8)\n",
 				eng.Store().Format(), float64(disk)/1024, float64(disk)/float64(g.NumEdges()))
 		}
-		fmt.Printf("engine: OOC shards=%d cache-bytes=%d threads=%d domains=%d window=%d iodepth=%d order=%v sweepmode=%v\n",
-			eng.Store().NumShards(), cache.Budget(), eng.Threads(),
-			eng.Topology().Domains, eng.Options().Window,
-			eng.Options().IODepth, eng.Options().Order, eng.Options().SweepMode)
+		fmt.Printf("engine: OOC shards=%d cache-bytes=%d threads=%d domains=%d\n",
+			eng.Store().NumShards(), cache.Budget(), eng.Threads(), eng.Topology().Domains)
 		sys = eng
 		if spec.NeedsReverse {
 			reng, err := build("rev", g.Reverse())
@@ -325,26 +287,11 @@ func run() int {
 		cs := cache.Stats()
 		fmt.Printf("ooc cache: %d-byte budget, peak %d bytes resident, %d evictions, %d refused inserts\n",
 			cs.Budget, cs.PeakBytes, cs.Evictions, cs.Rejected)
-		fmt.Printf("ooc order: %v policy, %d planned cache hits, %d reloads avoided vs ascending\n",
-			eng.Options().Order, st.PlannedCacheHits, st.ReloadsAvoided)
-		if st.ScatterGatherSweeps > 0 {
-			fmt.Printf("ooc scatter/gather: %d two-phase sweeps, %d bin reuses, %.1f KiB bins written, %.1f KiB replayed\n",
-				st.ScatterGatherSweeps, st.BinShardsReused,
-				float64(st.BinBytesWritten)/1024, float64(st.BinBytesRead)/1024)
-			if eng.Options().BinBudgetBytes > 0 {
-				fmt.Printf("ooc bin budget: %d bytes, %d bins evicted, %.1f KiB spilled to disk, %d spill replays (%.1f KiB sequential reads)\n",
-					eng.Options().BinBudgetBytes, st.BinShardsEvicted,
-					float64(st.BinBytesSpilled)/1024, st.BinSpillReplays,
-					float64(st.BinSpillBytesRead)/1024)
-			}
-		}
 		fmt.Printf("ooc pipeline: %d of %d loads overlapped an apply\n", st.OverlappedLoads, st.ShardLoads)
 		fmt.Printf("ooc numa: %d domains, shards applied per domain %v, edges per domain %v\n",
 			eng.Topology().Domains, st.DomainShards, st.DomainEdges)
 		fmt.Printf("ooc window: depth k=%d, peak %d concurrent applies, apply levels %v, hand-off depths %v\n",
-			eng.Options().Window, st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
-		fmt.Printf("ooc aio: iodepth=%d, peak %d reads in flight, read depth histogram %v\n",
-			eng.Options().IODepth, st.ReadsInFlightPeak, st.ReadDepths)
+			eng.Topology().Domains, st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
 	}
 	if rec != nil {
 		f, err := os.Create(*traceOut)

@@ -1,7 +1,7 @@
 // gserve is the multi-tenant graph-serving daemon: one process hosting
 // N sharded stores behind a single byte-budgeted, refcounted shard
-// cache, running concurrent queries that share residency, the I/O
-// budget and — for dense sweeps — the disk pass itself. The HTTP/JSON
+// cache, running concurrent queries that share residency, each store's
+// disk reads and — for dense sweeps — the disk pass itself. The HTTP/JSON
 // API (internal/serve) lives under /v1/: open, list and close stores, apply
 // edge-update batches (POST /v1/stores/{name}/updates) and compact the
 // resulting deltas (POST /v1/stores/{name}/compact), submit queries
@@ -59,8 +59,6 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	cacheBytes := flag.Int64("cache-bytes", shard.DefaultCacheBytes, "shared shard-cache budget in bytes, across all stores (0 selects the default)")
 	threads := flag.Int("threads", 0, "worker threads per query session (0 = engine default)")
-	sweepmode := flag.String("sweepmode", shard.SweepEdgeCentric.String(), "dense-sweep strategy for every session: edge-centric or scatter-gather")
-	binBudget := flag.Int64("bin-budget", 0, "scatter/gather bin budget in bytes, shared across each store's sessions (0 = unbounded; needs -sweepmode scatter-gather)")
 	flag.Var(&stores, "store", "preload a store as name=dir (repeatable)")
 	flag.Parse()
 
@@ -68,13 +66,8 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "gserve: -cache-bytes must be >= 0 (0 selects %d), got %d\n", shard.DefaultCacheBytes, *cacheBytes)
 		os.Exit(2)
 	}
-	mode, err := shard.ParseSweepMode(*sweepmode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gserve:", err)
-		os.Exit(2)
-	}
-	opts := shard.Options{Threads: *threads, SweepMode: mode, BinBudgetBytes: *binBudget}
-	// Reject a nonsensical option set at flag-parse time — usage error,
+	opts := shard.Options{Threads: *threads}
+	// Reject a nonsensical option at flag-parse time — usage error,
 	// exit 2 — rather than failing every store open later.
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "gserve:", err)

@@ -108,10 +108,12 @@ func TestGserveSmoke(t *testing.T) {
 }
 
 // TestGserveBadFlagsExitTwo pins the CLI contract for the budget and
-// sweep-mode knobs: malformed or inconsistent values must be rejected
-// at parse time with exit status 2 (flag-error convention), never
-// survive into a booted daemon — a negative -cache-bytes used to boot
-// silently on the default budget.
+// thread knobs: malformed values must be rejected at parse time with
+// exit status 2 (flag-error convention), never survive into a booted
+// daemon — a negative -cache-bytes used to boot silently on the default
+// budget. The -bin-budget and -sweepmode spellings of the deleted
+// scatter/gather sweep are unknown flags now: every old invocation of
+// them is refused the same way instead of booting without them.
 func TestGserveBadFlagsExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the daemon binary")
@@ -125,6 +127,7 @@ func TestGserveBadFlagsExitTwo(t *testing.T) {
 		args []string
 	}{
 		{"negative cache budget", []string{"-cache-bytes", "-5"}},
+		{"negative threads", []string{"-threads", "-1"}},
 		{"negative budget", []string{"-bin-budget", "-1"}},
 		{"budget below one bin", []string{"-sweepmode", "scatter-gather", "-bin-budget", "100"}},
 		{"budget without scatter-gather", []string{"-bin-budget", "8192"}},

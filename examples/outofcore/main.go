@@ -3,14 +3,13 @@
 // ordinary algorithm suite on shard.Engine — the same PageRank and BFS
 // code that runs on the in-memory engines, but with edge data streaming
 // from disk through the concurrent sweep (plan → stage → apply →
-// publish): the planner picks the shard order, a staging goroutine
-// keeps up to k shards resident ahead — issuing up to IODepth uncached
-// reads concurrently through the async reader and reaping completions
-// in plan order — up to D staged shards are applied simultaneously,
-// one per modelled NUMA domain, each by that domain's workers, and the
-// byte-budgeted shard cache keeps hot shards resident across
-// iterations. See README.md for the window, async-read and placement
-// model in detail.
+// publish): the planner picks the shard set, a staging goroutine
+// fetches it in ascending order — a cache hit, else a synchronous read
+// — keeping up to one shard per modelled NUMA domain staged ahead, up
+// to D staged shards are applied simultaneously, one per domain, each
+// by that domain's workers, and the byte-budgeted shard cache keeps hot
+// shards resident across iterations. See README.md for the window and
+// placement model in detail.
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"repro"
 	"repro/internal/algorithms"
 	"repro/internal/graph"
-	"repro/internal/locality"
 	"repro/internal/shard"
 )
 
@@ -53,9 +51,9 @@ func main() {
 	// decoded is what the store's edges occupy once decoded (8 bytes
 	// each): every budget below is a fraction of it. A sixth — 4 of 24
 	// shards' worth: resident edge data stays bounded by that however
-	// many iterations run, and it is wide enough for the default staging
-	// window — max(Domains, IODepth) deep, 4 here — to keep all four
-	// modelled NUMA domains applying at once.
+	// many iterations run, and it is wide enough for the staging window
+	// — one shard per modelled NUMA domain, 4 here — to keep all four
+	// domains applying at once.
 	decoded := 8 * g.NumEdges()
 	ooc := engineOver(store, g, decoded/6, shard.Options{})
 	bytes, err := store.DiskBytes()
@@ -64,7 +62,7 @@ func main() {
 	}
 	fmt.Printf("sharded to %s: %d shards (%v format), %.1f MiB on disk (%.2f bytes/edge), cache budget %.1f MiB, window k=%d\n",
 		dir, store.NumShards(), store.Format(), float64(bytes)/(1<<20),
-		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Options().Window)
+		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Topology().Domains)
 
 	// The default store is the run-grouped group-varint (v3) layout;
 	// write the same graph in the legacy raw encoding to see what each
@@ -107,20 +105,6 @@ func main() {
 		panic("results diverge")
 	}
 
-	// 1b. The same sweeps with the async reader issuing up to 4 uncached
-	// reads concurrently. Reaping in plan order keeps the results
-	// identical to the depth-1 run; only the read overlap changes.
-	deep := engineOver(ooc.Store(), g, decoded/6, shard.Options{IODepth: 4})
-	deepPR := algorithms.PR(deep, 10).Ranks
-	for v := range deepPR {
-		if deepPR[v] != oocPR[v] {
-			panic("IODepth changed results")
-		}
-	}
-	dst := deep.Stats()
-	fmt.Printf("PageRank again at IODepth=4: bit-identical ranks, %d disk loads, peak %d reads in flight, read depth histogram %v\n",
-		dst.ShardLoads, dst.ReadsInFlightPeak, dst.ReadDepths)
-
 	// 2. BFS from a low-degree vertex: early wavefronts are sparse, so
 	// the frontier-aware planner loads only shards fed by active
 	// sources and skips the rest.
@@ -150,94 +134,7 @@ func main() {
 	fmt.Printf("PageRank with a store-sized cache: %d disk loads, %d cache hits\n",
 		cst.ShardLoads, cst.CacheHits)
 
-	// 4. In between those extremes — the cache at half the store — the
-	// sweep *order* decides how much of the budget survives from one
-	// dense sweep into the next. Ascending index is the pathological
-	// case: a cyclic pattern over 24 shards against a cache holding 12
-	// hits never, because each sweep evicts its own tail just before the
-	// next sweep wants it. The planner's zigzag (boustrophedon) and
-	// residency-first policies reorder the identical shard set — results
-	// are bit-identical, only the disk traffic changes.
-	fmt.Printf("sweep-order ablation: 10-sweep dense PageRank, %d shards, half-store cache (%.1f MiB)\n",
-		shards, float64(decoded/2)/(1<<20))
-	var ranks0 []float64
-	for _, order := range shard.Orders() {
-		eng := engineOver(ooc.Store(), g, decoded/2, shard.Options{Order: order})
-		ranks := algorithms.PR(eng, 10).Ranks
-		if ranks0 == nil {
-			ranks0 = ranks
-		}
-		for v := range ranks0 {
-			if ranks[v] != ranks0[v] {
-				panic("sweep order changed results")
-			}
-		}
-		ost := eng.Stats()
-		fmt.Printf("  %-16s %3d loads (%4.1f/sweep), %3d cache hits, %4.1f MiB read, %3d reloads avoided\n",
-			order.String()+":", ost.ShardLoads, float64(ost.ShardLoads)/10,
-			ost.CacheHits, float64(ost.BytesRead)/(1<<20), ost.ReloadsAvoided)
-	}
-
-	// The offline scorer tells the same story from the schedule alone
-	// (it derives the ascending baseline itself): reuse distances of the
-	// boustrophedon sequence fold under the cache budget where the
-	// ascending cycle's never do.
-	zig := make([][]int, 10)
-	for s := range zig {
-		zig[s] = make([]int, shards)
-		for i := range zig[s] {
-			if s%2 == 1 {
-				zig[s][i] = shards - 1 - i
-			} else {
-				zig[s][i] = i
-			}
-		}
-	}
-	cmp := locality.MeasureSweepOrder(zig, shards/2)
-	fmt.Printf("  scorer: ascending mean reuse distance %.1f (max %d) -> %d loads; zigzag %.1f (max %d) -> %d loads, %d avoided\n",
-		cmp.Ascending.MeanReuse, cmp.Ascending.MaxReuse, cmp.Ascending.Loads,
-		cmp.Planned.MeanReuse, cmp.Planned.MaxReuse, cmp.Planned.Loads, cmp.ReloadsAvoided)
-
-	// 5. The sweep-*mode* ablation: when the cache thrashes, edge-centric
-	// dense sweeps re-read evicted shards from disk every iteration.
-	// SweepScatterGather streams each shard once into compact
-	// delta-encoded per-partition update bins (scatter) and has each
-	// modelled NUMA domain replay only its own bins (gather); the bins
-	// are operator-independent and retained, so every later dense sweep
-	// runs with zero disk traffic. Run over the raw v1 store so both
-	// columns price disk bytes identically (8 per edge). Results are
-	// bit-identical — same disjoint 64-aligned destination ranges, same
-	// per-destination order — only the bytes moved change.
-	fmt.Printf("sweep-mode ablation: 10-sweep dense PageRank, v1 store, quarter-store cache (%.1f MiB)\n",
-		float64(decoded/4)/(1<<20))
-	var ecMoved, sgMoved float64
-	var ranksEC []float64
-	for _, mode := range shard.SweepModes() {
-		eng := engineOver(v1st, g, decoded/4, shard.Options{SweepMode: mode})
-		ranks := algorithms.PR(eng, 10).Ranks
-		if ranksEC == nil {
-			ranksEC = ranks
-		}
-		for v := range ranksEC {
-			if ranks[v] != ranksEC[v] {
-				panic("sweep mode changed results")
-			}
-		}
-		mst := eng.Stats()
-		moved := float64(mst.BytesRead+mst.BinBytesWritten+mst.BinBytesRead) / (1 << 20)
-		fmt.Printf("  %-16s %3d loads, %6.1f MiB disk + %5.1f MiB bins written + %5.1f MiB bins replayed = %6.1f MiB moved (%d bin reuses)\n",
-			mode.String()+":", mst.ShardLoads, float64(mst.BytesRead)/(1<<20),
-			float64(mst.BinBytesWritten)/(1<<20), float64(mst.BinBytesRead)/(1<<20),
-			moved, mst.BinShardsReused)
-		if mode == shard.SweepEdgeCentric {
-			ecMoved = moved
-		} else {
-			sgMoved = moved
-		}
-	}
-	fmt.Printf("  scatter/gather moves %.2fx fewer bytes per 10-sweep run, bit-identical ranks\n", ecMoved/sgMoved)
-
-	// 6. The store is mutable, log-structured-ly: ApplyBatch validates
+	// 4. The store is mutable, log-structured-ly:	// 6. The store is mutable, log-structured-ly: ApplyBatch validates
 	// the batch, appends one delta shard per affected base shard
 	// (inserts plus tombstones — a tombstone removes every copy of its
 	// edge) and swings the manifest to a new generation; untouched

@@ -1,26 +1,19 @@
-// Package aio is the engine's asynchronous shard-read layer: a
-// goroutine-pool implementation of the io_uring-style submission queue
-// the staging window models. A Reader keeps up to depth reads in
-// flight at once across per-NUMA-domain queues — submissions for a
-// domain are executed by that domain's workers, so under a real NUMA
-// runtime the bytes land on the socket that will apply them — and each
-// submission resolves a Ticket the consumer reaps in its own order.
-// The read closures own decode as well as I/O (the engine submits
-// read+streaming-decode as one unit), so decode overlaps both the
-// other in-flight reads and the concurrent applies.
+// Package aio is a goroutine-pool submission queue: a Reader keeps up
+// to depth submitted closures executing at once across per-domain
+// queues, each submission resolving a Ticket the caller waits on. The
+// Reader makes no ordering promises across tickets: completions may
+// reorder freely.
 //
-// The Reader makes no ordering promises across tickets: completions
-// may reorder freely (slow reads finish late, short queues finish
-// early). Consumers that need an order — the staging goroutine needs
-// plan order, so the LRU sees the exact get/put sequence a synchronous
-// sweep would issue — reap tickets in that order themselves.
+// The out-of-core engine no longer uses it — its stager reads shards
+// synchronously, in plan order. The package stays only because the
+// benchmark's aio.roundtrip_us probe times one Submit/Wait round trip
+// through it.
 package aio
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrClosed resolves every ticket whose read had not started when the
@@ -39,20 +32,6 @@ func (t *Ticket[T]) resolve(v T, err error) {
 	close(t.done)
 }
 
-// Ready reports whether the read has completed (successfully or not)
-// without blocking.
-func (t *Ticket[T]) Ready() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Done returns a channel closed when the read completes.
-func (t *Ticket[T]) Done() <-chan struct{} { return t.done }
-
 // Wait blocks until the read completes and returns its result.
 func (t *Ticket[T]) Wait() (T, error) {
 	<-t.done
@@ -67,9 +46,7 @@ type request[T any] struct {
 // Reader issues submitted reads from per-domain queues with at most
 // depth reads executing at any moment, reader-wide. Submit never
 // blocks: a submission that would overflow its domain's queue
-// capacity resolves with an error instead (the engine sizes queues to
-// the plan's per-domain counts, so overflow never happens in a
-// well-formed sweep). Close is idempotent and waits for the workers
+// capacity resolves with an error instead. Close is idempotent and waits for the workers
 // to exit; reads still queued at Close resolve ErrClosed without
 // executing.
 type Reader[T any] struct {
@@ -81,36 +58,11 @@ type Reader[T any] struct {
 	mu     sync.Mutex // guards closed and the queue sends racing Close
 	closed bool
 	wg     sync.WaitGroup
-
-	inFlight int64
-	peak     int64
 }
-
-// Budget is a sharable in-flight read budget: a semaphore of depth
-// slots that one or many Readers draw from. A private Reader gets its
-// own (New); a daemon hosting concurrent sweeps over one device hands
-// the same Budget to every Reader it starts (NewShared), so the total
-// reads in flight across all of them never exceed the device budget —
-// N queries share the read-ahead, they do not multiply it.
-type Budget struct {
-	sem chan struct{}
-}
-
-// NewBudget builds an in-flight read budget of depth slots, floored
-// at 1.
-func NewBudget(depth int) *Budget {
-	if depth < 1 {
-		depth = 1
-	}
-	return &Budget{sem: make(chan struct{}, depth)}
-}
-
-// Cap returns the budget's slot count.
-func (b *Budget) Cap() int { return cap(b.sem) }
 
 // New builds a Reader with one queue per domain: caps[d] is domain d's
 // queue capacity (a domain with no planned reads may pass 0 and gets
-// no queue or workers). depth is the reader-wide in-flight budget,
+// no queue or workers). depth is the reader-wide in-flight bound,
 // floored at 1. Each domain runs min(depth, caps[d]) workers — more
 // could never execute simultaneously. notify, if non-nil, is invoked
 // after every ticket resolves; consumers blocked waiting for "some
@@ -119,18 +71,9 @@ func (b *Budget) Cap() int { return cap(b.sem) }
 // check-then-wait before broadcasting — an unserialized broadcast can
 // land between the check and the wait and be lost.
 func New[T any](caps []int, depth int, notify func()) *Reader[T] {
-	return NewShared[T](caps, NewBudget(depth), notify)
-}
-
-// NewShared builds a Reader like New but drawing its in-flight slots
-// from a caller-owned Budget, which may be shared with other Readers.
-// Close releases only this Reader's workers; slots held by a read
-// still executing return to the Budget when it finishes, so a shared
-// Budget survives any of its Readers.
-func NewShared[T any](caps []int, b *Budget, notify func()) *Reader[T] {
-	depth := b.Cap()
+	depth = max(depth, 1)
 	r := &Reader[T]{
-		sem:    b.sem,
+		sem:    make(chan struct{}, depth),
 		quit:   make(chan struct{}),
 		notify: notify,
 		queues: make([]chan request[T], len(caps)),
@@ -179,15 +122,7 @@ func (r *Reader[T]) serve(q chan request[T]) {
 					var zero T
 					req.ticket.resolve(zero, ErrClosed)
 				default:
-					n := atomic.AddInt64(&r.inFlight, 1)
-					for {
-						p := atomic.LoadInt64(&r.peak)
-						if n <= p || atomic.CompareAndSwapInt64(&r.peak, p, n) {
-							break
-						}
-					}
 					v, err := req.read()
-					atomic.AddInt64(&r.inFlight, -1)
 					<-r.sem
 					req.ticket.resolve(v, err)
 				}
@@ -236,13 +171,6 @@ func (r *Reader[T]) Submit(domain int, read func() (T, error)) *Ticket[T] {
 	}
 	return t
 }
-
-// InFlight returns the number of reads executing right now.
-func (r *Reader[T]) InFlight() int { return int(atomic.LoadInt64(&r.inFlight)) }
-
-// PeakInFlight returns the maximum simultaneous reads observed over
-// the Reader's lifetime.
-func (r *Reader[T]) PeakInFlight() int64 { return atomic.LoadInt64(&r.peak) }
 
 // Close stops the Reader and waits for its workers to exit: reads
 // already executing finish and resolve normally, queued reads resolve

@@ -89,27 +89,28 @@ func oocEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{})
 }
 
-// oocSequentialEngine is the pipeline's remaining ablation: one shard
-// staged ahead, one read in flight, one domain applying — the engine at
-// its least concurrent — so every oracle-agreement property doubles as
-// a pipeline-narrow/wide equivalence check.
+// oocSequentialEngine is the pipeline's narrow end: one domain, so one
+// shard staged ahead and one applying — the engine at its least
+// concurrent — so every oracle-agreement property doubles as a
+// pipeline-narrow/wide equivalence check.
 func oocSequentialEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
 	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{
-		Window: 1, IODepth: 1, Topology: sched.Topology{Domains: 1},
+		Topology: sched.Topology{Domains: 1},
 	})
 }
 
 // oocWindowEngine is the concurrent-apply differential variant: a
-// k-deep staging window over a multi-domain topology, so up to D
-// shards are applied simultaneously by their domains' worker views,
-// with the whole store resident. Every oracle-agreement property
-// therefore also pins the concurrent sweep to the sequential semantics.
-func oocWindowEngine(t *testing.T, g *graph.Graph, window int) *shard.Engine {
+// topology of the given domain count — which is also the staging
+// window's depth — so up to that many shards are applied simultaneously
+// by their domains' worker views, with the whole store resident. Every
+// oracle-agreement property therefore also pins the concurrent sweep to
+// the sequential semantics.
+func oocWindowEngine(t *testing.T, g *graph.Graph, domains int) *shard.Engine {
 	t.Helper()
 	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{
-		Threads: 4, Window: window,
-		Topology: sched.Topology{Domains: 4},
+		Threads:  4,
+		Topology: sched.Topology{Domains: domains},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,16 +118,14 @@ func oocWindowEngine(t *testing.T, g *graph.Graph, window int) *shard.Engine {
 	return e
 }
 
-// oocIODepthEngine is the async-read differential variant: the
-// windowed multi-domain engine with the aio reader issuing up to depth
-// uncached shard reads concurrently. Reads complete out of plan order
-// under load, but admission stays plan-ordered, so every
-// oracle-agreement property also pins the overlapped-read pipeline to
-// the sequential semantics.
-func oocIODepthEngine(t *testing.T, g *graph.Graph, depth int) *shard.Engine {
+// oocTightWindowEngine is the streaming counterpart of
+// oocWindowEngine: four domains applying concurrently over eight
+// shards behind a half-store cache, so the stager's plan-ordered reads
+// and the budget's evictions interleave with concurrent applies.
+func oocTightWindowEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
 	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
-		Threads: 4, Window: 4, IODepth: depth,
+		Threads:  4,
 		Topology: sched.Topology{Domains: 4},
 	})
 }
@@ -141,48 +140,6 @@ func oocIODepthEngine(t *testing.T, g *graph.Graph, depth int) *shard.Engine {
 func oocFormatEngine(t *testing.T, g *graph.Graph, format shard.Format) *shard.Engine {
 	t.Helper()
 	return oocTight(t, oocStore(t, g, 4, format), g, shard.Options{})
-}
-
-// oocOrderEngine is the sweep-order differential variant: the pipelined
-// engine with the given non-default order policy over a deliberately
-// tight cache, so the planner actually permutes plans mid-algorithm (a
-// multi-round traversal alternates zigzag parity and keeps shifting the
-// resident set residency-first fronts). Ordering may change only when a
-// shard is read — every oracle-agreement property pins that.
-func oocOrderEngine(t *testing.T, g *graph.Graph, order shard.Order) *shard.Engine {
-	t.Helper()
-	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{Order: order})
-}
-
-// oocScatterGatherEngine is the partition-centric differential variant:
-// dense sweeps scatter each staged shard into a per-shard update bin and
-// gather replays each domain's own bins, with bins retained across
-// sweeps (so multi-round algorithms mix cold scatters, full-reuse
-// gathers and sparse edge-centric fallbacks). Bit-identical by the same
-// disjoint-destination-range argument as the concurrent apply — which
-// is exactly what every oracle-agreement property pins.
-func oocScatterGatherEngine(t *testing.T, g *graph.Graph, window, depth int) *shard.Engine {
-	t.Helper()
-	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
-		Threads: 4, Window: window, IODepth: depth,
-		SweepMode: shard.SweepScatterGather,
-		Topology:  sched.Topology{Domains: 4},
-	})
-}
-
-// oocBinBudgetEngine is the eviction-pressure rung: the scatter/gather
-// sweep runs under the smallest legal bin budget, so every bin that
-// can't pin into 4 KiB spills to disk and gathers replay (or silently
-// re-scatter) instead of hitting resident bins. Budget pressure must
-// change bytes moved, never a single result bit.
-func oocBinBudgetEngine(t *testing.T, g *graph.Graph) *shard.Engine {
-	t.Helper()
-	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
-		Threads: 4, Window: 4,
-		SweepMode:      shard.SweepScatterGather,
-		BinBudgetBytes: shard.MinBinBudgetBytes,
-		Topology:       sched.Topology{Domains: 4},
-	})
 }
 
 // oocSharedSessionEngine is the multi-tenant differential variant: a
@@ -258,15 +215,9 @@ func enginesFor(t *testing.T, g *graph.Graph) []api.System {
 		oocEngine(t, g),
 		oocSequentialEngine(t, g),
 		oocWindowEngine(t, g, 4),
-		oocIODepthEngine(t, g, 2),
-		oocIODepthEngine(t, g, 4),
+		oocTightWindowEngine(t, g),
 		oocFormatEngine(t, g, shard.FormatV1),
 		oocFormatEngine(t, g, shard.FormatV2),
-		oocOrderEngine(t, g, shard.OrderZigzag),
-		oocOrderEngine(t, g, shard.OrderResidencyFirst),
-		oocScatterGatherEngine(t, g, 1, 1),
-		oocScatterGatherEngine(t, g, 4, 4),
-		oocBinBudgetEngine(t, g),
 		oocSharedSessionEngine(t, g),
 		oocMutatedStoreEngine(t, g, false),
 		oocMutatedStoreEngine(t, g, true),

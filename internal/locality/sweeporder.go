@@ -1,14 +1,14 @@
 package locality
 
-// Sweep-order scoring. The out-of-core engine's sweep planner
-// (shard.Options.Order) permutes each EdgeMap's shard plan to keep the
-// LRU tail of one sweep alive into the next; this file is the offline
-// counterpart: given the planned multi-sweep shard schedule, it replays
-// the sequence through the exact reuse-distance analyzer and an LRU of
-// the engine's shard budget, and scores it against the ascending
-// baseline over the same per-sweep shard sets. It answers, without
-// running the engine, the question the ordering policies compete on:
-// how many shard re-reads does this schedule's locality save?
+// Sweep-order scoring. The out-of-core engine (internal/shard) visits
+// each EdgeMap's shard plan in ascending shard order; this file is the
+// offline model of what any other multi-sweep schedule would do to the
+// shard cache: it replays the schedule through the exact reuse-distance
+// analyzer and an LRU of the engine's shard budget, and scores it
+// against the ascending baseline over the same per-sweep shard sets. It
+// answers, without running the engine, how many shard re-reads a
+// schedule's locality would save — the evidence any engine-chosen
+// sweep order has to bring before it earns a place in the engine.
 
 import "sort"
 
@@ -27,8 +27,7 @@ type SweepOrderScore struct {
 }
 
 // SweepOrderComparison scores a planned schedule against the ascending
-// baseline over the same per-sweep shard sets — the exact counterfactual
-// shard.Stats.ReloadsAvoided tracks live.
+// baseline over the same per-sweep shard sets.
 type SweepOrderComparison struct {
 	CacheShards int
 	Planned     SweepOrderScore
@@ -42,10 +41,10 @@ type SweepOrderComparison struct {
 // MeasureSweepOrder scores a planned multi-sweep shard schedule —
 // plans[s] is sweep s's shard sequence, in execution order — against the
 // ascending baseline (each sweep's shard set sorted ascending, the
-// engine's historical order) at an LRU budget of cacheShards resident
-// shards. A visit hits the LRU exactly when its reuse distance is
-// finite and below the budget, so the score ties the reuse-distance
-// histogram and the load count to the same replay.
+// engine's order) at an LRU budget of cacheShards resident shards. A
+// visit hits the LRU exactly when its reuse distance is finite and below
+// the budget, so the score ties the reuse-distance histogram and the
+// load count to the same replay.
 func MeasureSweepOrder(plans [][]int, cacheShards int) SweepOrderComparison {
 	if cacheShards < 1 {
 		cacheShards = 1

@@ -14,8 +14,8 @@ func ascendingSweeps(p, s int) [][]int {
 	return plans
 }
 
-// zigzagSweeps reverses every odd sweep — the boustrophedon schedule
-// shard.OrderZigzag plans.
+// zigzagSweeps reverses every odd sweep — the boustrophedon schedule,
+// the classic alternative to a cyclic ascending sweep.
 func zigzagSweeps(p, s int) [][]int {
 	plans := ascendingSweeps(p, s)
 	for i := 1; i < s; i += 2 {

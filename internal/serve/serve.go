@@ -54,7 +54,7 @@ type Config struct {
 	// shard.DefaultCacheBytes. All stores share this one budget.
 	CacheBytes int64
 	// Options is the engine option set every hosted store resolves at
-	// open time (Threads, IODepth, sweep mode, ...). The zero value is
+	// open time (Threads, SparseDiv, Topology). The zero value is
 	// the engine's defaults.
 	Options shard.Options
 }
@@ -412,33 +412,24 @@ func digestI32(xs []int32) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// storeInfo is the wire form of one hosted store. Bins is the store's
-// scatter/gather bin-cache snapshot — the host-wide budget every
-// session shares — present only when the daemon serves in
-// scatter/gather mode.
+// storeInfo is the wire form of one hosted store.
 type storeInfo struct {
-	Name          string               `json:"name"`
-	Dir           string               `json:"dir"`
-	Vertices      int                  `json:"vertices"`
-	Edges         int64                `json:"edges"`
-	Shards        int                  `json:"shards"`
-	Generation    int64                `json:"generation"`
-	PendingDeltas int                  `json:"pending_deltas"`
-	Bins          *shard.BinCacheStats `json:"bins,omitempty"`
+	Name          string `json:"name"`
+	Dir           string `json:"dir"`
+	Vertices      int    `json:"vertices"`
+	Edges         int64  `json:"edges"`
+	Shards        int    `json:"shards"`
+	Generation    int64  `json:"generation"`
+	PendingDeltas int    `json:"pending_deltas"`
 }
 
 func (s *Server) storeInfoLocked(hs *hostedStore) storeInfo {
 	st := hs.host.Store()
-	info := storeInfo{
+	return storeInfo{
 		Name: hs.name, Dir: hs.dir,
 		Vertices: st.NumVertices(), Edges: st.NumEdges(), Shards: st.NumShards(),
 		Generation: st.Generation(), PendingDeltas: st.PendingDeltas(),
 	}
-	if s.opts.SweepMode == shard.SweepScatterGather {
-		bins := hs.host.BinStats()
-		info.Bins = &bins
-	}
-	return info
 }
 
 // queryInfo is the wire form of one query's status.

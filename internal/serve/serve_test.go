@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -392,24 +391,16 @@ func TestServedConcurrentPRBFS(t *testing.T) {
 	fmt.Printf("served PR+BFS: concurrent loads %d vs solo sum %d\n", concurrent, soloLoads)
 }
 
-// TestBinBudgetRehostReleasesBins is the bin-lifecycle regression test
-// for mutations: a scatter/gather daemon retains bins (and spill
-// files) for the generation it serves; when an update rehosts the
-// store, the old host's bin store must drain to exactly zero — bytes,
-// residents and spill files — even while a generation-pinned session
-// keeps answering queries with the old content, and the new host must
-// start accumulating bins of its own under the same budget.
-func TestBinBudgetRehostReleasesBins(t *testing.T) {
-	dir, g := writeStore(t, 8)
-	const budget = int64(16 << 10) // half this store's bin footprint: spills happen
-	s := New(Config{Options: shard.Options{
-		Threads: 2, SweepMode: shard.SweepScatterGather, BinBudgetBytes: budget,
-	}})
+// TestRehostReleasesCachedShards is the residency-lifecycle regression
+// test for mutations: when an update rehosts a store, the old host's
+// shards leave the daemon's shared cache at once — a drained old host
+// holds zero bytes — while a generation-pinned session keeps answering
+// queries with the old content, and the new host serves the mutated
+// content through the same budget.
+func TestRehostReleasesCachedShards(t *testing.T) {
+	dir, _ := writeStore(t, 8)
+	s := New(Config{Options: shard.Options{Threads: 2}})
 	if err := s.OpenStore("tiny", dir); err != nil {
-		t.Fatal(err)
-	}
-	old, err := s.lookupHost("tiny")
-	if err != nil {
 		t.Fatal(err)
 	}
 	pinned, err := s.Session("tiny")
@@ -417,67 +408,29 @@ func TestBinBudgetRehostReleasesBins(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := digestF64(algorithms.PR(pinned, 10).Ranks)
-
-	bs := old.BinStats()
-	if bs.Bytes <= 0 || bs.Bytes > budget || bs.SpilledBytes <= 0 {
-		t.Fatalf("pre-mutation bin stats %+v, want resident bytes within budget and spill traffic", bs)
-	}
-	spills, err := filepath.Glob(filepath.Join(dir, "bin-*-g000000.spill"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spills) == 0 {
-		t.Fatal("half-footprint budget produced no generation-0 spill files")
+	if cs := s.Cache().Stats(); cs.Resident == 0 || cs.Bytes == 0 {
+		t.Fatalf("pre-mutation cache stats %+v, want the store's shards resident", cs)
 	}
 
 	if _, err := s.ApplyUpdates("tiny", []graph.Edge{{Src: 0, Dst: 9}}, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// The pinned session still serves generation 0 bit-exactly — and its
-	// post-rehost sweeps (re-scattering into the closed bin cache) must
-	// not resurrect any retained state.
+	if cs := s.Cache().Stats(); cs.Resident != 0 || cs.Bytes != 0 || cs.Pinned != 0 {
+		t.Fatalf("the rehost left the old host's shards in the cache: %+v", cs)
+	}
+	// The pinned session still serves generation 0 bit-exactly.
 	if got := digestF64(algorithms.PR(pinned, 10).Ranks); got != before {
 		t.Fatalf("pinned session digest changed across the rehost: %s vs %s", got, before)
 	}
-	bs = old.BinStats()
-	if bs.Bytes != 0 || bs.Resident != 0 || bs.Pinned != 0 || bs.Spilled != 0 {
-		t.Fatalf("drained old host still holds bins: %+v", bs)
-	}
-	spills, err = filepath.Glob(filepath.Join(dir, "bin-*-g000000.spill"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spills) != 0 {
-		t.Fatalf("generation-0 spill files survived the rehost: %v", spills)
-	}
 
-	// Compaction rehosts again; the generation-1 host must drain the
-	// same way once nothing runs on it.
-	if _, err := s.CompactStore("tiny"); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := filepath.Glob(filepath.Join(dir, "bin-*.spill")); err != nil || len(got) != 0 {
-		t.Fatalf("spill files survived the compaction rehost: %v (%v)", got, err)
-	}
-
-	// The fresh host accumulates bins again, inside the same budget, and
-	// serves the mutated content.
 	sess, err := s.Session("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := digestF64(algorithms.PR(sess, 10).Ranks)
-	if after == before {
+	if after := digestF64(algorithms.PR(sess, 10).Ranks); after == before {
 		t.Fatal("PageRank digest unchanged by the edge insertion")
 	}
-	cur, err := s.lookupHost("tiny")
-	if err != nil {
-		t.Fatal(err)
+	if cs := s.Cache().Stats(); cs.PeakBytes <= 0 || cs.PeakBytes > cs.Budget || cs.Pinned != 0 {
+		t.Fatalf("rehosted store's cache stats %+v, want residency within the shared budget and no pins", cs)
 	}
-	bs = cur.BinStats()
-	if bs.PeakBytes <= 0 || bs.PeakBytes > budget {
-		t.Fatalf("rehosted store's bin stats %+v, want fresh residency within the shared budget", bs)
-	}
-	_ = g
 }

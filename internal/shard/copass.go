@@ -3,7 +3,7 @@ package shard
 // Cross-query sweep co-scheduling. When N sessions of one Host run
 // dense sweeps concurrently, each would walk (most of) the store — the
 // same disk pass N times. The passBoard batches them onto one: the
-// first dense edge-centric sweep to arrive opens a *pass* and becomes
+// first dense sweep to arrive opens a *pass* and becomes
 // its leader; any dense sweep that starts on the same store while the
 // pass is open joins as a follower instead of fetching. The leader
 // publishes every staged shard as it applies it; a follower applies
@@ -142,12 +142,12 @@ func (s *passSub) unsub() {
 }
 
 // sweepPipelined runs one EdgeMap's staged, windowed, NUMA-concurrent
-// sweep — the default dense/sparse execution path. A dense
-// edge-centric sweep additionally co-schedules with the host's other
-// sessions: it leads a pass (publishing every staged shard — to nobody,
-// on a lone session) or follows one already open.
+// sweep — the one dense/sparse execution path. A dense sweep
+// additionally co-schedules with the host's other sessions: it leads a
+// pass (publishing every staged shard — to nobody, on a lone session)
+// or follows one already open.
 func (e *Engine) sweepPipelined(plan []int, sparse bool, cur *frontier.Bitmap, cond func(graph.VID) bool, op api.EdgeOp, next *frontier.Bitmap, accs []sweepAccum) {
-	if !sparse && e.opts.SweepMode == SweepEdgeCentric {
+	if !sparse {
 		if pass := e.board.lead(); pass != nil {
 			// Leader: the normal pipeline, publishing each shard at its
 			// apply hand-off. close is deferred before the window's stop,
@@ -157,7 +157,6 @@ func (e *Engine) sweepPipelined(plan []int, sparse bool, cur *frontier.Bitmap, c
 			if e.onCoLead != nil {
 				e.onCoLead()
 			}
-			plan = e.orderPlan(plan)
 			w := e.startSweep(plan, func(sh *resident) {
 				pass.publish(sh.idx, sh)
 				e.applyShard(sh.idx, sh, cur, cond, op, next, accs)
@@ -167,16 +166,10 @@ func (e *Engine) sweepPipelined(plan []int, sparse bool, cur *frontier.Bitmap, c
 			return
 		}
 		if sub := e.board.join(e.st.NumShards()); sub != nil {
-			// Follower: the planner's residency prediction cannot hold
-			// for a sweep that applies out of another query's pass, so no
-			// accounting is staged (and none left over from an aborted
-			// sweep may leak into commitPlan).
-			e.pending = nil
 			e.coFollow(sub, plan, cur, cond, op, next, accs)
 			return
 		}
 	}
-	plan = e.orderPlan(plan)
 	w := e.startSweep(plan, func(sh *resident) {
 		e.applyShard(sh.idx, sh, cur, cond, op, next, accs)
 	})

@@ -9,9 +9,8 @@ package shard
 // deltas as linear zips of sorted streams (mergeDeltas), preserving
 // the per-destination ascending-source order every engine path
 // assumes: a mutated store is per-destination identical to a
-// from-scratch rebuild of the same edge multiset, so every sweep
-// mode, order, window depth, IODepth and co-pass path works unchanged
-// over it. Compact (compact.go) folds the deltas back into
+// from-scratch rebuild of the same edge multiset, so every window
+// depth, domain count and co-pass path works unchanged over it. Compact (compact.go) folds the deltas back into
 // generation-suffixed base files.
 //
 // Files of superseded generations are never overwritten or deleted,

@@ -2,9 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/aio"
 	"repro/internal/api"
 	"repro/internal/frontier"
 	"repro/internal/graph"
@@ -25,32 +25,6 @@ type Options struct {
 	// shards with active sources); denser frontiers stream the full
 	// shard sequence. 0 selects the paper's 20.
 	SparseDiv int64
-	// Window is the staging window depth k: how many shards the
-	// pipeline may hold staged ahead of the applies (loaded from disk,
-	// loading, or promoted from the cache, not yet begun applying). The
-	// original double buffer is k = 1; deeper windows let the staging
-	// goroutine run ahead — an io_uring submission queue of depth k,
-	// with up to IODepth of its entries genuinely reading at once — so
-	// the concurrent per-domain applies never starve. At any moment the
-	// depth is additionally bounded by max(IODepth, min(k, slots −
-	// in-flight applies)), where slots is how many of the store's
-	// largest decoded shard the cache budget holds, keeping staged
-	// shards inside the budget. 0 selects max(domain count, IODepth);
-	// an explicit value below IODepth is rejected (the window must
-	// cover every in-flight read).
-	Window int
-	// IODepth is the uncached-read budget: how many shard reads the
-	// staging pipeline may keep in flight simultaneously through the
-	// internal/aio reader, host-wide across every session. 1 — the
-	// default — is the historical "one uncached load in flight" engine;
-	// deeper budgets issue up to IODepth reads ahead of the reap point,
-	// each executed (read + streaming decode) on a worker of the NUMA
-	// domain that will apply the shard. Results are bit-identical at any
-	// depth: reads complete out of order, but shards are admitted to
-	// the cache and handed to the applies strictly in plan order. The
-	// footprint contract is the cache budget plus IODepth decoded
-	// shards plus the shards mid-apply.
-	IODepth int
 	// Topology is the modelled NUMA topology shards are placed on;
 	// the zero value selects sched.DefaultTopology (4 domains, the
 	// paper's machine). Shard i's destination range lives on domain
@@ -58,62 +32,15 @@ type Options struct {
 	// confines each shard's apply to Threads/Domains workers, the
 	// price of the ownership discipline (a real NUMA machine pays it
 	// back in local bandwidth; the model only keeps the books).
-	// Domains: 1 restores full-pool applies.
+	// Domains: 1 restores full-pool applies. The domain count is also
+	// the staging window's depth cap (see window.go).
 	Topology sched.Topology
-	// Order is the sweep-order policy: how the planner permutes each
-	// EdgeMap's shard plan before the staging goroutine walks it. The
-	// zero value — OrderAscending — is the historical ascending-index
-	// stream and the differential baseline; OrderZigzag and
-	// OrderResidencyFirst reorder the same shard set to keep the LRU
-	// tail of one sweep alive into the next (see plan.go). Every policy
-	// is bit-identical: shards own disjoint destination ranges, so plan
-	// order can change only when a shard is read, never what is computed.
-	Order Order
-	// SweepMode selects how dense sweeps move updates from edges to
-	// destination state. SweepEdgeCentric — the zero value — applies
-	// each staged shard in place, the historical path and the
-	// differential baseline. SweepScatterGather splits every dense
-	// sweep into two sequential phases (the PCPM design, Lakhotia et
-	// al.): scatter streams each staged shard's edges once and appends
-	// a compact (dstOffset, src) zigzag-delta-varint bin — one bin per
-	// shard, so bins inherit the 64-aligned disjoint destination ranges
-	// and never cross modelled NUMA domains — and gather has each
-	// domain replay only its own bins into its destination ranges: pure
-	// sequential reads, no atomics, bit-identical to the edge-centric
-	// apply by the same disjointness argument (per-destination update
-	// order is resident order either way). Bins encode the full shard
-	// (the frontier filter moves to gather), so they are retained and
-	// replayed by every later dense sweep without touching the plan,
-	// the cache or the disk — the bytes-moved win on iterative dense
-	// algorithms. Sparse frontiers always take the edge-centric path
-	// (PCPM only wins when dense). Composes with Window, IODepth and
-	// Order. See scattergather.go.
-	SweepMode SweepMode
-	// BinBudgetBytes bounds the in-memory footprint of the
-	// scatter/gather mode's retained update bins. 0 — the default —
-	// retains every bin for the store's lifetime (footprint roughly the
-	// v2-compressed store size). A positive budget turns the bin store
-	// into a byte-budgeted refcounted LRU shared by every session of a
-	// Host: resident bin bytes never exceed the budget at any
-	// observation point, a bin pinned by an in-flight gather is never
-	// evicted, and an insert that cannot fit is refused (used once,
-	// uncached) rather than blocked on. Bins leaving memory spill to
-	// generation-suffixed files next to the store and replay with one
-	// sequential read on the next dense sweep; a missing or corrupt
-	// spill file silently re-scatters the shard. Values below
-	// MinBinBudgetBytes (except 0) and combinations with
-	// SweepEdgeCentric — which keeps no bins to budget — are rejected
-	// with *OptionsError. See bincache.go.
-	BinBudgetBytes int64
 }
 
 // OptionsError is the typed rejection normalize returns for a
-// nonsensical or contradictory Options value. Zero values still select
-// defaults (the long-standing construction idiom); negative knobs,
-// unknown enum values and the one genuinely contradictory combination —
-// a window narrower than the read budget it must cover — are errors,
-// never silent rewrites that run something other than what was asked
-// for.
+// nonsensical Options value. Zero values still select defaults (the
+// long-standing construction idiom); negative knobs are errors, never
+// silent rewrites that run something other than what was asked for.
 type OptionsError struct {
 	Field  string // the offending Options field
 	Value  int64  // the rejected value
@@ -132,31 +59,8 @@ func (o Options) normalize() (Options, error) {
 	if o.SparseDiv < 0 {
 		return o, &OptionsError{"SparseDiv", o.SparseDiv, "must be >= 0 (0 selects the paper's 20)"}
 	}
-	if o.Window < 0 {
-		return o, &OptionsError{"Window", int64(o.Window), "must be >= 0 (0 selects max(Domains, IODepth))"}
-	}
-	if o.IODepth < 0 {
-		return o, &OptionsError{"IODepth", int64(o.IODepth), "must be >= 0 (0 selects 1, the synchronous read path)"}
-	}
 	if o.Topology.Domains < 0 {
 		return o, &OptionsError{"Topology.Domains", int64(o.Topology.Domains), "must be >= 0 (0 selects the default topology)"}
-	}
-	if !o.Order.valid() {
-		return o, &OptionsError{"Order", int64(o.Order), "unknown sweep order (have ascending, zigzag, residency-first)"}
-	}
-	if !o.SweepMode.valid() {
-		return o, &OptionsError{"SweepMode", int64(o.SweepMode), "unknown sweep mode (have edge-centric, scatter-gather)"}
-	}
-	if o.BinBudgetBytes < 0 {
-		return o, &OptionsError{"BinBudgetBytes", o.BinBudgetBytes, "must be >= 0 (0 retains every bin unbounded)"}
-	}
-	if o.BinBudgetBytes > 0 && o.BinBudgetBytes < MinBinBudgetBytes {
-		return o, &OptionsError{"BinBudgetBytes", o.BinBudgetBytes,
-			fmt.Sprintf("below MinBinBudgetBytes = %d; a budget that cannot hold even one bin's segments refuses every insert", MinBinBudgetBytes)}
-	}
-	if o.BinBudgetBytes > 0 && o.SweepMode != SweepScatterGather {
-		return o, &OptionsError{"BinBudgetBytes", o.BinBudgetBytes,
-			"only meaningful with SweepMode = SweepScatterGather; the edge-centric sweep keeps no bins to budget"}
 	}
 	if o.SparseDiv == 0 {
 		o.SparseDiv = 20
@@ -164,22 +68,13 @@ func (o Options) normalize() (Options, error) {
 	if o.Topology.Domains == 0 {
 		o.Topology = sched.DefaultTopology()
 	}
-	if o.IODepth == 0 {
-		o.IODepth = 1
-	}
-	if o.Window == 0 {
-		o.Window = max(o.Topology.Domains, o.IODepth)
-	} else if o.Window < o.IODepth {
-		return o, &OptionsError{"Window", int64(o.Window),
-			fmt.Sprintf("narrower than IODepth = %d; the staging window must cover every in-flight read", o.IODepth)}
-	}
 	return o, nil
 }
 
 // Validate reports whether o would be accepted by engine construction,
 // without building anything — the flag-parse-time check the CLIs use to
-// reject a nonsensical combination with a usage error (exit 2) instead
-// of a construction failure later. The returned error is the same typed
+// reject a nonsensical value with a usage error (exit 2) instead of a
+// construction failure later. The returned error is the same typed
 // *OptionsError NewEngine/NewHost would produce.
 func (o Options) Validate() error {
 	_, err := o.normalize()
@@ -203,56 +98,6 @@ type Stats struct {
 	BytesRead    int64
 	BytesLogical int64
 
-	// Sweep-order planner counters. PlannedCacheHits is the number of
-	// plan entries the planner predicted the cache would serve as it
-	// stood at plan time — a byte-priced simulation of the sweep's own
-	// fetch sequence against the cache the engine fetches through, so
-	// over a lone engine's fault-free run it tracks the CacheHits those
-	// sweeps then collect (exactly, when applies finish in plan order;
-	// see shadowLRU). ReloadsAvoided is the number of disk
-	// loads a whole-run ascending baseline would have issued minus the
-	// loads the chosen order actually needs, accumulated sweep by sweep
-	// against a persistent shadow of the baseline's cache (reordering
-	// one sweep also changes what the next sweep finds resident, so the
-	// saving compounds); identically 0 under OrderAscending. Both count
-	// completed sweeps only: a sweep aborted by an operator panic or a
-	// load failure charges nothing (its partial fetches still show in
-	// CacheHits/ShardLoads, which track what actually happened).
-	PlannedCacheHits int64
-	ReloadsAvoided   int64
-
-	// Scatter/gather counters (zero under SweepEdgeCentric).
-	// ScatterGatherSweeps counts dense EdgeMaps that ran the two-phase
-	// path — sparse sweeps fall back to edge-centric and count under
-	// SparseSweeps only. BinBytesWritten / BinBytesRead are the encoded
-	// bin traffic: bytes the scatter phase appended and bytes the gather
-	// phase replayed (retained bins are written once and read every
-	// sweep, so over an iterative dense run BinBytesRead grows while
-	// BinBytesWritten and BytesRead do not — the mode's bytes-moved
-	// win). BinShardsReused counts dense-sweep plan entries whose bin
-	// was already resident from an earlier sweep: gathers that needed no
-	// shard fetch at all. In this mode DomainShards/DomainEdges count
-	// gathered bins and their entries — the phase that applies edge work
-	// to a domain's destination ranges.
-	//
-	// The bin-budget counters (zero with BinBudgetBytes = 0) charge the
-	// session whose operation triggered them, not the session that
-	// scattered the bin: BinShardsEvicted counts cold bins this
-	// session's inserts pushed out of the budget, BinBytesSpilled the
-	// spill-file bytes those evictions (and refused inserts) wrote, and
-	// BinSpillReplays / BinSpillBytesRead the bins — and sequential disk
-	// bytes — this session's dense sweeps restored from spill files
-	// instead of re-scattering. Host-wide aggregates (residency, peak,
-	// hit/eviction totals across sessions) live in Host.BinStats.
-	ScatterGatherSweeps int64
-	BinShardsReused     int64
-	BinBytesWritten     int64
-	BinBytesRead        int64
-	BinShardsEvicted    int64
-	BinBytesSpilled     int64
-	BinSpillReplays     int64
-	BinSpillBytesRead   int64
-
 	// Multi-tenant counters (zero on a lone session; see host.go).
 	// SharedReads counts uncached reads this session resolved without
 	// touching disk because another session's load for the same shard
@@ -270,17 +115,6 @@ type Stats struct {
 	// apply — the pipeline doing its job.
 	OverlappedLoads int64
 
-	// Async-read occupancy (the internal/aio path). ReadDepths[d] counts
-	// uncached reads that began with d reads in flight engine-wide,
-	// itself included
-	// (index 0 is unused; the histogram is sized IODepth+1);
-	// ReadsInFlightPeak is the maximum simultaneous uncached reads
-	// observed. An IODepth=1 engine records ReadsInFlightPeak == 1 on
-	// any sweep that loads — the historical invariant, now measured
-	// rather than assumed.
-	ReadDepths        []int64
-	ReadsInFlightPeak int64
-
 	// Concurrent-apply occupancy. ApplyLevels[l] counts shard applies
 	// that began with l+1 shards mid-apply engine-wide (ApplyLevels[0]
 	// is a lone apply, ApplyLevels[Domains-1] full occupancy);
@@ -289,9 +123,9 @@ type Stats struct {
 	ConcurrentApplyPeak int64
 
 	// WindowDepths[d] counts staging hand-offs that completed with d
-	// shards resident in the window (loaded or loading, not yet begun
-	// applying); index 0 is unused. The depth never exceeds
-	// max(IODepth, min(Options.Window, slots − in-flight applies)).
+	// shards staged in the window (fetched, not yet begun applying);
+	// index 0 is unused. The depth never exceeds
+	// max(1, min(Domains, slots − in-flight applies)).
 	WindowDepths []int64
 
 	// Modelled NUMA placement: per-domain shard applications and edges
@@ -322,25 +156,24 @@ type Stats struct {
 // non-atomic EdgeOp.Update path is always used — the out-of-core
 // counterpart of the paper's "COO + na" configuration.
 //
-// Sweeps are pipelined (plan → stage → apply → publish): once the
-// planner fixes the shard order, a staging goroutine keeps up to
-// Options.Window shards staged ahead — promoted from the cache, or read
-// through the internal/aio reader with up to Options.IODepth uncached
-// reads in flight at once — and up to
-// min(Domains, Threads) staged shards are applied simultaneously, one
-// per modelled NUMA domain, each by the workers of the domain that
-// owns its destination range (round-robin by shard index, the
-// placement Polymer uses for in-memory partitions, here also run with
-// Polymer's all-sockets-at-once concurrency). Results are bit-identical
-// at any window depth: shards own disjoint destination ranges and
-// operators write destination state only, so each destination's updates
-// happen in shard-file order regardless of cross-domain timing.
+// Sweeps are pipelined (plan → stage → apply → publish): a staging
+// goroutine walks the ascending shard plan, keeping up to one shard per
+// modelled NUMA domain staged ahead — promoted from the cache, or read
+// synchronously, in plan order — and up to min(Domains, Threads)
+// staged shards are applied simultaneously, one per domain, each by the
+// workers of the domain that owns its destination range (round-robin by
+// shard index, the placement Polymer uses for in-memory partitions,
+// here also run with Polymer's all-sockets-at-once concurrency).
+// Results are bit-identical at any window depth: shards own disjoint
+// destination ranges and operators write destination state only, so
+// each destination's updates happen in shard-file order regardless of
+// cross-domain timing.
 //
 // Every Engine is one session of a Host (see host.go): it owns its
-// stats, planner state and per-sweep accumulators, and shares the
-// immutable hostCore, the byte-budgeted SharedCache, the aio read
-// budget and the co-scheduling board with any other session of the
-// same host. NewEngine builds a host with exactly one session.
+// stats and per-sweep accumulators, and shares the immutable hostCore,
+// the byte-budgeted SharedCache, the host's disk-read lock and the
+// co-scheduling board with any other session of the same host.
+// NewEngine builds a host with exactly one session.
 //
 // EdgeMap cannot return an error through the api.System interface, so a
 // shard that fails to load mid-sweep panics with the underlying error.
@@ -349,40 +182,27 @@ type Stats struct {
 type Engine struct {
 	*hostCore
 
-	cache    *SharedCache
-	board    *passBoard
-	ioBudget *aio.Budget
+	cache *SharedCache
+	board *passBoard
+	// readMu is the host's disk-read lock: held around every uncached
+	// read, so at most one shard read is in flight per store across all
+	// of the host's sessions.
+	readMu *sync.Mutex
 	// slots is how many of the store's largest decoded shard the cache
 	// budget holds (at least one): the unit the staging window's
 	// budget bound counts in.
 	slots int
 
-	// Sweep-order planner state: sweepSeq numbers the planned sweeps so
-	// OrderZigzag can alternate direction; shadow models the cache a
-	// whole-run ascending baseline would hold, the counterfactual
-	// ReloadsAvoided is charged against; pending is the current sweep's
-	// staged accounting, published by commitPlan only when the sweep
-	// completes. All of these are touched only by orderPlan/commitPlan
-	// on the sweep goroutine — EdgeMap calls are serial per engine, like
-	// every api.System.
-	sweepSeq int64
-	shadow   *shadowLRU
-	pending  *plannedStats
-
 	// applying counts shards currently mid-apply (up to one per domain);
 	// the read path samples it to count loads that overlapped an apply,
-	// and applyShard derives the occupancy stats from it. loading counts
-	// this session's uncached shard reads in flight (at most
-	// Options.IODepth) and feeds the ReadDepths and ReadsInFlightPeak
-	// stats.
+	// and applyShard derives the occupancy stats from it.
 	applying int32
-	loading  int32
 
 	stats Stats
 
 	// Test hooks (nil outside tests): onLoadBegin fires before a shard
-	// file is read (on an aio worker goroutine, up to IODepth
-	// concurrently), onLoadEnd after it is decoded;
+	// file is read (on the staging goroutine, under the host's read
+	// lock), onLoadEnd after it is decoded;
 	// onApplyBegin/onApplyEnd bracket one shard's parallel application
 	// (on its domain's apply goroutine); onStage fires when a staged
 	// shard enters the window, carrying the observed window depth and
@@ -400,18 +220,17 @@ var _ api.System = (*Engine)(nil)
 // hostCore is the store-derived immutable substrate one construction
 // pays for and every session of a Host shares: the resolved options,
 // the worker pool and its per-domain views, the vertex→shard map, the
-// source summaries, the planner's Hilbert keys and per-shard byte
-// prices, and the scatter/gather bin store.
+// source summaries and the largest shard's decoded size.
 type hostCore struct {
 	st   *Store
 	g    *graph.Graph
 	opts Options
 	pool *sched.Pool
 	// gen is the store generation the core was built over. The graph
-	// metadata, feeds and planner state all describe that generation;
-	// after an ApplyBatch or Compact on the store its engines are stale,
-	// and every sweep entry point checks the pin rather than silently
-	// mixing views (see checkGen).
+	// metadata and feeds describe that generation; after an ApplyBatch
+	// or Compact on the store its engines are stale, and every sweep
+	// entry point checks the pin rather than silently mixing views (see
+	// checkGen).
 	gen int64
 
 	home  []int32    // vertex -> shard whose destination range holds it
@@ -423,22 +242,10 @@ type hostCore struct {
 	domainOf []int32
 	domains  []*sched.DomainView
 
-	// hilbertKey[si] is shard si's position on the Hilbert curve over
-	// (shard, source-range centroid), the tail order OrderResidencyFirst
-	// schedules uncached shards in. shardBytes[si] is exactly what shard
-	// si costs the cache once decoded (decodedBytes over the manifest's
-	// live edge count), the price the planner's LRU simulation uses;
-	// maxShardBytes is the largest of them, the window's slot size.
-	hilbertKey    []uint64
-	shardBytes    []int64
+	// maxShardBytes is what the largest shard costs the cache once
+	// decoded (decodedBytes over the manifest's live edge count): the
+	// staging window's slot size.
 	maxShardBytes int64
-
-	// bins is the scatter/gather bin store (nil when edge-centric): each
-	// shard's retained scatter bin — the whole shard re-encoded as
-	// (dstOffset, src) zigzag-delta varint segments — is built by the
-	// first dense sweep that visits the shard and replayed by every
-	// later one, by every session (see bincache.go).
-	bins *binCache
 }
 
 // newHostCore validates (st, g, opts) and builds the shared substrate —
@@ -457,16 +264,14 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 		return nil, err
 	}
 	c := &hostCore{
-		st:         st,
-		g:          g,
-		opts:       opts,
-		pool:       sched.NewPool(opts.Threads),
-		gen:        st.Generation(),
-		home:       make([]int32, g.NumVertices()),
-		feeds:      feeds,
-		domainOf:   make([]int32, st.NumShards()),
-		hilbertKey: hilbertKeys(feeds, st.NumShards()),
-		shardBytes: make([]int64, st.NumShards()),
+		st:       st,
+		g:        g,
+		opts:     opts,
+		pool:     sched.NewPool(opts.Threads),
+		gen:      st.Generation(),
+		home:     make([]int32, g.NumVertices()),
+		feeds:    feeds,
+		domainOf: make([]int32, st.NumShards()),
 
 		maxShardBytes: 1,
 	}
@@ -477,11 +282,7 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 			c.home[v] = int32(i)
 		}
 		c.domainOf[i] = int32(opts.Topology.DomainOf(i))
-		c.shardBytes[i] = decodedBytes(st.m.EdgeCounts[i], c.taskCount(i))
-		c.maxShardBytes = max(c.maxShardBytes, c.shardBytes[i])
-	}
-	if opts.SweepMode == SweepScatterGather {
-		c.bins = newBinCache(opts.BinBudgetBytes, st.dir, c.gen)
+		c.maxShardBytes = max(c.maxShardBytes, decodedBytes(st.m.EdgeCounts[i], c.taskCount(i)))
 	}
 	return c, nil
 }
@@ -541,27 +342,15 @@ func (e *Engine) Stats() Stats {
 		ShardsSkipped:       atomic.LoadInt64(&e.stats.ShardsSkipped),
 		BytesRead:           atomic.LoadInt64(&e.stats.BytesRead),
 		BytesLogical:        atomic.LoadInt64(&e.stats.BytesLogical),
-		PlannedCacheHits:    atomic.LoadInt64(&e.stats.PlannedCacheHits),
-		ReloadsAvoided:      atomic.LoadInt64(&e.stats.ReloadsAvoided),
 		SharedReads:         atomic.LoadInt64(&e.stats.SharedReads),
 		CoScheduledSweeps:   atomic.LoadInt64(&e.stats.CoScheduledSweeps),
 		CoSharedShards:      atomic.LoadInt64(&e.stats.CoSharedShards),
-		ScatterGatherSweeps: atomic.LoadInt64(&e.stats.ScatterGatherSweeps),
-		BinShardsReused:     atomic.LoadInt64(&e.stats.BinShardsReused),
-		BinBytesWritten:     atomic.LoadInt64(&e.stats.BinBytesWritten),
-		BinBytesRead:        atomic.LoadInt64(&e.stats.BinBytesRead),
-		BinShardsEvicted:    atomic.LoadInt64(&e.stats.BinShardsEvicted),
-		BinBytesSpilled:     atomic.LoadInt64(&e.stats.BinBytesSpilled),
-		BinSpillReplays:     atomic.LoadInt64(&e.stats.BinSpillReplays),
-		BinSpillBytesRead:   atomic.LoadInt64(&e.stats.BinSpillBytesRead),
 		OverlappedLoads:     atomic.LoadInt64(&e.stats.OverlappedLoads),
-		ReadsInFlightPeak:   atomic.LoadInt64(&e.stats.ReadsInFlightPeak),
 		ConcurrentApplyPeak: atomic.LoadInt64(&e.stats.ConcurrentApplyPeak),
 		DomainShards:        make([]int64, len(e.stats.DomainShards)),
 		DomainEdges:         make([]int64, len(e.stats.DomainEdges)),
 		ApplyLevels:         make([]int64, len(e.stats.ApplyLevels)),
 		WindowDepths:        make([]int64, len(e.stats.WindowDepths)),
-		ReadDepths:          make([]int64, len(e.stats.ReadDepths)),
 	}
 	for d := range s.DomainShards {
 		s.DomainShards[d] = atomic.LoadInt64(&e.stats.DomainShards[d])
@@ -572,9 +361,6 @@ func (e *Engine) Stats() Stats {
 	}
 	for d := range s.WindowDepths {
 		s.WindowDepths[d] = atomic.LoadInt64(&e.stats.WindowDepths[d])
-	}
-	for d := range s.ReadDepths {
-		s.ReadDepths[d] = atomic.LoadInt64(&e.stats.ReadDepths[d])
 	}
 	return s
 }
@@ -600,8 +386,8 @@ func (e *Engine) VertexFilter(f *frontier.Frontier, pred func(graph.VID) bool) *
 
 // checkGen panics if the store moved past the generation this engine
 // was built over. An ApplyBatch or Compact changes on-disk content the
-// engine's cached residents, graph metadata and planner state do not
-// reflect; sweeping anyway would silently mix the two views. Mutators
+// engine's cached residents and graph metadata do not reflect;
+// sweeping anyway would silently mix the two views. Mutators
 // that also serve queries reopen the store and rebuild hosts instead
 // (internal/serve does), so a trip here is always a caller bug.
 func (e *Engine) checkGen() {
@@ -612,10 +398,10 @@ func (e *Engine) checkGen() {
 
 // EdgeMap applies op over the active edges of f with a frontier-aware,
 // concurrent shard sweep: plan → stage → apply → publish. The planner
-// picks the shard sequence (exact for sparse frontiers, summary-pruned
-// for dense ones); a staging goroutine keeps up to Options.Window
-// shards staged ahead (at most Options.IODepth uncached reads in
-// flight, admitted to the cache strictly in plan order); up to
+// picks the shard set in ascending order (exact for sparse frontiers,
+// summary-pruned for dense ones); a staging goroutine fetches it in that
+// order — a cache hit, else a synchronous read — keeping up to one
+// shard per domain staged ahead; up to
 // min(Domains, Threads) staged shards are applied simultaneously, one
 // per modelled NUMA domain, each by its own domain's workers; the next
 // frontier is published once, after the barrier, with aggregated
@@ -653,20 +439,7 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 	// domains never share an entry even when Split had to deal the same
 	// pool-global worker ID to several domains (Threads < Domains).
 	accs := make([]sweepAccum, len(e.domains)*e.pool.Threads())
-	if !sparse && e.opts.SweepMode == SweepScatterGather {
-		// Dense sweeps in scatter/gather mode take the two-phase path;
-		// sparse sweeps stay edge-centric (PCPM only wins when the bins
-		// amortise over dense iterations — see scattergather.go). The
-		// order planner runs inside, on the subset of shards whose bins
-		// are not yet resident — the only shards fetched.
-		e.sweepScatterGather(f, plan, cur, cond, op, next, accs)
-	} else {
-		e.sweepPipelined(plan, sparse, cur, cond, op, next, accs)
-	}
-	// The sweep completed (an aborted one panics out above): publish the
-	// planner accounting staged at plan time, so stats never describe
-	// fetches a failed sweep did not perform.
-	e.commitPlan()
+	e.sweepPipelined(plan, sparse, cur, cond, op, next, accs)
 	var count, outDeg int64
 	for i := range accs {
 		count += accs[i].count
@@ -731,16 +504,6 @@ func (e *Engine) planDense(f *frontier.Frontier) []int {
 	return plan
 }
 
-// loadResult is one uncached read's outcome, carried from the reading
-// goroutine (an aio worker, or the reaper itself on admit's fallback)
-// to the reap point where it is admitted to the cache.
-type loadResult struct {
-	sh         *resident
-	diskBytes  int64
-	overlapped bool // the read intersected an in-progress apply
-	shared     bool // served by another session's load; no disk touched
-}
-
 // stagedShard is one fetched shard on its way to an apply, carrying the
 // cache pin taken for it: whoever consumes the record — the apply loop
 // on every exit path — calls release exactly once. A refused
@@ -750,106 +513,70 @@ type stagedShard struct {
 	release func()
 }
 
-// readShard executes one uncached read — decode from disk, split into
-// the owning domain's apply tasks — without touching the cache or the
-// load counters; those belong to the reap point (admit), which runs in
-// plan order. readShard itself may run on any goroutine, concurrently
-// with up to IODepth-1 other reads. The read is single-flight through
-// the cache: if another session's load for the same shard is in flight
-// (or just landed), this session shares its result instead of touching
-// disk.
-func (e *Engine) readShard(si int) (loadResult, error) {
-	var res loadResult
-	sh, shared, err := e.cache.load(cacheKey{e.st, si}, func() (*resident, error) {
-		r, err := e.readShardDisk(si)
-		if err != nil {
-			return nil, err
-		}
-		res = r
-		return r.sh, nil
+// admit fetches plan entry si for the staging goroutine, pinned: from
+// the cache if resident, else by a synchronous read. The stager calls
+// it once per plan entry, in plan order, so the cache sees exactly the
+// get/add sequence of a sequential sweep. The read is single-flight
+// through the cache: if another session's load for the same shard is in
+// flight (or just landed), this session shares its result instead of
+// touching disk (SharedReads); otherwise it reads under the host's read
+// lock, so each store serves at most one uncached read at a time
+// however many sessions sweep it.
+func (e *Engine) admit(si int) (stagedShard, error) {
+	k := cacheKey{e.st, si}
+	if sh, release, ok := e.cache.get(k); ok {
+		atomic.AddInt64(&e.stats.CacheHits, 1)
+		return stagedShard{sh, release}, nil
+	}
+	var diskBytes int64
+	var overlapped bool
+	sh, shared, err := e.cache.load(k, func() (*resident, error) {
+		e.readMu.Lock()
+		defer e.readMu.Unlock()
+		sh, n, ov, err := e.readShard(si)
+		diskBytes, overlapped = n, ov
+		return sh, err
 	})
 	if err != nil {
-		return loadResult{}, err
+		return stagedShard{}, err
 	}
 	if shared {
-		return loadResult{sh: sh, shared: true}, nil
+		// Another session's disk load (or a raced insert) covered this
+		// read: no disk traffic to account to this session — it neither
+		// loaded the shard nor found it resident at fetch time.
+		atomic.AddInt64(&e.stats.SharedReads, 1)
+	} else {
+		atomic.AddInt64(&e.stats.BytesRead, diskBytes)
+		atomic.AddInt64(&e.stats.BytesLogical, v1EncodedBytes(int64(len(sh.src))))
+		atomic.AddInt64(&e.stats.ShardLoads, 1)
+		if overlapped {
+			atomic.AddInt64(&e.stats.OverlappedLoads, 1)
+		}
 	}
-	return res, nil
+	sh, release, _ := e.cache.add(k, sh)
+	return stagedShard{sh, release}, nil
 }
 
-// readShardDisk is the actual disk read + decode, plus the in-flight
-// read occupancy stats.
-func (e *Engine) readShardDisk(si int) (loadResult, error) {
+// readShard is the disk read + decode of shard si, split into the
+// owning domain's apply tasks, plus whether it intersected an
+// in-progress apply.
+func (e *Engine) readShard(si int) (sh *resident, diskBytes int64, overlapped bool, err error) {
 	if e.onLoadBegin != nil {
 		e.onLoadBegin(si)
 	}
-	depth := atomic.AddInt32(&e.loading, 1)
-	defer atomic.AddInt32(&e.loading, -1)
-	if d := int(depth); d >= 1 && d < len(e.stats.ReadDepths) {
-		atomic.AddInt64(&e.stats.ReadDepths[d], 1)
-	}
-	for {
-		peak := atomic.LoadInt64(&e.stats.ReadsInFlightPeak)
-		if int64(depth) <= peak ||
-			atomic.CompareAndSwapInt64(&e.stats.ReadsInFlightPeak, peak, int64(depth)) {
-			break
-		}
-	}
-	overlapped := atomic.LoadInt32(&e.applying) != 0
+	overlapped = atomic.LoadInt32(&e.applying) != 0
 	coo, diskBytes, err := e.st.loadShard(si)
 	if err != nil {
-		return loadResult{}, err
+		return nil, 0, false, err
 	}
-	sh := e.newResident(si, coo)
+	sh = e.newResident(si, coo)
 	if atomic.LoadInt32(&e.applying) != 0 {
 		overlapped = true
 	}
 	if e.onLoadEnd != nil {
 		e.onLoadEnd(si)
 	}
-	return loadResult{sh: sh, diskBytes: diskBytes, overlapped: overlapped}, nil
-}
-
-// admit resolves plan entry si at its reap point on the staging
-// goroutine, pinned: from the cache if resident, else from the async
-// read ticket issued for it (at submission time, or by pump's fallback
-// when an issue-time hit prediction was invalidated by an interleaved
-// eviction). The ticketless read covers the last gap — another
-// session's insert evicting the shard between pump's peek and this
-// fetch. Reads may complete out of order, but admit runs in plan
-// order, so the cache sees the same get/add sequence a synchronous
-// sweep would issue.
-func (e *Engine) admit(si int, t *aio.Ticket[loadResult]) (stagedShard, error) {
-	k := cacheKey{e.st, si}
-	if sh, release, ok := e.cache.get(k); ok {
-		atomic.AddInt64(&e.stats.CacheHits, 1)
-		return stagedShard{sh, release}, nil
-	}
-	var res loadResult
-	var err error
-	if t != nil {
-		res, err = t.Wait()
-	} else {
-		res, err = e.readShard(si)
-	}
-	if err != nil {
-		return stagedShard{}, err
-	}
-	if res.shared {
-		// Another session's disk load (or a raced insert) covered this
-		// read: no disk traffic to account to this session — it neither
-		// loaded the shard nor found it resident at fetch time.
-		atomic.AddInt64(&e.stats.SharedReads, 1)
-	} else {
-		atomic.AddInt64(&e.stats.BytesRead, res.diskBytes)
-		atomic.AddInt64(&e.stats.BytesLogical, v1EncodedBytes(int64(len(res.sh.src))))
-		atomic.AddInt64(&e.stats.ShardLoads, 1)
-		if res.overlapped {
-			atomic.AddInt64(&e.stats.OverlappedLoads, 1)
-		}
-	}
-	sh, release, _ := e.cache.add(k, res.sh)
-	return stagedShard{sh, release}, nil
+	return sh, diskBytes, overlapped, nil
 }
 
 // tasksPerWorker oversubscribes intra-shard tasks relative to workers so

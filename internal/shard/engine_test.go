@@ -89,11 +89,10 @@ func TestEngineConformance(t *testing.T) {
 	}
 	// The multi-threaded entries are deliberate -race fodder: under CI's
 	// race detector they exercise the windowed concurrent sweep (staging
-	// goroutine + up-to-D simultaneous domain applies) and the
-	// unpipelined fallback with >1 worker, which is where an exclusivity
-	// bug would surface. "starved-domains" runs more domains than
-	// workers, the configuration where Split hands the same worker ID to
-	// several concurrently-applying domains.
+	// goroutine + up-to-D simultaneous domain applies), which is where an
+	// exclusivity bug would surface. "starved-domains" runs more domains
+	// than workers, the configuration where Split hands the same worker
+	// ID to several concurrently-applying domains.
 	configs := map[string]struct {
 		slots int // cache budget in largest-shard units; 0 = the default cache
 		opts  Options
@@ -102,16 +101,10 @@ func TestEngineConformance(t *testing.T) {
 		"serial-tiny":     {1, Options{Threads: 1}},
 		"aggressive-lru":  {2, Options{Threads: 4}},
 		"pipelined-mt":    {2, Options{Threads: 8}},
-		"windowed-mt":     {4, Options{Threads: 8, Window: 4}},
-		"window-one":      {2, Options{Threads: 4, Window: 1}},
-		"sequential":      {2, Options{Threads: 8, Window: 1, IODepth: 1, Topology: sched.Topology{Domains: 1}}},
-		"starved-domains": {4, Options{Threads: 2, Window: 4, Topology: sched.Topology{Domains: 6}}},
-		"aio-depth-2":     {4, Options{Threads: 4, Window: 4, IODepth: 2}},
-		"aio-depth-max":   {4, Options{Threads: 8, IODepth: 4, Topology: sched.Topology{Domains: 4}}},
-		"aio-tight-cache": {2, Options{Threads: 4, IODepth: 2, Window: 2}},
-		"scatter-gather":  {2, Options{Threads: 8, SweepMode: SweepScatterGather}},
-		"sg-window-one":   {2, Options{Threads: 4, Window: 1, SweepMode: SweepScatterGather}},
-		"sg-aio-depth":    {4, Options{Threads: 8, Window: 4, IODepth: 4, SweepMode: SweepScatterGather, Topology: sched.Topology{Domains: 4}}},
+		"windowed-mt":     {4, Options{Threads: 8}},
+		"window-two":      {2, Options{Threads: 4, Topology: sched.Topology{Domains: 2}}},
+		"sequential":      {2, Options{Threads: 8, Topology: sched.Topology{Domains: 1}}},
+		"starved-domains": {4, Options{Threads: 2, Topology: sched.Topology{Domains: 6}}},
 	}
 	for gname, g := range graphs {
 		for cname, c := range configs {
@@ -192,6 +185,60 @@ func TestOutOfCoreSweepLoadsOneShardAtATime(t *testing.T) {
 	requireEvictions(t, e)
 	if st := e.Stats(); st.ShardLoads == 0 {
 		t.Fatal("no shard loads recorded; the hooks observed nothing")
+	}
+}
+
+// TestAscendingDensePageRankMatchesClosedForm pins the load and hit
+// counts of the ascending sweep to their closed form on a clean cyclic
+// workload: P equal shards, S dense sweeps. Under a budget of C < P
+// shards every sweep evicts each shard just before the next sweep
+// reaches it, so the cache serves no hit at all and every sweep loads
+// all P (the LRU's cyclic-reference pathology); under a budget that
+// holds the store, each shard is loaded once and every later visit
+// hits. The counts are exact with one domain, where pins are released
+// in fetch order.
+func TestAscendingDensePageRankMatchesClosedForm(t *testing.T) {
+	const shards, cacheShards, sweeps = 10, 3, 10
+	// A circulant graph — every vertex takes in-edges from its 8
+	// successors — over shards*64 vertices, so every shard decodes to
+	// exactly the same bytes and a budget of C largest shards holds
+	// exactly C of them.
+	const n = shards * 64
+	var edges []graph.Edge
+	for v := 0; v < n; v++ {
+		for d := 1; d <= 8; d++ {
+			edges = append(edges, graph.Edge{Src: graph.VID((v + d) % n), Dst: graph.VID(v)})
+		}
+	}
+	g := graph.FromEdges(n, edges)
+	st := createStore(t, t.TempDir(), g, shards)
+	want := serialPR(g, sweeps)
+	for _, tc := range []struct {
+		name        string
+		slots       int
+		loads, hits int64
+	}{
+		{"budget-below-store", cacheShards, sweeps * shards, 0},
+		{"budget-holds-store", shards, shards, (sweeps - 1) * shards},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := slotEngine(t, st, g, tc.slots, Options{Topology: sched.Topology{Domains: 1}})
+			if m := len(e.planDense(frontier.All(g))); m != shards {
+				t.Fatalf("fixture broken: dense plan has %d of %d shards", m, shards)
+			}
+			got := prOnSystem(e, sweeps)
+			for v := range want {
+				if math.Abs(got[v]-want[v]) > 1e-12 {
+					t.Fatalf("rank[%d] = %v, want %v", v, got[v], want[v])
+				}
+			}
+			s := e.Stats()
+			if s.DenseSweeps != sweeps || s.ShardLoads != tc.loads || s.CacheHits != tc.hits {
+				t.Fatalf("%d dense sweeps, %d loads, %d hits; closed form wants %d, %d, %d",
+					s.DenseSweeps, s.ShardLoads, s.CacheHits, sweeps, tc.loads, tc.hits)
+			}
+			checkQuiescent(t, e)
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,11 +18,9 @@ import (
 
 // Native fuzz targets for the decoding surfaces a shard directory
 // exposes: the JSON manifest, the binary shard files in all three
-// on-disk formats (raw v1, delta+uvarint v2, run-grouped v3), the GGD2
-// delta-shard files and the bin spill files the budgeted scatter/gather
-// cache replays. The
-// contract under fuzz is the
-// one TestStoreFailurePaths pins with fixed fixtures — arbitrary bytes
+// on-disk formats (raw v1, delta+uvarint v2, run-grouped v3) and the
+// GGD2 delta-shard files. The contract under fuzz is the one
+// TestStoreFailurePaths pins with fixed fixtures — arbitrary bytes
 // must produce an error or a valid store, never a panic and never an
 // allocation sized by untrusted input. The corrupt-input table tests
 // seeded the committed corpora under testdata/fuzz (see
@@ -501,93 +498,6 @@ func deltaShardSeeds() [][]byte {
 	}
 }
 
-// FuzzBinSpill feeds arbitrary bytes to the bin spill-file decoder the
-// budgeted scatter/gather cache replays. Like FuzzShardFile, the
-// expected identity (generation, shard index, range base) is read from
-// the fuzzed header itself — modelling a file whose name and header
-// agree — so the checksum and structural validation are the decoder's
-// only defence. Accepted inputs must satisfy the bin accounting
-// invariants and re-encode to exactly the accepted bytes.
-func FuzzBinSpill(f *testing.F) {
-	for _, seed := range binSpillSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		gen, idx, lo := int64(1), 7, graph.VID(448)
-		if len(data) >= spillHeaderSize {
-			gen = int64(binary.LittleEndian.Uint64(data[12:]))
-			idx = int(binary.LittleEndian.Uint32(data[20:]))
-			lo = graph.VID(binary.LittleEndian.Uint32(data[24:]))
-		}
-		b, err := decodeSpill(data, gen, idx, lo)
-		if err != nil {
-			return
-		}
-		if b.idx != idx || b.lo != lo {
-			t.Fatalf("accepted bin carries identity (%d, %d), header declared (%d, %d)", b.idx, b.lo, idx, lo)
-		}
-		if b.entries < 0 {
-			t.Fatalf("accepted bin declares %d entries", b.entries)
-		}
-		var total int64
-		for _, s := range b.segs {
-			total += int64(len(s))
-		}
-		if total != b.bytes {
-			t.Fatalf("accepted bin accounts %d bytes, segments hold %d", b.bytes, total)
-		}
-		if re := encodeSpill(gen, b); !bytes.Equal(re, data) {
-			t.Fatalf("accepted spill does not round-trip: %d bytes in, %d re-encoded", len(data), len(re))
-		}
-	})
-}
-
-func binSpillSeeds() [][]byte {
-	valid := func() []byte {
-		b := &binShard{
-			idx:     7,
-			lo:      448,
-			segs:    [][]byte{{0x02, 0x06}, {0x04, 0x01, 0x02, 0x03}},
-			entries: 3,
-			bytes:   6,
-		}
-		return encodeSpill(1, b)
-	}()
-	mutate := func(f func(d []byte)) []byte {
-		d := append([]byte(nil), valid...)
-		f(d)
-		return d
-	}
-	reCRC := func(d []byte) {
-		binary.LittleEndian.PutUint32(d[8:12], crc32.ChecksumIEEE(d[12:]))
-	}
-	return [][]byte{
-		valid,
-		valid[:len(valid)-1],                     // trailing segment byte lost
-		valid[:spillHeaderSize-1],                // header truncated
-		append(append([]byte(nil), valid...), 0), // trailing byte
-		nil,                                      // empty file
-		mutate(func(d []byte) { d[0] = 'X' }),    // stomped magic
-		mutate(func(d []byte) { d[len(d)-1] ^= 0xFF }), // payload flip, stale CRC
-		mutate(func(d []byte) { // stale generation, valid CRC
-			binary.LittleEndian.PutUint64(d[12:], 99)
-			reCRC(d)
-		}),
-		mutate(func(d []byte) { // negative entry count, valid CRC
-			binary.LittleEndian.PutUint64(d[28:], ^uint64(0))
-			reCRC(d)
-		}),
-		mutate(func(d []byte) { // segment count outruns the file, valid CRC
-			binary.LittleEndian.PutUint32(d[36:], 1<<30)
-			reCRC(d)
-		}),
-		mutate(func(d []byte) { // first segment overruns the payload, valid CRC
-			binary.LittleEndian.PutUint32(d[spillHeaderSize:], 1<<20)
-			reCRC(d)
-		}),
-	}
-}
-
 // TestRegenFuzzCorpus rewrites the committed seed corpora under
 // testdata/fuzz from the seed generators above. It is a no-op unless
 // REGEN_FUZZ_CORPUS=1, so the corpora stay deterministic artefacts of
@@ -621,5 +531,4 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	}
 	write("FuzzShardFileV3", v3Seeds)
 	write("FuzzDeltaShard", deltaShardSeeds())
-	write("FuzzBinSpill", binSpillSeeds())
 }

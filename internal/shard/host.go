@@ -2,46 +2,44 @@ package shard
 
 // The construction/execution split. A Host is one opened store's shared
 // substrate — the validated options, worker pool, NUMA views,
-// vertex→shard map, source summaries, Hilbert keys — plus the three
-// things N concurrent queries must share rather than duplicate: the
-// refcounted byte-budgeted SharedCache, the aio read budget, and the
-// co-scheduling passBoard. NewSession stamps out one
-// execution context (an *Engine implementing api.System) per query:
-// sessions get their own stats, planner state and vertex-state arrays
-// but fetch through the shared cache, read under the shared I/O
-// budget, and co-schedule their dense sweeps through the shared board.
+// vertex→shard map, source summaries — plus the three things N
+// concurrent queries must share rather than duplicate: the refcounted
+// byte-budgeted SharedCache, the disk-read lock, and the co-scheduling
+// passBoard. NewSession stamps out one execution context (an *Engine
+// implementing api.System) per query: sessions get their own stats and
+// vertex-state arrays but fetch through the shared cache, read under
+// the shared lock, and co-schedule their dense sweeps through the
+// shared board.
 //
 // Each session individually keeps the full api.System contract —
 // EdgeMap/VertexMap calls on *one* session are serial, like any other
 // engine — while distinct sessions run concurrently: everything they
 // share is either immutable (the core), internally synchronized (the
-// cache, the board, the budget, the stateless sched.Pool, the
-// scatter/gather bin cache), or owned per-session (frontiers,
-// accumulators, stats). Update bins in particular are host-shared —
-// one byte budget and one copy per store, however many sessions sweep
-// it — see bincache.go.
+// cache, the board, the read lock, the stateless sched.Pool), or owned
+// per-session (frontiers, accumulators, stats).
 
 import (
-	"repro/internal/aio"
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/sched"
 )
 
 // Host serves one store to N concurrent sessions.
 type Host struct {
-	core   *hostCore
-	cache  *SharedCache
-	board  passBoard
-	budget *aio.Budget
+	core  *hostCore
+	cache *SharedCache
+	board passBoard
+	// readMu serialises the uncached reads of every session: at most one
+	// shard read in flight per store.
+	readMu sync.Mutex
 }
 
 // NewHost opens the store's shared substrate. cache is the memory
 // budget, in bytes, the host's sessions fetch through — pass the same
 // value to every Host of a daemon so all stores share one budget; nil
 // builds a SharedCache of the host's own at DefaultCacheBytes. Every
-// session inherits the resolved opts. The host-wide uncached-read
-// budget equals the resolved Options.IODepth: concurrent sessions
-// share it instead of multiplying it.
+// session inherits the resolved opts.
 func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host, error) {
 	core, err := newHostCore(st, g, opts)
 	if err != nil {
@@ -50,11 +48,7 @@ func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host
 	if cache == nil {
 		cache = NewSharedCache(DefaultCacheBytes)
 	}
-	return &Host{
-		core:   core,
-		cache:  cache,
-		budget: aio.NewBudget(core.opts.IODepth),
-	}, nil
+	return &Host{core: core, cache: cache}, nil
 }
 
 // BuildHost shards g into dir with p partitions in the default format
@@ -79,15 +73,13 @@ func (h *Host) NewSession() *Engine {
 		hostCore: c,
 		cache:    h.cache,
 		board:    &h.board,
-		ioBudget: h.budget,
+		readMu:   &h.readMu,
 		slots:    int(max(1, h.cache.Budget()/c.maxShardBytes)),
-		shadow:   &shadowLRU{budget: h.cache.Budget(), cost: c.shardBytes},
 		stats: Stats{
 			DomainShards: make([]int64, c.opts.Topology.Domains),
 			DomainEdges:  make([]int64, c.opts.Topology.Domains),
 			ApplyLevels:  make([]int64, c.opts.Topology.Domains),
-			WindowDepths: make([]int64, c.opts.Window+1),
-			ReadDepths:   make([]int64, c.opts.IODepth+1),
+			WindowDepths: make([]int64, c.opts.Topology.Domains+1),
 		},
 	}
 }
@@ -104,29 +96,12 @@ func (h *Host) Options() Options { return h.core.opts }
 // Cache returns the shared cache the host's sessions fetch through.
 func (h *Host) Cache() *SharedCache { return h.cache }
 
-// BinStats returns a snapshot of the host's scatter/gather bin cache —
-// the one store-wide bin budget every session shares. Edge-centric
-// hosts (no bin store) report the zero value.
-func (h *Host) BinStats() BinCacheStats {
-	if h.core.bins == nil {
-		return BinCacheStats{}
-	}
-	return h.core.bins.Stats()
-}
-
 // Topology returns the modelled NUMA topology sessions place shards on.
 func (h *Host) Topology() sched.Topology { return h.core.opts.Topology }
 
-// Evict drops the host's resident shards from the cache and releases
-// its scatter/gather bin store (every spill file is deleted) — the
+// Evict drops the host's resident shards from the cache — the
 // close-store path, which internal/serve takes when an update or
 // compaction rehosts the store at a new generation. Unpinned shards
-// and bins leave memory immediately; those pinned by in-flight queries
-// retire at their final unpin, so a drained old host holds zero
-// bytes.
-func (h *Host) Evict() {
-	h.cache.dropStore(h.core.st)
-	if h.core.bins != nil {
-		h.core.bins.drop()
-	}
-}
+// leave memory immediately; those pinned by in-flight queries retire
+// at their final unpin, so a drained old host holds zero bytes.
+func (h *Host) Evict() { h.cache.dropStore(h.core.st) }

@@ -225,7 +225,7 @@ func (e *Engine) fedBy(changed []uint64, p int) []int {
 // hits and loads like any sweep) and streams its edges to f in
 // per-destination order, releasing the pin before returning.
 func (e *Engine) visitShard(si int, f func(u, v graph.VID)) error {
-	st, err := e.admit(si, nil)
+	st, err := e.admit(si)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 // TestOptionsSurface pins the exact field list of Options, so a new
 // knob is a visible diff here rather than a quiet addition.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"Threads", "SparseDiv", "Window", "IODepth", "Topology", "Order", "SweepMode", "BinBudgetBytes"}
+	want := []string{"Threads", "SparseDiv", "Topology"}
 	var got []string
 	for i, typ := 0, reflect.TypeOf(Options{}); i < typ.NumField(); i++ {
 		got = append(got, typ.Field(i).Name)
@@ -52,9 +52,8 @@ func checkConstructorsAgree(t *testing.T, opts Options, field string) {
 	}
 }
 
-// TestOptionsNormalizeRejections: every negative knob, every unknown
-// enum value and the one contradictory combination is rejected with a
-// typed *OptionsError naming the offending field, identically by
+// TestOptionsNormalizeRejections: every negative knob is rejected with
+// a typed *OptionsError naming the offending field, identically by
 // Validate and by both constructors — construction-time validation, not
 // a mid-sweep surprise.
 func TestOptionsNormalizeRejections(t *testing.T) {
@@ -65,18 +64,7 @@ func TestOptionsNormalizeRejections(t *testing.T) {
 	}{
 		{"negative-threads", Options{Threads: -1}, "Threads"},
 		{"negative-sparsediv", Options{SparseDiv: -1}, "SparseDiv"},
-		{"negative-window", Options{Window: -4}, "Window"},
-		{"negative-iodepth", Options{IODepth: -1}, "IODepth"},
 		{"negative-domains", Options{Topology: sched.Topology{Domains: -3}}, "Topology.Domains"},
-		{"window-narrower-than-iodepth", Options{Window: 2, IODepth: 4}, "Window"},
-		{"negative-order", Options{Order: -1}, "Order"},
-		{"unknown-order", Options{Order: 99}, "Order"},
-		{"negative-sweepmode", Options{SweepMode: -1}, "SweepMode"},
-		{"unknown-sweepmode", Options{SweepMode: 7}, "SweepMode"},
-		{"scattergather-window-under-iodepth", Options{SweepMode: SweepScatterGather, Window: 1, IODepth: 2}, "Window"},
-		{"negative-bin-budget", Options{SweepMode: SweepScatterGather, BinBudgetBytes: -1}, "BinBudgetBytes"},
-		{"bin-budget-below-minimum", Options{SweepMode: SweepScatterGather, BinBudgetBytes: MinBinBudgetBytes - 1}, "BinBudgetBytes"},
-		{"bin-budget-edge-centric", Options{BinBudgetBytes: MinBinBudgetBytes}, "BinBudgetBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkConstructorsAgree(t, tc.opts, tc.field) })
@@ -84,26 +72,27 @@ func TestOptionsNormalizeRejections(t *testing.T) {
 }
 
 // TestOptionsNormalizeDefaults pins the zero-value construction idiom:
-// zeros select defaults, Window defaults to max(Domains, IODepth), and
-// explicit valid values survive untouched — no clamp rewrites them.
+// zeros select defaults, and explicit valid values survive untouched —
+// no clamp rewrites them. The staging window has no knob of its own: its
+// depth cap is the resolved domain count (one apply view per domain),
+// and the engine's WindowDepths histogram is sized to it.
 func TestOptionsNormalizeDefaults(t *testing.T) {
-	domains := sched.DefaultTopology().Domains
 	cases := []struct {
-		name            string
-		in              Options
-		iodepth, window int
+		name   string
+		in     Options
+		want   Options
+		window int
 	}{
-		{"all-zero", Options{}, 1, domains},
-		{"window-defaults-to-iodepth", Options{IODepth: 3, Topology: sched.Topology{Domains: 2}}, 3, 3},
-		{"window-defaults-to-domains", Options{IODepth: 2}, 2, domains},
-		{"explicit-survives", Options{Window: 4, IODepth: 2}, 2, 4},
-		{"deep-window-survives", Options{Window: 64}, 1, 64},
-		{"iodepth-past-domains", Options{IODepth: 2, Topology: sched.Topology{Domains: 8}}, 2, 8},
-		// Scatter/gather inherits the same window/IODepth resolution —
-		// the mode changes the apply, not the staging pipeline.
-		{"scattergather-all-defaults", Options{SweepMode: SweepScatterGather}, 1, domains},
-		{"scattergather-iodepth-survives", Options{SweepMode: SweepScatterGather, IODepth: 3, Topology: sched.Topology{Domains: 2}}, 3, 3},
-		{"scattergather-minimum-bin-budget", Options{SweepMode: SweepScatterGather, BinBudgetBytes: MinBinBudgetBytes}, 1, domains},
+		{"all-zero", Options{}, Options{SparseDiv: 20, Topology: sched.DefaultTopology()}, sched.DefaultTopology().Domains},
+		{"explicit-survives",
+			Options{Threads: 3, SparseDiv: 7, Topology: sched.Topology{Domains: 2}},
+			Options{Threads: 3, SparseDiv: 7, Topology: sched.Topology{Domains: 2}}, 2},
+		{"window-defaults-to-domains",
+			Options{Topology: sched.Topology{Domains: 3}},
+			Options{SparseDiv: 20, Topology: sched.Topology{Domains: 3}}, 3},
+		{"deep-window-survives",
+			Options{Threads: 2, Topology: sched.Topology{Domains: 64}},
+			Options{Threads: 2, SparseDiv: 20, Topology: sched.Topology{Domains: 64}}, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,12 +101,16 @@ func TestOptionsNormalizeDefaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("normalize(%+v): %v", tc.in, err)
 			}
-			if got.IODepth != tc.iodepth || got.Window != tc.window {
-				t.Fatalf("normalize(%+v) = IODepth %d, Window %d; want %d, %d",
-					tc.in, got.IODepth, got.Window, tc.iodepth, tc.window)
+			if got != tc.want {
+				t.Fatalf("normalize(%+v) = %+v, want %+v", tc.in, got, tc.want)
 			}
-			if got.SparseDiv != 20 && tc.in.SparseDiv == 0 {
-				t.Fatalf("normalize(%+v) left SparseDiv at %d, want the paper's 20", tc.in, got.SparseDiv)
+			g := gen.Chain(64)
+			e, err := NewEngine(createStore(t, t.TempDir(), g, 4), g, tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k, hist := len(e.domains), len(e.Stats().WindowDepths)-1; k != tc.window || hist != tc.window {
+				t.Fatalf("window depth cap %d (histogram up to %d), want %d", k, hist, tc.window)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -12,28 +13,39 @@ import (
 	"repro/internal/sched"
 )
 
-// TestOrderParseAndString pins the CLI spellings and the constructor's
-// rejection of out-of-range policies.
-func TestOrderParseAndString(t *testing.T) {
-	for _, o := range Orders() {
-		got, err := ParseOrder(o.String())
-		if err != nil || got != o {
-			t.Fatalf("ParseOrder(%q) = %v, %v; want %v", o.String(), got, err, o)
-		}
+// planOf is the plan EdgeMap builds for f: the exact sparse plan or the
+// summary-pruned dense one, both ascending.
+func planOf(e *Engine, f *frontier.Frontier) []int {
+	if f.Classify(e.g, e.opts.SparseDiv, 2) == frontier.Sparse {
+		return e.planSparse(f)
 	}
-	if _, err := ParseOrder("hilbert-ish"); err == nil {
-		t.Fatal("ParseOrder accepted an unknown policy")
-	}
-	st := createStore(t, t.TempDir(), gen.Chain(64), 4)
-	if _, err := NewEngine(st, gen.Chain(64), Options{Order: Order(99)}); err == nil {
-		t.Fatal("NewEngine accepted an invalid sweep order")
-	}
+	return e.planDense(f)
 }
 
-// TestOrderPoliciesPermuteBaselinePlan is the planner's core safety
+// warm fetches shard si through e's cache and drops the pin at once,
+// leaving it resident and most recently used.
+func warm(t *testing.T, e *Engine, si int) {
+	t.Helper()
+	st, err := e.admit(si)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.release()
+}
+
+// recordReads collects the shards e reads from disk, in the order the
+// stager begins them; the slice is safe to inspect once EdgeMap returns.
+func recordReads(e *Engine) *[]int {
+	reads := new([]int)
+	e.onLoadBegin = func(si int) { *reads = append(*reads, si) }
+	return reads
+}
+
+// TestOrderPoliciesPermuteBaselinePlan is the stager's core safety
 // property: whatever the frontier, the cache contents and the cache
-// budget, every policy emits a permutation of the baseline plan — the
-// same shard set, each shard exactly once. Randomised across sparse and
+// budget, a sweep fetches exactly its plan — every planned shard once,
+// as a cache hit or a disk read, no other shard — and the reads it does
+// issue follow the ascending plan order. Randomised across sparse and
 // dense plans, warm and cold caches, and budgets from one shard to the
 // whole store.
 func TestOrderPoliciesPermuteBaselinePlan(t *testing.T) {
@@ -41,234 +53,161 @@ func TestOrderPoliciesPermuteBaselinePlan(t *testing.T) {
 	n := g.NumVertices()
 	st := createStore(t, t.TempDir(), g, 12)
 	rng := rand.New(rand.NewSource(42))
-	for _, order := range Orders() {
-		for _, cacheShards := range []int{1, 3, 12, 64} {
-			e := slotEngine(t, st, g, cacheShards, Options{Order: order})
-			for trial := 0; trial < 40; trial++ {
-				// Random warm state: fetch a few shards so the resident
-				// set the planner consults varies from trial to trial.
-				for i := 0; i < rng.Intn(4); i++ {
-					warm(t, e, rng.Intn(st.NumShards()))
+	for _, slots := range []int{1, 3, 12, 64} {
+		e := slotEngine(t, st, g, slots, Options{})
+		reads := recordReads(e)
+		for trial := 0; trial < 40; trial++ {
+			// Random warm state: fetch a few shards so the resident set
+			// the stager meets varies from trial to trial.
+			for i := 0; i < rng.Intn(4); i++ {
+				warm(t, e, rng.Intn(st.NumShards()))
+			}
+			// Random frontier, from a single vertex up to ~all of them.
+			var vs []graph.VID
+			p := []float64{0.002, 0.05, 0.5, 1}[trial%4]
+			for v := 0; v < n; v++ {
+				if rng.Float64() < p {
+					vs = append(vs, graph.VID(v))
 				}
-				// Random frontier, from a single vertex up to ~all of them.
-				var vs []graph.VID
-				p := []float64{0.002, 0.05, 0.5, 1}[trial%4]
-				for v := 0; v < n; v++ {
-					if rng.Float64() < p {
-						vs = append(vs, graph.VID(v))
-					}
+			}
+			if len(vs) == 0 {
+				continue
+			}
+			f := frontier.FromList(n, vs)
+			plan := planOf(e, f)
+			inPlan := make(map[int]bool, len(plan))
+			for _, si := range plan {
+				inPlan[si] = true
+			}
+
+			before := e.Stats()
+			*reads = (*reads)[:0]
+			e.EdgeMap(f, passOp(), api.DirAuto)
+			after := e.Stats()
+
+			fetched := after.ShardLoads - before.ShardLoads + after.CacheHits - before.CacheHits
+			if fetched != int64(len(plan)) {
+				t.Fatalf("slots=%d trial %d: fetched %d shards for a plan of %d (%v)", slots, trial, fetched, len(plan), plan)
+			}
+			if skipped := after.ShardsSkipped - before.ShardsSkipped; skipped != int64(st.NumShards()-len(plan)) {
+				t.Fatalf("slots=%d trial %d: skipped %d shards, plan leaves out %d", slots, trial, skipped, st.NumShards()-len(plan))
+			}
+			for i, si := range *reads {
+				if !inPlan[si] {
+					t.Fatalf("slots=%d trial %d: read shard %d outside the plan %v", slots, trial, si, plan)
 				}
-				f := frontier.FromList(n, vs)
-				var baseline []int
-				if trial%2 == 0 {
-					baseline = e.planSparse(f)
-				} else {
-					baseline = e.planDense(f)
-				}
-				ordered := e.orderPlan(append([]int(nil), baseline...))
-				if len(ordered) != len(baseline) {
-					t.Fatalf("%v cache=%d: ordered plan has %d shards, baseline %d",
-						order, cacheShards, len(ordered), len(baseline))
-				}
-				seen := make(map[int]bool, len(ordered))
-				for _, si := range ordered {
-					if seen[si] {
-						t.Fatalf("%v cache=%d: shard %d appears twice in %v", order, cacheShards, si, ordered)
-					}
-					seen[si] = true
-				}
-				for _, si := range baseline {
-					if !seen[si] {
-						t.Fatalf("%v cache=%d: shard %d dropped from plan %v -> %v",
-							order, cacheShards, si, baseline, ordered)
-					}
+				if i > 0 && si <= (*reads)[i-1] {
+					t.Fatalf("slots=%d trial %d: reads %v leave the ascending plan order", slots, trial, *reads)
 				}
 			}
 		}
+		checkQuiescent(t, e)
 	}
 }
 
-// warm fetches shard si through e's cache and drops the pin at once,
-// leaving it resident and most recently used.
-func warm(t *testing.T, e *Engine, si int) {
-	t.Helper()
-	st, err := e.admit(si, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.release()
-}
-
-// plannerTopologies are the two machines the planner's load-count tests
-// run on. On the default topology several domains apply concurrently, a
-// slow apply can still pin the coldest cache entry when an eviction is
-// due, and the cache evicts its neighbour instead — same bits, and the
-// same hits within that sweep (every pinned entry has already been
-// visited), but a different resident set for the next one. There the
-// tests assert what holds under any interleaving: the prediction equals
-// the hits served, and reordering loads strictly fewer shards. With one
-// domain, pins are released in fetch order, the cache's victim is
-// exactly the one the pin-free simulation picks, and the load counts
-// are pinned exactly as well.
-var plannerTopologies = []struct {
-	name  string
-	topo  sched.Topology
-	exact bool
-}{
-	{"default-domains", sched.Topology{}, false},
-	{"one-domain", sched.Topology{Domains: 1}, true},
-}
-
-// TestOrderZigzagDensePageRankFewerLoads is the locality regression
-// gate: a 10-sweep cold-cache dense PageRank with a cache budget of
-// half the store must perform strictly fewer shard loads under
-// OrderZigzag (and no more under OrderResidencyFirst) than under
-// OrderAscending, record ReloadsAvoided > 0, and produce bit-identical
-// ranks under all three policies. Ascending's cyclic pattern gets zero
-// cache hits, so any regression that loses the reordering win shows up
-// as equal loads.
-func TestOrderZigzagDensePageRankFewerLoads(t *testing.T) {
-	// Uniform destinations: every shard holds in-edges, so the dense
-	// plan is the full shard sequence and the cyclic-eviction pathology
-	// is fully armed.
-	g := gen.ErdosRenyi(1<<10, 1<<13, 7)
-	const shards = 8
-	const cacheShards = 4 // < shards: the regime where order matters
-	st := createStore(t, t.TempDir(), g, shards)
-	type run struct {
-		order Order
-		loads int64
-		saved int64
-		ranks []float64
-	}
-	for _, tc := range plannerTopologies {
-		t.Run(tc.name, func(t *testing.T) {
-			var runs []run
-			for _, order := range Orders() {
-				e := slotEngine(t, st, g, cacheShards, Options{Order: order, Topology: tc.topo})
-				ranks := prOnSystem(e, 10)
-				requireEvictions(t, e)
-				s := e.Stats()
-				if s.DenseSweeps != 10 || s.SparseSweeps != 0 {
-					t.Fatalf("%v: expected 10 dense sweeps, got %d dense + %d sparse",
-						order, s.DenseSweeps, s.SparseSweeps)
-				}
-				// The planner's prediction is an exact simulation of the sweep's
-				// own fetch sequence, so it must equal the hits the cache served.
-				if s.PlannedCacheHits != s.CacheHits {
-					t.Fatalf("%v: planner predicted %d cache hits, engine measured %d",
-						order, s.PlannedCacheHits, s.CacheHits)
-				}
-				runs = append(runs, run{order: order, loads: s.ShardLoads, saved: s.ReloadsAvoided, ranks: ranks})
-			}
-			asc, zig, res := runs[0], runs[1], runs[2]
-			if perSweep := asc.loads / 10; perSweep <= cacheShards {
-				t.Fatalf("fixture broken: ascending planned only %d shards/sweep against a %d-shard budget", perSweep, cacheShards)
-			}
-			if asc.saved != 0 {
-				t.Fatalf("ascending recorded ReloadsAvoided = %d, want 0 by definition", asc.saved)
-			}
-			if zig.loads >= asc.loads {
-				t.Fatalf("zigzag loaded %d shards, ascending %d; want strictly fewer", zig.loads, asc.loads)
-			}
-			if zig.saved <= 0 {
-				t.Fatalf("zigzag recorded ReloadsAvoided = %d, want > 0", zig.saved)
-			}
-			// ReloadsAvoided is measured against the simulated ascending
-			// baseline; the ascending engine's measured loads equal it only
-			// where loads are deterministic.
-			if tc.exact && zig.saved != asc.loads-zig.loads {
-				t.Fatalf("zigzag ReloadsAvoided = %d but loads dropped by %d", zig.saved, asc.loads-zig.loads)
-			}
-			if res.loads >= asc.loads {
-				t.Fatalf("residency-first loaded %d shards, ascending %d; want strictly fewer on the cyclic dense sweep", res.loads, asc.loads)
-			}
-			for _, r := range runs[1:] {
-				for v := range asc.ranks {
-					if r.ranks[v] != asc.ranks[v] {
-						t.Fatalf("%v: rank[%d] = %v differs from ascending %v (must be bit-identical)",
-							r.order, v, r.ranks[v], asc.ranks[v])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestOrderPlannerEdgeCases tables the degenerate plans the policies
-// must handle: empty plans, single-shard plans, budgets that hold the
-// whole store (ordering must be a no-op win) and sparse plans (ordering
-// still applies).
+// TestOrderPlannerEdgeCases tables the degenerate plans the stager must
+// handle: empty plans, single-shard plans, budgets that hold the whole
+// store, sweeps aborted mid-plan, and sparse plans (still visited in
+// ascending order).
 func TestOrderPlannerEdgeCases(t *testing.T) {
 	g := gen.TinySocial()
 	st := createStore(t, t.TempDir(), g, 8)
 
 	t.Run("empty-plan", func(t *testing.T) {
-		for _, order := range Orders() {
-			e := slotEngine(t, st, g, 2, Options{Order: order})
-			for i := 0; i < 3; i++ {
-				if got := e.orderPlan(nil); len(got) != 0 {
-					t.Fatalf("%v: ordered empty plan became %v", order, got)
-				}
-			}
-			if s := e.Stats(); s.PlannedCacheHits != 0 || s.ReloadsAvoided != 0 {
-				t.Fatalf("%v: empty plans charged stats %+v", order, s)
+		// Active vertices without out-edges feed no shard: the sweep plans
+		// nothing, fetches nothing and skips the whole store.
+		var sinks []graph.VID
+		for v := 0; v < g.NumVertices() && len(sinks) < 3; v++ {
+			if g.OutDegree(graph.VID(v)) == 0 {
+				sinks = append(sinks, graph.VID(v))
 			}
 		}
+		if len(sinks) == 0 {
+			t.Fatal("fixture broken: the graph has no vertex without out-edges")
+		}
+		e := slotEngine(t, st, g, 2, Options{})
+		reads := recordReads(e)
+		f := frontier.FromList(g.NumVertices(), sinks)
+		if plan := planOf(e, f); len(plan) != 0 {
+			t.Fatalf("a frontier of sinks planned %v", plan)
+		}
+		for i := 0; i < 3; i++ {
+			if next := e.EdgeMap(f, passOp(), api.DirAuto); !next.IsEmpty() {
+				t.Fatalf("an empty plan produced a frontier of %d", next.Count())
+			}
+		}
+		s := e.Stats()
+		if s.ShardLoads != 0 || s.CacheHits != 0 || len(*reads) != 0 {
+			t.Fatalf("empty plans fetched shards: %d loads, %d hits, reads %v", s.ShardLoads, s.CacheHits, *reads)
+		}
+		if s.ShardsSkipped != 3*int64(st.NumShards()) {
+			t.Fatalf("empty plans skipped %d shards, want %d", s.ShardsSkipped, 3*st.NumShards())
+		}
+		checkQuiescent(t, e)
 	})
 
 	t.Run("single-shard", func(t *testing.T) {
-		for _, order := range Orders() {
-			e := slotEngine(t, st, g, 2, Options{Order: order})
-			for i := 0; i < 4; i++ { // both zigzag parities, warm and cold
-				if got := e.orderPlan([]int{3}); len(got) != 1 || got[0] != 3 {
-					t.Fatalf("%v: ordered [3] became %v", order, got)
-				}
+		// A vertex whose out-neighbours all live in one shard plans just
+		// that shard: one read, then hits.
+		e := slotEngine(t, st, g, 2, Options{})
+		u, home := -1, -1
+		for v := 0; v < g.NumVertices() && u < 0; v++ {
+			nbrs := g.OutNeighbors(graph.VID(v))
+			if len(nbrs) == 0 {
+				continue
 			}
+			h := int(e.home[nbrs[0]])
+			same := true
+			for _, w := range nbrs {
+				same = same && int(e.home[w]) == h
+			}
+			if same {
+				u, home = v, h
+			}
+		}
+		if u < 0 {
+			t.Fatal("fixture broken: no vertex feeds a single shard")
+		}
+		reads := recordReads(e)
+		f := frontier.FromVertex(g, graph.VID(u))
+		if plan := planOf(e, f); len(plan) != 1 || plan[0] != home {
+			t.Fatalf("vertex %d planned %v, want [%d]", u, plan, home)
+		}
+		for i := 0; i < 4; i++ {
+			e.EdgeMap(f, passOp(), api.DirAuto)
+		}
+		if s := e.Stats(); s.ShardLoads != 1 || s.CacheHits != 3 || !reflect.DeepEqual(*reads, []int{home}) {
+			t.Fatalf("four single-shard sweeps: %d loads, %d hits, reads %v; want 1, 3, [%d]", s.ShardLoads, s.CacheHits, *reads, home)
 		}
 	})
 
 	t.Run("cache-holds-store", func(t *testing.T) {
-		// The default budget holds the store: every policy pays the disk
-		// exactly once per shard and ordering is a no-op win — identical
-		// loads, nothing left to avoid.
-		var loads []int64
-		for _, order := range Orders() {
-			e, err := NewEngine(st, g, Options{Order: order})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prOnSystem(e, 10)
-			s := e.Stats()
-			if s.ReloadsAvoided != 0 {
-				t.Fatalf("%v: ReloadsAvoided = %d with the whole store cached, want 0", order, s.ReloadsAvoided)
-			}
-			if s.PlannedCacheHits != s.CacheHits {
-				t.Fatalf("%v: planner predicted %d hits, engine measured %d", order, s.PlannedCacheHits, s.CacheHits)
-			}
-			loads = append(loads, s.ShardLoads)
+		// The default budget holds the store: the disk is paid exactly
+		// once per planned shard and every later visit hits.
+		e, err := NewEngine(st, g, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, l := range loads {
-			if l != loads[0] {
-				t.Fatalf("policy %v loaded %d shards, ascending %d; must be identical when the store fits",
-					Orders()[i], l, loads[0])
-			}
+		m := int64(len(e.planDense(frontier.All(g))))
+		prOnSystem(e, 10)
+		s := e.Stats()
+		if s.DenseSweeps != 10 || s.ShardLoads != m || s.CacheHits != 9*m {
+			t.Fatalf("%d dense sweeps, %d loads, %d hits over a %d-shard plan; want 10, %d, %d",
+				s.DenseSweeps, s.ShardLoads, s.CacheHits, m, m, 9*m)
+		}
+		if c := e.cache.Stats(); c.Evictions != 0 || c.Rejected != 0 {
+			t.Fatalf("a cache holding the store evicted %d and refused %d shards", c.Evictions, c.Rejected)
 		}
 	})
 
 	t.Run("aborted-sweep-charges-nothing", func(t *testing.T) {
-		// Planner stats are staged at plan time but committed only when
-		// the sweep completes: a sweep killed by an operator panic must
-		// neither charge its predicted hits nor advance the ascending
-		// shadow baseline past fetches that never happened.
-		e := slotEngine(t, st, g, 2, Options{Order: OrderZigzag})
-		countOp := api.EdgeOp{
-			Update:       func(u, v graph.VID) bool { return true },
-			UpdateAtomic: func(u, v graph.VID) bool { panic("atomic path unreachable") },
-		}
+		// A sweep killed by an operator panic leaves nothing behind for
+		// the next one: no pin survives it, and the next sweep fetches its
+		// whole plan exactly once — no staged shard is carried over or
+		// owed.
+		e := slotEngine(t, st, g, 2, Options{})
 		all := frontier.All(g)
-		e.EdgeMap(all, countOp, api.DirAuto) // sweep 0: cold, commits 0 hits
-		before := e.Stats()
+		e.EdgeMap(all, passOp(), api.DirAuto) // sweep 0: cold
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -280,50 +219,38 @@ func TestOrderPlannerEdgeCases(t *testing.T) {
 				UpdateAtomic: func(u, v graph.VID) bool { panic("operator failure") },
 			}, api.DirAuto)
 		}()
+		checkQuiescent(t, e)
+		plan := e.planDense(all)
+		before := e.Stats()
+		e.EdgeMap(all, passOp(), api.DirAuto)
 		after := e.Stats()
-		if after.PlannedCacheHits != before.PlannedCacheHits || after.ReloadsAvoided != before.ReloadsAvoided {
-			t.Fatalf("aborted sweep charged planner stats: %+v -> %+v", before, after)
-		}
-		// The engine stays usable and the planner's exactness survives:
-		// the next committed sweep's prediction matches the hits the
-		// cache actually serves it.
-		preHits, prePlanned := after.CacheHits, after.PlannedCacheHits
-		e.EdgeMap(all, countOp, api.DirAuto)
-		final := e.Stats()
-		if got, want := final.PlannedCacheHits-prePlanned, final.CacheHits-preHits; got != want {
-			t.Fatalf("post-abort sweep predicted %d hits but collected %d", got, want)
+		if got := after.ShardLoads - before.ShardLoads + after.CacheHits - before.CacheHits; got != int64(len(plan)) {
+			t.Fatalf("post-abort sweep fetched %d shards for a plan of %d", got, len(plan))
 		}
 		requireEvictions(t, e)
 		checkQuiescent(t, e)
 	})
 
 	t.Run("sparse-plans-are-ordered", func(t *testing.T) {
-		// A sparse frontier plans a subset of shards; the policies apply
-		// to it exactly as to a dense plan. Zigzag reverses every odd
-		// planned sweep; residency-first fronts whatever the cache holds.
-		zig := slotEngine(t, st, g, 2, Options{Order: OrderZigzag})
+		// A sparse frontier plans a subset of shards, ascending, and a
+		// cold stager reads exactly that subset in that order. SparseDiv 2
+		// keeps three sources of a graph this small on the sparse path.
+		e := slotEngine(t, st, g, 2, Options{SparseDiv: 2})
 		f := frontier.FromList(g.NumVertices(), sparseSources(g, 3))
-		baseline := zig.planSparse(f)
-		if len(baseline) < 2 {
-			t.Fatalf("fixture too small: sparse plan %v needs >= 2 shards", baseline)
+		if f.Classify(g, e.opts.SparseDiv, 2) != frontier.Sparse {
+			t.Fatal("fixture broken: the frontier is not sparse")
 		}
-		first := zig.orderPlan(append([]int(nil), baseline...))
-		second := zig.orderPlan(append([]int(nil), baseline...))
-		if !sort.IntsAreSorted(first) {
-			t.Fatalf("zigzag sweep 0 should be ascending, got %v", first)
+		plan := e.planSparse(f)
+		if len(plan) < 2 {
+			t.Fatalf("fixture too small: sparse plan %v needs >= 2 shards", plan)
 		}
-		for i, si := range second {
-			if si != baseline[len(baseline)-1-i] {
-				t.Fatalf("zigzag sweep 1 should reverse %v, got %v", baseline, second)
-			}
+		if !sort.IntsAreSorted(plan) {
+			t.Fatalf("sparse plan %v is not ascending", plan)
 		}
-
-		res := slotEngine(t, st, g, 2, Options{Order: OrderResidencyFirst})
-		hot := baseline[len(baseline)-1]
-		warm(t, res, hot)
-		ordered := res.orderPlan(append([]int(nil), baseline...))
-		if ordered[0] != hot {
-			t.Fatalf("residency-first should front resident shard %d, got plan %v", hot, ordered)
+		reads := recordReads(e)
+		e.EdgeMap(f, passOp(), api.DirAuto)
+		if !reflect.DeepEqual(*reads, plan) {
+			t.Fatalf("cold sparse sweep read %v, want the plan %v in order", *reads, plan)
 		}
 	})
 }
@@ -355,98 +282,29 @@ func sparseSources(g *graph.Graph, k int) []graph.VID {
 	return uniq
 }
 
-// TestOrderZigzagMatchesClosedForm pins the zigzag win to its closed
-// form on a clean cyclic sweep: with P equal shards, a budget of C < P
-// of them and S dense sweeps, ascending loads S*P while zigzag loads
-// S*P - (S-1)*C — exactly with one domain, and as a floor (with a
-// strict win over S*P and exact planner stats) on the default topology.
-func TestOrderZigzagMatchesClosedForm(t *testing.T) {
-	const shards, cacheShards, sweeps = 10, 3, 10
-	// A circulant graph — every vertex takes in-edges from its 8
-	// successors — over shards*64 vertices, so every shard decodes to
-	// exactly the same bytes and a budget of C largest shards holds
-	// exactly C of them.
-	const n = shards * 64
-	var edges []graph.Edge
-	for v := 0; v < n; v++ {
-		for d := 1; d <= 8; d++ {
-			edges = append(edges, graph.Edge{Src: graph.VID((v + d) % n), Dst: graph.VID(v)})
-		}
-	}
-	g := graph.FromEdges(n, edges)
-	st := createStore(t, t.TempDir(), g, shards)
-	for _, tc := range plannerTopologies {
-		t.Run(tc.name, func(t *testing.T) {
-			e := slotEngine(t, st, g, cacheShards, Options{Order: OrderZigzag, Topology: tc.topo})
-			for si, b := range e.shardBytes {
-				if b != e.maxShardBytes {
-					t.Fatalf("fixture broken: shard %d decodes to %d bytes, the largest to %d", si, b, e.maxShardBytes)
-				}
-			}
-			m := int64(len(e.planDense(frontier.All(g))))
-			if m != shards {
-				t.Fatalf("fixture broken: dense plan has %d of %d shards", m, shards)
-			}
-			prOnSystem(e, sweeps)
-			s := e.Stats()
-			if s.DenseSweeps != sweeps {
-				t.Fatalf("expected %d dense sweeps, got %d", sweeps, s.DenseSweeps)
-			}
-			// A sweep can hit at most the C shards the cache held when it
-			// began, so the closed form is a floor under any interleaving,
-			// and every hit is a reload the ascending baseline (no hits at
-			// all on a cyclic sweep) would have paid.
-			want := sweeps*m - (sweeps-1)*cacheShards
-			if s.ShardLoads < want || s.ShardLoads >= sweeps*m || (tc.exact && s.ShardLoads != want) {
-				t.Fatalf("zigzag loads = %d across %d sweeps of %d planned shards, closed form wants %d",
-					s.ShardLoads, sweeps, m, want)
-			}
-			if s.PlannedCacheHits != s.CacheHits || s.ReloadsAvoided != sweeps*m-s.ShardLoads {
-				t.Fatalf("planned %d hits and %d reloads avoided, measured %d hits and %d loads under %d",
-					s.PlannedCacheHits, s.ReloadsAvoided, s.CacheHits, s.ShardLoads, sweeps*m)
-			}
-		})
-	}
-}
-
-// TestOrderResidencyFirstHilbertTailIsDeterministic pins the uncached
-// tail of a residency-first plan to the engine's precomputed Hilbert
-// keys, so the policy stays reproducible across runs and engines.
-func TestOrderResidencyFirstHilbertTailIsDeterministic(t *testing.T) {
-	g := gen.Symmetrise(gen.PowerLaw(1<<8, 1<<11, 2.3, 7))
-	e := buildSlotEngine(t, g, 12, 4, Options{Order: OrderResidencyFirst})
-	st := e.st
-	baseline := make([]int, st.NumShards())
-	for i := range baseline {
-		baseline[i] = i
-	}
-	ordered := e.orderPlan(append([]int(nil), baseline...))
-	// Cold cache: no resident prefix, the whole plan is the Hilbert tail.
-	for i := 1; i < len(ordered); i++ {
-		a, b := ordered[i-1], ordered[i]
-		if e.hilbertKey[a] > e.hilbertKey[b] || (e.hilbertKey[a] == e.hilbertKey[b] && a > b) {
-			t.Fatalf("cold residency-first plan %v not in Hilbert-key order at %d", ordered, i)
-		}
-	}
-}
-
-// TestPlannerStatsFollowTheRealCache is the regression test for the
-// phantom-capacity bug: the planner's simulation and its ascending
-// shadow must be priced against the cache the session actually fetches
-// through, not a shard count that has nothing to do with it. A lone
-// default session over a 16-shard store whose cache holds everything
-// must predict every hit it collects, and — since every order then
-// loads exactly the same shards — report nothing avoided. The same
-// equality is then checked on the other side of "fits": an engine with
-// a cache of its own at half the store's decoded bytes, where the
-// byte-priced simulation has evictions to get right.
+// TestPlannerStatsFollowTheRealCache: a lone session's fetch counters
+// are the cache's own, not a model of it — every CacheHits is a hit the
+// SharedCache served and every ShardLoads a load it recorded, with no
+// read shared (nothing else sweeps the store). Checked where the cache
+// holds the store, and at half the store's decoded bytes, where
+// evictions make the counts depend on the real LRU, on the default
+// topology and on one domain.
 func TestPlannerStatsFollowTheRealCache(t *testing.T) {
 	g := gen.ErdosRenyi(1<<10, 1<<13, 11)
 	const shards, sweeps = 16, 3
 	st := createStore(t, t.TempDir(), g, shards)
 
-	for _, order := range Orders() {
-		h, err := NewHost(st, g, NewSharedCache(64<<20), Options{Order: order})
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		topo   sched.Topology
+		evicts bool
+	}{
+		{"holds-store", 64 << 20, sched.Topology{}, false},
+		{"half-store/default-domains", st.NumEdges() * 8 / 2, sched.Topology{}, true},
+		{"half-store/one-domain", st.NumEdges() * 8 / 2, sched.Topology{Domains: 1}, true},
+	} {
+		h, err := NewHost(st, g, NewSharedCache(tc.budget), Options{Topology: tc.topo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,31 +313,15 @@ func TestPlannerStatsFollowTheRealCache(t *testing.T) {
 			t.Fatalf("fixture broken: dense plan has %d shards, need more than 8", planned)
 		}
 		prOnSystem(e, sweeps)
-		s := e.Stats()
-		if s.CacheHits == 0 || s.ShardLoads > shards {
-			t.Fatalf("%v: a cache holding the store gave %d hits, %d loads", order, s.CacheHits, s.ShardLoads)
+		s, c := e.Stats(), h.Cache().Stats()
+		if s.CacheHits != c.Hits || s.ShardLoads != c.Loads || s.SharedReads != 0 || c.Shared != 0 {
+			t.Fatalf("%s: session counted %d hits, %d loads, %d shared; the cache %d, %d, %d",
+				tc.name, s.CacheHits, s.ShardLoads, s.SharedReads, c.Hits, c.Loads, c.Shared)
 		}
-		if s.PlannedCacheHits != s.CacheHits {
-			t.Fatalf("%v: planner predicted %d cache hits, the session collected %d", order, s.PlannedCacheHits, s.CacheHits)
-		}
-		if s.ReloadsAvoided != 0 {
-			t.Fatalf("%v: ReloadsAvoided = %d although every order loads each shard once", order, s.ReloadsAvoided)
-		}
-	}
-
-	for _, tc := range plannerTopologies {
-		for _, order := range Orders() {
-			h, err := NewHost(st, g, NewSharedCache(st.NumEdges()*8/2), Options{Order: order, Topology: tc.topo})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := h.NewSession()
-			prOnSystem(e, sweeps)
+		if tc.evicts {
 			requireEvictions(t, e)
-			if s := e.Stats(); s.PlannedCacheHits != s.CacheHits {
-				t.Fatalf("%v on %s at half budget: planner predicted %d cache hits, the engine collected %d",
-					order, tc.name, s.PlannedCacheHits, s.CacheHits)
-			}
+		} else if s.CacheHits == 0 || s.ShardLoads > shards {
+			t.Fatalf("%s: a cache holding the store gave %d hits, %d loads", tc.name, s.CacheHits, s.ShardLoads)
 		}
 	}
 }

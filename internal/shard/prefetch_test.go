@@ -14,6 +14,7 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sched"
 	"repro/internal/sweepref"
 )
 
@@ -234,7 +235,7 @@ func TestConcurrentTeardownOnOperatorPanic(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
-	e := buildSlotEngine(t, g, 12, 4, Options{Threads: 8, Window: 4})
+	e := buildSlotEngine(t, g, 12, 4, Options{Threads: 8})
 	boom := api.EdgeOp{
 		Update:       func(u, v graph.VID) bool { panic("operator boom") },
 		UpdateAtomic: func(u, v graph.VID) bool { panic("operator boom") },
@@ -294,7 +295,7 @@ func TestConcurrentTeardownOnLoadError(t *testing.T) {
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	e := slotEngine(t, createStore(t, dir, g, 12), g, 2, Options{Threads: 4, Window: 2})
+	e := slotEngine(t, createStore(t, dir, g, 12), g, 2, Options{Threads: 4, Topology: sched.Topology{Domains: 2}})
 	// Shard 5 is mid-plan for this graph (shards 0..6 carry edges), so
 	// the failure strikes with earlier shards already staged and
 	// applying.

@@ -1,12 +1,11 @@
 package shard
 
-// The one residency core. The paper's claim is that partitioning by
+// The residency core. The paper's claim is that partitioning by
 // destination turns a sweep's working set into a bounded thing; in this
-// package that bounded thing is "the resident values" — decoded shards
-// (SharedCache) or their scatter bins (binCache, a pure re-encoding of
-// the same shards) — and both are this one structure: a byte-budgeted
-// LRU with pins. Three invariants hold at every observation point, not
-// just at quiescence:
+// package that bounded thing is the decoded shards the SharedCache
+// holds, and this is its structure: a byte-budgeted LRU with pins.
+// Three invariants hold at every observation point, not just at
+// quiescence:
 //
 //   - a pinned entry (pins > 0) is never evicted,
 //   - with a budget set, resident bytes never exceed it, and
@@ -16,9 +15,9 @@ package shard
 //     rather than a high-water mark and no two holders can deadlock
 //     against each other however small it is.
 //
-// The wrappers add what is specific to them — the single-flight table,
-// the spill codec — and guard that side state with the core's mutex,
-// calling the *Locked methods where the two must change together.
+// The SharedCache adds what is specific to shards — the single-flight
+// table — and guards that side state with the core's mutex, calling the
+// *Locked methods where the two must change together.
 
 import (
 	"container/list"
@@ -79,11 +78,10 @@ func (r *residency[K, V]) statsLocked() residencyStats {
 }
 
 // removeLocked unlinks el and returns its bytes to the budget.
-func (r *residency[K, V]) removeLocked(el *list.Element) *resEntry[K, V] {
+func (r *residency[K, V]) removeLocked(el *list.Element) {
 	ent := r.ll.Remove(el).(*resEntry[K, V])
 	delete(r.idx, ent.key)
 	r.bytes -= ent.bytes
-	return ent
 }
 
 // pinLocked promotes el to most recently used, pins it, and returns the
@@ -144,17 +142,16 @@ func (r *residency[K, V]) peek(k K) bool {
 }
 
 // addLocked admits v under key, pinned, evicting cold unpinned entries
-// to make room, and returns the canonical value to use, its release,
-// and the values it evicted. If another holder raced the insert, the
-// existing entry is adopted (promoted and pinned) and v is dropped. If
-// the bytes cannot fit after evicting everything evictable — every
-// other entry is pinned, or v alone exceeds the budget — the insert is
-// refused: admitted is false, the release is a no-op, and the caller
-// uses v uncached. The budget is therefore never exceeded, not even
-// transiently.
-func (r *residency[K, V]) addLocked(k K, v V, bytes int64) (canon V, release func(), admitted bool, evicted []V) {
+// to make room, and returns the canonical value to use and its release.
+// If another holder raced the insert, the existing entry is adopted
+// (promoted and pinned) and v is dropped. If the bytes cannot fit after
+// evicting everything evictable — every other entry is pinned, or v
+// alone exceeds the budget — the insert is refused: admitted is false,
+// the release is a no-op, and the caller uses v uncached. The budget is
+// therefore never exceeded, not even transiently.
+func (r *residency[K, V]) addLocked(k K, v V, bytes int64) (canon V, release func(), admitted bool) {
 	if el, ok := r.idx[k]; ok {
-		return el.Value.(*resEntry[K, V]).val, r.pinLocked(el), true, nil
+		return el.Value.(*resEntry[K, V]).val, r.pinLocked(el), true
 	}
 	for r.budget > 0 && r.bytes+bytes > r.budget {
 		victim := r.ll.Back()
@@ -163,9 +160,9 @@ func (r *residency[K, V]) addLocked(k K, v V, bytes int64) (canon V, release fun
 		}
 		if victim == nil {
 			r.rejected++
-			return v, func() {}, false, evicted
+			return v, func() {}, false
 		}
-		evicted = append(evicted, r.removeLocked(victim).val)
+		r.removeLocked(victim)
 		r.evictions++
 	}
 	el := r.ll.PushFront(&resEntry[K, V]{key: k, val: v, bytes: bytes})
@@ -174,19 +171,7 @@ func (r *residency[K, V]) addLocked(k K, v V, bytes int64) (canon V, release fun
 	if r.bytes > r.peakBytes {
 		r.peakBytes = r.bytes
 	}
-	return v, r.pinLocked(el), true, evicted
-}
-
-// keysLocked returns the resident keys accepted by match, most recently
-// used first, without promoting anything.
-func (r *residency[K, V]) keysLocked(match func(K) bool) []K {
-	var out []K
-	for el := r.ll.Front(); el != nil; el = el.Next() {
-		if k := el.Value.(*resEntry[K, V]).key; match(k) {
-			out = append(out, k)
-		}
-	}
-	return out
+	return v, r.pinLocked(el), true
 }
 
 // dropLocked retires every entry whose key match accepts: unpinned ones

@@ -1,10 +1,9 @@
 package shard
 
-// The residency battery: the invariants of the one byte-budgeted pinned
-// LRU (residency.go), stated once and run against both of its
-// instantiations through their own entry points — SharedCache (decoded
-// shards) and binCache (scatter bins). What is specific to a wrapper —
-// single-flight loads, spill files — is tested beside that wrapper.
+// The residency battery: the invariants of the byte-budgeted pinned LRU
+// (residency.go), run against the SharedCache through its own entry
+// points. What is specific to the cache — single-flight loads — is
+// tested beside it.
 
 import (
 	"math/rand"
@@ -66,31 +65,8 @@ var residencyInstantiations = map[string]func(t *testing.T, budget int64) reside
 			add: func(k int, bytes int64) (any, func(), bool) {
 				return c.add(cacheKey{st, k}, fakeResident(k, int(bytes-16)/8))
 			},
-			peek:  func(k int) bool { return c.peek(cacheKey{st, k}) },
+			peek:  func(k int) bool { return c.res.peek(cacheKey{st, k}) },
 			drop:  func() { c.dropStore(st) },
-			check: func(t *testing.T) { t.Helper(); checkResidency(t, c.res) },
-			stats: func() residencyStats {
-				s := c.Stats()
-				return residencyStats{s.Budget, s.Bytes, s.PeakBytes, s.Resident, s.Pinned, s.Hits, s.Evictions, s.Rejected}
-			},
-		}
-	},
-	"binCache": func(t *testing.T, budget int64) residencyHarness {
-		c := newBinCache(budget, t.TempDir(), 0)
-		return residencyHarness{
-			get: func(k int) (func(), bool) {
-				_, release, ok := c.acquire(k)
-				return release, ok
-			},
-			add: func(k int, bytes int64) (any, func(), bool) {
-				b := mkTestBin(k, int(bytes))
-				canon, release, _, _ := c.put(b)
-				// Adopted (another value is canonical) or admitted as the
-				// resident entry; a refused bin comes back uncached.
-				return canon, release, canon != b || peekBin(c, k) == b
-			},
-			peek:  func(k int) bool { return peekBin(c, k) != nil },
-			drop:  c.drop,
 			check: func(t *testing.T) { t.Helper(); checkResidency(t, c.res) },
 			stats: func() residencyStats {
 				s := c.Stats()
@@ -335,14 +311,14 @@ func TestResidencyBattery(t *testing.T) {
 }
 
 // TestResidencyUnbounded: budget 0 never evicts and never refuses — the
-// retain-everything mode an unbudgeted bin store runs in.
+// retain-everything mode.
 func TestResidencyUnbounded(t *testing.T) {
 	r := newResidency[int, int](0)
 	for k := 0; k < 100; k++ {
 		r.mu.Lock()
-		_, release, admitted, evicted := r.addLocked(k, k, 1<<20)
+		_, release, admitted := r.addLocked(k, k, 1<<20)
 		r.mu.Unlock()
-		if !admitted || len(evicted) != 0 {
+		if !admitted {
 			t.Fatalf("unbounded residency refused or evicted at key %d", k)
 		}
 		release()

@@ -21,23 +21,19 @@
 // algorithm written against the engine-neutral API runs unmodified out
 // of core. Each EdgeMap is a pipelined sweep in four stages:
 //
-//	plan     — pick the shard set: exact (walk only the active
-//	           vertices' out-lists) for sparse frontiers, source-range
-//	           summary pruning for dense ones; then order it by the
-//	           configured sweep-order policy (Options.Order — ascending,
-//	           zigzag or residency-first), which keeps the cache's tail
-//	           of one sweep alive into the next without changing results;
-//	stage    — a dedicated staging goroutine keeps up to Window shards
-//	           staged ahead while earlier shards are being applied:
-//	           cached shards are pinned in the byte-budgeted SharedCache
-//	           the engine fetches through, uncached ones
-//	           are read through the internal/aio reader with up to
-//	           IODepth reads in flight at once, reaped strictly in plan
-//	           order (IODepth = 1, Window = 1 is the original strict
-//	           double buffer). A load decodes the file straight into the
-//	           resident's destination-sorted arrays (zipping in pending
-//	           deltas) and finds each apply task's edge range with one
-//	           search per task boundary — no regrouping pass;
+//	plan     — pick the shard set, in ascending shard order: exact (walk
+//	           only the active vertices' out-lists) for sparse
+//	           frontiers, source-range summary pruning for dense ones;
+//	stage    — a dedicated staging goroutine walks the plan in order,
+//	           keeping up to one shard per modelled NUMA domain staged
+//	           ahead while earlier shards are being applied: cached
+//	           shards are pinned in the byte-budgeted SharedCache the
+//	           engine fetches through, uncached ones are read
+//	           synchronously, one at a time per store. A load decodes
+//	           the file straight into the resident's destination-sorted
+//	           arrays (zipping in pending deltas) and finds each apply
+//	           task's edge range with one search per task boundary — no
+//	           regrouping pass;
 //	apply    — the resident shard is applied in parallel over 64-aligned
 //	           destination sub-ranges by the workers of the modelled
 //	           NUMA domain that owns the shard's destination range
@@ -156,11 +152,6 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// A rebuild restarts at generation 0 with new content: leftover bin
-	// spill files from an earlier store in this directory would carry
-	// the same generation suffix and must never replay against the new
-	// shards.
-	removeStaleSpills(dir)
 	pt := partition.ByDestination(g, wo.Partitions, partition.BalanceEdges)
 	pcoo := partition.NewPCOO(g, pt)
 	m := manifest{

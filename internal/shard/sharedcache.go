@@ -34,7 +34,7 @@ type resident struct {
 
 // decodedBytes prices a decoded shard of the given edge and task counts:
 // the src/dst arrays plus the task offsets — the memory the budget
-// actually bounds. The planner prices its simulation with the same
+// actually bounds. The staging window sizes its slots with the same
 // formula from the manifest's edge counts.
 func decodedBytes(edges int64, tasks int) int64 { return edges*8 + int64(tasks+1)*8 }
 
@@ -131,9 +131,6 @@ func (c *SharedCache) retireLoadLocked(k cacheKey) {
 // get returns shard k pinned and promoted, plus its release.
 func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) { return c.res.get(k) }
 
-// peek reports whether shard k is resident without promoting it.
-func (c *SharedCache) peek(k cacheKey) bool { return c.res.peek(k) }
-
 // add admits a freshly loaded shard, pinned, and returns the shard to
 // apply (see residency.addLocked for adoption and refusal). The shard
 // is reaching residency, so the resolved single-flight record load
@@ -143,8 +140,7 @@ func (c *SharedCache) add(k cacheKey, sh *resident) (canon *resident, release fu
 	c.res.mu.Lock()
 	defer c.res.mu.Unlock()
 	c.retireLoadLocked(k)
-	canon, release, admitted, _ = c.res.addLocked(k, sh, residentBytes(sh))
-	return canon, release, admitted
+	return c.res.addLocked(k, sh, residentBytes(sh))
 }
 
 // load is the single-flight read path: if shard k is resident or
@@ -195,19 +191,6 @@ func (c *SharedCache) load(k cacheKey, read func() (*resident, error)) (sh *resi
 	c.res.mu.Unlock()
 	close(w.done)
 	return sh, false, err
-}
-
-// snapshotStore returns st's resident shard indices, most recently
-// used first — the per-store view the sweep-order planner consumes.
-func (c *SharedCache) snapshotStore(st *Store) []int {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
-	keys := c.res.keysLocked(func(k cacheKey) bool { return k.st == st })
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = k.idx
-	}
-	return out
 }
 
 // dropStore retires every resident shard of st — the close-store path.

@@ -65,7 +65,7 @@ func TestDropStoreCountsEvictions(t *testing.T) {
 		t.Fatalf("dropping 3 cold + 1 pinned shard: %+v, want 4 evictions and 2 residents", s)
 	}
 	pinned()
-	if s := c.Stats(); s.Evictions != 4 || s.Resident != 1 || !c.peek(cacheKey{other, 0}) {
+	if s := c.Stats(); s.Evictions != 4 || s.Resident != 1 || !c.res.peek(cacheKey{other, 0}) {
 		t.Fatalf("after the final unpin: %+v, want the other store's shard alone", s)
 	}
 }

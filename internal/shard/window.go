@@ -3,43 +3,34 @@ package shard
 // The sweep pipeline's concurrency model (PCPM-style pipelining,
 // Lakhotia et al., generalised to Polymer's all-sockets-at-once
 // execution): a sweep's shard plan is known up front, so a single
-// staging goroutine walks it in order, issuing uncached reads through
-// the internal/aio reader — up to Options.IODepth in flight at once,
-// each executed by a worker of the modelled NUMA domain that owns the
-// shard — and reaping the completions strictly in plan order, handing
-// each shard to the apply goroutine of its domain. Up to
-// min(D, Threads) shards are applied simultaneously, one per domain,
-// each by its own domain's worker view (the cap keeps aggregate
-// parallelism at the pool size when domains outnumber workers); this
-// is safe, and bit-identical to a sequential sweep, because shards own
+// staging goroutine walks it in order, fetching each shard — a cache
+// hit, else a synchronous read under the host's read lock — and handing
+// it to the apply goroutine of the modelled NUMA domain that owns it.
+// Up to min(D, Threads) shards are applied simultaneously, one per
+// domain, each by its own domain's worker view (the cap keeps aggregate
+// parallelism at the pool size when domains outnumber workers); this is
+// safe, and bit-identical to a sequential sweep, because shards own
 // disjoint 64-aligned destination ranges and every operator writes
 // destination state only, so no two concurrent applies ever touch the
-// same vertex or the same next-frontier bitmap word.
-//
-// The split between issue and reap is what keeps deeper IODepths
-// bit-identical *and* stats-identical: reads complete out of order,
-// but the cache is only consulted and mutated at the reap point, on
-// the staging goroutine, in plan order — the exact get/add sequence a
-// synchronous sweep would issue, which is also why the planner's
-// shadow-LRU prediction (PlannedCacheHits) does not depend on depth.
+// same vertex or the same next-frontier bitmap word. Fetching in plan
+// order on one goroutine is also what keeps the cache's get/add
+// sequence that of a sequential sweep, and what keeps a stalled read
+// from ever being a later plan entry than the one the stager waits on.
 //
 // The stager is throttled by a bounded window, counted in slots — how
 // many of the store's largest decoded shard the cache's byte budget
-// holds: at most max(IODepth, min(Window, slots − in-flight applies))
-// shards may sit staged ahead (issued, loading, loaded or promoted, not
-// yet begun applying), and staged plus mid-apply shards together never
-// exceed slots + IODepth, the engine's footprint of "the cache budget
-// plus the reads in flight". Every staged or applying shard holds a
-// cache pin, so this bound is what keeps a lone session's pins inside
-// the budget — no refused inserts — whenever the budget holds more
-// shards than IODepth plus the concurrent applies.
+// holds: at most max(1, min(D, slots − in-flight applies)) shards may
+// sit staged ahead (fetched, not yet begun applying), and staged plus
+// mid-apply shards together never exceed slots + 1, the engine's
+// footprint of "the cache budget plus the read in flight". Every staged
+// or applying shard holds a cache pin, so this bound is what keeps a
+// lone session's pins inside the budget — no refused inserts — whenever
+// the budget holds more shards than the concurrent applies plus one.
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/aio"
 )
 
 // loadFailure wraps a shard-read error so teardown can tell it apart
@@ -47,27 +38,17 @@ import (
 // "shard: engine sweep:" prefix, operator panics are re-raised verbatim.
 type loadFailure struct{ err error }
 
-// stagedRead is one plan entry the stager has claimed a window credit
-// for: ticket is its in-flight async read, or nil when the stager
-// predicted the cache would serve it at reap time.
-type stagedRead struct {
-	si     int
-	ticket *aio.Ticket[loadResult]
-}
-
 // sweepWindow owns one sweep's pipeline: the staging goroutine, the
-// aio reader, the per-domain apply goroutines and the bounded-window
-// accounting that couples them to the cache budget.
+// per-domain apply goroutines and the bounded-window accounting that
+// couples them to the cache budget.
 type sweepWindow struct {
 	e        *Engine
-	k        int // window depth cap (Options.Window)
-	depth    int // uncached-read budget (Options.IODepth)
+	k        int // window depth cap: the domain count
 	applyCap int // max simultaneous applies: min(Domains, Pool.Threads())
-	reader   *aio.Reader[loadResult]
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	staged   int // shards holding a window credit: issued, loading, loaded or promoted, not yet begun applying
+	staged   int // shards holding a window credit: being fetched or fetched, not yet begun applying
 	applying int // shards mid-apply across all domains
 	aborted  bool
 	cause    any // first failure: a loadFailure or an operator panic value
@@ -79,47 +60,29 @@ type sweepWindow struct {
 
 // startSweep launches the pipeline for a planned shard sequence: one
 // apply goroutine per domain with work, fed in plan order through
-// per-domain queues, the aio reader sized to the plan's per-domain
-// shares (drawing reads from the host-wide budget, so the device sees
-// at most IODepth uncached reads in flight across every concurrent
-// query on the store), plus the staging goroutine. apply runs one
+// per-domain queues, plus the staging goroutine. apply runs one
 // resident shard (it is the closure over this EdgeMap's frontier and
 // operator state).
 // The caller must invoke wait, and should defer stop as the teardown
 // barrier — stop is idempotent and returns only after every pipeline
-// goroutine (the reader's workers included) has exited, so no sweep
-// leaks goroutines even when wait re-raises a failure.
+// goroutine has exited, so no sweep leaks goroutines even when wait
+// re-raises a failure.
 func (e *Engine) startSweep(plan []int, apply func(*resident)) *sweepWindow {
-	w := &sweepWindow{e: e, k: e.opts.Window, depth: e.opts.IODepth, stagerDone: make(chan struct{})}
 	// Concurrency never exceeds the pool: a machine modelled with T
 	// workers runs at most T domain applies at once, so Threads keeps
 	// meaning total parallelism even when Split had to deal borrowed
 	// worker IDs to more domains than workers.
-	w.applyCap = len(e.domains)
-	if t := e.pool.Threads(); t < w.applyCap {
-		w.applyCap = t
-	}
-	if w.applyCap < 1 {
-		w.applyCap = 1
+	w := &sweepWindow{
+		e:          e,
+		k:          len(e.domains),
+		applyCap:   max(1, min(len(e.domains), e.pool.Threads())),
+		stagerDone: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	perDomain := make([]int, len(e.domains))
 	for _, si := range plan {
 		perDomain[e.domainOf[si]]++
 	}
-	// The reader's queues are sized to the per-domain plan shares, so
-	// Submit never blocks; its completion callback wakes the stager,
-	// which may be waiting in pump for its FIFO head to become ready.
-	// The broadcast must hold w.mu: pump checks Ready() under the lock
-	// and then waits, so an unserialized completion could slip into
-	// that gap and its wakeup would be lost — if it were the last wake
-	// source, the stager would block forever.
-	notify := func() {
-		w.mu.Lock()
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	}
-	w.reader = aio.NewShared[loadResult](perDomain, e.ioBudget, notify)
 	w.queues = make([]chan stagedShard, len(e.domains))
 	for d, n := range perDomain {
 		if n == 0 {
@@ -135,14 +98,10 @@ func (e *Engine) startSweep(plan []int, apply func(*resident)) *sweepWindow {
 	return w
 }
 
-// stage is the staging goroutine: for each plan entry it claims a
-// window credit (reaping ready reads while it waits), predicts the
-// cache's answer with a non-promoting peek, and either issues an async
-// read on the shard's domain queue or records a predicted hit.
-// Completions are reaped — admitted to the cache, counted, handed to
-// the applies — strictly in plan order by pump, never here. On a load
-// failure or an abort it closes the queues early; the apply goroutines
-// drain and exit.
+// stage is the staging goroutine: for each plan entry, in order, it
+// claims a window credit, fetches the shard (admit) and hands it to its
+// domain's apply queue. On a load failure or an abort it closes the
+// queues early; the apply goroutines drain and exit.
 func (w *sweepWindow) stage(plan []int) {
 	defer close(w.stagerDone)
 	defer func() {
@@ -152,82 +111,34 @@ func (w *sweepWindow) stage(plan []int) {
 			}
 		}
 	}()
-	var fifo []stagedRead
 	for _, si := range plan {
-		if !w.pump(&fifo, true) {
+		if !w.claim() {
 			return
 		}
-		var t *aio.Ticket[loadResult]
-		if !w.e.cache.peek(cacheKey{w.e.st, si}) {
-			t = w.submit(si)
+		sh, err := w.e.admit(si)
+		if err != nil {
+			w.release()
+			w.fail(loadFailure{err})
+			return
 		}
-		fifo = append(fifo, stagedRead{si: si, ticket: t})
+		w.recordStaged(si)
+		w.queues[w.e.domainOf[si]] <- sh
 	}
-	w.pump(&fifo, false)
 }
 
-// submit issues shard si's async read on its domain's queue.
-func (w *sweepWindow) submit(si int) *aio.Ticket[loadResult] {
-	return w.reader.Submit(int(w.e.domainOf[si]), func() (loadResult, error) {
-		return w.e.readShard(si)
-	})
-}
-
-// pump drives the reap side of the pipeline while the stager has
-// something to wait for: every time the FIFO head's read has completed
-// (or the head never needed one), the head is reaped — admitted to the
-// cache and counted in plan order, recorded in the window stats, handed
-// to its domain's apply queue. With wantCredit, pump returns true once
-// it has claimed a window credit for the next plan entry; without, it
-// returns true once the FIFO has fully drained (end of plan). false
-// means the sweep aborted or a load failed — the failed shard's credit
-// is released and the failure recorded here.
-func (w *sweepWindow) pump(fifo *[]stagedRead, wantCredit bool) bool {
+// claim blocks until the window has a credit for the next plan entry
+// and takes it; false means the sweep aborted.
+func (w *sweepWindow) claim() bool {
 	w.mu.Lock()
-	for {
-		if w.aborted {
-			w.mu.Unlock()
-			return false
-		}
-		if len(*fifo) > 0 {
-			head := (*fifo)[0]
-			if head.ticket == nil || head.ticket.Ready() {
-				*fifo = (*fifo)[1:]
-				w.mu.Unlock()
-				if head.ticket == nil && !w.e.cache.peek(cacheKey{w.e.st, head.si}) {
-					// The issue-time hit prediction was invalidated by an
-					// interleaved eviction (an earlier reap pushed this
-					// shard off the cold end). Read it through the reader
-					// like any other miss, so the IODepth bound covers
-					// the fallback too; the planner simulation already
-					// predicted a miss at this plan position, so the
-					// stats stay exact.
-					head.ticket = w.submit(head.si)
-				}
-				sh, err := w.e.admit(head.si, head.ticket)
-				if err != nil {
-					w.release()
-					w.fail(loadFailure{err})
-					return false
-				}
-				w.recordStaged(head.si)
-				w.queues[w.e.domainOf[head.si]] <- sh
-				w.mu.Lock()
-				continue
-			}
-		}
-		if wantCredit && w.staged < w.limitLocked() &&
-			w.staged+w.applying < w.e.slots+w.depth {
-			w.staged++
-			w.mu.Unlock()
-			return true
-		}
-		if !wantCredit && len(*fifo) == 0 {
-			w.mu.Unlock()
-			return true
-		}
+	defer w.mu.Unlock()
+	for !w.aborted && (w.staged >= w.limitLocked() || w.staged+w.applying > w.e.slots) {
 		w.cond.Wait()
 	}
+	if w.aborted {
+		return false
+	}
+	w.staged++
+	return true
 }
 
 // applyLoop is one domain's apply goroutine: it applies the domain's
@@ -258,14 +169,12 @@ func (w *sweepWindow) applyLoop(d int, apply func(*resident)) {
 	}
 }
 
-// limitLocked is the dynamic window bound: the configured depth k,
-// shrunk so staged shards plus in-flight applies stay inside the cache
-// budget, floored at IODepth so the read pipeline never self-throttles
-// below its budget (at IODepth = 1 this is the original floor of one:
-// with a one-shard budget the pre-aio pipeline already kept one shard
-// staged ahead of the apply).
+// limitLocked is the dynamic window bound: the depth cap k, shrunk so
+// staged shards plus in-flight applies stay inside the cache budget,
+// floored at one so a one-shard budget still keeps one shard staged
+// ahead of the apply.
 func (w *sweepWindow) limitLocked() int {
-	return max(w.depth, min(w.k, w.e.slots-w.applying))
+	return max(1, min(w.k, w.e.slots-w.applying))
 }
 
 // release returns an unused credit (the read behind it failed).
@@ -354,12 +263,11 @@ func (w *sweepWindow) wait() {
 }
 
 // stop is the teardown barrier: it aborts whatever is still pending and
-// returns only after the staging goroutine, every apply goroutine and
-// the aio reader's workers have exited, so no further cache or stats
-// mutation happens. Reads still in flight at the abort finish on their
-// workers and are discarded unreaped (their tickets die with the
-// stager's FIFO); reads still queued resolve ErrClosed without
-// executing. It is idempotent and safe after wait.
+// returns only after the staging goroutine and every apply goroutine
+// have exited, so no further cache or stats mutation happens. A read
+// still in flight at the abort finishes first, and its shard drains
+// through its apply loop unapplied. It is idempotent and safe after
+// wait.
 func (w *sweepWindow) stop() {
 	w.mu.Lock()
 	w.aborted = true
@@ -367,5 +275,4 @@ func (w *sweepWindow) stop() {
 	w.mu.Unlock()
 	<-w.stagerDone
 	w.applyWG.Wait()
-	w.reader.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // TestConcurrentApplyPeakDensePageRank is the headline occupancy check:
-// with the paper's 4 domains and a 4-deep window, a dense PageRank
+// with the paper's 4 domains (and so a 4-deep window), a dense PageRank
 // sweep applies at least two shards simultaneously — the cross-domain
 // concurrency the sequential pipeline never had. The interleaving is
 // enforced, not hoped for: the first apply is held open until a second
@@ -27,7 +28,7 @@ import (
 func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
 	g := gen.TinySocial()
 	e := buildSlotEngine(t, g, 16, 8, Options{
-		Threads: 4, Window: 4,
+		Threads:  4,
 		Topology: sched.Topology{Domains: 4},
 	})
 
@@ -82,7 +83,7 @@ func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
 // the shape assertions catch torn or mis-sized snapshots.
 func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 	g := gen.TinySocial()
-	e := buildSlotEngine(t, g, 16, 4, Options{Threads: 4, Window: 4})
+	e := buildSlotEngine(t, g, 16, 4, Options{Threads: 4})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -102,7 +103,7 @@ func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 					return
 				}
 				if len(st.ApplyLevels) != e.Topology().Domains ||
-					len(st.WindowDepths) != e.Options().Window+1 {
+					len(st.WindowDepths) != e.Topology().Domains+1 {
 					t.Errorf("snapshot slice sizes %d/%d drifted", len(st.ApplyLevels), len(st.WindowDepths))
 					return
 				}
@@ -129,18 +130,16 @@ func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 }
 
 // TestSweepWindowInvariants is the property test pinning the pipeline's
-// invariants across window depths, IO depths, budgets, domain counts
-// and thread counts, asserted from an event trace recorded by the
-// engine hooks:
+// invariants across budgets, domain counts (the window's depth cap) and
+// thread counts, asserted from an event trace recorded by the engine
+// hooks:
 //
-//  1. never more than IODepth uncached loads in flight (exactly one on
-//     the historical IODepth = 1 configurations);
-//  2. window depth <= max(IODepth, min(k, slots - in-flight applies)),
+//  1. never more than one uncached load in flight;
+//  2. window depth <= max(1, min(Domains, slots - in-flight applies)),
 //     slots being the cache budget in largest-shard units, sampled
 //     atomically with the apply count at every staging hand-off, and
-//     staged + mid-apply shards <= slots + IODepth (the engine's
-//     footprint: the cache budget plus the reads in flight — the
-//     pre-aio "budget + 1" at depth one);
+//     staged + mid-apply shards <= slots + 1 (the engine's footprint:
+//     the cache budget plus the read in flight);
 //  3. every staged shard is applied exactly once per sweep, and nothing
 //     is applied that was not staged;
 //  4. never more than min(Domains, Threads) applies in flight, so
@@ -152,21 +151,21 @@ func TestSweepWindowInvariants(t *testing.T) {
 		slots int
 		opts  Options
 	}{
-		{1, Options{Threads: 1, Window: 1}},
-		{2, Options{Threads: 2, Window: 2, Topology: sched.Topology{Domains: 2}}},
-		{3, Options{Threads: 4, Window: 5}}, // the budget, not the window, is the binding bound
-		{8, Options{Threads: 4, Window: 4}},
-		{4, Options{Threads: 2, Window: 1, Topology: sched.Topology{Domains: 8}}},
-		{2, Options{Threads: 8, Window: 2, Topology: sched.Topology{Domains: 3}}},
-		{4, Options{Threads: 4, Window: 4, IODepth: 2}},
-		{4, Options{Threads: 4, Window: 4, IODepth: 4, Topology: sched.Topology{Domains: 2}}},
-		{2, Options{Threads: 8, Window: 2, IODepth: 2, Topology: sched.Topology{Domains: 4}}},
-		{6, Options{Threads: 2, IODepth: 3}}, // defaulted window must cover the read budget
+		{1, Options{Threads: 1, Topology: sched.Topology{Domains: 1}}},
+		{2, Options{Threads: 2, Topology: sched.Topology{Domains: 2}}},
+		{3, Options{Threads: 4, Topology: sched.Topology{Domains: 5}}}, // the budget, not the domain count, is the binding bound
+		{8, Options{Threads: 4}},
+		{4, Options{Threads: 2, Topology: sched.Topology{Domains: 8}}},
+		{2, Options{Threads: 8, Topology: sched.Topology{Domains: 3}}},
+		{4, Options{Threads: 4}},
+		{4, Options{Threads: 4, Topology: sched.Topology{Domains: 2}}},
+		{2, Options{Threads: 8, Topology: sched.Topology{Domains: 4}}},
+		{6, Options{Threads: 2}},
 	}
 	for ci, c := range configs {
 		t.Run(fmt.Sprintf("config-%d", ci), func(t *testing.T) {
 			e := buildSlotEngine(t, g, 12, c.slots, c.opts)
-			k, budget, iodepth := e.opts.Window, e.slots, e.opts.IODepth
+			k, budget := e.Topology().Domains, e.slots
 			if budget != c.slots {
 				t.Fatalf("engine counts %d slots in a budget of %d largest shards", budget, c.slots)
 			}
@@ -195,20 +194,14 @@ func TestSweepWindowInvariants(t *testing.T) {
 				mu.Unlock()
 			}
 			e.onStage = func(si, depth, applying int) {
-				limit := budget - applying
-				if limit > k {
-					limit = k
-				}
-				if limit < iodepth {
-					limit = iodepth
-				}
+				limit := max(1, min(k, budget-applying))
 				if depth > limit {
-					t.Errorf("window depth %d with %d applies in flight exceeds max(IODepth=%d, min(k=%d, slots=%d - applying)) = %d",
-						depth, applying, iodepth, k, budget, limit)
+					t.Errorf("window depth %d with %d applies in flight exceeds max(1, min(Domains=%d, slots=%d - applying)) = %d",
+						depth, applying, k, budget, limit)
 				}
-				if depth+applying > budget+iodepth {
-					t.Errorf("%d staged + %d applying shards exceed the footprint contract of %d slots + IODepth %d",
-						depth, applying, budget, iodepth)
+				if depth+applying > budget+1 {
+					t.Errorf("%d staged + %d applying shards exceed the footprint contract of %d slots + 1",
+						depth, applying, budget)
 				}
 				mu.Lock()
 				staged[si]++
@@ -266,14 +259,8 @@ func TestSweepWindowInvariants(t *testing.T) {
 
 			mu.Lock()
 			defer mu.Unlock()
-			if maxLoadsInFlight > iodepth {
-				t.Fatalf("%d uncached loads in flight at once, want at most IODepth = %d", maxLoadsInFlight, iodepth)
-			}
-			if maxLoadsInFlight == 0 {
-				t.Fatal("no loads observed; the trace recorded nothing")
-			}
-			if st := e.Stats(); st.ReadsInFlightPeak < 1 || st.ReadsInFlightPeak > int64(iodepth) {
-				t.Fatalf("ReadsInFlightPeak = %d outside [1, IODepth = %d]", st.ReadsInFlightPeak, iodepth)
+			if maxLoadsInFlight != 1 {
+				t.Fatalf("at most %d uncached loads in flight at once, want exactly 1", maxLoadsInFlight)
 			}
 			if maxApplies > applyCap {
 				t.Fatalf("%d applies in flight at once, cap is min(Domains, Threads) = %d", maxApplies, applyCap)
@@ -301,18 +288,19 @@ func newParents(n int) []int32 {
 }
 
 // TestWindowRunsAheadToDepthK proves the stager actually uses the
-// configured depth: with the single apply goroutine held open
-// (Domains: 1 serialises applies), the stager must keep loading until
-// exactly k shards sit staged, then stall on the window bound. Both
-// directions are asserted — reaching k (a shallower window would stall
-// early; the hold makes the hand-off deterministic) and never
-// exceeding it (checked by TestSweepWindowInvariants' bound too).
+// window's depth cap, the domain count k: with the first apply held
+// open (Threads: 1 caps simultaneous applies at one), the stager must
+// keep loading until exactly k shards sit staged, then stall on the
+// window bound. Both directions are asserted — reaching k (a shallower
+// window would stall early; the hold makes the hand-off deterministic)
+// and never exceeding it (checked by TestSweepWindowInvariants' bound
+// too).
 func TestWindowRunsAheadToDepthK(t *testing.T) {
 	g := gen.TinySocial()
 	const k = 3
 	e := buildSlotEngine(t, g, 12, 8, Options{
-		Threads: 1, Window: k,
-		Topology: sched.Topology{Domains: 1},
+		Threads:  1,
+		Topology: sched.Topology{Domains: k},
 	})
 
 	var mu sync.Mutex
@@ -351,4 +339,94 @@ func TestWindowRunsAheadToDepthK(t *testing.T) {
 	if st.WindowDepths[k] == 0 {
 		t.Fatalf("WindowDepths[%d] = 0 despite the window provably reaching depth %d: %v", k, k, st.WindowDepths)
 	}
+}
+
+// sweepHooked calls before ahead of every EdgeMap of the session it
+// wraps.
+type sweepHooked struct {
+	*Engine
+	before func()
+}
+
+func (s sweepHooked) EdgeMap(f *frontier.Frontier, op api.EdgeOp, d api.Direction) *frontier.Frontier {
+	s.before()
+	return s.Engine.EdgeMap(f, op, d)
+}
+
+// TestHostReadsOneAtATimeInPlanOrder: two sessions of one Host sweep
+// concurrently at four domains over a budget of four slots — PageRank
+// on one, BFS then PageRank on the other, so dense sweeps co-schedule
+// and sparse ones do not. Host-wide, no two disk reads ever overlap
+// (the host's read lock), and each session begins its reads in its
+// plan order — ascending within every EdgeMap — because its stager
+// fetches plan entries one at a time, in order; a read further down the
+// plan can never run while the stager waits on an earlier one.
+func TestHostReadsOneAtATimeInPlanOrder(t *testing.T) {
+	// Uniform destinations: all 16 shards hold in-edges and decode to
+	// about the same bytes, so four slots hold a quarter of the store.
+	g := gen.ErdosRenyi(1<<10, 1<<13, 7)
+	st := createStore(t, t.TempDir(), g, 16)
+	h, err := NewHost(st, g, nil, Options{Threads: 4, Topology: sched.Topology{Domains: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.cache = NewSharedCache(4 * h.core.maxShardBytes)
+
+	var inFlight, overlaps atomic.Int32
+	var sessions [2]*Engine
+	var last, reads [2]int // session i's stager writes these; its sweep goroutine reads them between sweeps
+	for i := range sessions {
+		e := h.NewSession()
+		e.onLoadBegin = func(si int) {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			if si <= last[i] {
+				t.Errorf("session %d read shard %d after shard %d in one sweep: reads left plan order", i, si, last[i])
+			}
+			last[i] = si
+			reads[i]++
+		}
+		e.onLoadEnd = func(int) { inFlight.Add(-1) }
+		sessions[i] = e
+	}
+	hooked := func(i int) api.System {
+		return sweepHooked{sessions[i], func() { last[i] = -1 }}
+	}
+
+	want := serialPR(g, 8)
+	var ranks [2][]float64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		ranks[0] = prOnSystem(hooked(0), 8)
+	}()
+	go func() {
+		defer wg.Done()
+		sys := hooked(1)
+		parents := newParents(g.NumVertices())
+		parents[0] = 0
+		for f := frontier.FromVertex(g, 0); !f.IsEmpty(); {
+			f = sys.EdgeMap(f, bfsOp(parents), api.DirAuto)
+		}
+		ranks[1] = prOnSystem(sys, 8)
+	}()
+	wg.Wait()
+
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d disk reads began while another was in flight on the same host", n)
+	}
+	for i, r := range ranks {
+		if reads[i] == 0 {
+			t.Fatalf("session %d read nothing from disk; the budget held the store", i)
+		}
+		for v := range want {
+			if math.Abs(r[v]-want[v]) > 1e-12 {
+				t.Fatalf("session %d: rank[%d] = %v, want %v", i, v, r[v], want[v])
+			}
+		}
+	}
+	requireEvictions(t, sessions[0])
+	checkQuiescent(t, sessions[0])
 }
