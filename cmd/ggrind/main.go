@@ -9,7 +9,7 @@
 //	ggrind -graph livejournal-sm -alg BFS -layout COO -reps 5
 //	ggrind -graph yahoo-sm -alg PR -system OOC -partitions 24
 //	ggrind -graph twitter-sm -alg PR -system OOC -shardformat v1
-//	ggrind -graph livejournal-sm -alg PR -system OOC -cache-bytes 4194304 -domains 1
+//	ggrind -graph livejournal-sm -alg PR -system OOC -cache-bytes 4194304
 //	ggrind -graph twitter-sm -alg PR -system OOC -updates batch.json -compactstore
 package main
 
@@ -30,7 +30,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gio"
 	"repro/internal/graph"
-	"repro/internal/sched"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
@@ -55,7 +54,6 @@ func run() int {
 		reps       = flag.Int("reps", 3, "repetitions; the median is reported")
 		shardDir   = flag.String("sharddir", "", "OOC shard directory (empty = fresh temp dir, removed on exit)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "OOC decoded-shard cache budget in bytes, shared by the forward and reverse stores (0 = 256 MiB)")
-		domains    = flag.Int("domains", 0, "OOC modelled NUMA domain count, which is also the staging window depth (0 = the paper's 4)")
 		shardFmt   = flag.String("shardformat", shard.DefaultFormat.String(), "OOC shard-file encoding: v1 (raw uint32 pairs), v2 (delta+uvarint) or v3 (run-grouped group-varint, decoded in batch)")
 		updates    = flag.String("updates", "", `OOC: apply a JSON edge batch {"insert":[{"src":0,"dst":1},...],"delete":[...]} to the store before running, then rebuild the engine at the new generation`)
 		compactSt  = flag.Bool("compactstore", false, "OOC: compact delta shards into a new base generation before running (after -updates, if both are given)")
@@ -68,7 +66,7 @@ func run() int {
 		name string
 		val  int
 	}{
-		{"partitions", *partitions}, {"threads", *threads}, {"domains", *domains},
+		{"partitions", *partitions}, {"threads", *threads},
 	} {
 		if f.val < 0 {
 			fmt.Fprintf(os.Stderr, "ggrind: -%s must be >= 0 (0 selects the default), got %d\n", f.name, f.val)
@@ -88,7 +86,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
 		return 2
 	}
-	oopts := shard.Options{Threads: *threads, Topology: sched.Topology{Domains: *domains}}
+	oopts := shard.Options{Threads: *threads}
 	if (*updates != "" || *compactSt) && *system != "OOC" {
 		fmt.Fprintf(os.Stderr, "ggrind: -updates and -compactstore mutate a sharded store and need -system OOC\n")
 		return 2
@@ -239,8 +237,8 @@ func run() int {
 			fmt.Printf("store: %v format, %.1f KiB on disk (%.2f bytes/edge; raw v1 is 8)\n",
 				eng.Store().Format(), float64(disk)/1024, float64(disk)/float64(g.NumEdges()))
 		}
-		fmt.Printf("engine: OOC shards=%d cache-bytes=%d threads=%d domains=%d\n",
-			eng.Store().NumShards(), cache.Budget(), eng.Threads(), eng.Topology().Domains)
+		fmt.Printf("engine: OOC shards=%d cache-bytes=%d threads=%d\n",
+			eng.Store().NumShards(), cache.Budget(), eng.Threads())
 		sys = eng
 		if spec.NeedsReverse {
 			reng, err := build("rev", g.Reverse())
@@ -288,10 +286,6 @@ func run() int {
 		fmt.Printf("ooc cache: %d-byte budget, peak %d bytes resident, %d evictions, %d refused inserts\n",
 			cs.Budget, cs.PeakBytes, cs.Evictions, cs.Rejected)
 		fmt.Printf("ooc pipeline: %d of %d loads overlapped an apply\n", st.OverlappedLoads, st.ShardLoads)
-		fmt.Printf("ooc numa: %d domains, shards applied per domain %v, edges per domain %v\n",
-			eng.Topology().Domains, st.DomainShards, st.DomainEdges)
-		fmt.Printf("ooc window: depth k=%d, peak %d concurrent applies, apply levels %v, hand-off depths %v\n",
-			eng.Topology().Domains, st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
 	}
 	if rec != nil {
 		f, err := os.Create(*traceOut)

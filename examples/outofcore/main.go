@@ -5,11 +5,10 @@
 // from disk through the concurrent sweep (plan → stage → apply →
 // publish): the planner picks the shard set, a staging goroutine
 // fetches it in ascending order — a cache hit, else a synchronous read
-// — keeping up to one shard per modelled NUMA domain staged ahead, up
-// to D staged shards are applied simultaneously, one per domain, each
-// by that domain's workers, and the byte-budgeted shard cache keeps hot
-// shards resident across iterations. See README.md for the window and
-// placement model in detail.
+// — keeping up to 2×Threads shards staged ahead, the pool's workers claim
+// the staged shards' destination-range tasks in plan order, and the
+// byte-budgeted shard cache keeps hot shards resident across
+// iterations. See README.md for the window and scheduling in detail.
 package main
 
 import (
@@ -51,18 +50,17 @@ func main() {
 	// decoded is what the store's edges occupy once decoded (8 bytes
 	// each): every budget below is a fraction of it. A sixth — 4 of 24
 	// shards' worth: resident edge data stays bounded by that however
-	// many iterations run, and it is wide enough for the staging window
-	// — one shard per modelled NUMA domain, 4 here — to keep all four
-	// domains applying at once.
+	// many iterations run, and it leaves the staging window room to run
+	// ahead of the shards being applied.
 	decoded := 8 * g.NumEdges()
 	ooc := engineOver(store, g, decoded/6, shard.Options{})
 	bytes, err := store.DiskBytes()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("sharded to %s: %d shards (%v format), %.1f MiB on disk (%.2f bytes/edge), cache budget %.1f MiB, window k=%d\n",
+	fmt.Printf("sharded to %s: %d shards (%v format), %.1f MiB on disk (%.2f bytes/edge), cache budget %.1f MiB, %d workers\n",
 		dir, store.NumShards(), store.Format(), float64(bytes)/(1<<20),
-		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Topology().Domains)
+		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Threads())
 
 	// The default store is the run-grouped group-varint (v3) layout;
 	// write the same graph in the legacy raw encoding to see what each
@@ -97,10 +95,7 @@ func main() {
 	fmt.Printf("  io: %.1f MiB decoded from disk, %.1f MiB at raw v1 pricing — %.2fx compression in flight\n",
 		float64(st.BytesRead)/(1<<20), float64(st.BytesLogical)/(1<<20),
 		float64(st.BytesLogical)/float64(st.BytesRead))
-	fmt.Printf("  pipeline: %d of %d loads overlapped an apply; NUMA domain shards %v\n",
-		st.OverlappedLoads, st.ShardLoads, st.DomainShards)
-	fmt.Printf("  occupancy: peak %d concurrent shard applies, apply levels %v, window hand-off depths %v\n",
-		st.ConcurrentApplyPeak, st.ApplyLevels, st.WindowDepths)
+	fmt.Printf("  pipeline: %d of %d loads overlapped an apply\n", st.OverlappedLoads, st.ShardLoads)
 	if maxDiff > 1e-9 {
 		panic("results diverge")
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ligra"
 	"repro/internal/polymer"
-	"repro/internal/sched"
 	"repro/internal/shard"
 	"repro/internal/sweepref"
 )
@@ -89,29 +88,23 @@ func oocEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{})
 }
 
-// oocSequentialEngine is the pipeline's narrow end: one domain, so one
+// oocSequentialEngine is the pipeline's narrow end: one worker, so one
 // shard staged ahead and one applying — the engine at its least
 // concurrent — so every oracle-agreement property doubles as a
 // pipeline-narrow/wide equivalence check.
 func oocSequentialEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{
-		Topology: sched.Topology{Domains: 1},
-	})
+	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{Threads: 1})
 }
 
-// oocWindowEngine is the concurrent-apply differential variant: a
-// topology of the given domain count — which is also the staging
-// window's depth — so up to that many shards are applied simultaneously
-// by their domains' worker views, with the whole store resident. Every
-// oracle-agreement property therefore also pins the concurrent sweep to
-// the sequential semantics.
-func oocWindowEngine(t *testing.T, g *graph.Graph, domains int) *shard.Engine {
+// oocWindowEngine is the concurrent-apply differential variant: a pool
+// of the given thread count — which is also the staging window's depth
+// — so tasks of up to that many shards are applied simultaneously, with
+// the whole store resident. Every oracle-agreement property therefore
+// also pins the concurrent sweep to the sequential semantics.
+func oocWindowEngine(t *testing.T, g *graph.Graph, threads int) *shard.Engine {
 	t.Helper()
-	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{
-		Threads:  4,
-		Topology: sched.Topology{Domains: domains},
-	})
+	e, err := shard.Build(t.TempDir(), g, 4, shard.Options{Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +112,12 @@ func oocWindowEngine(t *testing.T, g *graph.Graph, domains int) *shard.Engine {
 }
 
 // oocTightWindowEngine is the streaming counterpart of
-// oocWindowEngine: four domains applying concurrently over eight
+// oocWindowEngine: four workers applying concurrently over eight
 // shards behind a half-store cache, so the stager's plan-ordered reads
 // and the budget's evictions interleave with concurrent applies.
 func oocTightWindowEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{
-		Threads:  4,
-		Topology: sched.Topology{Domains: 4},
-	})
+	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{Threads: 4})
 }
 
 // oocFormatEngine is the on-disk format differential variant: the same
@@ -149,10 +139,7 @@ func oocFormatEngine(t *testing.T, g *graph.Graph, format shard.Format) *shard.E
 // oracle-agreement property also pins the refused-insert path.
 func oocSharedSessionEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocBudget(t, oocStore(t, g, 4, shard.DefaultFormat), g, 1<<13, shard.Options{
-		Threads:  4,
-		Topology: sched.Topology{Domains: 2},
-	})
+	return oocBudget(t, oocStore(t, g, 4, shard.DefaultFormat), g, 1<<13, shard.Options{Threads: 2})
 }
 
 // oocMutatedStoreEngine is the log-structured differential variant: the

@@ -18,12 +18,12 @@ import (
 //   - the reference: a sequential sweep written only against the
 //     store's public read API (sweepref: calling goroutine, shard-file
 //     order, no cache, no pipeline, no task split);
-//   - the engine at its least concurrent (one domain, so a one-deep
+//   - the engine at its least concurrent (one thread, so a one-deep
 //     window) and at its defaults, both behind a half-store cache;
-//   - the two- and four-domain windows over a resident store, where up
-//     to that many modelled NUMA domains apply shards simultaneously
+//   - the two- and four-thread windows over a resident store, where the
+//     workers apply tasks of up to that many shards simultaneously
 //     while the stager runs as many shards ahead;
-//   - the four-domain window over eight shards behind a half-store
+//   - the four-thread window over eight shards behind a half-store
 //     cache, so plan-ordered reads, evictions and concurrent applies
 //     interleave;
 //   - the same engine over stores written in the raw (v1) and the
@@ -40,9 +40,9 @@ import (
 // none quietly becomes an everything-resident run.
 //
 // This is the strongest form of the concurrency correctness claim:
-// neither staging depth nor cross-domain interleaving may change *what*
-// is computed, only *when* a shard becomes resident and which domain's
-// workers are busy — so even the float64 accumulations (whose results
+// neither staging depth nor task interleaving may change *what* is
+// computed, only *when* a shard becomes resident and which workers are
+// busy — so even the float64 accumulations (whose results
 // depend on per-destination application order) must match exactly, not
 // just within tolerance. Run under -race in CI, this doubles as the
 // schedule-interleaving sweep for the concurrent apply path.
@@ -62,8 +62,8 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 		{"sequential", func(t *testing.T, g *graph.Graph) api.System { return oocSequentialEngine(t, g) }},
 		{"defaults", func(t *testing.T, g *graph.Graph) api.System { return oocEngine(t, g) }},
 		{"window-2", func(t *testing.T, g *graph.Graph) api.System { return oocWindowEngine(t, g, 2) }},
-		{"window-D", func(t *testing.T, g *graph.Graph) api.System { return oocWindowEngine(t, g, 4) }},
-		{"tight-window-D", func(t *testing.T, g *graph.Graph) api.System { return oocTightWindowEngine(t, g) }},
+		{"window-4", func(t *testing.T, g *graph.Graph) api.System { return oocWindowEngine(t, g, 4) }},
+		{"tight-window-4", func(t *testing.T, g *graph.Graph) api.System { return oocTightWindowEngine(t, g) }},
 		// The same ladder endpoint over a raw (v1) and a delta+uvarint
 		// (v2) store — every other rung runs on the default v3: the
 		// on-disk format must change bytes, never results.

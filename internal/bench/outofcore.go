@@ -10,7 +10,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/sched"
 	"repro/internal/shard"
 )
 
@@ -121,11 +120,7 @@ func OutOfCore(g *graph.Graph, dir string, shards, threads, reps int) (*Report, 
 		shards = 16
 	}
 	inMem := core.NewEngine(g, core.Options{Threads: threads})
-	// Domains: 1 keeps the headline Slowdown column measuring streaming
-	// overhead alone, comparable with pre-placement numbers — the
-	// default 4-domain topology would confine each apply to a quarter
-	// of the pool. The ablations below run the shipped default.
-	ooc, err := shard.Build(dir, g, shards, shard.Options{Threads: threads, Topology: sched.Topology{Domains: 1}})
+	ooc, err := shard.Build(dir, g, shards, shard.Options{Threads: threads})
 	if err != nil {
 		return nil, err
 	}

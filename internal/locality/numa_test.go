@@ -104,3 +104,30 @@ func TestNUMAPlacementScoresStripedWorse(t *testing.T) {
 			striped.LocalShare, placed.LocalShare)
 	}
 }
+
+// TestNUMAPlacementNoWorseThanUnplaced scores the round-robin
+// partition→domain placement MeasureNUMATraffic models against an
+// unplaced baseline that stripes 64-vertex pages across domains with no
+// regard for partition structure, on generated power-law graphs. The
+// partition-aware placement must keep every next-array update
+// domain-local and beat — at worst match — the baseline's overall
+// local share.
+func TestNUMAPlacementNoWorseThanUnplaced(t *testing.T) {
+	topo := sched.DefaultTopology()
+	const p = 16
+	for _, seed := range []uint64{3, 7, 11} {
+		g := gen.PowerLaw(1<<10, 1<<13, 2.3, seed)
+		placed := MeasureNUMATraffic(g, p, topo)
+		striped := MeasureNUMAPlacement(g, p, topo, func(v graph.VID) int {
+			return int(v) / partition.BoundaryAlign % topo.Domains
+		})
+		if placed.RemoteNext != 0 {
+			t.Errorf("seed %d: partition-aware placement has %d remote next-array updates, want 0",
+				seed, placed.RemoteNext)
+		}
+		if placed.LocalShare < striped.LocalShare {
+			t.Errorf("seed %d: placed local share %.3f worse than unplaced baseline %.3f",
+				seed, placed.LocalShare, striped.LocalShare)
+		}
+	}
+}

@@ -6,7 +6,8 @@ package sched
 // experiment harness can report per-domain load. Because Go cannot pin
 // memory pages, the model's role is bookkeeping: deciding which
 // partitions belong together and validating that partition counts are
-// multiples of the domain count as the paper requires.
+// multiples of the domain count as the paper requires. No engine
+// schedules by it.
 type Topology struct {
 	Domains int
 }
@@ -51,69 +52,4 @@ func (t Topology) DomainLoads(partLoads []int64) []int64 {
 		out[t.DomainOf(p)] += l
 	}
 	return out
-}
-
-// DomainView is a Pool restricted to the workers one NUMA domain owns —
-// the modelled counterpart of Polymer pinning a partition's processing
-// threads to the socket that holds the partition's memory. Go cannot pin
-// OS threads to sockets, so the view preserves the *scheduling*
-// discipline instead: a task set run through a DomainView executes on at
-// most Threads() concurrent goroutines, and every callback carries the
-// pool-global worker ID of a worker the domain owns.
-//
-// Views are stateless and safe for concurrent use: distinct domains'
-// ParallelTasks may run simultaneously (the Polymer all-sockets-at-once
-// execution the concurrent shard apply models). When the pool has at
-// least as many workers as the topology has domains, Split hands every
-// domain a disjoint worker-ID set, so per-worker accumulators indexed by
-// [0, Pool.Threads()) stay exclusive even across concurrently running
-// domains; with fewer workers than domains, borrowed IDs repeat across
-// views and concurrent callers must shard accumulators per domain
-// instead (shard.Engine does).
-type DomainView struct {
-	workers []int // pool-global worker IDs owned by this domain
-}
-
-// Split deals the pool's worker IDs round-robin across the topology's
-// domains, mirroring the round-robin partition→domain placement of
-// DomainOf. Every domain gets at least one worker: when the pool has
-// fewer workers than the topology has domains, domain d borrows worker
-// d mod Threads() — the model of a machine whose cores are shared
-// between domains. Borrowed IDs repeat across views, so callers that
-// run domains concurrently must not index shared per-worker state by
-// the pool-global ID alone; stripe it per domain (see DomainView).
-func (t Topology) Split(p *Pool) []*DomainView {
-	d := t.Domains
-	if d <= 0 {
-		d = 1
-	}
-	views := make([]*DomainView, d)
-	for i := range views {
-		views[i] = &DomainView{}
-	}
-	for w := 0; w < p.Threads(); w++ {
-		views[w%d].workers = append(views[w%d].workers, w)
-	}
-	for i, v := range views {
-		if len(v.workers) == 0 {
-			v.workers = []int{i % p.Threads()}
-		}
-	}
-	return views
-}
-
-// Threads returns the number of workers the domain owns.
-func (v *DomainView) Threads() int { return len(v.workers) }
-
-// Workers returns the pool-global worker IDs the domain owns, in
-// ascending order (Split deals IDs round-robin, preserving order).
-func (v *DomainView) Workers() []int { return v.workers }
-
-// ParallelTasks runs exactly k tasks self-scheduled over just this
-// domain's workers: fn(task, worker) where worker is the pool-global
-// worker ID. Semantics match Pool.ParallelTasks — each task runs on
-// exactly one worker, at most Threads() run concurrently — with the
-// concurrency and worker identities confined to the domain.
-func (v *DomainView) ParallelTasks(k int, fn func(task, worker int)) {
-	runTasks(v.workers, k, fn)
 }

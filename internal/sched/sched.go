@@ -1,10 +1,11 @@
 // Package sched provides the parallel runtime shared by all engines: a
-// bounded worker pool, chunked parallel-for loops, and a modelled NUMA
-// topology that pins partitions to domains. Go offers no physical NUMA
-// placement, so the model preserves the paper's *ownership* discipline —
-// one partition is processed by exactly one worker at a time, and workers
-// are grouped into domains — which is the property the atomic-free update
-// path depends on.
+// bounded worker pool, chunked parallel-for loops and self-scheduled
+// task sets, plus a modelled NUMA topology that sets partition counts.
+// Go offers no physical NUMA placement, so the model only keeps the
+// paper's books (§III.D: partition counts are multiples of the domain
+// count); the *ownership* discipline the atomic-free update path
+// depends on — one partition is processed by exactly one worker at a
+// time — is ParallelTasks' contract.
 package sched
 
 import (
@@ -17,7 +18,6 @@ import (
 // executes inline, which tests use for deterministic sequencing.
 type Pool struct {
 	threads int
-	ids     []int // 0..threads-1, the worker IDs runTasks hands out
 }
 
 // NewPool returns a pool with the given parallelism; threads <= 0 selects
@@ -26,11 +26,7 @@ func NewPool(threads int) *Pool {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	ids := make([]int, threads)
-	for i := range ids {
-		ids[i] = i
-	}
-	return &Pool{threads: threads, ids: ids}
+	return &Pool{threads: threads}
 }
 
 // Threads returns the pool's parallelism.
@@ -153,15 +149,8 @@ func (p *Pool) ParallelRange(n int, fn func(worker, lo, hi int)) {
 // ParallelTasks runs exactly k tasks, self-scheduled over the pool's
 // workers: fn(task, worker). Each task runs on exactly one worker; at
 // most Threads() run concurrently. This is the "one partition per thread"
-// execution the paper's atomic-free path requires.
-func (p *Pool) ParallelTasks(k int, fn func(task, worker int)) {
-	runTasks(p.ids, k, fn)
-}
-
-// runTasks is the shared task-scheduling kernel behind Pool.ParallelTasks
-// and DomainView.ParallelTasks: k tasks self-scheduled over at most
-// len(ids) goroutines, each callback carrying the worker ID it runs as.
-// One goroutine (or k <= 1) executes inline.
+// execution the paper's atomic-free path requires. One worker (or
+// k <= 1) executes inline.
 //
 // A panicking task does not crash the process: the first panic value is
 // captured, the remaining workers stop claiming tasks, and the panic is
@@ -172,17 +161,14 @@ func (p *Pool) ParallelTasks(k int, fn func(task, worker int)) {
 // re-raised verbatim so recover sites can inspect it, at the price of
 // the worker's original stack trace; a task that needs the faulting
 // frames preserved should capture them itself before panicking.
-func runTasks(ids []int, k int, fn func(task, worker int)) {
+func (p *Pool) ParallelTasks(k int, fn func(task, worker int)) {
 	if k <= 0 {
 		return
 	}
-	workers := len(ids)
-	if workers > k {
-		workers = k
-	}
+	workers := min(p.threads, k)
 	if workers <= 1 {
 		for t := 0; t < k; t++ {
-			fn(t, ids[0])
+			fn(t, 0)
 		}
 		return
 	}
@@ -192,8 +178,8 @@ func runTasks(ids []int, k int, fn func(task, worker int)) {
 	var panicVal any
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func(w int) {
+	for w := 0; w < workers; w++ {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -212,7 +198,7 @@ func runTasks(ids []int, k int, fn func(task, worker int)) {
 				}
 				fn(t, w)
 			}
-		}(ids[i])
+		}()
 	}
 	wg.Wait()
 	if panicVal != nil {

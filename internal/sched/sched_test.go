@@ -2,7 +2,6 @@ package sched
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,83 +150,6 @@ func TestDefaultTopology(t *testing.T) {
 	}
 }
 
-func TestSplitPartitionsWorkersAcrossDomains(t *testing.T) {
-	// With workers >= domains, Split deals every worker ID to exactly
-	// one domain — the disjointness per-worker accumulators rely on.
-	topo := Topology{Domains: 4}
-	p := NewPool(10)
-	views := topo.Split(p)
-	if len(views) != 4 {
-		t.Fatalf("got %d views, want 4", len(views))
-	}
-	seen := map[int]int{}
-	for d, v := range views {
-		if v.Threads() == 0 {
-			t.Fatalf("domain %d owns no workers", d)
-		}
-		for _, w := range v.Workers() {
-			if w < 0 || w >= p.Threads() {
-				t.Fatalf("domain %d owns out-of-pool worker %d", d, w)
-			}
-			seen[w]++
-		}
-	}
-	if len(seen) != p.Threads() {
-		t.Fatalf("%d workers assigned, pool has %d", len(seen), p.Threads())
-	}
-	for w, c := range seen {
-		if c != 1 {
-			t.Fatalf("worker %d assigned to %d domains", w, c)
-		}
-	}
-}
-
-func TestSplitSharesWorkersWhenScarce(t *testing.T) {
-	// Fewer workers than domains: every domain still gets a worker
-	// (borrowed round-robin), so applies never stall on an empty view.
-	topo := Topology{Domains: 8}
-	views := topo.Split(NewPool(3))
-	for d, v := range views {
-		if v.Threads() != 1 {
-			t.Fatalf("domain %d has %d workers, want exactly 1 borrowed", d, v.Threads())
-		}
-		if w := v.Workers()[0]; w != d%3 {
-			t.Fatalf("domain %d borrowed worker %d, want %d", d, w, d%3)
-		}
-	}
-}
-
-func TestDomainViewParallelTasks(t *testing.T) {
-	// Every task runs exactly once, and only on worker IDs the domain
-	// owns.
-	topo := Topology{Domains: 3}
-	p := NewPool(7)
-	views := topo.Split(p)
-	for d, v := range views {
-		owned := map[int]bool{}
-		for _, w := range v.Workers() {
-			owned[w] = true
-		}
-		const k = 40
-		var ran [k]int64
-		var badWorker int64
-		v.ParallelTasks(k, func(task, worker int) {
-			atomic.AddInt64(&ran[task], 1)
-			if !owned[worker] {
-				atomic.AddInt64(&badWorker, 1)
-			}
-		})
-		for task := range ran {
-			if ran[task] != 1 {
-				t.Fatalf("domain %d: task %d ran %d times", d, task, ran[task])
-			}
-		}
-		if badWorker != 0 {
-			t.Fatalf("domain %d: %d callbacks carried foreign worker IDs", d, badWorker)
-		}
-	}
-}
-
 // TestParallelTasksPanicPropagates: a panicking task surfaces on the
 // calling goroutine — recoverable — and leaves no worker goroutines
 // behind, for both the inline single-worker path and the multi-worker
@@ -267,75 +189,4 @@ func TestParallelTasksPanicPropagates(t *testing.T) {
 				threads, baseline, now)
 		}
 	}
-}
-
-// TestDomainViewPanicPropagates: the same guarantee through a domain
-// view, which is the path the concurrent shard apply actually uses.
-func TestDomainViewPanicPropagates(t *testing.T) {
-	views := Topology{Domains: 2}.Split(NewPool(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate through DomainView.ParallelTasks")
-		}
-	}()
-	views[0].ParallelTasks(16, func(task, worker int) {
-		if task == 2 {
-			panic("domain boom")
-		}
-	})
-}
-
-// TestDomainViewsRunConcurrently: distinct domains' views can execute
-// task sets simultaneously — the modelled all-sockets-at-once execution
-// the concurrent shard apply relies on — and, with enough pool workers,
-// every callback still carries a worker ID the domain exclusively owns,
-// so Domains×Threads accumulator blocks stay race-free.
-func TestDomainViewsRunConcurrently(t *testing.T) {
-	const domains = 4
-	pool := NewPool(8)
-	views := Topology{Domains: domains}.Split(pool)
-	owned := make([]map[int]bool, domains)
-	for d, v := range views {
-		owned[d] = map[int]bool{}
-		for _, w := range v.Workers() {
-			owned[d][w] = true
-		}
-		for o := 0; o < d; o++ {
-			for w := range owned[d] {
-				if owned[o][w] {
-					t.Fatalf("domains %d and %d share worker %d with %d workers over %d domains",
-						o, d, w, pool.Threads(), domains)
-				}
-			}
-		}
-	}
-
-	// Every domain blocks its first task until all domains have one
-	// running; with any cross-view serialisation this deadlocks, and the
-	// timeout converts that into a failure.
-	var started int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for d := 0; d < domains; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			views[d].ParallelTasks(3, func(task, worker int) {
-				if !owned[d][worker] {
-					t.Errorf("domain %d ran on worker %d it does not own", d, worker)
-				}
-				if task == 0 {
-					if atomic.AddInt32(&started, 1) == domains {
-						close(release)
-					}
-					select {
-					case <-release:
-					case <-time.After(10 * time.Second):
-						t.Error("domains never ran concurrently")
-					}
-				}
-			})
-		}(d)
-	}
-	wg.Wait()
 }

@@ -54,8 +54,8 @@ type Config struct {
 	// shard.DefaultCacheBytes. All stores share this one budget.
 	CacheBytes int64
 	// Options is the engine option set every hosted store resolves at
-	// open time (Threads, SparseDiv, Topology). The zero value is
-	// the engine's defaults.
+	// open time (Threads, SparseDiv). The zero value is the engine's
+	// defaults.
 	Options shard.Options
 }
 

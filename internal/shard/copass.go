@@ -26,10 +26,6 @@ package shard
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/api"
-	"repro/internal/frontier"
-	"repro/internal/graph"
 )
 
 // passBoard coordinates co-scheduled sweeps over one store; one lives
@@ -48,16 +44,10 @@ type sweepPass struct {
 	subs  map[*passSub]struct{}
 }
 
-// coShard is one published staged shard.
-type coShard struct {
-	si int
-	sh *resident
-}
-
 // passSub is one follower's subscription to a pass.
 type passSub struct {
 	pass *sweepPass
-	ch   chan coShard
+	ch   chan *resident
 }
 
 // lead opens a pass with the caller as leader, or returns nil when a
@@ -88,7 +78,7 @@ func (b *passBoard) join(buf int) *passSub {
 	if p.done {
 		return nil
 	}
-	s := &passSub{pass: p, ch: make(chan coShard, buf)}
+	s := &passSub{pass: p, ch: make(chan *resident, buf)}
 	p.subs[s] = struct{}{}
 	return s
 }
@@ -97,12 +87,12 @@ func (b *passBoard) join(buf int) *passSub {
 // design: a follower that cannot keep up misses the shard and fetches
 // it in its remainder pass — the leader's latency is never hostage to
 // a slow follower.
-func (p *sweepPass) publish(si int, sh *resident) {
+func (p *sweepPass) publish(sh *resident) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for s := range p.subs {
 		select {
-		case s.ch <- coShard{si, sh}:
+		case s.ch <- sh:
 		default:
 		}
 	}
@@ -141,50 +131,40 @@ func (s *passSub) unsub() {
 	}
 }
 
-// sweepPipelined runs one EdgeMap's staged, windowed, NUMA-concurrent
-// sweep — the one dense/sparse execution path. A dense sweep
-// additionally co-schedules with the host's other sessions: it leads a
-// pass (publishing every staged shard — to nobody, on a lone session)
+// sweepPipelined runs one EdgeMap's staged, windowed sweep — the one
+// dense/sparse execution path. A dense sweep additionally co-schedules
+// with the host's other sessions: it leads a pass (publishing every
+// shard as its first task is claimed — to nobody, on a lone session)
 // or follows one already open.
-func (e *Engine) sweepPipelined(plan []int, sparse bool, cur *frontier.Bitmap, cond func(graph.VID) bool, op api.EdgeOp, next *frontier.Bitmap, accs []sweepAccum) {
+func (e *Engine) sweepPipelined(plan []int, sparse bool, k *sweepKernel) {
+	var publish func(*resident)
 	if !sparse {
 		if pass := e.board.lead(); pass != nil {
-			// Leader: the normal pipeline, publishing each shard at its
-			// apply hand-off. close is deferred before the window's stop,
-			// so it runs after the pipeline has fully drained — every
-			// publication precedes the close on every exit path.
+			// close is deferred before the window's stop, so it runs
+			// after the pipeline has fully drained — every publication
+			// precedes the close on every exit path.
 			defer pass.close()
 			if e.onCoLead != nil {
 				e.onCoLead()
 			}
-			w := e.startSweep(plan, func(sh *resident) {
-				pass.publish(sh.idx, sh)
-				e.applyShard(sh.idx, sh, cur, cond, op, next, accs)
-			})
-			defer w.stop()
-			w.wait()
-			return
-		}
-		if sub := e.board.join(e.st.NumShards()); sub != nil {
-			e.coFollow(sub, plan, cur, cond, op, next, accs)
+			publish = pass.publish
+		} else if sub := e.board.join(e.st.NumShards()); sub != nil {
+			e.coFollow(sub, plan, k)
 			return
 		}
 	}
-	w := e.startSweep(plan, func(sh *resident) {
-		e.applyShard(sh.idx, sh, cur, cond, op, next, accs)
-	})
-	// stop is the teardown barrier: it runs even when wait re-raises
-	// a load error or an operator panic, so no pipeline goroutine
-	// outlives its EdgeMap.
+	w := e.startSweep(plan, k, publish)
+	// The teardown barrier runs even when wait re-raises a failure.
 	defer w.stop()
 	w.wait()
 }
 
 // coFollow executes a dense sweep as a follower of an open pass: apply
-// the leader's publications that this plan needs, then fetch the
-// uncovered remainder (in plan order) through the session's own
-// pipeline. The result is a permutation of the plan — bit-identical.
-func (e *Engine) coFollow(sub *passSub, plan []int, cur *frontier.Bitmap, cond func(graph.VID) bool, op api.EdgeOp, next *frontier.Bitmap, accs []sweepAccum) {
+// the leader's publications that this plan needs, each over the whole
+// pool, then fetch the uncovered remainder (in plan order) through the
+// session's own pipeline. The result is a permutation of the plan —
+// bit-identical.
+func (e *Engine) coFollow(sub *passSub, plan []int, k *sweepKernel) {
 	atomic.AddInt64(&e.stats.CoScheduledSweeps, 1)
 	if e.onCoFollow != nil {
 		e.onCoFollow()
@@ -197,13 +177,13 @@ func (e *Engine) coFollow(sub *passSub, plan []int, cur *frontier.Bitmap, cond f
 	for _, si := range plan {
 		need[si] = true
 	}
-	for cs := range sub.ch {
-		if !need[cs.si] {
+	for sh := range sub.ch {
+		if !need[sh.idx] {
 			continue
 		}
-		delete(need, cs.si)
+		delete(need, sh.idx)
 		atomic.AddInt64(&e.stats.CoSharedShards, 1)
-		e.applyShard(cs.si, cs.sh, cur, cond, op, next, accs)
+		e.applyShard(sh, k)
 	}
 	if len(need) == 0 {
 		return
@@ -214,9 +194,7 @@ func (e *Engine) coFollow(sub *passSub, plan []int, cur *frontier.Bitmap, cond f
 			rest = append(rest, si)
 		}
 	}
-	w := e.startSweep(rest, func(sh *resident) {
-		e.applyShard(sh.idx, sh, cur, cond, op, next, accs)
-	})
+	w := e.startSweep(rest, k, nil)
 	defer w.stop()
 	w.wait()
 }

@@ -21,9 +21,9 @@ import (
 
 // TestCoScheduledPassSharesShards forces the leader/follower
 // interleaving deterministically: the leader opens its pass and then
-// every apply blocks until the follower has joined, so at most
-// applyCap publications can precede the join and the rest — at least
-// 12-applyCap shards — are snooped by the follower. Both sessions
+// every apply blocks until the follower has joined, so at most Threads
+// publications (one per worker) can precede the join and the rest — at
+// least 12-Threads shards — are snooped by the follower. Both sessions
 // count in-degrees, which verifies each plan applied every edge
 // exactly once whatever mix of snooped and remainder shards served it.
 func TestCoScheduledPassSharesShards(t *testing.T) {

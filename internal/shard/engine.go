@@ -17,24 +17,15 @@ import (
 // through (NewHost's cache argument; NewEngine uses a cache of its own
 // at DefaultCacheBytes).
 type Options struct {
-	// Threads is the worker parallelism for intra-shard application and
-	// vertex operators; 0 selects GOMAXPROCS.
+	// Threads is the worker parallelism: the pool a sweep hands its
+	// shard tasks to, and the vertex operators; 0 selects GOMAXPROCS.
+	// It also sets the staging window's depth cap (see window.go).
 	Threads int
 	// SparseDiv is the density threshold divisor: a frontier with
 	// |F| + Σ out-deg ≤ |E|/SparseDiv takes the sparse path (load only
 	// shards with active sources); denser frontiers stream the full
 	// shard sequence. 0 selects the paper's 20.
 	SparseDiv int64
-	// Topology is the modelled NUMA topology shards are placed on;
-	// the zero value selects sched.DefaultTopology (4 domains, the
-	// paper's machine). Shard i's destination range lives on domain
-	// i mod Domains and is applied by that domain's workers — which
-	// confines each shard's apply to Threads/Domains workers, the
-	// price of the ownership discipline (a real NUMA machine pays it
-	// back in local bandwidth; the model only keeps the books).
-	// Domains: 1 restores full-pool applies. The domain count is also
-	// the staging window's depth cap (see window.go).
-	Topology sched.Topology
 }
 
 // OptionsError is the typed rejection normalize returns for a
@@ -59,14 +50,8 @@ func (o Options) normalize() (Options, error) {
 	if o.SparseDiv < 0 {
 		return o, &OptionsError{"SparseDiv", o.SparseDiv, "must be >= 0 (0 selects the paper's 20)"}
 	}
-	if o.Topology.Domains < 0 {
-		return o, &OptionsError{"Topology.Domains", int64(o.Topology.Domains), "must be >= 0 (0 selects the default topology)"}
-	}
 	if o.SparseDiv == 0 {
 		o.SparseDiv = 20
-	}
-	if o.Topology.Domains == 0 {
-		o.Topology = sched.DefaultTopology()
 	}
 	return o, nil
 }
@@ -93,8 +78,7 @@ type Stats struct {
 	// decoded; BytesLogical prices the same loads at the raw v1
 	// encoding (8-byte header + 8 bytes/edge), so BytesLogical /
 	// BytesRead is the live compression ratio of the store being swept
-	// (1.0 on v1 stores). Like the occupancy counters, both are atomic
-	// and safe to sample mid-sweep.
+	// (1.0 on v1 stores).
 	BytesRead    int64
 	BytesLogical int64
 
@@ -114,26 +98,6 @@ type Stats struct {
 	// OverlappedLoads counts disk loads that overlapped an in-progress
 	// apply — the pipeline doing its job.
 	OverlappedLoads int64
-
-	// Concurrent-apply occupancy. ApplyLevels[l] counts shard applies
-	// that began with l+1 shards mid-apply engine-wide (ApplyLevels[0]
-	// is a lone apply, ApplyLevels[Domains-1] full occupancy);
-	// ConcurrentApplyPeak is the maximum simultaneous applies observed.
-	ApplyLevels         []int64
-	ConcurrentApplyPeak int64
-
-	// WindowDepths[d] counts staging hand-offs that completed with d
-	// shards staged in the window (fetched, not yet begun applying);
-	// index 0 is unused. The depth never exceeds
-	// max(1, min(Domains, slots − in-flight applies)).
-	WindowDepths []int64
-
-	// Modelled NUMA placement: per-domain shard applications and edges
-	// applied, indexed by domain. Placement is round-robin by shard
-	// index (Topology.DomainOf), so a balanced sweep shows near-equal
-	// domain loads.
-	DomainShards []int64
-	DomainEdges  []int64
 }
 
 // Engine runs the engine-neutral algorithm API out of core: it
@@ -151,23 +115,13 @@ type Stats struct {
 // but sound) in planSparse; the edge *application* never reads it.
 //
 // Writes are partition-exclusive end to end: a shard holds all in-edges
-// of its 64-aligned destination range, and each resident shard is
-// applied in parallel over 64-aligned destination sub-ranges, so the
-// non-atomic EdgeOp.Update path is always used — the out-of-core
-// counterpart of the paper's "COO + na" configuration.
+// of its 64-aligned destination range, and each resident shard is cut
+// into tasks over 64-aligned destination sub-ranges, so the non-atomic
+// EdgeOp.Update path is always used — the out-of-core counterpart of
+// the paper's "COO + na" configuration.
 //
-// Sweeps are pipelined (plan → stage → apply → publish): a staging
-// goroutine walks the ascending shard plan, keeping up to one shard per
-// modelled NUMA domain staged ahead — promoted from the cache, or read
-// synchronously, in plan order — and up to min(Domains, Threads)
-// staged shards are applied simultaneously, one per domain, each by the
-// workers of the domain that owns its destination range (round-robin by
-// shard index, the placement Polymer uses for in-memory partitions,
-// here also run with Polymer's all-sockets-at-once concurrency).
-// Results are bit-identical at any window depth: shards own disjoint
-// destination ranges and operators write destination state only, so
-// each destination's updates happen in shard-file order regardless of
-// cross-domain timing.
+// Sweeps are pipelined (plan → stage → apply → publish; see EdgeMap
+// and window.go), and bit-identical at any thread count.
 //
 // Every Engine is one session of a Host (see host.go): it owns its
 // stats and per-sweep accumulators, and shares the immutable hostCore,
@@ -193,9 +147,8 @@ type Engine struct {
 	// budget bound counts in.
 	slots int
 
-	// applying counts shards currently mid-apply (up to one per domain);
-	// the read path samples it to count loads that overlapped an apply,
-	// and applyShard derives the occupancy stats from it.
+	// applying counts shards currently mid-apply; the read path samples
+	// it to count loads that overlapped an apply.
 	applying int32
 
 	stats Stats
@@ -203,12 +156,14 @@ type Engine struct {
 	// Test hooks (nil outside tests): onLoadBegin fires before a shard
 	// file is read (on the staging goroutine, under the host's read
 	// lock), onLoadEnd after it is decoded;
-	// onApplyBegin/onApplyEnd bracket one shard's parallel application
-	// (on its domain's apply goroutine); onStage fires when a staged
-	// shard enters the window, carrying the observed window depth and
-	// in-flight apply count.
+	// onApplyBegin/onApplyEnd bracket one shard's application (on the
+	// workers that claim its first and finish its last task); onTask
+	// fires as a worker starts one of its tasks; onStage fires when a
+	// staged shard enters the window, carrying the observed window
+	// depth and applying count.
 	onLoadBegin, onLoadEnd   func(shard int)
 	onApplyBegin, onApplyEnd func(shard int)
+	onTask                   func(shard, task, worker int)
 	onStage                  func(shard, depth, applying int)
 	// onCoLead fires when a dense sweep opens a co-scheduled pass (its
 	// publications become joinable); onCoFollow when a sweep joins one.
@@ -219,8 +174,8 @@ var _ api.System = (*Engine)(nil)
 
 // hostCore is the store-derived immutable substrate one construction
 // pays for and every session of a Host shares: the resolved options,
-// the worker pool and its per-domain views, the vertex→shard map, the
-// source summaries and the largest shard's decoded size.
+// the worker pool, the vertex→shard map, the source summaries and the
+// largest shard's decoded size.
 type hostCore struct {
 	st   *Store
 	g    *graph.Graph
@@ -235,12 +190,6 @@ type hostCore struct {
 
 	home  []int32    // vertex -> shard whose destination range holds it
 	feeds [][]uint64 // per-shard source-range summary (Store.SourceSummary)
-
-	// Modelled NUMA placement: shard si's destination range lives on
-	// domain domainOf[si] and is applied by domains[domainOf[si]]'s
-	// workers (a per-domain view of pool).
-	domainOf []int32
-	domains  []*sched.DomainView
 
 	// maxShardBytes is what the largest shard costs the cache once
 	// decoded (decodedBytes over the manifest's live edge count): the
@@ -264,24 +213,21 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 		return nil, err
 	}
 	c := &hostCore{
-		st:       st,
-		g:        g,
-		opts:     opts,
-		pool:     sched.NewPool(opts.Threads),
-		gen:      st.Generation(),
-		home:     make([]int32, g.NumVertices()),
-		feeds:    feeds,
-		domainOf: make([]int32, st.NumShards()),
+		st:    st,
+		g:     g,
+		opts:  opts,
+		pool:  sched.NewPool(opts.Threads),
+		gen:   st.Generation(),
+		home:  make([]int32, g.NumVertices()),
+		feeds: feeds,
 
 		maxShardBytes: 1,
 	}
-	c.domains = opts.Topology.Split(c.pool)
-	for i := range c.domainOf {
+	for i := 0; i < st.NumShards(); i++ {
 		lo, hi := st.Range(i)
 		for v := lo; v < hi; v++ {
 			c.home[v] = int32(i)
 		}
-		c.domainOf[i] = int32(opts.Topology.DomainOf(i))
 		c.maxShardBytes = max(c.maxShardBytes, decodedBytes(st.m.EdgeCounts[i], c.taskCount(i)))
 	}
 	return c, nil
@@ -328,51 +274,25 @@ func (e *Engine) Store() *Store { return e.st }
 func (e *Engine) Options() Options { return e.opts }
 
 // Stats returns a snapshot of the engine's sweep, pipeline and I/O
-// counters. Every counter is maintained atomically (the slice-valued
-// ones element-wise), so Stats is safe to call from any goroutine at
-// any time — including while a concurrent multi-domain sweep is
-// mutating the counters. The snapshot is per-field consistent, not a
-// single linearised point across fields.
+// counters. Every counter is maintained atomically, so Stats is safe to
+// call from any goroutine at any time — including mid-sweep. The
+// snapshot is per-field consistent, not a single linearised point
+// across fields.
 func (e *Engine) Stats() Stats {
-	s := Stats{
-		DenseSweeps:         atomic.LoadInt64(&e.stats.DenseSweeps),
-		SparseSweeps:        atomic.LoadInt64(&e.stats.SparseSweeps),
-		ShardLoads:          atomic.LoadInt64(&e.stats.ShardLoads),
-		CacheHits:           atomic.LoadInt64(&e.stats.CacheHits),
-		ShardsSkipped:       atomic.LoadInt64(&e.stats.ShardsSkipped),
-		BytesRead:           atomic.LoadInt64(&e.stats.BytesRead),
-		BytesLogical:        atomic.LoadInt64(&e.stats.BytesLogical),
-		SharedReads:         atomic.LoadInt64(&e.stats.SharedReads),
-		CoScheduledSweeps:   atomic.LoadInt64(&e.stats.CoScheduledSweeps),
-		CoSharedShards:      atomic.LoadInt64(&e.stats.CoSharedShards),
-		OverlappedLoads:     atomic.LoadInt64(&e.stats.OverlappedLoads),
-		ConcurrentApplyPeak: atomic.LoadInt64(&e.stats.ConcurrentApplyPeak),
-		DomainShards:        make([]int64, len(e.stats.DomainShards)),
-		DomainEdges:         make([]int64, len(e.stats.DomainEdges)),
-		ApplyLevels:         make([]int64, len(e.stats.ApplyLevels)),
-		WindowDepths:        make([]int64, len(e.stats.WindowDepths)),
+	return Stats{
+		DenseSweeps:       atomic.LoadInt64(&e.stats.DenseSweeps),
+		SparseSweeps:      atomic.LoadInt64(&e.stats.SparseSweeps),
+		ShardLoads:        atomic.LoadInt64(&e.stats.ShardLoads),
+		CacheHits:         atomic.LoadInt64(&e.stats.CacheHits),
+		ShardsSkipped:     atomic.LoadInt64(&e.stats.ShardsSkipped),
+		BytesRead:         atomic.LoadInt64(&e.stats.BytesRead),
+		BytesLogical:      atomic.LoadInt64(&e.stats.BytesLogical),
+		SharedReads:       atomic.LoadInt64(&e.stats.SharedReads),
+		CoScheduledSweeps: atomic.LoadInt64(&e.stats.CoScheduledSweeps),
+		CoSharedShards:    atomic.LoadInt64(&e.stats.CoSharedShards),
+		OverlappedLoads:   atomic.LoadInt64(&e.stats.OverlappedLoads),
 	}
-	for d := range s.DomainShards {
-		s.DomainShards[d] = atomic.LoadInt64(&e.stats.DomainShards[d])
-		s.DomainEdges[d] = atomic.LoadInt64(&e.stats.DomainEdges[d])
-	}
-	for l := range s.ApplyLevels {
-		s.ApplyLevels[l] = atomic.LoadInt64(&e.stats.ApplyLevels[l])
-	}
-	for d := range s.WindowDepths {
-		s.WindowDepths[d] = atomic.LoadInt64(&e.stats.WindowDepths[d])
-	}
-	return s
 }
-
-// Topology returns the modelled NUMA topology shards are placed on.
-func (e *Engine) Topology() sched.Topology { return e.opts.Topology }
-
-// ShardDomain returns the modelled NUMA domain owning shard si's
-// destination range. The assignment is round-robin by shard index — the
-// same placement locality.MeasureNUMATraffic models — so it is
-// deterministic for a given store and topology.
-func (e *Engine) ShardDomain(si int) int { return int(e.domainOf[si]) }
 
 // VertexMap implements api.System.
 func (e *Engine) VertexMap(f *frontier.Frontier, fn func(graph.VID)) {
@@ -400,17 +320,13 @@ func (e *Engine) checkGen() {
 // concurrent shard sweep: plan → stage → apply → publish. The planner
 // picks the shard set in ascending order (exact for sparse frontiers,
 // summary-pruned for dense ones); a staging goroutine fetches it in that
-// order — a cache hit, else a synchronous read — keeping up to one
-// shard per domain staged ahead; up to
-// min(Domains, Threads) staged shards are applied simultaneously, one
-// per modelled NUMA domain, each by its own domain's workers; the next
-// frontier is published once, after the barrier, with aggregated
-// statistics. Results are bit-identical to a sequential shard-file-order
-// sweep at any window depth and domain count: shards own disjoint
-// 64-aligned destination ranges, operators write destination state
-// only, and all in-edges of a destination live in one shard, so neither
-// staging depth nor cross-domain interleaving can reorder any
-// destination's updates. The direction hint is ignored: every traversal
+// order — a cache hit, else a synchronous read — up to 2×Threads shards
+// ahead; the pool's workers claim the staged shards' tasks (window.go);
+// the next frontier is published once, after the barrier, with
+// aggregated statistics. Results are bit-identical to a sequential
+// shard-file-order sweep at any thread count: tasks own disjoint
+// 64-aligned destination sub-ranges, operators write destination state
+// only, and all in-edges of a destination live in one task. The direction hint is ignored: every traversal
 // is a destination-grouped sweep, which is the only order an
 // out-of-core layout supports without a second edge copy on disk.
 func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *frontier.Frontier {
@@ -432,18 +348,16 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 	}
 	atomic.AddInt64(&e.stats.ShardsSkipped, int64(e.st.NumShards()-len(plan)))
 
-	cur := f.Bitmap()
-	cond := op.CondOf()
 	next := frontier.NewBitmap(n)
-	// One accumulator stripe per domain: concurrent applies on distinct
-	// domains never share an entry even when Split had to deal the same
-	// pool-global worker ID to several domains (Threads < Domains).
-	accs := make([]sweepAccum, len(e.domains)*e.pool.Threads())
-	e.sweepPipelined(plan, sparse, cur, cond, op, next, accs)
+	k := &sweepKernel{
+		e: e, cur: f.Bitmap(), cond: op.CondOf(), op: op, next: next,
+		accs: make([]sweepAccum, e.pool.Threads()),
+	}
+	e.sweepPipelined(plan, sparse, k)
 	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
+	for i := range k.accs {
+		count += k.accs[i].count
+		outDeg += k.accs[i].outDeg
 	}
 	nf := frontier.FromBitmap(n, next)
 	nf.SetStats(count, outDeg)
@@ -557,9 +471,8 @@ func (e *Engine) admit(si int) (stagedShard, error) {
 	return stagedShard{sh, release}, nil
 }
 
-// readShard is the disk read + decode of shard si, split into the
-// owning domain's apply tasks, plus whether it intersected an
-// in-progress apply.
+// readShard is the disk read + decode of shard si, split into its
+// apply tasks, plus whether it intersected an in-progress apply.
 func (e *Engine) readShard(si int) (sh *resident, diskBytes int64, overlapped bool, err error) {
 	if e.onLoadBegin != nil {
 		e.onLoadBegin(si)
@@ -591,10 +504,9 @@ func (c *hostCore) shardUnits(si int) int {
 }
 
 // taskCount is the number of apply tasks shard si splits into: sized
-// for the workers that will actually apply it — its owning domain's
-// view, not the full pool — and never more than its units.
+// for the pool, and never more than its units.
 func (c *hostCore) taskCount(si int) int {
-	return max(1, min(c.domains[c.domainOf[si]].Threads()*tasksPerWorker, c.shardUnits(si)))
+	return max(1, min(c.pool.Threads()*tasksPerWorker, c.shardUnits(si)))
 }
 
 // newResident wraps a loaded shard's arrays — as decoded, never copied
@@ -629,55 +541,64 @@ type sweepAccum struct {
 	_      [6]int64
 }
 
-// applyShard runs op over one resident shard in parallel with the
-// workers of the shard's modelled NUMA domain: one task per destination
-// sub-range, so every destination (and every next-frontier bitmap word)
-// is written by exactly one worker and the non-atomic Update path is
-// safe. Distinct shards may be applied concurrently (one per domain);
-// their destination ranges — and hence their bitmap words and operator
-// writes — are disjoint. accs is the full Domains×Threads accumulator
-// block; each call writes only its own domain's stripe, indexed by the
-// pool-global worker ID within it.
-func (e *Engine) applyShard(si int, sh *resident, cur *frontier.Bitmap, cond func(graph.VID) bool, op api.EdgeOp, next *frontier.Bitmap, accs []sweepAccum) {
-	dom := e.domainOf[si]
-	atomic.AddInt64(&e.stats.DomainShards[dom], 1)
-	atomic.AddInt64(&e.stats.DomainEdges[dom], int64(len(sh.src)))
-	level := atomic.AddInt32(&e.applying, 1)
-	// Deferred, not inline at the end: a panicking operator must not
-	// leave the count stuck, or every later load on this engine would
-	// count as overlapped and the window bound would over-shrink.
-	defer atomic.AddInt32(&e.applying, -1)
-	if l := int(level) - 1; l >= 0 && l < len(e.stats.ApplyLevels) {
-		atomic.AddInt64(&e.stats.ApplyLevels[l], 1)
+// sweepKernel is one EdgeMap's apply state: the frontier, the operator,
+// the next frontier and one accumulator per pool worker.
+type sweepKernel struct {
+	e    *Engine
+	cur  *frontier.Bitmap
+	cond func(graph.VID) bool
+	op   api.EdgeOp
+	next *frontier.Bitmap
+	accs []sweepAccum
+}
+
+// apply runs op over the edges of one task of resident shard sh as pool
+// worker worker. A task is a 64-aligned destination sub-range, so every
+// destination (and every next-frontier bitmap word) it writes is
+// written by no other task and the non-atomic Update path is safe.
+func (k *sweepKernel) apply(sh *resident, task, worker int) {
+	if k.e.onTask != nil {
+		k.e.onTask(sh.idx, task, worker)
 	}
-	for {
-		peak := atomic.LoadInt64(&e.stats.ConcurrentApplyPeak)
-		if int64(level) <= peak ||
-			atomic.CompareAndSwapInt64(&e.stats.ConcurrentApplyPeak, peak, int64(level)) {
-			break
+	a := &k.accs[worker]
+	cur, cond, update, next, g := k.cur, k.cond, k.op.Update, k.next, k.e.g
+	src := sh.src[sh.off[task]:sh.off[task+1]]
+	dst := sh.dst[sh.off[task]:sh.off[task+1]]
+	for i := range src {
+		u, v := src[i], dst[i]
+		if !cur.Get(u) || !cond(v) {
+			continue
+		}
+		if update(u, v) && !next.Get(v) {
+			next.Set(v)
+			a.count++
+			a.outDeg += g.OutDegree(v)
 		}
 	}
+}
+
+// beginApply marks shard si mid-apply: a load that starts before the
+// matching endApply counts as overlapped.
+func (e *Engine) beginApply(si int) {
+	atomic.AddInt32(&e.applying, 1)
 	if e.onApplyBegin != nil {
 		e.onApplyBegin(si)
 	}
-	mine := accs[int(dom)*e.pool.Threads() : (int(dom)+1)*e.pool.Threads()]
-	e.domains[dom].ParallelTasks(len(sh.off)-1, func(task, worker int) {
-		a := &mine[worker]
-		src := sh.src[sh.off[task]:sh.off[task+1]]
-		dst := sh.dst[sh.off[task]:sh.off[task+1]]
-		for i := range src {
-			u, v := src[i], dst[i]
-			if !cur.Get(u) || !cond(v) {
-				continue
-			}
-			if op.Update(u, v) && !next.Get(v) {
-				next.Set(v)
-				a.count++
-				a.outDeg += e.g.OutDegree(v)
-			}
-		}
-	})
+}
+
+func (e *Engine) endApply(si int) {
 	if e.onApplyEnd != nil {
 		e.onApplyEnd(si)
 	}
+	atomic.AddInt32(&e.applying, -1)
+}
+
+// applyShard runs one resident shard's tasks over the whole pool — the
+// path a co-scheduled follower applies the leader's publications on.
+func (e *Engine) applyShard(sh *resident, k *sweepKernel) {
+	e.beginApply(sh.idx)
+	// Deferred: a panicking operator must not leave the applying count
+	// stuck, or every later load would count as overlapped.
+	defer e.endApply(sh.idx)
+	e.pool.ParallelTasks(len(sh.off)-1, func(task, worker int) { k.apply(sh, task, worker) })
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // buildTestEngine shards g and opens an engine behind the default
@@ -89,22 +88,20 @@ func TestEngineConformance(t *testing.T) {
 	}
 	// The multi-threaded entries are deliberate -race fodder: under CI's
 	// race detector they exercise the windowed concurrent sweep (staging
-	// goroutine + up-to-D simultaneous domain applies), which is where an
-	// exclusivity bug would surface. "starved-domains" runs more domains
-	// than workers, the configuration where Split hands the same worker
-	// ID to several concurrently-applying domains.
+	// goroutine + workers claiming tasks of up to Threads shards at
+	// once), which is where an exclusivity bug would surface.
 	configs := map[string]struct {
 		slots int // cache budget in largest-shard units; 0 = the default cache
 		opts  Options
 	}{
-		"default":         {0, Options{}},
-		"serial-tiny":     {1, Options{Threads: 1}},
-		"aggressive-lru":  {2, Options{Threads: 4}},
-		"pipelined-mt":    {2, Options{Threads: 8}},
-		"windowed-mt":     {4, Options{Threads: 8}},
-		"window-two":      {2, Options{Threads: 4, Topology: sched.Topology{Domains: 2}}},
-		"sequential":      {2, Options{Threads: 8, Topology: sched.Topology{Domains: 1}}},
-		"starved-domains": {4, Options{Threads: 2, Topology: sched.Topology{Domains: 6}}},
+		"default":        {0, Options{}},
+		"serial-tiny":    {1, Options{Threads: 1}},
+		"aggressive-lru": {2, Options{Threads: 4}},
+		"pipelined-mt":   {2, Options{Threads: 8}},
+		"windowed-mt":    {4, Options{Threads: 8}},
+		"window-two":     {2, Options{Threads: 2}},
+		"sequential":     {2, Options{Threads: 1}},
+		"narrow-budget":  {4, Options{Threads: 6}},
 	}
 	for gname, g := range graphs {
 		for cname, c := range configs {
@@ -195,7 +192,7 @@ func TestOutOfCoreSweepLoadsOneShardAtATime(t *testing.T) {
 // reaches it, so the cache serves no hit at all and every sweep loads
 // all P (the LRU's cyclic-reference pathology); under a budget that
 // holds the store, each shard is loaded once and every later visit
-// hits. The counts are exact with one domain, where pins are released
+// hits. The counts are exact with one worker, where pins are released
 // in fetch order.
 func TestAscendingDensePageRankMatchesClosedForm(t *testing.T) {
 	const shards, cacheShards, sweeps = 10, 3, 10
@@ -222,7 +219,7 @@ func TestAscendingDensePageRankMatchesClosedForm(t *testing.T) {
 		{"budget-holds-store", shards, shards, (sweeps - 1) * shards},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := slotEngine(t, st, g, tc.slots, Options{Topology: sched.Topology{Domains: 1}})
+			e := slotEngine(t, st, g, tc.slots, Options{Threads: 1})
 			if m := len(e.planDense(frontier.All(g))); m != shards {
 				t.Fatalf("fixture broken: dense plan has %d of %d shards", m, shards)
 			}

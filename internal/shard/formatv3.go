@@ -22,9 +22,9 @@ package shard
 // bandwidth argument applied to the file (Lakhotia et al.); keeping the
 // control bytes apart from the data (the stream-vbyte arrangement)
 // leaves the decoder one short dependency chain — the data cursor — and
-// no per-byte continuation test. Nothing in the file depends on thread
-// or domain counts: it is a function of the edge multiset and the
-// shard's bounds alone.
+// no per-byte continuation test. Nothing in the file depends on the
+// thread count: it is a function of the edge multiset and the shard's
+// bounds alone.
 
 import (
 	"encoding/binary"

@@ -1,15 +1,14 @@
 package shard
 
 // The construction/execution split. A Host is one opened store's shared
-// substrate — the validated options, worker pool, NUMA views,
-// vertex→shard map, source summaries — plus the three things N
-// concurrent queries must share rather than duplicate: the refcounted
-// byte-budgeted SharedCache, the disk-read lock, and the co-scheduling
-// passBoard. NewSession stamps out one execution context (an *Engine
-// implementing api.System) per query: sessions get their own stats and
-// vertex-state arrays but fetch through the shared cache, read under
-// the shared lock, and co-schedule their dense sweeps through the
-// shared board.
+// substrate — the validated options, worker pool, vertex→shard map,
+// source summaries — plus the three things N concurrent queries must
+// share rather than duplicate: the refcounted byte-budgeted
+// SharedCache, the disk-read lock, and the co-scheduling passBoard.
+// NewSession stamps out one execution context (an *Engine implementing
+// api.System) per query: sessions get their own stats and vertex-state
+// arrays but fetch through the shared cache, read under the shared
+// lock, and co-schedule their dense sweeps through the shared board.
 //
 // Each session individually keeps the full api.System contract —
 // EdgeMap/VertexMap calls on *one* session are serial, like any other
@@ -22,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // Host serves one store to N concurrent sessions.
@@ -75,12 +73,6 @@ func (h *Host) NewSession() *Engine {
 		board:    &h.board,
 		readMu:   &h.readMu,
 		slots:    int(max(1, h.cache.Budget()/c.maxShardBytes)),
-		stats: Stats{
-			DomainShards: make([]int64, c.opts.Topology.Domains),
-			DomainEdges:  make([]int64, c.opts.Topology.Domains),
-			ApplyLevels:  make([]int64, c.opts.Topology.Domains),
-			WindowDepths: make([]int64, c.opts.Topology.Domains+1),
-		},
 	}
 }
 
@@ -95,9 +87,6 @@ func (h *Host) Options() Options { return h.core.opts }
 
 // Cache returns the shared cache the host's sessions fetch through.
 func (h *Host) Cache() *SharedCache { return h.cache }
-
-// Topology returns the modelled NUMA topology sessions place shards on.
-func (h *Host) Topology() sched.Topology { return h.core.opts.Topology }
 
 // Evict drops the host's resident shards from the cache — the
 // close-store path, which internal/serve takes when an update or

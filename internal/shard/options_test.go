@@ -3,17 +3,17 @@ package shard
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/sched"
 )
 
 // TestOptionsSurface pins the exact field list of Options, so a new
 // knob is a visible diff here rather than a quiet addition.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"Threads", "SparseDiv", "Topology"}
+	want := []string{"Threads", "SparseDiv"}
 	var got []string
 	for i, typ := 0, reflect.TypeOf(Options{}); i < typ.NumField(); i++ {
 		got = append(got, typ.Field(i).Name)
@@ -64,7 +64,6 @@ func TestOptionsNormalizeRejections(t *testing.T) {
 	}{
 		{"negative-threads", Options{Threads: -1}, "Threads"},
 		{"negative-sparsediv", Options{SparseDiv: -1}, "SparseDiv"},
-		{"negative-domains", Options{Topology: sched.Topology{Domains: -3}}, "Topology.Domains"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkConstructorsAgree(t, tc.opts, tc.field) })
@@ -74,8 +73,8 @@ func TestOptionsNormalizeRejections(t *testing.T) {
 // TestOptionsNormalizeDefaults pins the zero-value construction idiom:
 // zeros select defaults, and explicit valid values survive untouched —
 // no clamp rewrites them. The staging window has no knob of its own: its
-// depth cap is the resolved domain count (one apply view per domain),
-// and the engine's WindowDepths histogram is sized to it.
+// depth cap is two shards per worker of the resolved pool, whose size
+// also sets each shard's task split.
 func TestOptionsNormalizeDefaults(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -83,16 +82,10 @@ func TestOptionsNormalizeDefaults(t *testing.T) {
 		want   Options
 		window int
 	}{
-		{"all-zero", Options{}, Options{SparseDiv: 20, Topology: sched.DefaultTopology()}, sched.DefaultTopology().Domains},
-		{"explicit-survives",
-			Options{Threads: 3, SparseDiv: 7, Topology: sched.Topology{Domains: 2}},
-			Options{Threads: 3, SparseDiv: 7, Topology: sched.Topology{Domains: 2}}, 2},
-		{"window-defaults-to-domains",
-			Options{Topology: sched.Topology{Domains: 3}},
-			Options{SparseDiv: 20, Topology: sched.Topology{Domains: 3}}, 3},
-		{"deep-window-survives",
-			Options{Threads: 2, Topology: sched.Topology{Domains: 64}},
-			Options{Threads: 2, SparseDiv: 20, Topology: sched.Topology{Domains: 64}}, 64},
+		{"all-zero", Options{}, Options{SparseDiv: 20}, runtime.GOMAXPROCS(0)},
+		{"explicit-survives", Options{Threads: 3, SparseDiv: 7}, Options{Threads: 3, SparseDiv: 7}, 3},
+		{"window-defaults-to-threads", Options{Threads: 2}, Options{Threads: 2, SparseDiv: 20}, 2},
+		{"deep-window-survives", Options{Threads: 64}, Options{Threads: 64, SparseDiv: 20}, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,13 +97,17 @@ func TestOptionsNormalizeDefaults(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("normalize(%+v) = %+v, want %+v", tc.in, got, tc.want)
 			}
-			g := gen.Chain(64)
-			e, err := NewEngine(createStore(t, t.TempDir(), g, 4), g, tc.in)
+			g := gen.Chain(1024)
+			e, err := NewEngine(createStore(t, t.TempDir(), g, 1), g, tc.in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k, hist := len(e.domains), len(e.Stats().WindowDepths)-1; k != tc.window || hist != tc.window {
-				t.Fatalf("window depth cap %d (histogram up to %d), want %d", k, hist, tc.window)
+			if k := e.pool.Threads(); k != tc.window {
+				t.Fatalf("pool of %d workers, want %d", k, tc.window)
+			}
+			if tasks, want := e.taskCount(0), min(tc.window*tasksPerWorker, e.shardUnits(0)); tasks != want {
+				t.Fatalf("the one shard splits into %d tasks, want min(%d workers × %d, %d units) = %d",
+					tasks, tc.window, tasksPerWorker, e.shardUnits(0), want)
 			}
 		})
 	}

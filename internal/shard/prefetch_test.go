@@ -14,7 +14,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sched"
 	"repro/internal/sweepref"
 )
 
@@ -129,11 +128,10 @@ func TestPrefetchTeardownLeaksNoGoroutines(t *testing.T) {
 	checkQuiescent(t, e)
 
 	// A panicking operator unwinds the sweep mid-plan; the deferred
-	// pipeline stop must still reap the staging and apply goroutines.
-	// (sched.runTasks re-raises worker panics on its caller and the
-	// apply loop forwards them to the sweep goroutine, so this is
-	// recoverable at any thread count; Threads=1 here just keeps the
-	// fixture minimal.)
+	// pipeline stop must still reap the staging goroutine and workers.
+	// (The window's workers forward panics to the sweep goroutine, so
+	// this is recoverable at any thread count; Threads=1 here just keeps
+	// the fixture minimal.)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -225,7 +223,7 @@ func TestPipelineMatchesReferenceBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentTeardownOnOperatorPanic is the k > 1 fault-path check:
-// a multi-threaded, multi-domain sweep with several shards staged ahead
+// a multi-threaded sweep with several shards staged ahead
 // is torn down cleanly when the operator panics mid-apply — the panic
 // propagates to the EdgeMap caller (recoverable), no pipeline goroutine
 // leaks, the cache stays inside its budget with nothing pinned, and the
@@ -257,8 +255,8 @@ func TestConcurrentTeardownOnOperatorPanic(t *testing.T) {
 	}
 
 	// The engine must still work: count in-edges and check them against
-	// the graph (concurrent domains write disjoint destination ranges,
-	// so the plain increment is exact).
+	// the graph (concurrent tasks write disjoint destination ranges, so
+	// the plain increment is exact).
 	counts := make([]int64, g.NumVertices())
 	e.EdgeMap(frontier.All(g), api.EdgeOp{
 		Update:       func(u, v graph.VID) bool { counts[v]++; return true },
@@ -287,15 +285,15 @@ func TestConcurrentTeardownOnOperatorPanic(t *testing.T) {
 
 // TestConcurrentTeardownOnLoadError: a shard-read error with k > 1
 // shards staged ahead aborts the whole pipeline — the error surfaces as
-// the engine's sweep panic, the apply goroutines drain without applying
-// stale work twice, no goroutine leaks, and the cache budget is intact
+// the engine's sweep panic, the workers drain without applying stale
+// work twice, no goroutine leaks, and the cache budget is intact
 // with nothing pinned.
 func TestConcurrentTeardownOnLoadError(t *testing.T) {
 	baseline := settledGoroutines()
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	e := slotEngine(t, createStore(t, dir, g, 12), g, 2, Options{Threads: 4, Topology: sched.Topology{Domains: 2}})
+	e := slotEngine(t, createStore(t, dir, g, 12), g, 2, Options{Threads: 4})
 	// Shard 5 is mid-plan for this graph (shards 0..6 carry edges), so
 	// the failure strikes with earlier shards already staged and
 	// applying.

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sched"
 	"repro/internal/sweepref"
 )
 
@@ -39,20 +37,21 @@ func checkInDegrees(t *testing.T, e *Engine, g *graph.Graph) {
 }
 
 // TestAIOReadsRunAheadToIODepth pins the read path at its fixed depth of
-// one read: reads run ahead of the applies — with the first apply held
+// one read: reads run ahead of the applies — with every apply held
 // open, the stager keeps reading until the window is full — yet they are
-// issued one at a time and in plan order. The held apply makes the
-// run-ahead exact: one shard applying plus a full window of
-// min(Domains, slots − 1) staged shards is how many reads must complete
-// before the stager stalls. A stager that waited on the applies would
-// deadlock here; the timeout turns that into a failure.
+// issued one at a time and in plan order. The held applies make the
+// run-ahead exact: one shard applying per worker plus a full window of
+// min(2×Threads, slots − Threads) staged shards is how many reads must
+// complete before the stager stalls. A stager that waited on the
+// applies would deadlock here; the timeout turns that into a failure.
 func TestAIOReadsRunAheadToIODepth(t *testing.T) {
 	g := gen.TinySocial()
-	const k = 4
-	e := buildSlotEngine(t, g, 12, 8, Options{Threads: 1, Topology: sched.Topology{Domains: k}})
+	const threads, slots = 2, 8
+	want := threads + min(stagedPerWorker*threads, slots-threads)
+	e := buildSlotEngine(t, g, 12, slots, Options{Threads: threads})
 	plan := e.planDense(frontier.All(g))
-	if len(plan) <= k {
-		t.Fatalf("fixture broken: dense plan %v needs more than %d shards", plan, k)
+	if len(plan) <= want {
+		t.Fatalf("fixture broken: dense plan %v needs more than %d shards", plan, want)
 	}
 
 	var inFlight, overlaps atomic.Int32
@@ -66,19 +65,16 @@ func TestAIOReadsRunAheadToIODepth(t *testing.T) {
 	}
 	e.onLoadEnd = func(int) {
 		inFlight.Add(-1)
-		if len(reads) == k+1 {
+		if len(reads) == want {
 			close(windowFull)
 		}
 	}
-	var holdOnce sync.Once
 	e.onApplyBegin = func(int) {
-		holdOnce.Do(func() {
-			select {
-			case <-windowFull:
-			case <-time.After(10 * time.Second):
-				t.Error("the stager stopped reading while the first apply was held: reads do not run ahead of the applies")
-			}
-		})
+		select {
+		case <-windowFull:
+		case <-time.After(10 * time.Second):
+			t.Error("the stager stopped reading while the applies were held: reads do not run ahead of the applies")
+		}
 	}
 
 	checkInDegrees(t, e, g)
@@ -99,7 +95,7 @@ func TestAIOReadsRunAheadToIODepth(t *testing.T) {
 // jitter cannot reorder their completions; what it still moves is how
 // far the stager runs ahead of the applies — and with it which shards
 // are staged, applying or evicted at any moment. With per-shard read
-// delays, at window depths 1, 2 and 4 (the domain count), an iterative
+// delays, at window depths 1, 2 and 4 (the thread count), an iterative
 // CAS traversal plus PageRank must stay bit-identical to the sequential
 // public-API reference sweep.
 func TestAIOJitterBitIdenticalAcrossIODepths(t *testing.T) {
@@ -118,8 +114,8 @@ func TestAIOJitterBitIdenticalAcrossIODepths(t *testing.T) {
 	}
 
 	wantSizes, wantParents, wantRanks := run(sweepref.New(st, g))
-	for _, domains := range []int{1, 2, 4} {
-		e := slotEngine(t, st, g, 2, Options{Threads: 4, Topology: sched.Topology{Domains: domains}})
+	for _, threads := range []int{1, 2, 4} {
+		e := slotEngine(t, st, g, 2, Options{Threads: threads})
 		e.onLoadBegin = func(si int) {
 			// Deterministic per-shard delays, spread so the stager's lead
 			// over the applies keeps changing across the plan.
@@ -128,19 +124,19 @@ func TestAIOJitterBitIdenticalAcrossIODepths(t *testing.T) {
 		sizes, parents, ranks := run(e)
 		requireEvictions(t, e)
 		if !reflect.DeepEqual(sizes, wantSizes) {
-			t.Fatalf("Domains=%d: frontier sizes %v, want %v", domains, sizes, wantSizes)
+			t.Fatalf("Threads=%d: frontier sizes %v, want %v", threads, sizes, wantSizes)
 		}
 		if !reflect.DeepEqual(parents, wantParents) {
-			t.Fatalf("Domains=%d: BFS parents diverge from the sequential reference", domains)
+			t.Fatalf("Threads=%d: BFS parents diverge from the sequential reference", threads)
 		}
 		if !reflect.DeepEqual(ranks, wantRanks) {
-			t.Fatalf("Domains=%d: PageRank diverges bit-wise from the sequential reference", domains)
+			t.Fatalf("Threads=%d: PageRank diverges bit-wise from the sequential reference", threads)
 		}
 	}
 }
 
 // TestAIOTeardownOnMidFlightReadError: a read failure that strikes while
-// earlier shards are staged and applying on other domains aborts the
+// earlier shards are staged and applying on other workers aborts the
 // sweep with the engine's panic prefix, leaks no goroutine, keeps the
 // cache inside its budget with nothing pinned, and leaves the engine
 // fully serviceable: once the file is restored, a healthy sweep produces
@@ -150,7 +146,7 @@ func TestAIOTeardownOnMidFlightReadError(t *testing.T) {
 
 	g := gen.TinySocial()
 	dir := t.TempDir()
-	e := slotEngine(t, createStore(t, dir, g, 12), g, 4, Options{Threads: 4, Topology: sched.Topology{Domains: 4}})
+	e := slotEngine(t, createStore(t, dir, g, 12), g, 4, Options{Threads: 4})
 	victim := filepath.Join(dir, "shard-0005.bin")
 	saved, err := os.ReadFile(victim)
 	if err != nil {

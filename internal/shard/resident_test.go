@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/sched"
 )
 
 // bucketRef is the regrouping pass every load used to run, kept as the
@@ -69,7 +68,7 @@ func TestResidentMatchesBucketing(t *testing.T) {
 				}
 			}
 			live := graph.FromEdges(n, collectEdges(t, st))
-			h, err := NewHost(st, live, nil, Options{Threads: 4, Topology: sched.Topology{Domains: 2}})
+			h, err := NewHost(st, live, nil, Options{Threads: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

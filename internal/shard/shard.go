@@ -25,28 +25,23 @@
 //	           only the active vertices' out-lists) for sparse
 //	           frontiers, source-range summary pruning for dense ones;
 //	stage    — a dedicated staging goroutine walks the plan in order,
-//	           keeping up to one shard per modelled NUMA domain staged
-//	           ahead while earlier shards are being applied: cached
-//	           shards are pinned in the byte-budgeted SharedCache the
-//	           engine fetches through, uncached ones are read
-//	           synchronously, one at a time per store. A load decodes
-//	           the file straight into the resident's destination-sorted
-//	           arrays (zipping in pending deltas) and finds each apply
-//	           task's edge range with one search per task boundary — no
-//	           regrouping pass;
-//	apply    — the resident shard is applied in parallel over 64-aligned
-//	           destination sub-ranges by the workers of the modelled
-//	           NUMA domain that owns the shard's destination range
-//	           (round-robin shard→domain placement, Polymer-style), so
+//	           keeping up to 2×Threads shards staged ahead while earlier
+//	           shards are being applied: cached shards are pinned in
+//	           the byte-budgeted SharedCache the engine fetches
+//	           through, uncached ones are read synchronously, one at a
+//	           time per store. A load decodes the file straight into
+//	           the resident's destination-sorted arrays (zipping in
+//	           pending deltas) and finds each apply task's edge range
+//	           with one search per task boundary — no regrouping pass;
+//	apply    — the pool's workers claim the staged shards' tasks —
+//	           64-aligned destination sub-ranges — in plan order, so
 //	           updates are partition-exclusive and need no atomics;
 //	publish  — the next frontier and its statistics are assembled once,
 //	           after the last shard.
 //
 // The same partitioning invariant as in-memory processing holds: a
 // shard holds all in-edges of its vertex range, so updates from a shard
-// sweep are confined to that range — which is also why the per-domain
-// placement makes every next-array update domain-local by construction
-// (locality.MeasureNUMATraffic quantifies this).
+// sweep are confined to that range.
 package shard
 
 import (

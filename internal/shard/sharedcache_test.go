@@ -127,7 +127,7 @@ func ccOnSystem(sys api.System) []int32 {
 	for v := range labels {
 		labels[v] = int32(v)
 	}
-	// Source labels are read while another domain's apply may be
+	// Source labels are read while another task's apply may be
 	// lowering them, so both sides go through atomics; the min-label
 	// fixpoint does not depend on which value a racing read observes.
 	relax := func(u, v graph.VID) bool {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // planOf is the plan EdgeMap builds for f: the exact sparse plan or the
@@ -41,14 +40,14 @@ func recordReads(e *Engine) *[]int {
 	return reads
 }
 
-// TestOrderPoliciesPermuteBaselinePlan is the stager's core safety
+// TestStagerFetchesExactlyThePlan is the stager's core safety
 // property: whatever the frontier, the cache contents and the cache
 // budget, a sweep fetches exactly its plan — every planned shard once,
 // as a cache hit or a disk read, no other shard — and the reads it does
 // issue follow the ascending plan order. Randomised across sparse and
 // dense plans, warm and cold caches, and budgets from one shard to the
 // whole store.
-func TestOrderPoliciesPermuteBaselinePlan(t *testing.T) {
+func TestStagerFetchesExactlyThePlan(t *testing.T) {
 	g := gen.Symmetrise(gen.PowerLaw(1<<9, 1<<12, 2.3, 5))
 	n := g.NumVertices()
 	st := createStore(t, t.TempDir(), g, 12)
@@ -105,11 +104,11 @@ func TestOrderPoliciesPermuteBaselinePlan(t *testing.T) {
 	}
 }
 
-// TestOrderPlannerEdgeCases tables the degenerate plans the stager must
+// TestStagerEdgeCases tables the degenerate plans the stager must
 // handle: empty plans, single-shard plans, budgets that hold the whole
 // store, sweeps aborted mid-plan, and sparse plans (still visited in
 // ascending order).
-func TestOrderPlannerEdgeCases(t *testing.T) {
+func TestStagerEdgeCases(t *testing.T) {
 	g := gen.TinySocial()
 	st := createStore(t, t.TempDir(), g, 8)
 
@@ -282,29 +281,29 @@ func sparseSources(g *graph.Graph, k int) []graph.VID {
 	return uniq
 }
 
-// TestPlannerStatsFollowTheRealCache: a lone session's fetch counters
+// TestStagerStatsFollowTheRealCache: a lone session's fetch counters
 // are the cache's own, not a model of it — every CacheHits is a hit the
 // SharedCache served and every ShardLoads a load it recorded, with no
 // read shared (nothing else sweeps the store). Checked where the cache
 // holds the store, and at half the store's decoded bytes, where
-// evictions make the counts depend on the real LRU, on the default
-// topology and on one domain.
-func TestPlannerStatsFollowTheRealCache(t *testing.T) {
+// evictions make the counts depend on the real LRU, at the default
+// thread count and on one worker.
+func TestStagerStatsFollowTheRealCache(t *testing.T) {
 	g := gen.ErdosRenyi(1<<10, 1<<13, 11)
 	const shards, sweeps = 16, 3
 	st := createStore(t, t.TempDir(), g, shards)
 
 	for _, tc := range []struct {
-		name   string
-		budget int64
-		topo   sched.Topology
-		evicts bool
+		name    string
+		budget  int64
+		threads int
+		evicts  bool
 	}{
-		{"holds-store", 64 << 20, sched.Topology{}, false},
-		{"half-store/default-domains", st.NumEdges() * 8 / 2, sched.Topology{}, true},
-		{"half-store/one-domain", st.NumEdges() * 8 / 2, sched.Topology{Domains: 1}, true},
+		{"holds-store", 64 << 20, 0, false},
+		{"half-store/default-threads", st.NumEdges() * 8 / 2, 0, true},
+		{"half-store/one-thread", st.NumEdges() * 8 / 2, 1, true},
 	} {
-		h, err := NewHost(st, g, NewSharedCache(tc.budget), Options{Topology: tc.topo})
+		h, err := NewHost(st, g, NewSharedCache(tc.budget), Options{Threads: tc.threads})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,26 +11,70 @@ import (
 	"repro/internal/api"
 	"repro/internal/frontier"
 	"repro/internal/gen"
-	"repro/internal/sched"
 )
 
-// TestConcurrentApplyPeakDensePageRank is the headline occupancy check:
-// with the paper's 4 domains (and so a 4-deep window), a dense PageRank
-// sweep applies at least two shards simultaneously — the cross-domain
-// concurrency the sequential pipeline never had. The interleaving is
-// enforced, not hoped for: the first apply is held open until a second
-// apply has begun on another domain, which the window must permit by
-// construction (the held apply frees its staging credit, so the stager
-// runs ahead and the next shard's domain starts immediately). A
-// pipeline that serialised applies would deadlock here; the timeout
-// converts that into a failure. The ranks are then checked against the
-// serial oracle, so the forced concurrency is also proven harmless.
-func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
+// TestOneShardPlanRunsOnTheWholePool: a one-shard plan is not confined
+// to one worker — the window hands its tasks to the whole pool. The
+// first task is held open until a second task of the same shard has
+// begun, which only a second worker can do; a window that applied each
+// shard on one worker would stall here, and the timeout converts that
+// into a failure. The in-degree counts then prove every edge was
+// applied exactly once.
+func TestOneShardPlanRunsOnTheWholePool(t *testing.T) {
 	g := gen.TinySocial()
-	e := buildSlotEngine(t, g, 16, 8, Options{
-		Threads:  4,
-		Topology: sched.Topology{Domains: 4},
-	})
+	e := buildSlotEngine(t, g, 1, 2, Options{Threads: 4})
+	if plan := e.planDense(frontier.All(g)); len(plan) != 1 {
+		t.Fatalf("fixture broken: dense plan %v, want one shard", plan)
+	}
+	if tasks := e.taskCount(0); tasks < 2 {
+		t.Fatalf("fixture broken: the shard splits into %d task(s), need at least 2", tasks)
+	}
+
+	var mu sync.Mutex
+	workers := map[int]bool{}
+	begun := 0
+	second := make(chan struct{})
+	e.onTask = func(_, _, worker int) {
+		mu.Lock()
+		workers[worker] = true
+		begun++
+		n := begun
+		if n == 2 {
+			close(second)
+		}
+		mu.Unlock()
+		if n == 1 {
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+				t.Error("no second task began while the first was held open: the shard is applied by one worker")
+			}
+		}
+	}
+
+	checkInDegrees(t, e, g)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(workers) < 2 {
+		t.Fatalf("the one-shard plan ran on workers %v, want at least 2", workers)
+	}
+	if begun != e.taskCount(0) {
+		t.Fatalf("%d tasks ran, the shard has %d", begun, e.taskCount(0))
+	}
+}
+
+// TestHeldApplyLetsTheNextShardBegin: holding one shard's apply open
+// does not stall the sweep — the other workers finish its remaining
+// tasks and begin the next shard, which the window must permit by
+// construction (the held shard frees its staging credit, so the stager
+// runs ahead). A pipeline that serialised shards would deadlock here;
+// the timeout converts that into a failure. The ranks are then checked
+// against the serial oracle, so the forced concurrency is also proven
+// harmless.
+func TestHeldApplyLetsTheNextShardBegin(t *testing.T) {
+	g := gen.TinySocial()
+	e := buildSlotEngine(t, g, 16, 8, Options{Threads: 4})
 
 	var mu sync.Mutex
 	begun := 0
@@ -47,7 +91,7 @@ func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
 			select {
 			case <-second:
 			case <-time.After(10 * time.Second):
-				t.Error("no second apply began while the first was held open: applies are serialised")
+				t.Error("no second shard began while the first was held open: applies are serialised")
 			}
 		}
 	}
@@ -59,28 +103,15 @@ func TestConcurrentApplyPeakDensePageRank(t *testing.T) {
 			t.Fatalf("rank[%d] = %v, want %v under concurrent apply", v, got[v], want[v])
 		}
 	}
-
-	st := e.Stats()
-	if st.ConcurrentApplyPeak < 2 {
-		t.Fatalf("ConcurrentApplyPeak = %d, want >= 2 with D=4 k=4", st.ConcurrentApplyPeak)
-	}
-	var multi int64
-	for l := 1; l < len(st.ApplyLevels); l++ {
-		multi += st.ApplyLevels[l]
-	}
-	if multi == 0 {
-		t.Fatal("ApplyLevels records no apply beginning alongside another")
-	}
-	if st.DenseSweeps == 0 {
+	if st := e.Stats(); st.DenseSweeps == 0 {
 		t.Fatal("the PageRank sweeps were not classified dense")
 	}
 }
 
 // TestStatsSafeUnderConcurrentSweeps hammers Stats() from several
-// goroutines while windowed multi-domain sweeps run. Under -race this
+// goroutines while windowed multi-worker sweeps run. Under -race this
 // proves the snapshot path is coherent with the concurrent counter
-// mutation (satellite: Stats must be safe before the tentpole lands);
-// the shape assertions catch torn or mis-sized snapshots.
+// mutation.
 func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 	g := gen.TinySocial()
 	e := buildSlotEngine(t, g, 16, 4, Options{Threads: 4})
@@ -97,14 +128,8 @@ func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 					return
 				default:
 				}
-				st := e.Stats()
-				if st.ShardLoads < 0 || st.CacheHits < 0 || st.ConcurrentApplyPeak < 0 {
+				if st := e.Stats(); st.ShardLoads < 0 || st.CacheHits < 0 || st.DenseSweeps < 0 {
 					t.Error("negative counter in a mid-sweep snapshot")
-					return
-				}
-				if len(st.ApplyLevels) != e.Topology().Domains ||
-					len(st.WindowDepths) != e.Topology().Domains+1 {
-					t.Errorf("snapshot slice sizes %d/%d drifted", len(st.ApplyLevels), len(st.WindowDepths))
 					return
 				}
 			}
@@ -116,62 +141,48 @@ func TestStatsSafeUnderConcurrentSweeps(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := e.Stats()
-	var applies, domainShards int64
-	for _, l := range st.ApplyLevels {
-		applies += l
-	}
-	for _, d := range st.DomainShards {
-		domainShards += d
-	}
-	if applies != domainShards {
-		t.Fatalf("ApplyLevels sums to %d applies but DomainShards to %d", applies, domainShards)
+	if st := e.Stats(); st.DenseSweeps != 5 || st.ShardLoads+st.CacheHits == 0 {
+		t.Fatalf("after 5 dense sweeps: %+v", st)
 	}
 }
 
 // TestSweepWindowInvariants is the property test pinning the pipeline's
-// invariants across budgets, domain counts (the window's depth cap) and
-// thread counts, asserted from an event trace recorded by the engine
-// hooks:
+// invariants across budgets and thread counts (the window's depth cap),
+// asserted from an event trace recorded by the engine hooks:
 //
 //  1. never more than one uncached load in flight;
-//  2. window depth <= max(1, min(Domains, slots - in-flight applies)),
+//  2. window depth <= max(1, min(2×Threads, slots - applying shards)),
 //     slots being the cache budget in largest-shard units, sampled
-//     atomically with the apply count at every staging hand-off, and
-//     staged + mid-apply shards <= slots + 1 (the engine's footprint:
+//     atomically with the applying count at every staging hand-off, and
+//     staged + applying shards <= slots + 1 (the engine's footprint:
 //     the cache budget plus the read in flight);
 //  3. every staged shard is applied exactly once per sweep, and nothing
 //     is applied that was not staged;
-//  4. never more than min(Domains, Threads) applies in flight, so
-//     Threads keeps meaning total parallelism even when domains
-//     outnumber workers and Split dealt borrowed worker IDs.
+//  4. never more than Threads shards mid-apply: a shard is applying
+//     only while a worker holds one of its tasks.
 func TestSweepWindowInvariants(t *testing.T) {
 	g := gen.TinySocial()
 	configs := []struct {
 		slots int
 		opts  Options
 	}{
-		{1, Options{Threads: 1, Topology: sched.Topology{Domains: 1}}},
-		{2, Options{Threads: 2, Topology: sched.Topology{Domains: 2}}},
-		{3, Options{Threads: 4, Topology: sched.Topology{Domains: 5}}}, // the budget, not the domain count, is the binding bound
+		{1, Options{Threads: 1}},
+		{2, Options{Threads: 2}},
+		{3, Options{Threads: 5}}, // the budget, not the thread count, is the binding bound
 		{8, Options{Threads: 4}},
-		{4, Options{Threads: 2, Topology: sched.Topology{Domains: 8}}},
-		{2, Options{Threads: 8, Topology: sched.Topology{Domains: 3}}},
+		{4, Options{Threads: 8}},
+		{2, Options{Threads: 3}},
 		{4, Options{Threads: 4}},
-		{4, Options{Threads: 4, Topology: sched.Topology{Domains: 2}}},
-		{2, Options{Threads: 8, Topology: sched.Topology{Domains: 4}}},
+		{4, Options{Threads: 2}},
+		{2, Options{Threads: 8}},
 		{6, Options{Threads: 2}},
 	}
 	for ci, c := range configs {
 		t.Run(fmt.Sprintf("config-%d", ci), func(t *testing.T) {
 			e := buildSlotEngine(t, g, 12, c.slots, c.opts)
-			k, budget := e.Topology().Domains, e.slots
+			k, budget := e.Threads(), e.slots
 			if budget != c.slots {
 				t.Fatalf("engine counts %d slots in a budget of %d largest shards", budget, c.slots)
-			}
-			applyCap := e.Topology().Domains
-			if th := e.Threads(); th < applyCap {
-				applyCap = th
 			}
 
 			var mu sync.Mutex
@@ -194,9 +205,9 @@ func TestSweepWindowInvariants(t *testing.T) {
 				mu.Unlock()
 			}
 			e.onStage = func(si, depth, applying int) {
-				limit := max(1, min(k, budget-applying))
+				limit := max(1, min(stagedPerWorker*k, budget-applying))
 				if depth > limit {
-					t.Errorf("window depth %d with %d applies in flight exceeds max(1, min(Domains=%d, slots=%d - applying)) = %d",
+					t.Errorf("window depth %d with %d shards applying exceeds max(1, min(2×Threads=%d, slots=%d - applying)) = %d",
 						depth, applying, k, budget, limit)
 				}
 				if depth+applying > budget+1 {
@@ -262,15 +273,11 @@ func TestSweepWindowInvariants(t *testing.T) {
 			if maxLoadsInFlight != 1 {
 				t.Fatalf("at most %d uncached loads in flight at once, want exactly 1", maxLoadsInFlight)
 			}
-			if maxApplies > applyCap {
-				t.Fatalf("%d applies in flight at once, cap is min(Domains, Threads) = %d", maxApplies, applyCap)
+			if maxApplies > k {
+				t.Fatalf("%d shards mid-apply at once, want at most Threads = %d", maxApplies, k)
 			}
-			var histogram int64
-			for _, n := range e.Stats().WindowDepths {
-				histogram += n
-			}
-			if int(histogram) != stageEvents {
-				t.Fatalf("WindowDepths histogram sums to %d but %d hand-offs were staged", histogram, stageEvents)
+			if stageEvents == 0 {
+				t.Fatal("no shard was staged")
 			}
 			checkQuiescent(t, e)
 		})
@@ -288,20 +295,19 @@ func newParents(n int) []int32 {
 }
 
 // TestWindowRunsAheadToDepthK proves the stager actually uses the
-// window's depth cap, the domain count k: with the first apply held
-// open (Threads: 1 caps simultaneous applies at one), the stager must
-// keep loading until exactly k shards sit staged, then stall on the
-// window bound. Both directions are asserted — reaching k (a shallower
-// window would stall early; the hold makes the hand-off deterministic)
-// and never exceeding it (checked by TestSweepWindowInvariants' bound
-// too).
+// window's depth cap k, two shards per worker: with every apply held
+// open (so one shard per worker is applying), the stager must keep
+// loading until exactly k shards sit staged, then stall on the window
+// bound. Both directions are asserted — reaching k (a shallower window
+// would stall early; the hold makes the hand-off deterministic) and
+// never exceeding it (checked by TestSweepWindowInvariants' bound too).
 func TestWindowRunsAheadToDepthK(t *testing.T) {
 	g := gen.TinySocial()
-	const k = 3
-	e := buildSlotEngine(t, g, 12, 8, Options{
-		Threads:  1,
-		Topology: sched.Topology{Domains: k},
-	})
+	const threads, k = 2, stagedPerWorker * 2
+	e := buildSlotEngine(t, g, 12, 8, Options{Threads: threads})
+	if plan := e.planDense(frontier.All(g)); len(plan) < threads+k {
+		t.Fatalf("fixture broken: dense plan %v needs at least %d shards", plan, threads+k)
+	}
 
 	var mu sync.Mutex
 	maxDepth := 0
@@ -317,15 +323,12 @@ func TestWindowRunsAheadToDepthK(t *testing.T) {
 			once.Do(func() { close(deepEnough) })
 		}
 	}
-	var applyOnce sync.Once
 	e.onApplyBegin = func(int) {
-		applyOnce.Do(func() {
-			select {
-			case <-deepEnough:
-			case <-time.After(10 * time.Second):
-				t.Error("stager never filled the window to depth k while the apply was held")
-			}
-		})
+		select {
+		case <-deepEnough:
+		case <-time.After(10 * time.Second):
+			t.Error("stager never filled the window to depth k while the applies were held")
+		}
 	}
 
 	e.EdgeMap(frontier.All(g), passOp(), api.DirAuto)
@@ -334,10 +337,6 @@ func TestWindowRunsAheadToDepthK(t *testing.T) {
 	defer mu.Unlock()
 	if maxDepth != k {
 		t.Fatalf("max window depth %d, want exactly k=%d", maxDepth, k)
-	}
-	st := e.Stats()
-	if st.WindowDepths[k] == 0 {
-		t.Fatalf("WindowDepths[%d] = 0 despite the window provably reaching depth %d: %v", k, k, st.WindowDepths)
 	}
 }
 
@@ -354,7 +353,7 @@ func (s sweepHooked) EdgeMap(f *frontier.Frontier, op api.EdgeOp, d api.Directio
 }
 
 // TestHostReadsOneAtATimeInPlanOrder: two sessions of one Host sweep
-// concurrently at four domains over a budget of four slots — PageRank
+// concurrently on four threads over a budget of four slots — PageRank
 // on one, BFS then PageRank on the other, so dense sweeps co-schedule
 // and sparse ones do not. Host-wide, no two disk reads ever overlap
 // (the host's read lock), and each session begins its reads in its
@@ -366,7 +365,7 @@ func TestHostReadsOneAtATimeInPlanOrder(t *testing.T) {
 	// about the same bytes, so four slots hold a quarter of the store.
 	g := gen.ErdosRenyi(1<<10, 1<<13, 7)
 	st := createStore(t, t.TempDir(), g, 16)
-	h, err := NewHost(st, g, nil, Options{Threads: 4, Topology: sched.Topology{Domains: 4}})
+	h, err := NewHost(st, g, nil, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
