@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ligra"
@@ -191,6 +192,79 @@ func oocMutatedStoreEngine(t *testing.T, g *graph.Graph, compact bool) *shard.En
 	return oocTight(t, st, g, shard.Options{})
 }
 
+// residentRung is what the ladder holds a resident rung to: its cache,
+// the store's decoded bytes, the loads warming took, and whether the
+// budget leaves room for source indexes.
+type residentRung struct {
+	cache      *shard.SharedCache
+	decoded    int64
+	warmLoads  int64
+	indexRooms bool
+}
+
+// oocResidentRungs maps every engine oocResidentEngine built (for the
+// life of its test) to its rung.
+var oocResidentRungs sync.Map // *shard.Engine -> *residentRung
+
+// oocResidentEngine is the resident sparse-sweep differential variant:
+// the whole store decoded in the cache before the algorithm starts, so
+// every sparse plan is a cache hit. With room, the budget is four times
+// the store's decoded bytes and the sparse sweeps run inline through
+// per-shard source indexes; without, it is exactly the decoded bytes,
+// so no index fits and every resident sparse plan takes the window.
+func oocResidentEngine(t *testing.T, g *graph.Graph, room bool) *shard.Engine {
+	t.Helper()
+	st := oocStore(t, g, 4, shard.DefaultFormat)
+	opts := shard.Options{Threads: 2}
+	warm := func(sys api.System) {
+		sys.EdgeMap(frontier.All(g), api.EdgeOp{
+			Update:       func(u, v graph.VID) bool { return false },
+			UpdateAtomic: func(u, v graph.VID) bool { return false },
+		}, api.DirAuto)
+	}
+	probe, err := shard.NewHost(st, g, shard.NewSharedCache(1<<40), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm(probe.NewSession())
+	decoded := probe.Cache().Stats().Bytes
+	budget := max(decoded, 1)
+	if room {
+		budget *= 4
+	}
+	h, err := shard.NewHost(st, g, shard.NewSharedCache(budget), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := h.NewSession()
+	warm(e)
+	rr := &residentRung{cache: h.Cache(), decoded: decoded, warmLoads: h.Cache().Stats().Loads, indexRooms: room}
+	if cs := rr.cache.Stats(); cs.Bytes != decoded {
+		t.Fatalf("fixture broken: warm cache holds %d of %d decoded bytes", cs.Bytes, decoded)
+	}
+	oocResidentRungs.Store(e, rr)
+	t.Cleanup(func() { oocResidentRungs.Delete(e) })
+	return e
+}
+
+// check holds a resident rung to its claim after an algorithm ran on
+// e: nothing was loaded or evicted past warm-up (every plan hit), and
+// the cache's bytes show the indexes — attached by every rung with
+// room whose algorithm swept sparsely, by none without.
+func (rr *residentRung) check(t *testing.T, label string, e *shard.Engine) {
+	t.Helper()
+	cs := rr.cache.Stats()
+	if cs.Loads != rr.warmLoads || cs.Evictions != 0 || cs.Rejected != 0 {
+		t.Fatalf("%s: resident rung loaded, evicted or refused after warm-up: %+v (warm-up loads %d)", label, cs, rr.warmLoads)
+	}
+	switch indexed := cs.Bytes - rr.decoded; {
+	case !rr.indexRooms && indexed != 0:
+		t.Fatalf("%s: no-room rung holds %d bytes over the decoded store", label, indexed)
+	case rr.indexRooms && e.Stats().SparseSweeps > 0 && indexed <= 0:
+		t.Fatalf("%s: %d sparse sweeps on the indexed rung attached no index", label, e.Stats().SparseSweeps)
+	}
+}
+
 func enginesFor(t *testing.T, g *graph.Graph) []api.System {
 	return []api.System{
 		core.NewEngine(g, core.Options{}),
@@ -208,6 +282,8 @@ func enginesFor(t *testing.T, g *graph.Graph) []api.System {
 		oocSharedSessionEngine(t, g),
 		oocMutatedStoreEngine(t, g, false),
 		oocMutatedStoreEngine(t, g, true),
+		oocResidentEngine(t, g, true),
+		oocResidentEngine(t, g, false),
 	}
 }
 

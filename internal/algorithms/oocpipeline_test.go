@@ -32,12 +32,17 @@ import (
 //     other rung runs on must load to identical shards, and therefore
 //     identical results;
 //   - a session of a host with a tiny shared cache, and stores that
-//     reached their content through mutation and compaction.
+//     reached their content through mutation and compaction;
+//   - the whole store resident before the algorithm starts, behind a
+//     budget with room for per-shard source indexes (sparse sweeps run
+//     inline through them) and behind one of exactly the decoded store
+//     (no index fits; the same plans take the window).
 //
-// Every rung but the two whole-store window ones runs behind a cache
-// of half the store's decoded bytes (the shared-session rung: 8 KiB)
-// and must show budget pressure — evictions or refused inserts — so
-// none quietly becomes an everything-resident run.
+// Every rung but the two whole-store window ones and the two resident
+// ones runs behind a cache of half the store's decoded bytes (the
+// shared-session rung: 8 KiB) and must show budget pressure — evictions
+// or refused inserts — so none quietly becomes an everything-resident
+// run; the resident rungs must show none, and which sparse path ran.
 //
 // This is the strongest form of the concurrency correctness claim:
 // neither staging depth nor task interleaving may change *what* is
@@ -77,6 +82,13 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 		// of any algorithm's result.
 		{"delta-store", func(t *testing.T, g *graph.Graph) api.System { return oocMutatedStoreEngine(t, g, false) }},
 		{"compacted-store", func(t *testing.T, g *graph.Graph) api.System { return oocMutatedStoreEngine(t, g, true) }},
+		// Resident rungs: the whole store decoded before the algorithm
+		// starts. With room for source indexes every sparse sweep runs
+		// inline on the caller's goroutine through them; with a budget
+		// of exactly the decoded store no index fits and the same plans
+		// take the window. Each asserts which it was.
+		{"resident-indexed", func(t *testing.T, g *graph.Graph) api.System { return oocResidentEngine(t, g, true) }},
+		{"resident-no-room", func(t *testing.T, g *graph.Graph) api.System { return oocResidentEngine(t, g, false) }},
 	}
 
 	// Each entry runs one algorithm to completion through api.System and
@@ -127,6 +139,11 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 				if c, ok := oocCaches.Load(sys); ok {
 					if cs := c.(*shard.SharedCache).Stats(); cs.Loads > 0 && cs.Evictions+cs.Rejected == 0 {
 						t.Fatalf("%s on the rung %s never pressed its %d-byte budget: %+v", r.name, v.name, cs.Budget, cs)
+					}
+				}
+				for _, s := range []api.System{sys, rsys} {
+					if rr, ok := oocResidentRungs.Load(s); ok {
+						rr.(*residentRung).check(t, r.name+" on "+v.name, s.(*shard.Engine))
 					}
 				}
 			}

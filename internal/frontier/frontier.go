@@ -133,18 +133,10 @@ func (f *Frontier) Classify(g *graph.Graph, sparseDiv, denseDiv int64) Class {
 	return Sparse
 }
 
-// Has reports whether v is active.
-func (f *Frontier) Has(v graph.VID) bool {
-	if f.hasBits {
-		return f.bitmap.Get(v)
-	}
-	for _, u := range f.list {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
+// Has reports whether v is active. A list-only frontier materialises
+// its bitmap on the first call (as Bitmap does), so a pass of Has over
+// every vertex costs O(n + |F|), not O(n·|F|).
+func (f *Frontier) Has(v graph.VID) bool { return f.Bitmap().Get(v) }
 
 // List returns the sparse representation, materialising it if needed.
 func (f *Frontier) List() []graph.VID {

@@ -214,6 +214,36 @@ func TestFrontierHas(t *testing.T) {
 	}
 }
 
+// TestFrontierHasMaterialisesBitmap: Has on a list-only frontier builds
+// the bitmap once, agrees with the list on every vertex, and leaves the
+// list, the count and the statistics as they were.
+func TestFrontierHasMaterialisesBitmap(t *testing.T) {
+	const n = 300
+	vs := []graph.VID{299, 3, 64, 128, 7}
+	f := FromList(n, vs)
+	f.SetStats(int64(len(vs)), 11)
+	want := map[graph.VID]bool{}
+	for _, v := range vs {
+		want[v] = true
+	}
+	for v := graph.VID(0); v < n; v++ {
+		if f.Has(v) != want[v] {
+			t.Fatalf("Has(%d) = %v, want %v", v, f.Has(v), want[v])
+		}
+	}
+	if !f.hasBits || f.bitmap.Count() != int64(len(vs)) {
+		t.Fatalf("Has did not materialise the bitmap (hasBits %v)", f.hasBits)
+	}
+	b := f.bitmap
+	f.Has(3)
+	if f.bitmap != b {
+		t.Fatal("a second Has rebuilt the bitmap")
+	}
+	if got := f.List(); len(got) != len(vs) || got[0] != 299 || f.Count() != 5 || f.outDeg != 11 {
+		t.Fatalf("Has disturbed the list or statistics: list %v, count %d, outDeg %d", got, f.Count(), f.outDeg)
+	}
+}
+
 func TestEmptyFrontier(t *testing.T) {
 	f := New(10)
 	if !f.IsEmpty() || f.Count() != 0 {

@@ -105,14 +105,19 @@ type Stats struct {
 // internal/algorithms executes unmodified while edge data streams from
 // disk. Dense and medium sweeps touch only per-vertex state (frontier
 // bitmaps, the CSR degree index for frontier statistics, the
-// source-range summaries) plus the resident shards; sparse sweeps
+// source-range summaries) plus the resident shards. Sparse sweeps
 // additionally walk the in-memory out-neighbour lists of just the
-// active vertices — O(frontier work) — to plan the exact shard set to
-// load. The Graph handle is therefore load-bearing: the api.System
-// contract exposes it for algorithm-side metadata, and the sparse
-// planner reads its adjacency. A deployment that drops the in-memory
-// adjacency would substitute summary-based planning (over-approximate
-// but sound) in planSparse; the edge *application* never reads it.
+// active vertices — O(frontier work) — to plan the exact shard set and
+// bucket each active source into the shards it feeds; when every
+// planned shard is resident, the sweep runs inline and applies each
+// shard by looking its bucketed sources up in the shard's source index
+// (sparse.go), so it costs O(active edges) and starts no goroutine. The
+// Graph handle is therefore load-bearing: the api.System contract
+// exposes it for algorithm-side metadata, and the sparse planner reads
+// its adjacency. A deployment that drops the in-memory adjacency would
+// substitute per-vertex shard metadata in planSparse; the edge
+// *application* never reads it — it reads resident shards and their
+// indexes only.
 //
 // Writes are partition-exclusive end to end: a shard holds all in-edges
 // of its 64-aligned destination range, and each resident shard is cut
@@ -120,8 +125,9 @@ type Stats struct {
 // EdgeOp.Update path is always used — the out-of-core counterpart of
 // the paper's "COO + na" configuration.
 //
-// Sweeps are pipelined (plan → stage → apply → publish; see EdgeMap
-// and window.go), and bit-identical at any thread count.
+// Sweeps are inline (a resident sparse plan; sparse.go) or pipelined
+// (plan → stage → apply → publish; see EdgeMap and window.go), and
+// bit-identical either way, at any thread count.
 //
 // Every Engine is one session of a Host (see host.go): it owns its
 // stats and per-sweep accumulators, and shares the immutable hostCore,
@@ -153,6 +159,13 @@ type Engine struct {
 
 	stats Stats
 
+	// Sparse-sweep scratch, owned by the session (its sweeps are
+	// serial): buckets[s] lists the active sources planSparse found
+	// with an out-edge into shard s, ascending; seen is the inline
+	// sweep's next-frontier bitmap, all clear between sweeps.
+	buckets [][]graph.VID
+	seen    *frontier.Bitmap
+
 	// Test hooks (nil outside tests): onLoadBegin fires before a shard
 	// file is read (on the staging goroutine, under the host's read
 	// lock), onLoadEnd after it is decoded;
@@ -165,6 +178,9 @@ type Engine struct {
 	onApplyBegin, onApplyEnd func(shard int)
 	onTask                   func(shard, task, worker int)
 	onStage                  func(shard, depth, applying int)
+	// onInline fires as an inline sparse sweep applies a shard, with
+	// whether it is applied through its source index (else by scan).
+	onInline func(shard int, indexed bool)
 	// onCoLead fires when a dense sweep opens a co-scheduled pass (its
 	// publications become joinable); onCoFollow when a sweep joins one.
 	onCoLead, onCoFollow func()
@@ -188,7 +204,7 @@ type hostCore struct {
 	// checkGen).
 	gen int64
 
-	home  []int32    // vertex -> shard whose destination range holds it
+	home  []int32    // BoundaryAlign-vertex unit -> shard whose destination range holds it (shardOf)
 	feeds [][]uint64 // per-shard source-range summary (Store.SourceSummary)
 
 	// maxShardBytes is what the largest shard costs the cache once
@@ -218,15 +234,18 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 		opts:  opts,
 		pool:  sched.NewPool(opts.Threads),
 		gen:   st.Generation(),
-		home:  make([]int32, g.NumVertices()),
+		home:  make([]int32, (g.NumVertices()+partition.BoundaryAlign-1)/partition.BoundaryAlign),
 		feeds: feeds,
 
 		maxShardBytes: 1,
 	}
 	for i := 0; i < st.NumShards(); i++ {
-		lo, hi := st.Range(i)
-		for v := lo; v < hi; v++ {
-			c.home[v] = int32(i)
+		// Interior bounds are BoundaryAlign-aligned, so every unit lies
+		// in one non-empty range.
+		if lo, hi := st.Range(i); lo < hi {
+			for u := int(lo) / partition.BoundaryAlign; u < (int(hi)+partition.BoundaryAlign-1)/partition.BoundaryAlign; u++ {
+				c.home[u] = int32(i)
+			}
 		}
 		c.maxShardBytes = max(c.maxShardBytes, decodedBytes(st.m.EdgeCounts[i], c.taskCount(i)))
 	}
@@ -316,38 +335,52 @@ func (e *Engine) checkGen() {
 	}
 }
 
-// EdgeMap applies op over the active edges of f with a frontier-aware,
-// concurrent shard sweep: plan → stage → apply → publish. The planner
-// picks the shard set in ascending order (exact for sparse frontiers,
-// summary-pruned for dense ones); a staging goroutine fetches it in that
-// order — a cache hit, else a synchronous read — up to 2×Threads shards
-// ahead; the pool's workers claim the staged shards' tasks (window.go);
-// the next frontier is published once, after the barrier, with
-// aggregated statistics. Results are bit-identical to a sequential
+// EdgeMap applies op over the active edges of f with a frontier-aware
+// shard sweep. The planner picks the shard set in ascending order
+// (exact for sparse frontiers, summary-pruned for dense ones). A sparse
+// plan whose every shard is already resident runs inline on the
+// caller's goroutine (sweepInline, sparse.go): each shard visits only
+// the edges of its active sources through its source index, so the
+// sweep costs O(active edges), not O(planned shards' edges), and starts
+// no goroutine. Every other plan is pipelined: plan → stage → apply →
+// publish. A staging goroutine fetches the plan in order — a cache hit,
+// else a synchronous read — up to 2×Threads shards ahead; the pool's
+// workers claim the staged shards' tasks (window.go); the next frontier
+// is published once, after the barrier, with aggregated statistics.
+// Either way the results are bit-identical to a sequential
 // shard-file-order sweep at any thread count: tasks own disjoint
 // 64-aligned destination sub-ranges, operators write destination state
-// only, and all in-edges of a destination live in one task. The direction hint is ignored: every traversal
-// is a destination-grouped sweep, which is the only order an
-// out-of-core layout supports without a second edge copy on disk.
+// only, and every destination sees its in-edges in file order. The
+// direction hint is ignored: every traversal is a destination-grouped
+// sweep, which is the only order an out-of-core layout supports without
+// a second edge copy on disk.
 func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *frontier.Frontier {
 	e.checkGen()
-	n := e.g.NumVertices()
 	if f.Count() == 0 {
-		return frontier.New(n)
+		return frontier.New(e.g.NumVertices())
 	}
-	var plan []int
 	// Reuse the central Algorithm 2 thresholds; only the sparse/non-sparse
 	// cut matters here (denseDiv is irrelevant for a two-way split).
-	sparse := f.Classify(e.g, e.opts.SparseDiv, 2) == frontier.Sparse
-	if sparse {
+	if f.Classify(e.g, e.opts.SparseDiv, 2) == frontier.Sparse {
 		atomic.AddInt64(&e.stats.SparseSweeps, 1)
-		plan = e.planSparse(f)
-	} else {
-		atomic.AddInt64(&e.stats.DenseSweeps, 1)
-		plan = e.planDense(f)
+		plan := e.planSparse(f)
+		atomic.AddInt64(&e.stats.ShardsSkipped, int64(e.st.NumShards()-len(plan)))
+		if shs, releases, spare, ok := e.cache.getAll(e.st, plan); ok {
+			atomic.AddInt64(&e.stats.CacheHits, int64(len(plan)))
+			return e.sweepInline(f, op, plan, shs, releases, spare)
+		}
+		return e.sweepWindowed(f, op, plan, true)
 	}
+	atomic.AddInt64(&e.stats.DenseSweeps, 1)
+	plan := e.planDense(f)
 	atomic.AddInt64(&e.stats.ShardsSkipped, int64(e.st.NumShards()-len(plan)))
+	return e.sweepWindowed(f, op, plan, false)
+}
 
+// sweepWindowed runs plan through the pipelined sweep and publishes the
+// next frontier as a bitmap with its statistics.
+func (e *Engine) sweepWindowed(f *frontier.Frontier, op api.EdgeOp, plan []int, sparse bool) *frontier.Frontier {
+	n := e.g.NumVertices()
 	next := frontier.NewBitmap(n)
 	k := &sweepKernel{
 		e: e, cur: f.Bitmap(), cond: op.CondOf(), op: op, next: next,
@@ -362,26 +395,6 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 	nf := frontier.FromBitmap(n, next)
 	nf.SetStats(count, outDeg)
 	return nf
-}
-
-// planSparse computes the exact set of shards holding at least one edge
-// from an active source, by walking the in-memory CSR adjacency of only
-// the active vertices — O(|F| + Σ out-deg) work, the same bound that
-// made the frontier sparse. Shards outside the set are never loaded.
-func (e *Engine) planSparse(f *frontier.Frontier) []int {
-	marked := make([]bool, e.st.NumShards())
-	f.ForEach(func(u graph.VID) {
-		for _, v := range e.g.OutNeighbors(u) {
-			marked[e.home[v]] = true
-		}
-	})
-	plan := make([]int, 0, len(marked))
-	for i, m := range marked {
-		if m {
-			plan = append(plan, i)
-		}
-	}
-	return plan
 }
 
 // planDense streams the full shard sequence but still skips shards whose
@@ -491,6 +504,9 @@ func (e *Engine) readShard(si int) (sh *resident, diskBytes int64, overlapped bo
 	}
 	return sh, diskBytes, overlapped, nil
 }
+
+// shardOf returns the shard whose destination range holds v.
+func (c *hostCore) shardOf(v graph.VID) int { return int(c.home[v/partition.BoundaryAlign]) }
 
 // tasksPerWorker oversubscribes intra-shard tasks relative to workers so
 // self-scheduling can balance skewed destination sub-ranges.

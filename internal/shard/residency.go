@@ -21,6 +21,7 @@ package shard
 
 import (
 	"container/list"
+	"math"
 	"sync"
 )
 
@@ -172,6 +173,33 @@ func (r *residency[K, V]) addLocked(k K, v V, bytes int64) (canon V, release fun
 		r.peakBytes = r.bytes
 	}
 	return v, r.pinLocked(el), true
+}
+
+// growLocked charges extra bytes to el's entry — a cost attached to a
+// value already resident — if the entry is not retired and the
+// budget's spare room covers the bytes without evicting anything. It
+// reports whether it did; eviction and drop return the bytes with the
+// entry.
+func (r *residency[K, V]) growLocked(el *list.Element, bytes int64) bool {
+	ent := el.Value.(*resEntry[K, V])
+	if ent.retired || r.budget > 0 && r.bytes+bytes > r.budget {
+		return false
+	}
+	ent.bytes += bytes
+	r.bytes += bytes
+	if r.bytes > r.peakBytes {
+		r.peakBytes = r.bytes
+	}
+	return true
+}
+
+// spareLocked is the room left under the budget: what an insert or a
+// growth could take without evicting anything.
+func (r *residency[K, V]) spareLocked() int64 {
+	if r.budget <= 0 {
+		return math.MaxInt64
+	}
+	return r.budget - r.bytes
 }
 
 // dropLocked retires every entry whose key match accepts: unpinned ones

@@ -19,10 +19,14 @@
 //
 // Engine builds a full api.System on top of the Store, so every
 // algorithm written against the engine-neutral API runs unmodified out
-// of core. Each EdgeMap is a pipelined sweep in four stages:
+// of core. A sparse EdgeMap whose planned shards are all resident runs
+// inline on the caller's goroutine, each shard visiting only its active
+// sources' edges through a cache-priced source index (sparse.go); every
+// other EdgeMap is a pipelined sweep in four stages:
 //
 //	plan     — pick the shard set, in ascending shard order: exact (walk
-//	           only the active vertices' out-lists) for sparse
+//	           only the active vertices' out-lists, bucketing each
+//	           active source into the shards it feeds) for sparse
 //	           frontiers, source-range summary pruning for dense ones;
 //	stage    — a dedicated staging goroutine walks the plan in order,
 //	           keeping up to 2×Threads shards staged ahead while earlier

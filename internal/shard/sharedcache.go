@@ -11,6 +11,8 @@ package shard
 // NewEngine is simply the only session of a cache of its own.
 
 import (
+	"sync/atomic"
+
 	"repro/internal/graph"
 )
 
@@ -26,19 +28,29 @@ const DefaultCacheBytes int64 = 256 << 20
 // exclusively and updates need no atomics. All in-edges of a destination
 // fall into one sub-range in file order, so the per-destination
 // application order is independent of the task count.
+//
+// index is the shard's source index (see sparse.go), nil until an
+// inline sparse sweep builds one for the shard while it is a cache hit
+// and the budget's spare room pays for it (attachIndex). A freshly
+// loaded shard never has one, so a store that only streams never pays
+// for it; once attached it lives and leaves with the cache entry.
 type resident struct {
 	idx      int
 	src, dst []graph.VID
 	off      []int // len = tasks+1; task t owns edges [off[t], off[t+1])
+	index    atomic.Pointer[sourceIndex]
 }
 
 // decodedBytes prices a decoded shard of the given edge and task counts:
 // the src/dst arrays plus the task offsets — the memory the budget
 // actually bounds. The staging window sizes its slots with the same
-// formula from the manifest's edge counts.
+// formula from the manifest's edge counts; a shard's source index, when
+// it has one, is charged on top (residentBytes).
 func decodedBytes(edges int64, tasks int) int64 { return edges*8 + int64(tasks+1)*8 }
 
-func residentBytes(sh *resident) int64 { return decodedBytes(int64(len(sh.src)), len(sh.off)-1) }
+func residentBytes(sh *resident) int64 {
+	return decodedBytes(int64(len(sh.src)), len(sh.off)-1) + sh.index.Load().bytes()
+}
 
 // cacheKey names one shard of one open store. The *Store identity is
 // the namespace, so a daemon hosting many stores shares one budget
@@ -130,6 +142,57 @@ func (c *SharedCache) retireLoadLocked(k cacheKey) {
 
 // get returns shard k pinned and promoted, plus its release.
 func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) { return c.res.get(k) }
+
+// getAll is the inline sparse sweep's fetch. If every shard plan names
+// of st is resident, and the budget's spare room could pay for the
+// source index of each one that has none (at its least, minIndexBytes),
+// it pins and promotes them in plan order, counting one hit each —
+// exactly the gets a stager would issue — and returns them with the
+// spare room left. Otherwise it touches nothing and reports false, and
+// the sweep takes the window. Either way it takes one lock.
+func (c *SharedCache) getAll(st *Store, plan []int) (shs []*resident, releases []func(), spare int64, ok bool) {
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	spare = c.res.spareLocked()
+	need := int64(0)
+	for _, si := range plan {
+		el, ok := c.res.idx[cacheKey{st, si}]
+		if !ok {
+			return nil, nil, 0, false
+		}
+		if sh := el.Value.(*resEntry[cacheKey, *resident]).val; sh.index.Load() == nil {
+			if need += minIndexBytes(sh); need > spare {
+				return nil, nil, 0, false
+			}
+		}
+	}
+	shs = make([]*resident, len(plan))
+	releases = make([]func(), len(plan))
+	for i, si := range plan {
+		shs[i], releases[i], _ = c.res.getLocked(cacheKey{st, si})
+	}
+	return shs, releases, spare, true
+}
+
+// attachIndex hangs ix on shard k's resident sh and charges its bytes
+// to the entry, if the entry still holds sh, is not retired, and the
+// budget's spare room covers ix without evicting anything. It returns
+// the index sh carries afterwards: ix; the one a racing session
+// attached first (ix is dropped); or nil when the attach was refused
+// (or ix is nil).
+func (c *SharedCache) attachIndex(k cacheKey, sh *resident, ix *sourceIndex) *sourceIndex {
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	if cur := sh.index.Load(); cur != nil || ix == nil {
+		return cur
+	}
+	el, ok := c.res.idx[k]
+	if !ok || el.Value.(*resEntry[cacheKey, *resident]).val != sh || !c.res.growLocked(el, ix.bytes()) {
+		return nil
+	}
+	sh.index.Store(ix)
+	return ix
+}
 
 // add admits a freshly loaded shard, pinned, and returns the shard to
 // apply (see residency.addLocked for adoption and refusal). The shard

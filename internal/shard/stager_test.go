@@ -155,10 +155,10 @@ func TestStagerEdgeCases(t *testing.T) {
 			if len(nbrs) == 0 {
 				continue
 			}
-			h := int(e.home[nbrs[0]])
+			h := e.shardOf(nbrs[0])
 			same := true
 			for _, w := range nbrs {
-				same = same && int(e.home[w]) == h
+				same = same && e.shardOf(w) == h
 			}
 			if same {
 				u, home = v, h

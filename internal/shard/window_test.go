@@ -234,13 +234,35 @@ func TestSweepWindowInvariants(t *testing.T) {
 				mu.Unlock()
 			}
 
+			// A sparse plan the cache holds whole runs inline, outside
+			// the window (sparse.go): it must stage nothing and apply each
+			// planned shard once. Every other sweep is held to the window
+			// invariants.
+			inline := map[int]int{}
+			e.onInline = func(si int, _ bool) {
+				mu.Lock()
+				inline[si]++
+				mu.Unlock()
+			}
+
 			sweep := func(run func()) {
 				mu.Lock()
-				staged, applied = map[int]int{}, map[int]int{}
+				staged, applied, inline = map[int]int{}, map[int]int{}, map[int]int{}
 				mu.Unlock()
 				run()
 				mu.Lock()
 				defer mu.Unlock()
+				if len(inline) > 0 {
+					if len(staged) > 0 {
+						t.Errorf("an inline sweep staged %d shards", len(staged))
+					}
+					for si, n := range inline {
+						if n != 1 {
+							t.Errorf("shard %d applied %d times in one inline sweep", si, n)
+						}
+					}
+					return
+				}
 				for si, n := range staged {
 					if applied[si] != n {
 						t.Errorf("shard %d staged %d times but applied %d times in one sweep", si, n, applied[si])
