@@ -156,20 +156,15 @@ func main() {
 		res.Generation, res.Inserted, res.Deleted, len(res.Dirty), shards)
 
 	// Reopen at the new generation; sweeps now merge base + deltas in
-	// the same per-destination order a rebuilt store would have.
+	// the same per-destination order a rebuilt store would have. PageRank
+	// needs degrees only, so the engines serve the degree-only graph of
+	// the store's per-vertex Meta (a nil graph): no edge is read to host.
 	mst, err := shard.Open(dir)
 	if err != nil {
 		panic(err)
 	}
-	medges := make([]graph.Edge, 0, mst.NumEdges())
-	if err := mst.Sweep(func(u, v graph.VID) {
-		medges = append(medges, graph.Edge{Src: u, Dst: v})
-	}); err != nil {
-		panic(err)
-	}
-	mg := graph.FromEdges(mst.NumVertices(), medges)
-	inc := engineOver(mst, mg, 2*decoded, shard.Options{})
-	full := engineOver(mst, mg, 2*decoded, shard.Options{})
+	inc := engineOver(mst, nil, 2*decoded, shard.Options{})
+	full := engineOver(mst, nil, 2*decoded, shard.Options{})
 	// Re-converge two ways: incrementally — seeded with the pre-batch
 	// ranks and the batch's dirty shards, sweeping only where the fixed
 	// point actually moved — and from scratch. Same answer, strictly

@@ -34,10 +34,34 @@ func CheckSystem(sys System) error {
 	if g == nil {
 		return fmt.Errorf("%s: Graph() returned nil", sys.Name())
 	}
+	return CheckSystemAgainst(sys, g)
+}
+
+// CheckSystemAgainst is CheckSystem with the expectations taken from g,
+// the graph the system's data was written from, instead of from
+// sys.Graph(). It is the check for a system whose Graph is degree-only
+// (an out-of-core host built from a store's per-vertex metadata, whose
+// adjacency accessors refuse): the contract is the same, and the
+// system's Graph must agree with g on |V|, |E| and every degree.
+func CheckSystemAgainst(sys System, g *graph.Graph) error {
+	own := sys.Graph()
+	if own == nil {
+		return fmt.Errorf("%s: Graph() returned nil", sys.Name())
+	}
 	if sys.Threads() < 1 {
 		return fmt.Errorf("%s: Threads() = %d, want >= 1", sys.Name(), sys.Threads())
 	}
 	n := g.NumVertices()
+	if own.NumVertices() != n || own.NumEdges() != g.NumEdges() {
+		return fmt.Errorf("%s: Graph() is %dv/%de, want %dv/%de",
+			sys.Name(), own.NumVertices(), own.NumEdges(), n, g.NumEdges())
+	}
+	for v := graph.VID(0); int(v) < n; v++ {
+		if own.OutDegree(v) != g.OutDegree(v) || own.InDegree(v) != g.InDegree(v) {
+			return fmt.Errorf("%s: Graph() gives vertex %d degrees out %d / in %d, want %d / %d",
+				sys.Name(), v, own.OutDegree(v), own.InDegree(v), g.OutDegree(v), g.InDegree(v))
+		}
+	}
 	if n == 0 {
 		return nil
 	}

@@ -8,6 +8,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -20,9 +21,18 @@ type Edge struct {
 	Src, Dst VID
 }
 
+// ErrNoAdjacency is what the adjacency accessors of a degree-only graph
+// (DegreeOnly) panic with, wrapped with the accessor's name: a caller
+// that needs neighbour lists gets a typed refusal, never an index error
+// and never a silently built CSR. Test with errors.Is on the recovered
+// value.
+var ErrNoAdjacency = errors.New("graph: degree-only graph has no adjacency")
+
 // Graph is a directed graph stored simultaneously in CSR (out-edges) and
 // CSC (in-edges) form. Both views are built once at construction; all
-// engines share the same Graph value.
+// engines share the same Graph value. A degree-only graph (DegreeOnly)
+// carries the two offset arrays and no neighbour arrays: n, m and
+// degrees answer, the adjacency accessors panic with ErrNoAdjacency.
 //
 // CSR: out-edges of v are OutDst[OutOff[v]:OutOff[v+1]], sorted by
 // destination. CSC: in-edges of v are InSrc[InOff[v]:InOff[v+1]], sorted by
@@ -51,23 +61,60 @@ func (g *Graph) InDegree(v VID) int64 { return g.inOff[v+1] - g.inOff[v] }
 
 // OutNeighbors returns the out-neighbour slice of v. The slice aliases the
 // graph's storage and must not be modified.
-func (g *Graph) OutNeighbors(v VID) []VID { return g.outDst[g.outOff[v]:g.outOff[v+1]] }
+func (g *Graph) OutNeighbors(v VID) []VID {
+	if g.outDst == nil {
+		noAdjacency("OutNeighbors")
+	}
+	return g.outDst[g.outOff[v]:g.outOff[v+1]]
+}
 
 // InNeighbors returns the in-neighbour slice of v (sources of in-edges).
 // The slice aliases the graph's storage and must not be modified.
-func (g *Graph) InNeighbors(v VID) []VID { return g.inSrc[g.inOff[v]:g.inOff[v+1]] }
+func (g *Graph) InNeighbors(v VID) []VID {
+	if g.inSrc == nil {
+		noAdjacency("InNeighbors")
+	}
+	return g.inSrc[g.inOff[v]:g.inOff[v+1]]
+}
 
 // OutOffsets exposes the CSR index array (length NumVertices+1).
 func (g *Graph) OutOffsets() []int64 { return g.outOff }
 
 // OutTargets exposes the CSR destination array (length NumEdges).
-func (g *Graph) OutTargets() []VID { return g.outDst }
+func (g *Graph) OutTargets() []VID {
+	if g.outDst == nil {
+		noAdjacency("OutTargets")
+	}
+	return g.outDst
+}
 
 // InOffsets exposes the CSC index array (length NumVertices+1).
 func (g *Graph) InOffsets() []int64 { return g.inOff }
 
 // InSources exposes the CSC source array (length NumEdges).
-func (g *Graph) InSources() []VID { return g.inSrc }
+func (g *Graph) InSources() []VID {
+	if g.inSrc == nil {
+		noAdjacency("InSources")
+	}
+	return g.inSrc
+}
+
+func noAdjacency(accessor string) {
+	panic(fmt.Errorf("graph: %s: %w", accessor, ErrNoAdjacency))
+}
+
+// DegreeOnly returns a graph with the given CSR and CSC offset arrays
+// and no neighbour arrays: NumVertices, NumEdges and the degree
+// queries answer, the adjacency accessors panic with ErrNoAdjacency.
+// The arrays are aliased, not copied, and must not be modified. Panics
+// if the two arrays disagree on |V| or |E|, or do not start at 0.
+func DegreeOnly(outOff, inOff []int64) *Graph {
+	n := len(outOff) - 1
+	if n < 0 || len(inOff) != n+1 || outOff[0] != 0 || inOff[0] != 0 || outOff[n] != inOff[n] {
+		panic("graph: DegreeOnly offsets disagree")
+	}
+	return &Graph{n: n, m: outOff[n], outOff: outOff, inOff: inOff}
+}
 
 // FromEdges builds a Graph with n vertices from a directed edge list.
 // Duplicate edges and self-loops are kept as supplied. Panics if an
@@ -119,6 +166,9 @@ func buildAdjacency(n int, edges []Edge, key func(Edge) (VID, VID)) ([]int64, []
 // Edges materialises the edge list in CSR order (sorted by source, then
 // destination). The result is freshly allocated.
 func (g *Graph) Edges() []Edge {
+	if g.outDst == nil {
+		noAdjacency("Edges")
+	}
 	out := make([]Edge, 0, g.m)
 	for v := 0; v < g.n; v++ {
 		for _, d := range g.OutNeighbors(VID(v)) {

@@ -8,13 +8,22 @@
 // on the same store. A shard resident for one in-flight query is free
 // for all others; eviction touches only shards no query is applying.
 //
+// A hosted store costs O(V), not O(E): opening one reads the manifest
+// and the store's per-vertex Meta (degrees and feeds-masks) and builds
+// a host over the Meta's degree-only graph — no edge is read and no CSR
+// is built. The served algorithms need only degrees; one that reads
+// adjacency through the session's graph is refused with
+// graph.ErrNoAdjacency, and the query fails.
+//
 // Stores are mutable: POST /v1/stores/{name}/updates applies a batch
 // of edge insertions and deletions (shard.Store.ApplyBatch) and
-// /compact folds pending deltas. A mutation reopens the directory at
-// its new generation and swaps the hosted engine; queries already in
-// flight keep their sessions over the previous generation — the store
-// layer never deletes a superseded generation's files — and queries
-// submitted after the swap see the new content.
+// /compact folds pending deltas. A mutation runs on a Store value
+// opened afresh from the directory and rehosts the store on that same
+// value at its new generation, so an update costs ApplyBatch plus
+// O(V); queries already in flight keep their sessions over the
+// previous generation — the store layer never deletes a superseded
+// generation's files — and queries submitted after the swap see the
+// new content.
 //
 // Results carry an FNV-1a digest of the raw value bits, so clients —
 // and the trace replayer in internal/bench — can assert bit-identity
@@ -110,21 +119,14 @@ func New(cfg Config) *Server {
 }
 
 // openHost opens dir at its current generation and builds a host over
-// it: topology rebuilt from the store itself (one sweep over base plus
-// deltas), so a store opens from its directory alone.
+// it from the directory alone, in O(V): the host's graph is the
+// degree-only graph of the store's Meta.
 func (s *Server) openHost(dir string) (*shard.Host, error) {
 	st, err := shard.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	edges := make([]graph.Edge, 0, st.NumEdges())
-	if err := st.Sweep(func(u, v graph.VID) {
-		edges = append(edges, graph.Edge{Src: u, Dst: v})
-	}); err != nil {
-		return nil, err
-	}
-	g := graph.FromEdges(st.NumVertices(), edges)
-	return shard.NewHost(st, g, s.cache, s.opts)
+	return shard.NewHost(st, nil, s.cache, s.opts)
 }
 
 // OpenStore opens the sharded store in dir under the given name and
@@ -220,7 +222,7 @@ func (s *Server) ApplyUpdates(name string, ins, del []graph.Edge) (*shard.BatchR
 	if err != nil {
 		return nil, fmt.Errorf("serve: update store %q: %w", name, err)
 	}
-	if err := s.rehost(hs); err != nil {
+	if err := s.rehost(hs, st); err != nil {
 		return nil, fmt.Errorf("serve: rehost store %q after update: %w", name, err)
 	}
 	return res, nil
@@ -248,19 +250,21 @@ func (s *Server) CompactStore(name string) (int64, error) {
 		return 0, fmt.Errorf("serve: compact store %q: %w", name, err)
 	}
 	if gen != before {
-		if err := s.rehost(hs); err != nil {
+		if err := s.rehost(hs, st); err != nil {
 			return 0, fmt.Errorf("serve: rehost store %q after compaction: %w", name, err)
 		}
 	}
 	return gen, nil
 }
 
-// rehost swaps hs's engine for one freshly opened at the directory's
-// current generation, then releases the old generation's unpinned
-// residents. Callers hold hs.upd; the pointer swap itself happens
+// rehost swaps hs's engine for one over st — the Store value the
+// caller's ApplyBatch or Compact just moved to the new generation, whose
+// Meta is already in memory, so the swap reads nothing and costs O(V) —
+// then releases the old generation's unpinned residents. Callers hold
+// hs.upd and never mutate st again; the pointer swap itself happens
 // under the registry lock, where every reader captures it.
-func (s *Server) rehost(hs *hostedStore) error {
-	host, err := s.openHost(hs.dir)
+func (s *Server) rehost(hs *hostedStore, st *shard.Store) error {
+	host, err := shard.NewHost(st, nil, s.cache, s.opts)
 	if err != nil {
 		return err
 	}
@@ -498,14 +502,22 @@ func toEdges(ws []wireEdge) []graph.Edge {
 	return out
 }
 
+// MaxBodyBytes caps every POST body the API reads: 16 MiB holds an
+// update batch of about 450 000 edges in the wire form. A longer body
+// is refused with 413 and code body_too_large.
+const MaxBodyBytes = 16 << 20
+
 // errStatus maps an error to its HTTP status and machine-readable
 // code. Typed validation failures from the shard layer — bad options,
 // bad batch edges — are client errors, as are malformed requests;
-// the sentinels map to 404/409.
+// the sentinels map to 404/409 and an oversized body to 413.
 func errStatus(err error) (int, string) {
 	var oe *shard.OptionsError
 	var be *shard.BatchError
+	var mbe *http.MaxBytesError
 	switch {
+	case errors.As(err, &mbe):
+		return http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, ErrStoreNotFound):
 		return http.StatusNotFound, "store_not_found"
 	case errors.Is(err, ErrQueryNotFound):
@@ -533,7 +545,8 @@ func errStatus(err error) (int, string) {
 //
 // Errors are a uniform envelope: {"error": {"code": "...", "message":
 // "..."}} with code one of store_not_found, query_not_found,
-// store_exists, invalid_argument.
+// store_exists, invalid_argument, body_too_large. Every POST body is
+// read through http.MaxBytesReader, capped at MaxBodyBytes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -637,7 +650,12 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -3,9 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -299,9 +303,11 @@ func TestServeUpdatesAndCompact(t *testing.T) {
 }
 
 // TestServeSessionConformance runs the api.System contract check over
-// a served session — the adapter the differential ladder drives.
+// a served session — the adapter the differential ladder drives. The
+// session's graph is degree-only, so the contract is checked against
+// the graph the store was written from.
 func TestServeSessionConformance(t *testing.T) {
-	dir, _ := writeStore(t, 8)
+	dir, g := writeStore(t, 8)
 	s := New(Config{Options: shard.Options{Threads: 4}})
 	if err := s.OpenStore("tiny", dir); err != nil {
 		t.Fatal(err)
@@ -310,8 +316,148 @@ func TestServeSessionConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := api.CheckSystem(sys); err != nil {
+	if err := api.CheckSystemAgainst(sys, g); err != nil {
 		t.Fatalf("served session violates the System contract: %v", err)
+	}
+}
+
+// TestServeSessionRefusesAdjacency: an algorithm that reads neighbour
+// lists through a served session's graph (triangle counting) is
+// refused with graph.ErrNoAdjacency — a typed panic the query path
+// turns into a failed query — and the same session still runs the
+// degree-only algorithms.
+func TestServeSessionRefusesAdjacency(t *testing.T) {
+	dir, g := writeStore(t, 8)
+	s := New(Config{Options: shard.Options{Threads: 2}})
+	if err := s.OpenStore("tiny", dir); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := s.Session("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, graph.ErrNoAdjacency) {
+				t.Fatalf("triangle count over a served session panicked with %v, want graph.ErrNoAdjacency", err)
+			}
+		}()
+		algorithms.TriangleCount(sys)
+		t.Fatal("triangle count ran over a degree-only session")
+	}()
+	solo, err := shard.Build(t.TempDir(), g, 8, shard.Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digestF64(algorithms.PR(sys, 10).Ranks), digestF64(algorithms.PR(solo, 10).Ranks); got != want {
+		t.Fatalf("PageRank after the refusal digests %s, solo engine %s", got, want)
+	}
+}
+
+// TestServeBodyTooLarge: a POST body longer than MaxBodyBytes is
+// refused with 413 and code body_too_large, over real HTTP, and the
+// store is left as it was.
+func TestServeBodyTooLarge(t *testing.T) {
+	dir, _ := writeStore(t, 8)
+	s := New(Config{Options: shard.Options{Threads: 2}})
+	if err := s.OpenStore("tiny", dir); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// A valid batch behind leading whitespace: the decoder must read the
+	// whole body to reach it, so the cap decides.
+	batch := `{"insert":[{"src":0,"dst":9}]}`
+	post := func(size int64) (*http.Response, errEnvelope) {
+		body := io.MultiReader(io.LimitReader(spaces{}, size-int64(len(batch))), strings.NewReader(batch))
+		resp, err := ts.Client().Post(ts.URL+"/v1/stores/tiny/updates", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env errEnvelope
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp, env
+	}
+	if resp, env := post(MaxBodyBytes + 1); resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != "body_too_large" {
+		t.Fatalf("body one byte over the cap: %s / %+v, want 413 body_too_large", resp.Status, env)
+	}
+	if st := s.Stats().Stores[0]; st.Generation != 0 {
+		t.Fatalf("refused body moved the store to generation %d", st.Generation)
+	}
+	if resp, env := post(MaxBodyBytes); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the cap: %s / %+v, want 200", resp.Status, env)
+	}
+	if st := s.Stats().Stores[0]; st.Generation != 1 {
+		t.Fatalf("accepted body left the store at generation %d, want 1", st.Generation)
+	}
+}
+
+// spaces is an endless JSON-whitespace reader.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestServeOpenAndRehostAllocOV is the O(V) regression test: two stores
+// with the same vertex count, one with 8× the edges of the other, cost
+// the same to open and to rehost after an update — within 10 % plus
+// 1 MiB of allocation — because neither reads an edge nor builds a CSR.
+func TestServeOpenAndRehostAllocOV(t *testing.T) {
+	const n = 1 << 14
+	allocs := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	measure := func(edges int64) (open, rehost uint64) {
+		dir := t.TempDir()
+		if _, err := shard.Create(dir, gen.ErdosRenyi(n, edges, 5), shard.WriteOptions{Partitions: 16}); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Options: shard.Options{Threads: 2}})
+		open = allocs(func() {
+			if err := s.OpenStore("s", dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// ApplyUpdates' steps, with its rehost measured alone.
+		st, err := shard.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := []graph.Edge{{Src: 1, Dst: 2}, {Src: n - 1, Dst: 0}}
+		if _, err := st.ApplyBatch(batch, batch[:1]); err != nil {
+			t.Fatal(err)
+		}
+		hs := s.stores["s"]
+		rehost = allocs(func() {
+			if err := s.rehost(hs, st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return open, rehost
+	}
+	open1, rehost1 := measure(4 * n)
+	open8, rehost8 := measure(32 * n)
+	t.Logf("open: %d B at 1x, %d B at 8x; rehost: %d B at 1x, %d B at 8x", open1, open8, rehost1, rehost8)
+	if open8 > open1+open1/10+1<<20 {
+		t.Fatalf("opening the 8x store allocated %d B against %d B at 1x: open is not O(V)", open8, open1)
+	}
+	if rehost8 > rehost1+rehost1/10+1<<20 {
+		t.Fatalf("rehosting the 8x store allocated %d B against %d B at 1x: rehost is not O(V)", rehost8, rehost1)
 	}
 }
 

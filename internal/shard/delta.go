@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -119,9 +120,9 @@ func (s *Store) DirtyShards(since int64) []int {
 // vertices; violations return *BatchError. An empty batch is a no-op
 // and does not bump the generation.
 //
-// Durability: one delta file per affected shard is written first
-// (temp+fsync+rename), the manifest swap commits last — a crash at
-// any point leaves the previous generation. On return the receiver
+// Durability: one delta file per affected shard and the generation's
+// Meta file are written first (temp+fsync+rename), the manifest swap
+// commits last — a crash at any point leaves the previous generation. On return the receiver
 // serves the new generation; engines built over the store earlier
 // keep their old in-memory view and must be rebuilt (EdgeMap panics
 // on the generation mismatch). ApplyBatch must not run concurrently
@@ -138,12 +139,18 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	if err := checkBatch("delete", del, n); err != nil {
 		return nil, err
 	}
-	// Summaries must exist before the swap: the new manifest persists
-	// exact summaries for affected shards and inherits the rest, and
-	// the dirty propagation below intersects against them.
+	// The dirty propagation below intersects against the pre-batch
+	// summaries. The per-vertex Meta is edited exactly, as a copy, from
+	// the per-shard decode below; the new summaries are transposed from
+	// the edited copy.
 	if _, err := s.SourceSummary(); err != nil {
 		return nil, err
 	}
+	meta, err := s.Meta()
+	if err != nil {
+		return nil, err
+	}
+	ed := newMetaEdit(meta)
 
 	// Group both sides by the destination's home shard, (dst,src)-
 	// sorted — the delta file order and the order the linear merge
@@ -199,23 +206,22 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		newM.Deltas[si] = append(refs, deltaRef{
 			File: name, Gen: gen, Ins: int64(len(bIns.src)), Del: int64(len(bDel.src)),
 		})
-		// Learn the exact new live count and source summary — what
+		// Learn the exact new live count and Meta edit — what
 		// loadShard's zip will reproduce — without materialising the
 		// merge: the tombstones filter the sorted base and the sorted
 		// inserts alike, in place (cur is this call's own decode, and
-		// the inserts are already on disk).
+		// the inserts are already on disk), counted before they go.
 		before := int64(len(cur.Src) + len(bIns.src))
+		lost := ed.remove(cur.Src, cur.Dst, bDel)
 		liveBase, _ := removeAllPairs(cur.Src, cur.Dst, bDel.src, bDel.dst)
-		liveIns, _ := removeAllPairs(bIns.src, bIns.dst, bDel.src, bDel.dst)
+		liveIns, liveInsDst := removeAllPairs(bIns.src, bIns.dst, bDel.src, bDel.dst)
+		ed.insert(si, liveIns, liveInsDst)
+		ed.dropLostFeeds(si, lost, liveBase, liveIns)
 		live := int64(len(liveBase) + len(liveIns))
 		res.Inserted += int64(len(bIns.src))
 		res.Deleted += before - live
 		newM.Edges += live - newM.EdgeCounts[si]
 		newM.EdgeCounts[si] = live
-		sum := make([]uint64, summaryWords(p))
-		addSources(sum, s.m.Bounds, liveBase)
-		addSources(sum, s.m.Bounds, liveIns)
-		newM.SrcSummary[si] = sum
 		contentDirty[si] = true
 	}
 
@@ -237,11 +243,142 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	}
 
 	newM.Generation = gen
+	newM.Meta = metaFileName(gen)
+	newMeta := ed.finish()
+	newM.SrcSummary = newMeta.sourceSummaries(s.m.Bounds)
+	if err := writeMetaFile(s.dir, newM.Meta, newMeta, p); err != nil {
+		return nil, err
+	}
 	if err := writeManifest(s.dir, newM); err != nil {
 		return nil, err
 	}
-	s.m = newM
+	s.m, s.meta = newM, newMeta
 	return res, nil
+}
+
+// metaEdit is one batch's exact edit of a Meta, made on copies so the
+// previous generation's Meta stays intact: degree deltas per vertex,
+// and the feeds-masks with bits set for live inserts and cleared where
+// the batch deleted a source's last edge into a shard.
+type metaEdit struct {
+	base    *Meta
+	feeds   []uint64
+	out, in map[graph.VID]int64
+	cand    []uint64 // scratch bitmap over V for dropLostFeeds, all clear between calls
+}
+
+func newMetaEdit(base *Meta) *metaEdit {
+	return &metaEdit{
+		base:  base,
+		feeds: slices.Clone(base.feeds),
+		out:   make(map[graph.VID]int64),
+		in:    make(map[graph.VID]int64),
+	}
+}
+
+// remove subtracts, from the degrees, the live copies in one shard's
+// (dst,src)-sorted edges that the shard's sorted, deduplicated
+// tombstones delete, before the edges are filtered. It returns the
+// sources that lost an edge there.
+func (ed *metaEdit) remove(aS, aD []graph.VID, del pairList) (lost []graph.VID) {
+	i := 0
+	for j, u := range del.src {
+		v := del.dst[j]
+		p := seekPair(aS, aD, i, v, u)
+		for i = p; i < len(aS) && aD[i] == v && aS[i] == u; i++ {
+		}
+		if c := int64(i - p); c > 0 {
+			ed.out[u] -= c
+			ed.in[v] -= c
+			lost = append(lost, u)
+		}
+	}
+	return lost
+}
+
+// insert adds shard si's surviving inserts to the degrees and sets si
+// in their sources' masks.
+func (ed *metaEdit) insert(si int, src, dst []graph.VID) {
+	w, bit := si/64, uint64(1)<<(si%64)
+	for k, u := range src {
+		ed.out[u]++
+		ed.in[dst[k]]++
+		ed.feeds[int(u)*ed.base.words+w] |= bit
+	}
+}
+
+// dropLostFeeds clears si from the mask of every lost source that no
+// longer has a live edge into shard si, which it finds with one pass
+// over the shard's live sources that stops once every candidate is
+// accounted for.
+func (ed *metaEdit) dropLostFeeds(si int, lost []graph.VID, live ...[]graph.VID) {
+	if len(lost) == 0 {
+		return
+	}
+	if ed.cand == nil {
+		ed.cand = make([]uint64, (ed.base.NumVertices()+63)/64)
+	}
+	cand, left := ed.cand, 0
+	for _, u := range lost {
+		if w, b := u>>6, uint64(1)<<(u&63); cand[w]&b == 0 {
+			cand[w] |= b
+			left++
+		}
+	}
+	for _, srcs := range live {
+		for k := 0; k < len(srcs) && left > 0; k++ {
+			if u := srcs[k]; cand[u>>6]&(1<<(u&63)) != 0 {
+				cand[u>>6] &^= 1 << (u & 63)
+				left--
+			}
+		}
+	}
+	w, bit := si/64, uint64(1)<<(si%64)
+	for _, u := range lost {
+		if cand[u>>6]&(1<<(u&63)) != 0 {
+			cand[u>>6] &^= 1 << (u & 63)
+			ed.feeds[int(u)*ed.base.words+w] &^= bit
+		}
+	}
+}
+
+// finish returns the edited Meta.
+func (ed *metaEdit) finish() *Meta {
+	return &Meta{
+		words:  ed.base.words,
+		outOff: shiftOffsets(ed.base.outOff, ed.out),
+		inOff:  shiftOffsets(ed.base.inOff, ed.in),
+		feeds:  ed.feeds,
+	}
+}
+
+// shiftOffsets returns the prefix sums off with each vertex v's degree
+// moved by delta[v], in one pass; off itself when nothing moved.
+func shiftOffsets(off []int64, delta map[graph.VID]int64) []int64 {
+	if len(delta) == 0 {
+		return off
+	}
+	vs := make([]graph.VID, 0, len(delta))
+	for v := range delta {
+		vs = append(vs, v)
+	}
+	slices.Sort(vs)
+	out := make([]int64, len(off))
+	var shift int64
+	from := 0
+	for _, v := range vs {
+		// Offsets up to v's start carry the shift so far; v's own
+		// delta moves every offset after it.
+		for i := from; i <= int(v); i++ {
+			out[i] = off[i] + shift
+		}
+		shift += delta[v]
+		from = int(v) + 1
+	}
+	for i := from; i < len(off); i++ {
+		out[i] = off[i] + shift
+	}
+	return out
 }
 
 // checkBatch validates one side of a batch against the vertex count.

@@ -103,21 +103,19 @@ type Stats struct {
 // Engine runs the engine-neutral algorithm API out of core: it
 // implements api.System on top of a Store, so every algorithm in
 // internal/algorithms executes unmodified while edge data streams from
-// disk. Dense and medium sweeps touch only per-vertex state (frontier
-// bitmaps, the CSR degree index for frontier statistics, the
-// source-range summaries) plus the resident shards. Sparse sweeps
-// additionally walk the in-memory out-neighbour lists of just the
-// active vertices — O(frontier work) — to plan the exact shard set and
-// bucket each active source into the shards it feeds; when every
-// planned shard is resident, the sweep runs inline and applies each
-// shard by looking its bucketed sources up in the shard's source index
-// (sparse.go), so it costs O(active edges) and starts no goroutine. The
-// Graph handle is therefore load-bearing: the api.System contract
-// exposes it for algorithm-side metadata, and the sparse planner reads
-// its adjacency. A deployment that drops the in-memory adjacency would
-// substitute per-vertex shard metadata in planSparse; the edge
-// *application* never reads it — it reads resident shards and their
-// indexes only.
+// disk. Every sweep touches only per-vertex state plus the resident
+// shards: frontier bitmaps, the degrees for frontier statistics, the
+// source-range summaries that prune dense plans, and the store's
+// per-vertex Meta, whose feeds-masks let a sparse plan bucket each
+// active source into the shards it feeds — O(|F|) work, no out-list
+// read. When every planned shard is resident, the sweep runs inline
+// and applies each shard by looking its bucketed sources up in the
+// shard's source index (sparse.go), so it costs O(active edges) and
+// starts no goroutine. No sweep reads the Graph's adjacency: the
+// api.System contract exposes the Graph for algorithm-side metadata,
+// and a host built without one (NewHost with a nil graph) serves a
+// degree-only Graph from the Meta, whose adjacency accessors refuse
+// with graph.ErrNoAdjacency.
 //
 // Writes are partition-exclusive end to end: a shard holds all in-edges
 // of its 64-aligned destination range, and each resident shard is cut
@@ -190,11 +188,12 @@ var _ api.System = (*Engine)(nil)
 
 // hostCore is the store-derived immutable substrate one construction
 // pays for and every session of a Host shares: the resolved options,
-// the worker pool, the vertex→shard map, the source summaries and the
-// largest shard's decoded size.
+// the worker pool, the vertex→shard map, the source summaries, the
+// per-vertex Meta and the largest shard's decoded size.
 type hostCore struct {
 	st   *Store
 	g    *graph.Graph
+	meta *Meta // the store's per-vertex Meta: the sparse planner's feeds-masks
 	opts Options
 	pool *sched.Pool
 	// gen is the store generation the core was built over. The graph
@@ -214,15 +213,24 @@ type hostCore struct {
 }
 
 // newHostCore validates (st, g, opts) and builds the shared substrate —
-// the construction half of the construction/execution split.
+// the construction half of the construction/execution split. A nil g
+// selects the degree-only graph of the store's Meta, so the whole
+// construction is O(V + P²) and reads no edge.
 func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
-	if st.NumVertices() != g.NumVertices() || st.NumEdges() != g.NumEdges() {
-		return nil, fmt.Errorf("shard: store is %dv/%de but graph is %dv/%de",
-			st.NumVertices(), st.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
+	}
+	meta, err := st.Meta()
+	if err != nil {
+		return nil, err
+	}
+	if g == nil {
+		g = meta.Graph()
+	}
+	if st.NumVertices() != g.NumVertices() || st.NumEdges() != g.NumEdges() {
+		return nil, fmt.Errorf("shard: store is %dv/%de but graph is %dv/%de",
+			st.NumVertices(), st.NumEdges(), g.NumVertices(), g.NumEdges())
 	}
 	feeds, err := st.SourceSummary()
 	if err != nil {
@@ -231,6 +239,7 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 	c := &hostCore{
 		st:    st,
 		g:     g,
+		meta:  meta,
 		opts:  opts,
 		pool:  sched.NewPool(opts.Threads),
 		gen:   st.Generation(),
@@ -254,10 +263,11 @@ func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
 
 // NewEngine builds the out-of-core engine for an opened store: the one
 // session of a new Host over a SharedCache of its own at
-// DefaultCacheBytes. g must be the graph the store was written from
-// (its per-vertex metadata — not its adjacency — backs the api.System
-// contract); mismatched dimensions are rejected. Callers that want a
-// specific budget, or N concurrent queries over one store, use NewHost.
+// DefaultCacheBytes. g is the graph the store was written from (the
+// api.System contract hands it to algorithms that read adjacency;
+// mismatched dimensions are rejected), or nil for the degree-only graph
+// of the store's Meta. Callers that want a specific budget, or N
+// concurrent queries over one store, use NewHost.
 func NewEngine(st *Store, g *graph.Graph, opts Options) (*Engine, error) {
 	h, err := NewHost(st, g, nil, opts)
 	if err != nil {

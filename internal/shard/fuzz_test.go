@@ -212,6 +212,85 @@ func FuzzDeltaShard(f *testing.F) {
 	})
 }
 
+// FuzzMeta feeds arbitrary bytes to the per-vertex Meta decoder over
+// a fixed manifest (Chain(256) in four shards). Each input is decoded
+// as given and again with a valid checksum appended, so the fuzzer
+// reaches the structural checks behind the CRC. An accepted Meta must
+// hold every invariant the planner and the degree queries lean on.
+func FuzzMeta(f *testing.F) {
+	for _, seed := range metaSeeds() {
+		f.Add(seed)
+	}
+	mf := metaSeedManifest()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, img := range [][]byte{data, reseal(data)} {
+			m, err := decodeMeta(img, "fuzz", &mf)
+			if err != nil {
+				continue
+			}
+			if m.NumVertices() != mf.Vertices || m.outOff[mf.Vertices] != mf.Edges || m.inOff[mf.Vertices] != mf.Edges {
+				t.Fatalf("accepted a Meta of %d vertices / %d out / %d in edges", m.NumVertices(), m.outOff[mf.Vertices], m.inOff[mf.Vertices])
+			}
+			for v := graph.VID(0); int(v) < mf.Vertices; v++ {
+				if m.OutDegree(v) < 0 || m.InDegree(v) < 0 {
+					t.Fatalf("accepted a negative degree at vertex %d", v)
+				}
+				if feeds := m.Feeds(v); feeds[0]>>mf.Shards != 0 || (feeds[0] == 0) != (m.OutDegree(v) == 0) {
+					t.Fatalf("accepted vertex %d feeding %b with out-degree %d", v, feeds[0], m.OutDegree(v))
+				}
+			}
+		}
+	})
+}
+
+// metaSeedManifest is the manifest of Chain(256) in four shards, built
+// in a scratch directory.
+func metaSeedManifest() manifest {
+	dir, err := os.MkdirTemp("", "shard-fuzz-meta-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := Create(dir, gen.Chain(256), WriteOptions{Partitions: 4})
+	if err != nil {
+		panic(err)
+	}
+	return st.m
+}
+
+// metaSeeds returns the Meta corpus: the fixture's valid file, plus
+// truncations, a flipped byte and re-sealed structural corruptions.
+func metaSeeds() [][]byte {
+	mf := metaSeedManifest()
+	m := &Meta{words: 1, outOff: make([]int64, 257), inOff: make([]int64, 257), feeds: make([]uint64, 256)}
+	for v := 0; v < 256; v++ {
+		m.outOff[v+1], m.inOff[v+1] = int64(min(v+1, 255)), int64(v)
+		if v < 255 {
+			m.feeds[v] = 1 << ((v + 1) / 64)
+		}
+	}
+	valid := encodeMeta(m, mf.Shards)
+	if _, err := decodeMeta(valid, "seed", &mf); err != nil {
+		panic(err)
+	}
+	body := valid[:len(valid)-4]
+	flipped := slices.Clone(valid)
+	flipped[len(flipped)/2] ^= 1
+	bits := slices.Clone(body)
+	bits[len(bits)-2] = 0x7f // a mask word with bits past P
+	return [][]byte{
+		valid,
+		valid[:len(valid)-1],
+		valid[:8],
+		flipped,
+		reseal(body[:len(body)/2]),
+		reseal(append(slices.Clone(body), 0)),
+		reseal(bits),
+		reseal(metaMagic[:]),
+		{},
+	}
+}
+
 // checkDecodedInvariants asserts what acceptance by either decoder
 // means: the declared edge count was honoured and every edge satisfies
 // the invariants the engine's partition-exclusive apply assumes.
@@ -531,4 +610,5 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	}
 	write("FuzzShardFileV3", v3Seeds)
 	write("FuzzDeltaShard", deltaShardSeeds())
+	write("FuzzMeta", metaSeeds())
 }

@@ -33,11 +33,16 @@ type Host struct {
 	readMu sync.Mutex
 }
 
-// NewHost opens the store's shared substrate. cache is the memory
+// NewHost opens the store's shared substrate. g is the graph the store
+// was written from, or nil to serve the degree-only graph of the
+// store's per-vertex Meta: then construction reads no edge and costs
+// O(V + P²), and an algorithm that reads adjacency through a session's
+// graph is refused with graph.ErrNoAdjacency. cache is the memory
 // budget, in bytes, the host's sessions fetch through — pass the same
 // value to every Host of a daemon so all stores share one budget; nil
 // builds a SharedCache of the host's own at DefaultCacheBytes. Every
-// session inherits the resolved opts.
+// session inherits the resolved opts. A corrupt Meta file is a
+// *MetaError.
 func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host, error) {
 	core, err := newHostCore(st, g, opts)
 	if err != nil {
@@ -79,7 +84,9 @@ func (h *Host) NewSession() *Engine {
 // Store returns the hosted store.
 func (h *Host) Store() *Store { return h.core.st }
 
-// Graph returns the graph the store was written from.
+// Graph returns the graph NewHost was given, or — for a host built
+// without one — the degree-only graph of the store's Meta: |V|, |E| and
+// degrees, no adjacency (graph.ErrNoAdjacency).
 func (h *Host) Graph() *graph.Graph { return h.core.g }
 
 // Options returns the resolved options every session inherits.

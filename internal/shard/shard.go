@@ -17,6 +17,10 @@
 // agreement, varint ranges) before anything is allocated or trusted, so
 // corrupt or hostile directories surface as errors, never panics.
 //
+// Beside the manifest, a store persists its per-vertex Meta (meta.go):
+// out- and in-degrees and, per vertex, the mask of shards it feeds. It
+// is O(V), so a store opens and serves from it without reading an edge.
+//
 // Engine builds a full api.System on top of the Store, so every
 // algorithm written against the engine-neutral API runs unmodified out
 // of core. A sparse EdgeMap whose planned shards are all resident runs
@@ -24,10 +28,11 @@
 // sources' edges through a cache-priced source index (sparse.go); every
 // other EdgeMap is a pipelined sweep in four stages:
 //
-//	plan     — pick the shard set, in ascending shard order: exact (walk
-//	           only the active vertices' out-lists, bucketing each
-//	           active source into the shards it feeds) for sparse
-//	           frontiers, source-range summary pruning for dense ones;
+//	plan     — pick the shard set, in ascending shard order: exact for
+//	           sparse frontiers (bucket each active source into the
+//	           shards its feeds-mask names, from the per-vertex Meta —
+//	           no out-list is read), source-range summary pruning for
+//	           dense ones;
 //	stage    — a dedicated staging goroutine walks the plan in order,
 //	           keeping up to 2×Threads shards staged ahead while earlier
 //	           shards are being applied: cached shards are pinned in
@@ -73,9 +78,9 @@ type manifest struct {
 	// set iff shard i contains an edge whose source lies in range j. The
 	// engine's frontier-aware sweep intersects it with the frontier's
 	// active ranges to skip shards. Optional: stores written before the
-	// field existed compute it lazily with one streaming pass. For
+	// field existed derive it lazily from the per-vertex Meta. For
 	// mutated stores it describes the live (merged) content exactly —
-	// ApplyBatch recomputes and persists it per affected shard.
+	// ApplyBatch transposes it from the edited Meta's feeds-masks.
 	SrcSummary [][]uint64 `json:"src_summary,omitempty"`
 
 	// The log-structured delta layer (delta.go, compact.go). All five
@@ -98,6 +103,11 @@ type manifest struct {
 	BaseEdgeCounts []int64      `json:"base_edge_counts,omitempty"`
 	Deltas         [][]deltaRef `json:"deltas,omitempty"`
 	DirtyGen       []int64      `json:"dirty_gen,omitempty"`
+
+	// Meta names the per-vertex metadata file (meta.go) describing this
+	// generation's live content. Optional: stores written before the
+	// file existed measure it with one streaming pass (Store.Meta).
+	Meta string `json:"meta,omitempty"`
 }
 
 // Store is an opened sharded graph directory.
@@ -105,6 +115,7 @@ type Store struct {
 	dir    string
 	format Format
 	m      manifest
+	meta   *Meta // loaded or measured on first use (Store.Meta)
 }
 
 // DefaultPartitions is the shard count Create selects when
@@ -159,12 +170,15 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 		Edges:    g.NumEdges(),
 		Shards:   pt.P,
 		Bounds:   pt.Bounds,
+		Meta:     metaFileName(0),
 	}
+	meta := newMetaFromParts(g, pcoo.Parts)
+	if err := writeMetaFile(dir, m.Meta, meta, pt.P); err != nil {
+		return nil, err
+	}
+	m.SrcSummary = meta.sourceSummaries(pt.Bounds)
 	for i, part := range pcoo.Parts {
 		m.EdgeCounts = append(m.EdgeCounts, part.NumEdges())
-		summary := make([]uint64, summaryWords(pt.P))
-		addSources(summary, pt.Bounds, part.Src)
-		m.SrcSummary = append(m.SrcSummary, summary)
 		if wo.Format != FormatV1 { // v1 keeps the partitioner's CSR order
 			part = sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])
 		}
@@ -181,7 +195,7 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, format: wo.Format, m: m}, nil
+	return &Store{dir: dir, format: wo.Format, m: m, meta: meta}, nil
 }
 
 // Open loads an existing sharded graph directory.
@@ -243,6 +257,9 @@ func Open(dir string) (*Store, error) {
 	}
 	if err := validateDeltaLayer(&m); err != nil {
 		return nil, err
+	}
+	if m.Meta != "" && !validStoreFileName(m.Meta) {
+		return nil, &MetaError{m.Meta, "not a plain file name inside the store directory"}
 	}
 	return &Store{dir: dir, format: format, m: m}, nil
 }
@@ -358,39 +375,19 @@ func summaryWords(p int) int { return (p + 63) / 64 }
 
 // SourceSummary returns, per shard, the bitset of destination ranges
 // that contain at least one of the shard's edge sources. Stores written
-// by this version persist it in the manifest; older directories are
-// summarised with one streaming pass, cached for the Store's lifetime.
+// by this version persist it in the manifest; older directories derive
+// it from the per-vertex Meta (Store.Meta: one streaming pass when the
+// store predates that too), cached for the Store's lifetime.
 func (s *Store) SourceSummary() ([][]uint64, error) {
 	if s.m.SrcSummary != nil {
 		return s.m.SrcSummary, nil
 	}
-	summary := make([][]uint64, s.m.Shards)
-	for i := range summary {
-		summary[i] = make([]uint64, summaryWords(s.m.Shards))
-		c, err := s.LoadShard(i)
-		if err != nil {
-			return nil, err
-		}
-		addSources(summary[i], s.m.Bounds, c.Src)
+	meta, err := s.Meta()
+	if err != nil {
+		return nil, err
 	}
-	s.m.SrcSummary = summary
-	return summary, nil
-}
-
-// addSources sets, in the source-range summary sum, the bit of every
-// destination range of bounds that holds one of srcs. The O(log P)
-// range lookup is paid only when a source leaves the previous source's
-// range, which sorted runs of sources seldom do.
-func addSources(sum []uint64, bounds, srcs []graph.VID) {
-	pt := partition.Partitioning{P: len(bounds) - 1, Bounds: bounds}
-	var lo, hi graph.VID
-	for _, u := range srcs {
-		if u < lo || u >= hi {
-			j := pt.Home(u)
-			lo, hi = pt.Range(j)
-			sum[j/64] |= 1 << (j % 64)
-		}
-	}
+	s.m.SrcSummary = meta.sourceSummaries(s.m.Bounds)
+	return s.m.SrcSummary, nil
 }
 
 // LoadShard reads shard i's edges from disk, validating that every
@@ -461,12 +458,4 @@ func (s *Store) Sweep(fn func(u, v graph.VID)) error {
 
 func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.bin", i))
-}
-
-// OutDegrees extracts the per-vertex out-degree from the shards in one
-// pass (needed when the in-memory graph is gone).
-func (s *Store) OutDegrees() ([]int64, error) {
-	deg := make([]int64, s.NumVertices())
-	err := s.Sweep(func(u, _ graph.VID) { deg[u]++ })
-	return deg, err
 }

@@ -133,23 +133,6 @@ func TestShardDestinationsInRange(t *testing.T) {
 	}
 }
 
-func TestOutDegreesMatchGraph(t *testing.T) {
-	g := gen.TinySocial()
-	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, err := st.OutDegrees()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if deg[v] != g.OutDegree(graph.VID(v)) {
-			t.Fatalf("out-degree[%d] = %d, want %d", v, deg[v], g.OutDegree(graph.VID(v)))
-		}
-	}
-}
-
 // TestStoreFailurePaths: every way a shard directory can be wrong must
 // surface as an error — never a panic, never silently wrong data. The
 // format-agnostic cases run against stores written in every on-disk

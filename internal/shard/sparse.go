@@ -77,12 +77,12 @@ func newSourceIndex(src []graph.VID) *sourceIndex {
 }
 
 // planSparse computes the exact set of shards holding at least one edge
-// from an active source, by walking the in-memory CSR adjacency of only
-// the active vertices — O(|F| + Σ out-deg) work, the same bound that
-// made the frontier sparse. Shards outside the set are never fetched.
-// The walk also buckets each active source, once, into every planned
-// shard its out-edges land in (e.buckets), in ascending order, which is
-// what the inline sweep looks up.
+// from an active source by reading only the active vertices'
+// feeds-masks in the store's Meta — O(|F| + Σ planned buckets) work,
+// no out-list read, and the same set the sources' out-edges land in.
+// Shards outside the set are never fetched. It also buckets each
+// active source, once, into every planned shard it feeds (e.buckets),
+// in ascending order, which is what the inline sweep looks up.
 func (e *Engine) planSparse(f *frontier.Frontier) []int {
 	if e.buckets == nil {
 		e.buckets = make([][]graph.VID, e.st.NumShards())
@@ -96,11 +96,12 @@ func (e *Engine) planSparse(f *frontier.Frontier) []int {
 		active = slices.Clone(active)
 		slices.Sort(active)
 	}
+	words, feeds := e.meta.words, e.meta.feeds
 	for _, u := range active {
-		for _, v := range e.g.OutNeighbors(u) {
-			s := e.shardOf(v)
-			if l := b[s]; len(l) == 0 || l[len(l)-1] != u {
-				b[s] = append(l, u)
+		for w, mask := range feeds[int(u)*words : int(u+1)*words] {
+			for ; mask != 0; mask &= mask - 1 {
+				s := 64*w + bits.TrailingZeros64(mask)
+				b[s] = append(b[s], u)
 			}
 		}
 	}
