@@ -83,12 +83,7 @@ func main() {
 	// PageRank matches the in-memory engine exactly.
 	oocPR := algorithms.PR(ooc, 10).Ranks
 	inMem := repro.PageRank(repro.NewEngine(g, repro.Options{}), 10)
-	var maxDiff float64
-	for v := range oocPR {
-		if d := math.Abs(oocPR[v] - inMem[v]); d > maxDiff {
-			maxDiff = d
-		}
-	}
+	maxDiff := maxAbsDiff(oocPR, inMem)
 	st := ooc.Stats()
 	fmt.Printf("PageRank (10 dense sweeps, streaming): max diff vs in-memory %.2e, %d disk loads\n",
 		maxDiff, st.ShardLoads)
@@ -129,26 +124,16 @@ func main() {
 	fmt.Printf("PageRank with a store-sized cache: %d disk loads, %d cache hits\n",
 		cst.ShardLoads, cst.CacheHits)
 
-	// 4. The store is mutable, log-structured-ly:	// 6. The store is mutable, log-structured-ly: ApplyBatch validates
+	// 4. The store is mutable, log-structured-ly: ApplyBatch validates
 	// the batch, appends one delta shard per affected base shard
 	// (inserts plus tombstones — a tombstone removes every copy of its
 	// edge) and swings the manifest to a new generation; untouched
 	// shards are not rewritten and live files are never modified.
 	// Engines are pinned to the generation they were built over, so
 	// mutate, reopen, rebuild — the serve daemon does exactly this.
-	// First converge PageRank on the current store: the pre-batch fixed
-	// point the incremental solver will start from. (IncrementalPR's
-	// strictly local kernel skips the dangling-mass redistribution of
-	// algorithms.PR, so its fixed point is compared against itself.)
-	const tol = 1e-12
-	baseFP, err := cached.IncrementalPR(nil, nil, tol, 500)
-	if err != nil {
-		panic(err)
-	}
 	hub := g.Edges()[0]
-	res, err := ooc.Store().ApplyBatch(
-		[]graph.Edge{{Src: hub.Dst, Dst: hub.Src}, {Src: hub.Src, Dst: hub.Src + 1}},
-		[]graph.Edge{hub})
+	ins := []graph.Edge{{Src: hub.Dst, Dst: hub.Src}, {Src: hub.Src, Dst: hub.Src + 1}}
+	res, err := ooc.Store().ApplyBatch(ins, []graph.Edge{hub})
 	if err != nil {
 		panic(err)
 	}
@@ -157,44 +142,26 @@ func main() {
 
 	// Reopen at the new generation; sweeps now merge base + deltas in
 	// the same per-destination order a rebuilt store would have. PageRank
-	// needs degrees only, so the engines serve the degree-only graph of
+	// needs degrees only, so the engine serves the degree-only graph of
 	// the store's per-vertex Meta (a nil graph): no edge is read to host.
+	// Its ranks match the in-memory engine over the mutated edge list.
 	mst, err := shard.Open(dir)
 	if err != nil {
 		panic(err)
 	}
-	inc := engineOver(mst, nil, 2*decoded, shard.Options{})
-	full := engineOver(mst, nil, 2*decoded, shard.Options{})
-	// Re-converge two ways: incrementally — seeded with the pre-batch
-	// ranks and the batch's dirty shards, sweeping only where the fixed
-	// point actually moved — and from scratch. Same answer, strictly
-	// fewer shard visits. (On this well-connected graph the batch's
-	// influence eventually reaches every shard, so the saving shows up
-	// in visits — sweeps × shards actually swept — rather than distinct
-	// shards loaded; a batch confined to one region of a partitioned
-	// store saves loads too, which is what the bench update ablation
-	// measures.)
-	incFP, err := inc.IncrementalPR(baseFP.Ranks, res.Dirty, tol, 500)
-	if err != nil {
-		panic(err)
-	}
-	fullFP, err := full.IncrementalPR(nil, nil, tol, 500)
-	if err != nil {
-		panic(err)
-	}
-	var incDiff float64
-	for v := range fullFP.Ranks {
-		if d := math.Abs(incFP.Ranks[v] - fullFP.Ranks[v]); d > incDiff {
-			incDiff = d
+	mutated := append([]graph.Edge(nil), ins...)
+	for _, e := range g.Edges() {
+		if e != hub {
+			mutated = append(mutated, e)
 		}
 	}
-	fmt.Printf("incremental re-convergence: %d shard loads, %d visits vs full re-run's %d loads, %d visits; max rank diff %.2e\n",
-		inc.Stats().ShardLoads, incFP.ShardVisits, full.Stats().ShardLoads, fullFP.ShardVisits, incDiff)
-	if incDiff > 1e-9 {
-		panic("incremental re-convergence diverged from the full re-run")
-	}
-	if incFP.ShardVisits >= fullFP.ShardVisits {
-		panic("incremental re-convergence did not save shard visits")
+	mg := graph.FromEdges(g.NumVertices(), mutated)
+	mPR := algorithms.PR(engineOver(mst, nil, 2*decoded, shard.Options{}), 10).Ranks
+	mMem := repro.PageRank(repro.NewEngine(mg, repro.Options{}), 10)
+	mDiff := maxAbsDiff(mPR, mMem)
+	fmt.Printf("PageRank on the reopened store (%d edges): max diff vs in-memory %.2e\n", mst.NumEdges(), mDiff)
+	if mst.NumEdges() != mg.NumEdges() || mDiff > 1e-9 {
+		panic("mutated store diverges from the in-memory engine")
 	}
 
 	// Compaction folds the deltas into fresh generation-suffixed base
@@ -212,6 +179,15 @@ func main() {
 		gen, cst2.NumEdges(), cst2.PendingDeltas())
 
 	fmt.Println("out-of-core engine matches the in-memory engine ✓")
+}
+
+// maxAbsDiff returns the largest |a[v] - b[v]|.
+func maxAbsDiff(a, b []float64) float64 {
+	var m float64
+	for v := range a {
+		m = max(m, math.Abs(a[v]-b[v]))
+	}
+	return m
 }
 
 // minDegreeVertex returns the vertex with the smallest nonzero

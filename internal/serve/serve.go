@@ -3,9 +3,8 @@
 // refcounted shard LRU, serving concurrent queries over HTTP/JSON.
 // Opening a store builds a shard.Host (the construction half of the
 // engine); each submitted query stamps out a session (the execution
-// half) with its own vertex-state arrays while sharing the cache, the
-// I/O budget and the co-scheduling pass board with every other query
-// on the same store. A shard resident for one in-flight query is free
+// half) with its own vertex-state arrays while sharing the cache and
+// the I/O budget with every other query on the same store. A shard resident for one in-flight query is free
 // for all others; eviction touches only shards no query is applying.
 //
 // A hosted store costs O(V), not O(E): opening one reads the manifest
@@ -25,10 +24,10 @@
 // generation's files — and queries submitted after the swap see the
 // new content.
 //
-// Results carry an FNV-1a digest of the raw value bits, so clients —
-// and the trace replayer in internal/bench — can assert bit-identity
-// between served, co-scheduled runs and solo runs without shipping
-// whole vertex arrays; passing "values": true returns the arrays too.
+// Results carry an FNV-1a digest of the raw value bits, so clients can
+// assert bit-identity between concurrently served runs and solo runs
+// without shipping whole vertex arrays; passing "values": true returns
+// the arrays too.
 package serve
 
 import (
@@ -481,8 +480,8 @@ func (s *Server) Stats() statsInfo {
 	return out
 }
 
-// Cache exposes the daemon-wide shared cache (tests and the bench
-// replayer read its counters).
+// Cache exposes the daemon-wide shared cache (tests read its
+// counters).
 func (s *Server) Cache() *shard.SharedCache { return s.cache }
 
 // wireEdge is the JSON form of one edge in an updates request.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -534,7 +533,7 @@ func TestServedConcurrentPRBFS(t *testing.T) {
 		t.Fatalf("concurrent PR+BFS performed %d loads, want strictly fewer than the solo sum %d (%d + %d)",
 			concurrent, soloLoads, prLoads, bfsLoads)
 	}
-	fmt.Printf("served PR+BFS: concurrent loads %d vs solo sum %d\n", concurrent, soloLoads)
+	t.Logf("served PR+BFS: concurrent loads %d vs solo sum %d", concurrent, soloLoads)
 }
 
 // TestRehostReleasesCachedShards is the residency-lifecycle regression

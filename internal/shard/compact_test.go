@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -138,7 +140,6 @@ func TestManifestRejectsBadDeltaLayer(t *testing.T) {
 		{"BaseFilesShort", func(m *manifest) { m.BaseFiles = m.BaseFiles[:1] }},
 		{"BaseEdgeCountsShort", func(m *manifest) { m.BaseEdgeCounts = m.BaseEdgeCounts[:1] }},
 		{"DeltasShort", func(m *manifest) { m.Deltas = m.Deltas[:1] }},
-		{"DirtyGenShort", func(m *manifest) { m.DirtyGen = m.DirtyGen[:1] }},
 		{"BaseFileEscapesDir", func(m *manifest) { m.BaseFiles[0] = "../evil.bin" }},
 		{"BaseFileEmpty", func(m *manifest) { m.BaseFiles[0] = "" }},
 		{"DeltaFileEscapesDir", func(m *manifest) { m.Deltas[0][0].File = "/etc/passwd" }},
@@ -146,15 +147,13 @@ func TestManifestRejectsBadDeltaLayer(t *testing.T) {
 		{"DeltaGenNotIncreasing", func(m *manifest) { m.Deltas[0][0].Gen = 0 }},
 		{"DeltaCountNegative", func(m *manifest) { m.Deltas[0][0].Ins = -1 }},
 		{"DeltaCountHuge", func(m *manifest) { m.Deltas[0][0].Del = 1 << 62 }},
-		{"DirtyGenBeyondManifest", func(m *manifest) { m.DirtyGen[0] = m.Generation + 1 }},
-		{"DirtyGenNegative", func(m *manifest) { m.DirtyGen[0] = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, _ := mutatedFixture(t)
 			// Materialize every optional field so edits have something
-			// to corrupt: compact-then-mutate yields BaseFiles, Deltas
-			// and DirtyGen all non-nil.
+			// to corrupt: compact-then-mutate yields BaseFiles and
+			// Deltas both non-nil.
 			st, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -174,5 +173,50 @@ func TestManifestRejectsBadDeltaLayer(t *testing.T) {
 				t.Fatal("Open accepted a manifest with a corrupt delta layer")
 			}
 		})
+	}
+}
+
+// TestApplyBatchDropsLegacyDirtyGen: stores written by earlier versions
+// carry a per-shard "dirty_gen" array in their manifest. Such a store
+// must still open and sweep the same edges, and the next batch's
+// manifest swap must leave the array behind.
+func TestApplyBatchDropsLegacyDirtyGen(t *testing.T) {
+	dir, want := mutatedFixture(t)
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := perDest(t, st)
+	editManifest(t, dir, func(m map[string]any) {
+		gen := st.Generation()
+		dirty := make([]any, st.NumShards())
+		for i := range dirty {
+			dirty[i] = gen * int64(i%2)
+		}
+		m["dirty_gen"] = dirty
+	})
+	legacy, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open refused a manifest carrying dirty_gen: %v", err)
+	}
+	if !reflect.DeepEqual(perDest(t, legacy), before) {
+		t.Fatal("a manifest carrying dirty_gen sweeps different edges")
+	}
+	ins := []graph.Edge{{Src: 2, Dst: 5}}
+	if _, err := legacy.ApplyBatch(ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	want.apply(ins, nil)
+	checkEquivalent(t, legacy, want)
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m["dirty_gen"]; ok {
+		t.Fatal("ApplyBatch carried dirty_gen into the new manifest")
 	}
 }

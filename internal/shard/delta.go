@@ -75,8 +75,7 @@ type BatchResult struct {
 	Generation int64
 	// Dirty lists (ascending) the shards whose sweep inputs changed:
 	// content-changed shards plus shards fed by a source whose
-	// out-degree changed, per the source-range summaries — exactly
-	// what DirtyShards(pre-batch generation) reports afterwards.
+	// out-degree changed, per the pre-batch source-range summaries.
 	Dirty []int
 	// Inserted counts the batch's insert edges; Deleted counts the
 	// live copies its tombstones actually removed (an edge inserted
@@ -95,21 +94,6 @@ func (s *Store) PendingDeltas() int {
 		n += len(refs)
 	}
 	return n
-}
-
-// DirtyShards returns, ascending, the shards whose sweep inputs
-// changed after generation since: their edge content, or the
-// out-degree of a source feeding them. It is the seed for incremental
-// re-convergence (Engine.IncrementalPR / IncrementalCC) — converge on
-// generation G, mutate, then re-converge seeded with DirtyShards(G).
-func (s *Store) DirtyShards(since int64) []int {
-	var out []int
-	for i, g := range s.m.DirtyGen {
-		if g > since {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // ApplyBatch applies one batch of edge insertions and deletions: the
@@ -169,9 +153,6 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	}
 	if newM.Deltas == nil {
 		newM.Deltas = make([][]deltaRef, p)
-	}
-	if newM.DirtyGen == nil {
-		newM.DirtyGen = make([]int64, p)
 	}
 
 	res := &BatchResult{Generation: gen}
@@ -237,7 +218,6 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 			dirty = s.m.SrcSummary[j][w]&touched[w] != 0
 		}
 		if dirty {
-			newM.DirtyGen[j] = gen
 			res.Dirty = append(res.Dirty, j)
 		}
 	}
@@ -447,9 +427,6 @@ func (m manifest) clone() manifest {
 	}
 	if m.Deltas != nil {
 		m.Deltas = append([][]deltaRef(nil), m.Deltas...)
-	}
-	if m.DirtyGen != nil {
-		m.DirtyGen = append([]int64(nil), m.DirtyGen...)
 	}
 	return m
 }

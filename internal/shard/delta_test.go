@@ -117,8 +117,19 @@ func TestApplyBatchRandomEquivalence(t *testing.T) {
 				}
 				want.apply(ins, del)
 				checkEquivalent(t, st, want)
-				if !reflect.DeepEqual(st.DirtyShards(prevGen), res.Dirty) {
-					t.Fatalf("DirtyShards(%d) = %v, batch reported %v", prevGen, st.DirtyShards(prevGen), res.Dirty)
+				// Dirty is ascending and holds at least every shard the
+				// batch wrote a delta for.
+				dirty := make(map[int]bool)
+				for i, si := range res.Dirty {
+					if i > 0 && si <= res.Dirty[i-1] {
+						t.Fatalf("Dirty %v is not strictly ascending", res.Dirty)
+					}
+					dirty[si] = true
+				}
+				for si := 0; si < st.NumShards(); si++ {
+					if refs := st.deltas(si); len(refs) > 0 && refs[len(refs)-1].Gen == res.Generation && !dirty[si] {
+						t.Fatalf("shard %d got a delta but is missing from Dirty %v", si, res.Dirty)
+					}
 				}
 				reopened, err := Open(dir)
 				if err != nil {

@@ -82,18 +82,15 @@ type Stats struct {
 	BytesRead    int64
 	BytesLogical int64
 
-	// Multi-tenant counters (zero on a lone session; see host.go).
 	// SharedReads counts uncached reads this session resolved without
 	// touching disk because another session's load for the same shard
 	// was already in flight — or had just landed — in the shared cache
-	// (single-flight). CoScheduledSweeps counts dense sweeps that joined
-	// another query's disk pass as a follower instead of walking the
-	// store themselves; CoSharedShards counts the plan entries such
-	// sweeps applied straight from the leader's publications, shards
-	// that cost this query neither a load nor a cache fetch.
-	SharedReads       int64
+	// (single-flight; zero on a lone session, see host.go).
+	SharedReads int64
+	// CoScheduledSweeps is always 0: every session sweeps its own plan.
+	// It stays because the benchmark report's shard.coscheduled_sweeps
+	// row reads it.
 	CoScheduledSweeps int64
-	CoSharedShards    int64
 
 	// OverlappedLoads counts disk loads that overlapped an in-progress
 	// apply — the pipeline doing its job.
@@ -129,8 +126,8 @@ type Stats struct {
 //
 // Every Engine is one session of a Host (see host.go): it owns its
 // stats and per-sweep accumulators, and shares the immutable hostCore,
-// the byte-budgeted SharedCache, the host's disk-read lock and the
-// co-scheduling board with any other session of the same host.
+// the byte-budgeted SharedCache and the host's disk-read lock with any
+// other session of the same host.
 // NewEngine builds a host with exactly one session.
 //
 // EdgeMap cannot return an error through the api.System interface, so a
@@ -141,7 +138,6 @@ type Engine struct {
 	*hostCore
 
 	cache *SharedCache
-	board *passBoard
 	// readMu is the host's disk-read lock: held around every uncached
 	// read, so at most one shard read is in flight per store across all
 	// of the host's sessions.
@@ -179,9 +175,6 @@ type Engine struct {
 	// onInline fires as an inline sparse sweep applies a shard, with
 	// whether it is applied through its source index (else by scan).
 	onInline func(shard int, indexed bool)
-	// onCoLead fires when a dense sweep opens a co-scheduled pass (its
-	// publications become joinable); onCoFollow when a sweep joins one.
-	onCoLead, onCoFollow func()
 }
 
 var _ api.System = (*Engine)(nil)
@@ -309,17 +302,15 @@ func (e *Engine) Options() Options { return e.opts }
 // across fields.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		DenseSweeps:       atomic.LoadInt64(&e.stats.DenseSweeps),
-		SparseSweeps:      atomic.LoadInt64(&e.stats.SparseSweeps),
-		ShardLoads:        atomic.LoadInt64(&e.stats.ShardLoads),
-		CacheHits:         atomic.LoadInt64(&e.stats.CacheHits),
-		ShardsSkipped:     atomic.LoadInt64(&e.stats.ShardsSkipped),
-		BytesRead:         atomic.LoadInt64(&e.stats.BytesRead),
-		BytesLogical:      atomic.LoadInt64(&e.stats.BytesLogical),
-		SharedReads:       atomic.LoadInt64(&e.stats.SharedReads),
-		CoScheduledSweeps: atomic.LoadInt64(&e.stats.CoScheduledSweeps),
-		CoSharedShards:    atomic.LoadInt64(&e.stats.CoSharedShards),
-		OverlappedLoads:   atomic.LoadInt64(&e.stats.OverlappedLoads),
+		DenseSweeps:     atomic.LoadInt64(&e.stats.DenseSweeps),
+		SparseSweeps:    atomic.LoadInt64(&e.stats.SparseSweeps),
+		ShardLoads:      atomic.LoadInt64(&e.stats.ShardLoads),
+		CacheHits:       atomic.LoadInt64(&e.stats.CacheHits),
+		ShardsSkipped:   atomic.LoadInt64(&e.stats.ShardsSkipped),
+		BytesRead:       atomic.LoadInt64(&e.stats.BytesRead),
+		BytesLogical:    atomic.LoadInt64(&e.stats.BytesLogical),
+		SharedReads:     atomic.LoadInt64(&e.stats.SharedReads),
+		OverlappedLoads: atomic.LoadInt64(&e.stats.OverlappedLoads),
 	}
 }
 
@@ -379,24 +370,27 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 			atomic.AddInt64(&e.stats.CacheHits, int64(len(plan)))
 			return e.sweepInline(f, op, plan, shs, releases, spare)
 		}
-		return e.sweepWindowed(f, op, plan, true)
+		return e.sweepWindowed(f, op, plan)
 	}
 	atomic.AddInt64(&e.stats.DenseSweeps, 1)
 	plan := e.planDense(f)
 	atomic.AddInt64(&e.stats.ShardsSkipped, int64(e.st.NumShards()-len(plan)))
-	return e.sweepWindowed(f, op, plan, false)
+	return e.sweepWindowed(f, op, plan)
 }
 
 // sweepWindowed runs plan through the pipelined sweep and publishes the
 // next frontier as a bitmap with its statistics.
-func (e *Engine) sweepWindowed(f *frontier.Frontier, op api.EdgeOp, plan []int, sparse bool) *frontier.Frontier {
+func (e *Engine) sweepWindowed(f *frontier.Frontier, op api.EdgeOp, plan []int) *frontier.Frontier {
 	n := e.g.NumVertices()
 	next := frontier.NewBitmap(n)
 	k := &sweepKernel{
 		e: e, cur: f.Bitmap(), cond: op.CondOf(), op: op, next: next,
 		accs: make([]sweepAccum, e.pool.Threads()),
 	}
-	e.sweepPipelined(plan, sparse, k)
+	w := e.startSweep(plan, k)
+	// The teardown barrier runs even when wait re-raises a failure.
+	defer w.stop()
+	w.wait()
 	var count, outDeg int64
 	for i := range k.accs {
 		count += k.accs[i].count
@@ -620,7 +614,7 @@ func (e *Engine) endApply(si int) {
 }
 
 // applyShard runs one resident shard's tasks over the whole pool — the
-// path a co-scheduled follower applies the leader's publications on.
+// inline sparse sweep's path for a shard it applies by scan.
 func (e *Engine) applyShard(sh *resident, k *sweepKernel) {
 	e.beginApply(sh.idx)
 	// Deferred: a panicking operator must not leave the applying count

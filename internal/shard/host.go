@@ -2,19 +2,19 @@ package shard
 
 // The construction/execution split. A Host is one opened store's shared
 // substrate — the validated options, worker pool, vertex→shard map,
-// source summaries — plus the three things N concurrent queries must
+// source summaries — plus the two things N concurrent queries must
 // share rather than duplicate: the refcounted byte-budgeted
-// SharedCache, the disk-read lock, and the co-scheduling passBoard.
-// NewSession stamps out one execution context (an *Engine implementing
-// api.System) per query: sessions get their own stats and vertex-state
-// arrays but fetch through the shared cache, read under the shared
-// lock, and co-schedule their dense sweeps through the shared board.
+// SharedCache and the disk-read lock. NewSession stamps out one
+// execution context (an *Engine implementing api.System) per query:
+// sessions get their own stats and vertex-state arrays but fetch
+// through the shared cache and read under the shared lock, so a shard
+// one session loads (or is loading) serves every other session's sweep.
 //
 // Each session individually keeps the full api.System contract —
 // EdgeMap/VertexMap calls on *one* session are serial, like any other
 // engine — while distinct sessions run concurrently: everything they
 // share is either immutable (the core), internally synchronized (the
-// cache, the board, the read lock, the stateless sched.Pool), or owned
+// cache, the read lock, the stateless sched.Pool), or owned
 // per-session (frontiers, accumulators, stats).
 
 import (
@@ -27,7 +27,6 @@ import (
 type Host struct {
 	core  *hostCore
 	cache *SharedCache
-	board passBoard
 	// readMu serialises the uncached reads of every session: at most one
 	// shard read in flight per store.
 	readMu sync.Mutex
@@ -75,7 +74,6 @@ func (h *Host) NewSession() *Engine {
 	return &Engine{
 		hostCore: c,
 		cache:    h.cache,
-		board:    &h.board,
 		readMu:   &h.readMu,
 		slots:    int(max(1, h.cache.Budget()/c.maxShardBytes)),
 	}

@@ -83,7 +83,7 @@ type manifest struct {
 	// ApplyBatch transposes it from the edited Meta's feeds-masks.
 	SrcSummary [][]uint64 `json:"src_summary,omitempty"`
 
-	// The log-structured delta layer (delta.go, compact.go). All five
+	// The log-structured delta layer (delta.go, compact.go). All four
 	// fields are optional: stores written before the layer existed
 	// carry none of them and read as generation 0 with no deltas.
 	//
@@ -94,15 +94,13 @@ type manifest struct {
 	// BaseEdgeCounts is the edge count stored in each base *file*
 	// (nil → EdgeCounts: no deltas were ever applied, so file and live
 	// counts agree). Deltas lists each shard's pending delta files
-	// oldest-first. DirtyGen records the generation at which a shard's
-	// sweep inputs last changed — its edge content, or the out-degree
-	// of a source feeding it — the seed incremental re-convergence
-	// starts from (Store.DirtyShards).
+	// oldest-first. Older manifests also carry a per-shard "dirty_gen"
+	// array; Open ignores it, and the next ApplyBatch or Compact writes
+	// a manifest without it.
 	Generation     int64        `json:"generation,omitempty"`
 	BaseFiles      []string     `json:"base_files,omitempty"`
 	BaseEdgeCounts []int64      `json:"base_edge_counts,omitempty"`
 	Deltas         [][]deltaRef `json:"deltas,omitempty"`
-	DirtyGen       []int64      `json:"dirty_gen,omitempty"`
 
 	// Meta names the per-vertex metadata file (meta.go) describing this
 	// generation's live content. Optional: stores written before the
@@ -307,14 +305,6 @@ func validateDeltaLayer(m *manifest) error {
 				return fmt.Errorf("shard: delta %s declares %d inserts / %d tombstones", ref.File, ref.Ins, ref.Del)
 			}
 			prevGen = ref.Gen
-		}
-	}
-	if m.DirtyGen != nil && len(m.DirtyGen) != m.Shards {
-		return fmt.Errorf("shard: dirty generations cover %d shards, want %d", len(m.DirtyGen), m.Shards)
-	}
-	for i, g := range m.DirtyGen {
-		if g < 0 || g > m.Generation {
-			return fmt.Errorf("shard: dirty generation %d for shard %d outside [0,%d]", g, i, m.Generation)
 		}
 	}
 	return nil

@@ -5,7 +5,7 @@ package shard
 // (store, shard), plus a single-flight table: a shard resident for one
 // in-flight query is free for every other query on the same store, and
 // concurrent sessions missing on the same shard elect one loader and
-// the rest share its result (SharedReads), so co-scheduled queries
+// the rest share its result (SharedReads), so concurrent queries
 // cannot multiply disk traffic for the same bytes. One cache serves
 // every session of every Host it is handed to; an engine built by
 // NewEngine is simply the only session of a cache of its own.

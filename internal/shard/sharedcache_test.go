@@ -2,10 +2,10 @@ package shard
 
 // The shared-cache session battery (the cache's own residency
 // invariants live in residency_test.go): the two-query hammer over real
-// host sessions, the co-scheduling accounting regression (concurrent
-// dense PR + CC strictly cheaper than the sum of solo runs), and the
-// mid-sweep operator-panic teardown with a second session surviving on
-// the same store.
+// host sessions, the sharing regressions (concurrent PR + BFS
+// bit-identical to solo runs, and concurrent dense PR + CC strictly
+// cheaper than the sum of solo runs), and the mid-sweep operator-panic
+// teardown with a second session surviving on the same store.
 
 import (
 	"math"
@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algorithms"
 	"repro/internal/api"
 	"repro/internal/frontier"
 	"repro/internal/gen"
@@ -144,15 +145,15 @@ func ccOnSystem(sys api.System) []int32 {
 	return labels
 }
 
-// TestCoSchedulingFewerLoadsThanSoloSum is the accounting regression
-// the tentpole claims: concurrent dense PageRank + connected components
+// TestSharedSessionsFewerLoadsThanSoloSum is the accounting regression
+// of a shared host: concurrent dense PageRank + connected components
 // on one store must total strictly fewer performed shard loads than the
 // sum of the two queries run in isolation. The budget holds the whole
 // store, which makes the bound deterministic rather than a race: in the
 // shared run each shard is loaded at most once ever (residency plus
 // single-flight cover every later fetch, whatever the interleaving),
 // while the isolated runs each pay for their own full pass.
-func TestCoSchedulingFewerLoadsThanSoloSum(t *testing.T) {
+func TestSharedSessionsFewerLoadsThanSoloSum(t *testing.T) {
 	g := gen.TinySocial()
 	const shards = 12
 	const budget = 64 << 20
@@ -183,11 +184,65 @@ func TestCoSchedulingFewerLoadsThanSoloSum(t *testing.T) {
 			pr.Stats().ShardLoads, cc.Stats().ShardLoads, concurrent)
 	}
 	if concurrent >= soloLoads {
-		t.Fatalf("co-scheduled PR+CC performed %d loads, want strictly fewer than the isolated sum %d",
+		t.Fatalf("concurrent PR+CC performed %d loads, want strictly fewer than the isolated sum %d",
 			concurrent, soloLoads)
 	}
 	if concurrent > int64(shards) {
 		t.Fatalf("whole-store budget but %d loads for %d shards: a shard was read twice", concurrent, shards)
+	}
+}
+
+// TestSharedSessionsPRBFSBitIdentical: PageRank and BFS running
+// concurrently through two sessions of one host must produce
+// float64-bit-identical ranks and an identical parent array to solo
+// runs on private hosts — and together perform strictly fewer shard
+// loads than the two solo runs summed.
+func TestSharedSessionsPRBFSBitIdentical(t *testing.T) {
+	g := gen.TinySocial()
+	const shards = 12
+	const budget = 64 << 20
+	src := graph.VID(1)
+
+	soloPRHost := buildHostOver(t, g, shards, budget, Options{Threads: 4})
+	soloPR := soloPRHost.NewSession()
+	wantRanks := prOnSystem(soloPR, 5)
+	soloBFSHost := buildHostOver(t, g, shards, budget, Options{Threads: 4})
+	soloBFS := soloBFSHost.NewSession()
+	wantParents := algorithms.BFS(soloBFS, src).Parents
+	soloLoads := soloPR.Stats().ShardLoads + soloBFS.Stats().ShardLoads
+
+	h := buildHostOver(t, g, shards, budget, Options{Threads: 4})
+	pr := h.NewSession()
+	bfs := h.NewSession()
+	var gotRanks []float64
+	var gotParents []int32
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); gotRanks = prOnSystem(pr, 5) }()
+	go func() { defer wg.Done(); gotParents = algorithms.BFS(bfs, src).Parents }()
+	wg.Wait()
+
+	for v := range wantRanks {
+		if math.Float64bits(gotRanks[v]) != math.Float64bits(wantRanks[v]) {
+			t.Fatalf("rank[%d] = %x, want %x: concurrent PR not bit-identical to solo",
+				v, math.Float64bits(gotRanks[v]), math.Float64bits(wantRanks[v]))
+		}
+	}
+	for v := range wantParents {
+		if gotParents[v] != wantParents[v] {
+			t.Fatalf("parent[%d] = %d, want %d: concurrent BFS diverged from solo",
+				v, gotParents[v], wantParents[v])
+		}
+	}
+
+	concurrent := h.Cache().Stats().Loads
+	if concurrent >= soloLoads {
+		t.Fatalf("concurrent PR+BFS performed %d loads, want strictly fewer than the solo sum %d",
+			concurrent, soloLoads)
+	}
+	if concurrent > int64(shards) {
+		t.Fatalf("whole-store budget but %d loads for %d shards: residency or single-flight leaked a re-read",
+			concurrent, shards)
 	}
 }
 

@@ -488,7 +488,7 @@ func BenchmarkSparseSweep(b *testing.B) {
 					if path == "inline" {
 						f = e.EdgeMap(f, bfsOp(parents), api.DirAuto)
 					} else {
-						f = e.sweepWindowed(f, bfsOp(parents), e.planSparse(f), true)
+						f = e.sweepWindowed(f, bfsOp(parents), e.planSparse(f))
 					}
 				}
 				return sweeps

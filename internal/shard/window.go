@@ -70,9 +70,8 @@ func (s *windowShard) claim(back bool) int {
 // pool's workers and the bounded-window accounting that couples them to
 // the cache budget.
 type sweepWindow struct {
-	e       *Engine
-	k       *sweepKernel
-	publish func(*resident) // nil unless the sweep leads a co-scheduled pass
+	e *Engine
+	k *sweepKernel
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -93,8 +92,8 @@ type sweepWindow struct {
 // goroutine. The caller must invoke wait, and should defer stop as the
 // teardown barrier, so no sweep leaks goroutines even when wait
 // re-raises a failure.
-func (e *Engine) startSweep(plan []int, k *sweepKernel, publish func(*resident)) *sweepWindow {
-	w := &sweepWindow{e: e, k: k, publish: publish, staging: true, stagerDone: make(chan struct{})}
+func (e *Engine) startSweep(plan []int, k *sweepKernel) *sweepWindow {
+	w := &sweepWindow{e: e, k: k, staging: true, stagerDone: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 	go w.stage(plan)
 	for worker := 1; worker < e.pool.Threads(); worker++ {
@@ -192,9 +191,6 @@ func (w *sweepWindow) work(worker int) {
 				}
 			}()
 			if task == 0 && s.began {
-				if w.publish != nil {
-					w.publish(s.sh)
-				}
 				w.e.beginApply(s.sh.idx)
 			}
 			if run {

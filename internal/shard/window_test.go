@@ -376,8 +376,8 @@ func (s sweepHooked) EdgeMap(f *frontier.Frontier, op api.EdgeOp, d api.Directio
 
 // TestHostReadsOneAtATimeInPlanOrder: two sessions of one Host sweep
 // concurrently on four threads over a budget of four slots — PageRank
-// on one, BFS then PageRank on the other, so dense sweeps co-schedule
-// and sparse ones do not. Host-wide, no two disk reads ever overlap
+// on one, BFS then PageRank on the other, so dense sweeps overlap
+// with both dense and sparse ones. Host-wide, no two disk reads ever overlap
 // (the host's read lock), and each session begins its reads in its
 // plan order — ascending within every EdgeMap — because its stager
 // fetches plan entries one at a time, in order; a read further down the

@@ -2,8 +2,8 @@
 // out-of-core differential ladders compare every shard.Engine
 // configuration against. It is written only against a store's public
 // read API, so nothing the engine does between disk and operator — the
-// cache, the staging pipeline, the apply-task split, NUMA placement,
-// co-scheduling, bins — can leak into the baseline.
+// cache, the staging pipeline, the apply-task split, the inline sparse
+// path — can leak into the baseline.
 package sweepref
 
 import (
