@@ -259,36 +259,32 @@ func BenchmarkExtendedAlgorithms(b *testing.B) {
 	})
 }
 
-// BenchmarkShardSweep times the out-of-core substrate's disk sweep,
-// one sub-benchmark per on-disk format. Throughput is priced at the
-// store's actual shard-file bytes, so the v1/v2 MB/s columns are the
-// raw-decode and varint-decode disk bandwidths respectively, and the
-// v1 column stays comparable with pre-v2 runs.
+// BenchmarkShardSweep times the out-of-core substrate's disk sweep
+// over the v3 store Create writes. Throughput is priced at the store's
+// actual shard-file bytes, so the MB/s column is the read-and-decode
+// disk bandwidth; per-format load costs are internal/shard's
+// BenchmarkLoadShard.
 func BenchmarkShardSweep(b *testing.B) {
 	g, _ := benchGraphs()
-	for _, format := range []shard.Format{shard.FormatV1, shard.FormatV2} {
-		b.Run(format.String(), func(b *testing.B) {
-			st, err := shard.Create(b.TempDir(), g, shard.WriteOptions{Partitions: 24, Format: format})
-			if err != nil {
-				b.Fatal(err)
-			}
-			disk, err := st.DiskBytes()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var edges int64
-				if err := st.Sweep(func(u, v graph.VID) { edges++ }); err != nil {
-					b.Fatal(err)
-				}
-				if edges != g.NumEdges() {
-					b.Fatal("edge count mismatch")
-				}
-			}
-			b.SetBytes(disk)
-		})
+	st, err := shard.Create(b.TempDir(), g, shard.WriteOptions{Partitions: 24})
+	if err != nil {
+		b.Fatal(err)
 	}
+	disk, err := st.DiskBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var edges int64
+		if err := st.Sweep(func(u, v graph.VID) { edges++ }); err != nil {
+			b.Fatal(err)
+		}
+		if edges != g.NumEdges() {
+			b.Fatal("edge count mismatch")
+		}
+	}
+	b.SetBytes(disk)
 }
 
 // BenchmarkGASPageRank times the gather-apply-scatter adapter.

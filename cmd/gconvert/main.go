@@ -4,8 +4,7 @@
 // optionally gzip-compressed (.gz). It can also materialise a generated
 // preset to disk, which is how the repo's datasets are exported for use
 // with the original C++ systems, and shard a graph into an out-of-core
-// store directory (-shardout) in any shard-file encoding
-// (-shardformat v1 raw / v2 delta+uvarint / v3 run-grouped, the default).
+// store directory (-shardout), written in the run-grouped v3 encoding.
 //
 // Examples:
 //
@@ -13,7 +12,6 @@
 //	gconvert -preset twitter-sm -out twitter.bin.gz
 //	gconvert -in big.adj -out big.el.gz -stats
 //	gconvert -preset livejournal-sm -shardout lj-shards -shards 24
-//	gconvert -in big.el -shardout big-shards -shardformat v1
 package main
 
 import (
@@ -35,7 +33,6 @@ func main() {
 		out      = flag.String("out", "", "output graph file")
 		shardOut = flag.String("shardout", "", "write an out-of-core shard store to this directory")
 		shards   = flag.Int("shards", 24, "partition count for -shardout")
-		shardFmt = flag.String("shardformat", shard.DefaultFormat.String(), "shard-file encoding for -shardout: v1 (raw uint32 pairs), v2 (delta+uvarint) or v3 (run-grouped group-varint, decoded in batch)")
 		stats    = flag.Bool("stats", false, "print graph statistics")
 	)
 	flag.Parse()
@@ -48,16 +45,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gconvert: -shards must be >= 1, got %d\n", *shards)
 		os.Exit(2)
 	}
-	format, err := shard.ParseFormat(*shardFmt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gconvert: %v\n", err)
-		os.Exit(2)
-	}
-
 	var g *graph.Graph
 	var label string
 	if *in != "" {
 		label = *in
+		var err error
 		g, err = gio.Load(*in)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gconvert: %v\n", err)
@@ -85,7 +77,7 @@ func main() {
 			*out, g.NumVertices(), g.NumEdges(), float64(fi.Size())/1024)
 	}
 	if *shardOut != "" {
-		st, err := shard.Create(*shardOut, g, shard.WriteOptions{Partitions: *shards, Format: format})
+		st, err := shard.Create(*shardOut, g, shard.WriteOptions{Partitions: *shards})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gconvert: %v\n", err)
 			os.Exit(1)

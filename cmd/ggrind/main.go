@@ -2,20 +2,21 @@
 // chosen engine, layout and partition count, printing timing and engine
 // telemetry. It is the interactive counterpart of cmd/experiments.
 //
+// With -system OOC it shards the graph into a fresh store (v3, the one
+// format shard.Create writes) and runs the out-of-core engine over it.
+// A store is mutated and compacted through gserve's update and compact
+// routes, not here.
+//
 // Examples:
 //
 //	ggrind -graph twitter-sm -alg PRDelta -system GG-v2 -partitions 384
 //	ggrind -graph usaroad-sm -alg BF -system Ligra
 //	ggrind -graph livejournal-sm -alg BFS -layout COO -reps 5
 //	ggrind -graph yahoo-sm -alg PR -system OOC -partitions 24
-//	ggrind -graph twitter-sm -alg PR -system OOC -shardformat v1
 //	ggrind -graph livejournal-sm -alg PR -system OOC -cache-bytes 4194304
-//	ggrind -graph twitter-sm -alg PR -system OOC -updates batch.json -compactstore
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,9 +55,6 @@ func run() int {
 		reps       = flag.Int("reps", 3, "repetitions; the median is reported")
 		shardDir   = flag.String("sharddir", "", "OOC shard directory (empty = fresh temp dir, removed on exit)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "OOC decoded-shard cache budget in bytes, shared by the forward and reverse stores (0 = 256 MiB)")
-		shardFmt   = flag.String("shardformat", shard.DefaultFormat.String(), "OOC shard-file encoding: v1 (raw uint32 pairs), v2 (delta+uvarint) or v3 (run-grouped group-varint, decoded in batch)")
-		updates    = flag.String("updates", "", `OOC: apply a JSON edge batch {"insert":[{"src":0,"dst":1},...],"delete":[...]} to the store before running, then rebuild the engine at the new generation`)
-		compactSt  = flag.Bool("compactstore", false, "OOC: compact delta shards into a new base generation before running (after -updates, if both are given)")
 	)
 	flag.Parse()
 
@@ -81,16 +79,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ggrind: -reps must be >= 1, got %d\n", *reps)
 		return 2
 	}
-	format, err := shard.ParseFormat(*shardFmt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-		return 2
-	}
 	oopts := shard.Options{Threads: *threads}
-	if (*updates != "" || *compactSt) && *system != "OOC" {
-		fmt.Fprintf(os.Stderr, "ggrind: -updates and -compactstore mutate a sharded store and need -system OOC\n")
-		return 2
-	}
 
 	spec, ok := algorithms.SpecByCode(*algCode)
 	if !ok {
@@ -162,7 +151,7 @@ func run() int {
 		// draw on the same bytes.
 		cache = shard.NewSharedCache(*cacheBytes)
 		build := func(sub string, g *graph.Graph) (*shard.Engine, error) {
-			st, err := shard.Create(filepath.Join(dir, sub), g, shard.WriteOptions{Partitions: p, Format: format})
+			st, err := shard.Create(filepath.Join(dir, sub), g, shard.WriteOptions{Partitions: p})
 			if err != nil {
 				return nil, err
 			}
@@ -172,66 +161,11 @@ func run() int {
 			}
 			return h.NewSession(), nil
 		}
-		fmt.Printf("sharding to %s (%d partitions, %v files)...\n", dir, p, format)
+		fmt.Printf("sharding to %s (%d partitions)...\n", dir, p)
 		eng, err := build("fwd", g)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
 			return 1
-		}
-		// Mutations come before any telemetry printing: the run should
-		// measure the store as it will actually be swept, base plus
-		// deltas (or the compacted generation), not the freshly built
-		// base. The engine predates the mutation, so it is rebuilt from
-		// the store at its new generation — the same reopen-and-rehost
-		// discipline gserve follows.
-		if *updates != "" || *compactSt {
-			if *updates != "" {
-				ins, del, err := loadBatch(*updates)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-					return 2
-				}
-				res, err := eng.Store().ApplyBatch(ins, del)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-					var be *shard.BatchError
-					if errors.As(err, &be) {
-						return 2
-					}
-					return 1
-				}
-				fmt.Printf("updates: generation %d, +%d/-%d edges, %d dirty shards\n",
-					res.Generation, res.Inserted, res.Deleted, len(res.Dirty))
-			}
-			if *compactSt {
-				cg, err := eng.Store().Compact()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-					return 1
-				}
-				fmt.Printf("compacted: base generation %d\n", cg)
-			}
-			st, err := shard.Open(filepath.Join(dir, "fwd"))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-				return 1
-			}
-			edges := make([]graph.Edge, 0, st.NumEdges())
-			if err := st.Sweep(func(u, v graph.VID) {
-				edges = append(edges, graph.Edge{Src: u, Dst: v})
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-				return 1
-			}
-			g = graph.FromEdges(st.NumVertices(), edges)
-			h, err := shard.NewHost(st, g, cache, oopts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ggrind: %v\n", err)
-				return 1
-			}
-			eng = h.NewSession()
-			fmt.Printf("merged: %d edges at generation %d, %d delta files pending\n",
-				st.NumEdges(), st.Generation(), st.PendingDeltas())
 		}
 		if disk, err := eng.Store().DiskBytes(); err == nil && g.NumEdges() > 0 {
 			fmt.Printf("store: %v format, %.1f KiB on disk (%.2f bytes/edge; raw v1 is 8)\n",
@@ -305,36 +239,4 @@ func run() int {
 		fmt.Printf("trace: %s (%s)\n", *traceOut, rec.String())
 	}
 	return 0
-}
-
-// loadBatch reads an edge-update batch from a JSON file: two optional
-// edge lists under "insert" and "delete", each edge a {"src","dst"}
-// pair. Range checking is the store's job (ApplyBatch rejects
-// out-of-range vertex ids with a *shard.BatchError), so this only
-// decodes.
-func loadBatch(path string) (ins, del []graph.Edge, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var batch struct {
-		Insert []struct {
-			Src uint32 `json:"src"`
-			Dst uint32 `json:"dst"`
-		} `json:"insert"`
-		Delete []struct {
-			Src uint32 `json:"src"`
-			Dst uint32 `json:"dst"`
-		} `json:"delete"`
-	}
-	if err := json.Unmarshal(data, &batch); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	for _, e := range batch.Insert {
-		ins = append(ins, graph.Edge{Src: graph.VID(e.Src), Dst: graph.VID(e.Dst)})
-	}
-	for _, e := range batch.Delete {
-		del = append(del, graph.Edge{Src: graph.VID(e.Src), Dst: graph.VID(e.Dst)})
-	}
-	return ins, del, nil
 }

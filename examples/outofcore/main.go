@@ -62,23 +62,6 @@ func main() {
 		dir, store.NumShards(), store.Format(), float64(bytes)/(1<<20),
 		float64(bytes)/float64(g.NumEdges()), float64(decoded/6)/(1<<20), ooc.Threads())
 
-	// The default store is the run-grouped group-varint (v3) layout;
-	// write the same graph in the legacy raw encoding to see what each
-	// dense sweep stops paying for.
-	v1dir := dir + "-v1"
-	defer os.RemoveAll(v1dir)
-	v1st, err := shard.Create(v1dir, g, shard.WriteOptions{Partitions: shards, Format: shard.FormatV1})
-	if err != nil {
-		panic(err)
-	}
-	v1bytes, err := v1st.DiskBytes()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("same graph as a raw v1 store: %.1f MiB (%.2f bytes/edge) — %v is %.2fx smaller\n",
-		float64(v1bytes)/(1<<20), float64(v1bytes)/float64(g.NumEdges()),
-		store.Format(), float64(v1bytes)/float64(bytes))
-
 	// 1. The generic algorithm layer runs unmodified out of core;
 	// PageRank matches the in-memory engine exactly.
 	oocPR := algorithms.PR(ooc, 10).Ranks

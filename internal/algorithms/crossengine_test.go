@@ -1,7 +1,13 @@
 package algorithms
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ligra"
+	"repro/internal/partition"
 	"repro/internal/polymer"
 	"repro/internal/shard"
 	"repro/internal/sweepref"
@@ -36,11 +43,80 @@ func randomGraph(raw []uint16, nBits uint8) *graph.Graph {
 }
 
 // oocStore writes g into a fresh temp directory with p partitions.
-func oocStore(t *testing.T, g *graph.Graph, p int, format shard.Format) *shard.Store {
+func oocStore(t *testing.T, g *graph.Graph, p int) *shard.Store {
 	t.Helper()
-	st, err := shard.Create(t.TempDir(), g, shard.WriteOptions{Partitions: p, Format: format})
+	st, err := shard.Create(t.TempDir(), g, shard.WriteOptions{Partitions: p})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return st
+}
+
+// legacyStore writes g with p partitions as a store in an older shard
+// encoding, v1 or v2 — byte for byte what Create wrote for that format
+// when it still wrote it: the v3 store Create writes, its base files
+// re-encoded from the partitioner's parts (v1 in their CSR order as
+// the raw count and two arrays, v2 (dst,src)-sorted as magic, count
+// and one delta+uvarint stream) and its manifest magic renamed. Only
+// the readers of those formats are production code; this writer is
+// the test's own.
+func legacyStore(t *testing.T, g *graph.Graph, p int, format shard.Format) *shard.Store {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := shard.Create(dir, g, shard.WriteOptions{Partitions: p}); err != nil {
+		t.Fatal(err)
+	}
+	pt := partition.ByDestination(g, p, partition.BalanceEdges)
+	for i, part := range partition.NewPCOO(g, pt).Parts {
+		var buf []byte
+		switch format {
+		case shard.FormatV1:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(part.Src)))
+			for _, arr := range [][]graph.VID{part.Src, part.Dst} {
+				for _, v := range arr {
+					buf = binary.LittleEndian.AppendUint32(buf, v)
+				}
+			}
+		case shard.FormatV2:
+			order := make([]int, len(part.Src))
+			for e := range order {
+				order[e] = e
+			}
+			sort.SliceStable(order, func(a, b int) bool { return part.Dst[order[a]] < part.Dst[order[b]] })
+			buf = binary.AppendUvarint(append(buf, "GGS2"...), uint64(len(order)))
+			var prevDst, prevSrc graph.VID
+			for k, e := range order {
+				d, s := part.Dst[e], part.Src[e]
+				buf = binary.AppendUvarint(buf, uint64(d-prevDst))
+				if k > 0 && d == prevDst {
+					buf = binary.AppendUvarint(buf, uint64(s-prevSrc))
+				} else {
+					buf = binary.AppendUvarint(buf, uint64(s))
+				}
+				prevDst, prevSrc = d, s
+			}
+		default:
+			t.Fatalf("legacyStore: %v is not a legacy format", format)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("shard-%04d.bin", i)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "manifest.json")
+	m, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = bytes.Replace(m, []byte(`"ggrind-shards-v3"`), []byte(`"ggrind-shards-`+format.String()+`"`), 1)
+	if err := os.WriteFile(path, m, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := shard.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Format() != format {
+		t.Fatalf("legacyStore wrote a %v store, want %v", st.Format(), format)
 	}
 	return st
 }
@@ -78,7 +154,7 @@ func oocTight(t *testing.T, st *shard.Store, g *graph.Graph, opts shard.Options)
 // shard-file order, no cache, no pipeline, no task split.
 func oocReference(t *testing.T, g *graph.Graph) api.System {
 	t.Helper()
-	return sweepref.New(oocStore(t, g, 4, shard.DefaultFormat), g)
+	return sweepref.New(oocStore(t, g, 4), g)
 }
 
 // oocEngine shards g into a fresh temp directory and returns the
@@ -86,7 +162,7 @@ func oocReference(t *testing.T, g *graph.Graph) api.System {
 // cache.
 func oocEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{})
+	return oocTight(t, oocStore(t, g, 4), g, shard.Options{})
 }
 
 // oocSequentialEngine is the pipeline's narrow end: one worker, so one
@@ -95,7 +171,7 @@ func oocEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 // pipeline-narrow/wide equivalence check.
 func oocSequentialEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 4, shard.DefaultFormat), g, shard.Options{Threads: 1})
+	return oocTight(t, oocStore(t, g, 4), g, shard.Options{Threads: 1})
 }
 
 // oocWindowEngine is the concurrent-apply differential variant: a pool
@@ -118,19 +194,19 @@ func oocWindowEngine(t *testing.T, g *graph.Graph, threads int) *shard.Engine {
 // and the budget's evictions interleave with concurrent applies.
 func oocTightWindowEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 8, shard.DefaultFormat), g, shard.Options{Threads: 4})
+	return oocTight(t, oocStore(t, g, 8), g, shard.Options{Threads: 4})
 }
 
 // oocFormatEngine is the on-disk format differential variant: the same
-// pipelined engine over a store written in an older shard encoding — the
-// raw (v1) or the delta+uvarint (v2) one — instead of the default
-// run-grouped (v3). Loaded shards must be element-for-element identical
-// across formats, so every oracle-agreement property and the full
-// pipeline ladder also pin v1-, v2- and v3-store execution to
-// bit-identical results.
+// pipelined engine over a store in an older shard encoding — the raw
+// (v1) or the delta+uvarint (v2) one, which stay readable — instead of
+// the run-grouped v3 that Create writes. Loaded shards must be
+// element-for-element identical across formats, so every
+// oracle-agreement property and the full pipeline ladder also pin v1-,
+// v2- and v3-store execution to bit-identical results.
 func oocFormatEngine(t *testing.T, g *graph.Graph, format shard.Format) *shard.Engine {
 	t.Helper()
-	return oocTight(t, oocStore(t, g, 4, format), g, shard.Options{})
+	return oocTight(t, legacyStore(t, g, 4, format), g, shard.Options{})
 }
 
 // oocSharedSessionEngine is the multi-tenant differential variant: a
@@ -140,7 +216,7 @@ func oocFormatEngine(t *testing.T, g *graph.Graph, format shard.Format) *shard.E
 // oracle-agreement property also pins the refused-insert path.
 func oocSharedSessionEngine(t *testing.T, g *graph.Graph) *shard.Engine {
 	t.Helper()
-	return oocBudget(t, oocStore(t, g, 4, shard.DefaultFormat), g, 1<<13, shard.Options{Threads: 2})
+	return oocBudget(t, oocStore(t, g, 4), g, 1<<13, shard.Options{Threads: 2})
 }
 
 // oocMutatedStoreEngine is the log-structured differential variant: the
@@ -214,7 +290,7 @@ var oocResidentRungs sync.Map // *shard.Engine -> *residentRung
 // so no index fits and every resident sparse plan takes the window.
 func oocResidentEngine(t *testing.T, g *graph.Graph, room bool) *shard.Engine {
 	t.Helper()
-	st := oocStore(t, g, 4, shard.DefaultFormat)
+	st := oocStore(t, g, 4)
 	opts := shard.Options{Threads: 2}
 	warm := func(sys api.System) {
 		sys.EdgeMap(frontier.All(g), api.EdgeOp{

@@ -70,7 +70,7 @@ func TestOOCPipelineBitIdenticalAcrossAllAlgorithms(t *testing.T) {
 		{"window-4", func(t *testing.T, g *graph.Graph) api.System { return oocWindowEngine(t, g, 4) }},
 		{"tight-window-4", func(t *testing.T, g *graph.Graph) api.System { return oocTightWindowEngine(t, g) }},
 		// The same ladder endpoint over a raw (v1) and a delta+uvarint
-		// (v2) store — every other rung runs on the default v3: the
+		// (v2) store — every other rung runs on the v3 Create writes: the
 		// on-disk format must change bytes, never results.
 		{"v1-store", func(t *testing.T, g *graph.Graph) api.System { return oocFormatEngine(t, g, shard.FormatV1) }},
 		{"v2-store", func(t *testing.T, g *graph.Graph) api.System { return oocFormatEngine(t, g, shard.FormatV2) }},

@@ -131,28 +131,37 @@ func (s *Server) openHost(dir string) (*shard.Host, error) {
 // OpenStore opens the sharded store in dir under the given name and
 // hosts it on the shared cache.
 func (s *Server) OpenStore(name, dir string) error {
+	_, err := s.openStore(name, dir)
+	return err
+}
+
+// openStore is OpenStore returning the store's info, taken in the
+// critical section that registers it: a DELETE racing the open can
+// then never leave the caller looking up a store that is gone.
+func (s *Server) openStore(name, dir string) (storeInfo, error) {
 	if name == "" {
-		return fmt.Errorf("serve: store name must be non-empty")
+		return storeInfo{}, fmt.Errorf("serve: store name must be non-empty")
 	}
 	s.mu.Lock()
 	if _, ok := s.stores[name]; ok {
 		s.mu.Unlock()
-		return fmt.Errorf("serve: store %q: %w", name, ErrStoreExists)
+		return storeInfo{}, fmt.Errorf("serve: store %q: %w", name, ErrStoreExists)
 	}
 	s.mu.Unlock()
 
 	host, err := s.openHost(dir)
 	if err != nil {
-		return fmt.Errorf("serve: open store %q: %w", name, err)
+		return storeInfo{}, fmt.Errorf("serve: open store %q: %w", name, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.stores[name]; ok {
-		return fmt.Errorf("serve: store %q: %w", name, ErrStoreExists)
+		return storeInfo{}, fmt.Errorf("serve: store %q: %w", name, ErrStoreExists)
 	}
-	s.stores[name] = &hostedStore{name: name, dir: dir, host: host}
-	return nil
+	hs := &hostedStore{name: name, dir: dir, host: host}
+	s.stores[name] = hs
+	return s.storeInfoLocked(hs), nil
 }
 
 // CloseStore unregisters the store and drops its unpinned shards from
@@ -294,7 +303,8 @@ type QuerySpec struct {
 
 // Submit starts spec asynchronously and returns its query ID. The
 // query runs on its own session; a panicking operator fails that query
-// alone.
+// alone. A BFS source outside the store is refused before any query is
+// registered.
 func (s *Server) Submit(spec QuerySpec) (string, error) {
 	run, err := algoFor(spec)
 	if err != nil {
@@ -309,6 +319,10 @@ func (s *Server) Submit(spec QuerySpec) (string, error) {
 	// Capture the host while the lock protects it: a concurrent
 	// mutation may swap hs.host the moment we let go.
 	host := hs.host
+	if n := host.Store().NumVertices(); spec.Algo == "bfs" && int(spec.Src) >= n {
+		s.mu.Unlock()
+		return "", fmt.Errorf("serve: bfs source %d outside store %q's %d vertices", spec.Src, spec.Store, n)
+	}
 	s.seq++
 	q := &query{
 		id:       fmt.Sprintf("q%d", s.seq),
@@ -544,7 +558,8 @@ func errStatus(err error) (int, string) {
 //
 // Errors are a uniform envelope: {"error": {"code": "...", "message":
 // "..."}} with code one of store_not_found, query_not_found,
-// store_exists, invalid_argument, body_too_large. Every POST body is
+// store_exists, invalid_argument, body_too_large, or timeout (408: the
+// request ended before a ?wait=1 query finished). Every POST body is
 // read through http.MaxBytesReader, capped at MaxBodyBytes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -558,13 +573,11 @@ func (s *Server) Handler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		if err := s.OpenStore(req.Name, req.Dir); err != nil {
+		info, err := s.openStore(req.Name, req.Dir)
+		if err != nil {
 			httpErr(w, err)
 			return
 		}
-		s.mu.Lock()
-		info := s.storeInfoLocked(s.stores[req.Name])
-		s.mu.Unlock()
 		writeJSON(w, http.StatusCreated, info)
 	})
 

@@ -128,6 +128,15 @@ func TestServeHTTPRoundTrip(t *testing.T) {
 		}
 	}
 
+	// A BFS source outside the store is refused up front, with 400 and
+	// no query registered, instead of failing inside the sweep.
+	for _, src := range []uint32{uint32(g.NumVertices()), 1 << 30} {
+		var env errEnvelope
+		if resp := postJSON(t, c, ts.URL+"/v1/queries", QuerySpec{Store: "tiny", Algo: "bfs", Src: src}, &env); resp.StatusCode != http.StatusBadRequest || env.Error.Code != "invalid_argument" {
+			t.Fatalf("bfs from %d on %d vertices: %s / %+v, want 400 invalid_argument", src, g.NumVertices(), resp.Status, env)
+		}
+	}
+
 	var stats statsInfo
 	getJSON(t, c, ts.URL+"/v1/stats", &stats)
 	if stats.Queries != 4 || len(stats.Stores) != 1 {

@@ -23,6 +23,10 @@ func compactedShardName(si int, gen int64) string {
 // (no generation bump). Returns the generation the store serves on
 // return.
 //
+// Base files are written in FormatV3 only. A v1 or v2 store therefore
+// has every base file rewritten, not just the ones with deltas, and
+// its manifest magic swung to v3: from then on it is a v3 store.
+//
 // Like ApplyBatch, Compact must not race reads through the same Store
 // value; superseded files are retained, so other Store values opened
 // earlier (pinned sessions) stay readable throughout and afterwards.
@@ -32,6 +36,7 @@ func (s *Store) Compact() (int64, error) {
 	}
 	gen := s.m.Generation + 1
 	newM := s.m.clone()
+	newM.Magic = FormatV3.manifestMagic()
 	if newM.BaseFiles == nil {
 		newM.BaseFiles = make([]string, newM.Shards)
 		for i := range newM.BaseFiles {
@@ -39,7 +44,7 @@ func (s *Store) Compact() (int64, error) {
 		}
 	}
 	for i := 0; i < newM.Shards; i++ {
-		if len(s.deltas(i)) == 0 {
+		if s.format == FormatV3 && len(s.deltas(i)) == 0 {
 			continue
 		}
 		c, _, err := s.loadShard(i)
@@ -47,7 +52,7 @@ func (s *Store) Compact() (int64, error) {
 			return 0, err
 		}
 		name := compactedShardName(i, gen)
-		if err := writeShardFile(filepath.Join(s.dir, name), c, s.format); err != nil {
+		if err := writeShardFile(filepath.Join(s.dir, name), c); err != nil {
 			return 0, err
 		}
 		newM.BaseFiles[i] = name
@@ -58,6 +63,6 @@ func (s *Store) Compact() (int64, error) {
 	if err := writeManifest(s.dir, newM); err != nil {
 		return 0, err
 	}
-	s.m = newM
+	s.m, s.format = newM, FormatV3
 	return gen, nil
 }

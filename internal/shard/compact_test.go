@@ -62,7 +62,7 @@ func TestCrashMidCompactionLeavesOldGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeShardFile(filepath.Join(dir, compactedShardName(i, next)), c, st.Format()); err != nil {
+		if err := writeShardFile(filepath.Join(dir, compactedShardName(i, next)), c); err != nil {
 			t.Fatal(err)
 		}
 	}

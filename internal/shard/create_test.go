@@ -7,10 +7,9 @@ import (
 	"repro/internal/gen"
 )
 
-// TestCreateOptionValidation pins the redesigned writer's contract:
-// zero values select defaults, negative or unknown knobs come back as
-// *OptionsError naming the field, and the deprecated wrappers remain
-// exact aliases.
+// TestCreateOptionValidation pins the writer's contract: the zero value
+// selects DefaultPartitions and writes a v3 store, and a negative
+// partition count comes back as *OptionsError naming the field.
 func TestCreateOptionValidation(t *testing.T) {
 	g := gen.TinySocial()
 
@@ -22,8 +21,8 @@ func TestCreateOptionValidation(t *testing.T) {
 		if st.NumShards() != DefaultPartitions {
 			t.Fatalf("zero Partitions built %d shards, want DefaultPartitions=%d", st.NumShards(), DefaultPartitions)
 		}
-		if st.Format() != DefaultFormat {
-			t.Fatalf("zero Format built %v, want %v", st.Format(), DefaultFormat)
+		if st.Format() != FormatV3 {
+			t.Fatalf("Create wrote a %v store, want v3", st.Format())
 		}
 	})
 
@@ -32,14 +31,6 @@ func TestCreateOptionValidation(t *testing.T) {
 		var oe *OptionsError
 		if !errors.As(err, &oe) || oe.Field != "Partitions" {
 			t.Fatalf("got %v, want *OptionsError for Partitions", err)
-		}
-	})
-
-	t.Run("UnknownFormat", func(t *testing.T) {
-		_, err := Create(t.TempDir(), g, WriteOptions{Format: Format(99)})
-		var oe *OptionsError
-		if !errors.As(err, &oe) || oe.Field != "Format" {
-			t.Fatalf("got %v, want *OptionsError for Format", err)
 		}
 	})
 }

@@ -10,7 +10,7 @@ package shard
 // the per-destination ascending-source order every engine path
 // assumes: a mutated store is per-destination identical to a
 // from-scratch rebuild of the same edge multiset, so every thread
-// count and co-pass path works unchanged over it. Compact (compact.go)
+// count and sweep path works unchanged over it. Compact (compact.go)
 // folds the deltas back into generation-suffixed base files.
 //
 // Files of superseded generations are never overwritten or deleted,

@@ -55,8 +55,7 @@ func perDest(t *testing.T, st *Store) map[graph.VID][]graph.VID {
 func checkEquivalent(t *testing.T, st *Store, want edgeMultiset) {
 	t.Helper()
 	n := st.NumVertices()
-	ref, err := Create(t.TempDir(), graph.FromEdges(n, want.edges()),
-		WriteOptions{Partitions: st.NumShards(), Format: st.Format()})
+	ref, err := Create(t.TempDir(), graph.FromEdges(n, want.edges()), WriteOptions{Partitions: st.NumShards()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestApplyBatchRandomEquivalence(t *testing.T) {
 			g := gen.ErdosRenyi(320, 1200, uint64(seed))
 			n := g.NumVertices()
 			dir := t.TempDir()
-			st, err := Create(dir, g, WriteOptions{Partitions: 5, Format: format})
+			st, err := createFormat(dir, g, 5, format)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -84,7 +84,7 @@ func TestTornShardFileNeverDecodesSilently(t *testing.T) {
 	for _, format := range []Format{FormatV1, FormatV2, FormatV3} {
 		t.Run(format.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			if _, err := Create(dir, gen.TinySocial(), WriteOptions{Partitions: 8, Format: format}); err != nil {
+			if _, err := createFormat(dir, gen.TinySocial(), 8, format); err != nil {
 				t.Fatal(err)
 			}
 			s, err := Open(dir)
@@ -95,7 +95,7 @@ func TestTornShardFileNeverDecodesSilently(t *testing.T) {
 			// contradicts the manifest: one edge more than it declares.
 			n := s.m.EdgeCounts[2] + 1
 			bad := &graph.COO{N: s.m.Vertices, Src: make([]graph.VID, n), Dst: make([]graph.VID, n)}
-			if err := writeShardFile(shardPath(dir, 2), bad, format); err != nil {
+			if err := writeShardFormat(shardPath(dir, 2), bad, format); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.LoadShard(2); err == nil {

@@ -269,9 +269,9 @@ func NewEngine(st *Store, g *graph.Graph, opts Options) (*Engine, error) {
 	return h.NewSession(), nil
 }
 
-// Build shards g into dir with p partitions in the default format and
-// returns an engine over the new store — the one-call construction
-// examples and tests use.
+// Build shards g into dir with p partitions and returns an engine
+// over the new store — the one-call construction examples and tests
+// use.
 func Build(dir string, g *graph.Graph, p int, opts Options) (*Engine, error) {
 	h, err := BuildHost(dir, g, p, nil, opts)
 	if err != nil {

@@ -46,7 +46,7 @@ func buildSlotEngine(t *testing.T, g *graph.Graph, p, slots int, opts Options) *
 	return slotEngine(t, createStore(t, t.TempDir(), g, p), g, slots, opts)
 }
 
-// createStore writes g into dir with p partitions in the default format.
+// createStore writes g into dir with p partitions.
 func createStore(t *testing.T, dir string, g *graph.Graph, p int) *Store {
 	t.Helper()
 	st, err := Create(dir, g, WriteOptions{Partitions: p})

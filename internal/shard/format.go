@@ -11,7 +11,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Format selects the on-disk encoding of the per-shard edge files.
+// Format names the on-disk encoding of a store's base shard files.
+// Create writes FormatV3 only; the two older layouts stay readable, and
+// Compact rewrites a v1 or v2 store with pending deltas as v3.
 //
 // FormatV1 is the original raw layout: an int64 edge count followed by
 // the source and destination arrays as little-endian uint32s — fixed
@@ -21,10 +23,10 @@ import (
 // are sorted by (destination, source), both streams are delta-encoded
 // and written as uvarints — one destination delta (almost always zero)
 // and one source gap per edge, 2–4 bytes per edge, decoded one varint at
-// a time.
+// a time. Delta shard files keep its stream.
 //
-// FormatV3, the default, keeps the (destination, source) order but
-// groups it into runs: each destination is stored once, with its run
+// FormatV3, the one Create writes, keeps the (destination, source) order
+// but groups it into runs: each destination is stored once, with its run
 // length, and the run's source gaps go to a byte-aligned group-varint
 // stream (one control byte per four values). That is both fewer bytes —
 // no per-edge destination delta, so 1.7–2.1 bytes per edge once
@@ -50,29 +52,16 @@ const (
 	// ggrind-shards-v2 stores; delta shard files keep its stream.
 	FormatV2 Format = 2
 	// FormatV3 is the run-grouped group-varint layout of
-	// ggrind-shards-v3 stores — the default Create format.
+	// ggrind-shards-v3 stores — the only format Create and Compact write.
 	FormatV3 Format = 3
 )
 
-// DefaultFormat is the format Create uses when none is specified.
-const DefaultFormat = FormatV3
-
-// String returns the flag-friendly name ("v1", "v2", "v3").
+// String returns the short name ("v1", "v2", "v3").
 func (f Format) String() string {
 	if f.valid() {
 		return fmt.Sprintf("v%d", int(f))
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat converts a -shardformat flag value into a Format.
-func ParseFormat(s string) (Format, error) {
-	for f := FormatV1; f <= FormatV3; f++ {
-		if s == f.String() || s == f.String()[1:] {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("shard: unknown format %q (want v1, v2 or v3)", s)
 }
 
 func (f Format) valid() bool { return f >= FormatV1 && f <= FormatV3 }
@@ -115,53 +104,21 @@ func v1EncodedBytes(edges int64) int64 { return 8 + 2*vidBytes*edges }
 // confused without the mismatch surfacing as a structural error.
 var shardMagicV2 = [4]byte{'G', 'G', 'S', '2'}
 
-// writeShardFile encodes one shard's COO in the given format, atomically
-// (writeFileAtomic); for v2 and v3 c must already be (dst,src)-sorted
-// (Create sorts with sortByDst, Compact writes what loadShard merged).
-func writeShardFile(path string, c *graph.COO, format Format) error {
+// writeShardFile encodes one (dst,src)-sorted shard as a v3 file,
+// atomically (writeFileAtomic). Create sorts with sortByDst; Compact
+// writes what loadShard merged.
+func writeShardFile(path string, c *graph.COO) error {
 	return writeFileAtomic(path, func(f *os.File) error {
-		switch format {
-		case FormatV1:
-			return writeShardV1(f, c)
-		case FormatV2:
-			return writeShardV2(f, c)
-		case FormatV3:
-			_, err := f.Write(encodeShardV3(c.Src, c.Dst))
-			return err
-		}
-		return fmt.Errorf("shard: cannot write format %v", format)
+		_, err := f.Write(encodeShardV3(c.Src, c.Dst))
+		return err
 	})
-}
-
-func writeShardV1(f *os.File, c *graph.COO) error {
-	if err := binary.Write(f, binary.LittleEndian, int64(len(c.Src))); err != nil {
-		return err
-	}
-	if err := binary.Write(f, binary.LittleEndian, c.Src); err != nil {
-		return err
-	}
-	return binary.Write(f, binary.LittleEndian, c.Dst)
-}
-
-func writeShardV2(f *os.File, c *graph.COO) error {
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(shardMagicV2[:]); err != nil {
-		return err
-	}
-	if err := putUvarint(w, uint64(len(c.Src))); err != nil {
-		return err
-	}
-	if err := encodeV2Stream(w, c.Src, c.Dst); err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
 // sortByDst returns c's edges stably sorted by destination — one
 // counting sort over the shard's destination range [lo,hi), O(E + hi-lo).
 // A CSR-order edge list (the partitioner's, a v1 file's) visits each
 // destination's sources in ascending order, so for such input the result
-// is the full (dst,src) order the v2/v3 encoders and the delta merges
+// is the full (dst,src) order the v3 encoder and the delta merges
 // consume. Every destination must already be known to lie in [lo,hi).
 func sortByDst(c *graph.COO, lo, hi graph.VID) *graph.COO {
 	next := make([]int, hi-lo+1)
@@ -278,10 +235,9 @@ func readShardV1(path string, n int, lo, hi graph.VID, wantEdges int64) (c *grap
 
 // v1DecodeChunkBytes is the streaming granularity of the raw (v1)
 // decoder: words are converted and validated chunk by chunk as they
-// arrive, so on the aio path a shard's decode overlaps its own
-// in-flight read instead of waiting for the whole array (the decoder
-// used to issue one file-sized binary.Read per stream). 64 KiB keeps
-// the scratch buffer cache-resident while amortising the read syscalls.
+// arrive, so a shard's decode never waits on, or buffers, a
+// file-sized read per stream. 64 KiB keeps the scratch buffer
+// cache-resident while amortising the read syscalls.
 const v1DecodeChunkBytes = 64 << 10
 
 // decodeShardV1 decodes count edges' source then destination arrays

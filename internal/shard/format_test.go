@@ -21,7 +21,8 @@ import (
 )
 
 // Differential round-trip property for the three on-disk formats: a
-// graph written v1, v2 and v3 must decode to the same shards. v2 and v3
+// graph written v1, v2 (by the legacy writer createFormat) and v3 (by
+// Create) must decode to the same shards. v2 and v3
 // are written (dst,src)-sorted and a v1 shard is stably sorted by
 // destination as it loads, so "the same" is element for element — which
 // is also the equivalence the engine's semantics run on (it applies each
@@ -50,7 +51,7 @@ func createAll(t *testing.T, g *graph.Graph, p int) map[Format]*Store {
 	t.Helper()
 	out := make(map[Format]*Store)
 	for _, f := range []Format{FormatV1, FormatV2, FormatV3} {
-		st, err := Create(t.TempDir(), g, WriteOptions{Partitions: p, Format: f})
+		st, err := createFormat(t.TempDir(), g, p, f)
 		if err != nil {
 			t.Fatalf("write %v: %v", f, err)
 		}
@@ -161,7 +162,7 @@ func TestFormatRoundTripProperty(t *testing.T) {
 		for _, f := range []Format{FormatV1, FormatV2, FormatV3} {
 			path := filepath.Join(t.TempDir(), "shard-0000.bin")
 			in := &graph.COO{N: n, Src: tc.src, Dst: tc.dst}
-			if err := writeShardFile(path, in, f); err != nil {
+			if err := writeShardFormat(path, in, f); err != nil {
 				t.Fatalf("%s: write %v: %v", tc.name, f, err)
 			}
 			got, size, err := readShardFile(path, f, n, tc.lo, tc.hi, int64(len(tc.src)))
@@ -181,8 +182,8 @@ func TestFormatRoundTripProperty(t *testing.T) {
 // TestDecoderDifferential holds the three decoders together beyond
 // clean stores: the same random batches applied to a v1, a v2 and a v3
 // store of one graph must load identically with the deltas pending
-// (the zip-merge over each format's base) and again after Compact
-// re-encodes the merged shards in each store's own format.
+// (the zip-merge over each format's base) and again after Compact has
+// rewritten every one of them as a v3 store.
 func TestDecoderDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -216,6 +217,9 @@ func TestDecoderDifferential(t *testing.T) {
 		for f, st := range sts {
 			if _, err := st.Compact(); err != nil {
 				t.Fatalf("seed %d: Compact on %v: %v", seed, f, err)
+			}
+			if st.Format() != FormatV3 {
+				t.Fatalf("seed %d: the %v store compacted to %v, want v3", seed, f, st.Format())
 			}
 		}
 		checkSameShards(t, sts, fmt.Sprintf("seed %d, compacted", seed))

@@ -351,7 +351,7 @@ func manifestSeeds() [][]byte {
 	}
 }
 
-// validManifest writes a real 4-shard store (default format) and
+// validManifest writes a real 4-shard (v3) store and
 // returns its manifest.
 func validManifest() manifest {
 	dir, err := os.MkdirTemp("", "shard-fuzz-seed-*")
@@ -375,7 +375,7 @@ func rawShardFile(format Format) []byte {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	if _, err := Create(dir, gen.Chain(256), WriteOptions{Partitions: 4, Format: format}); err != nil {
+	if _, err := createFormat(dir, gen.Chain(256), 4, format); err != nil {
 		panic(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "shard-0001.bin"))

@@ -53,9 +53,8 @@ func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host
 	return &Host{core: core, cache: cache}, nil
 }
 
-// BuildHost shards g into dir with p partitions in the default format
-// and returns a host over the new store — Build with a caller-chosen
-// cache budget.
+// BuildHost shards g into dir with p partitions and returns a host
+// over the new store — Build with a caller-chosen cache budget.
 func BuildHost(dir string, g *graph.Graph, p int, cache *SharedCache, opts Options) (*Host, error) {
 	st, err := Create(dir, g, WriteOptions{Partitions: p})
 	if err != nil {

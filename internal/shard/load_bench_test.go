@@ -16,7 +16,7 @@ func BenchmarkLoadShard(b *testing.B) {
 	g := gen.RMAT(17, 8, 0.57, 0.19, 0.19, 1)
 	for _, format := range []Format{FormatV1, FormatV2, FormatV3} {
 		b.Run(format.String(), func(b *testing.B) {
-			st, err := Create(b.TempDir(), g, WriteOptions{Partitions: 24, Format: format})
+			st, err := createFormat(b.TempDir(), g, 24, format)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func BenchmarkLoadShard(b *testing.B) {
 // any garbage collection; a third array would not fit under it.
 func TestLoadShardV3Allocations(t *testing.T) {
 	g := gen.RMAT(14, 8, 0.57, 0.19, 0.19, 3)
-	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 2, Format: FormatV3})
+	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestResidentMatchesBucketing(t *testing.T) {
 	g := gen.TinySocial()
 	n := g.NumVertices()
 	for _, format := range []Format{FormatV1, FormatV2, FormatV3} {
-		st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 3, Format: format})
+		st, err := createFormat(t.TempDir(), g, 3, format)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,12 @@
 // The package has two layers. Store is the storage substrate: a graph's
 // partitioned COO is written to one file per shard, and iteration
 // streams shards from disk so resident edge data is bounded by a single
-// shard regardless of |E|. Three on-disk encodings coexist (see Format):
-// the legacy raw uint32 pairs (v1), the delta+uvarint compressed layout
-// (v2) and the default run-grouped group-varint layout (v3), which cuts
-// the bytes every dense sweep re-reads from disk to a quarter of the raw
-// size and decodes them in batch from one read of the file. Decoding is
+// shard regardless of |E|. Stores are written in one encoding (see
+// Format), the run-grouped group-varint layout (v3), which cuts the
+// bytes every dense sweep re-reads from disk to a quarter of the raw
+// size and decodes them in batch from one read of the file; stores in
+// the two older layouts — raw uint32 pairs (v1) and delta+uvarint (v2)
+// — stay readable, and compacting one rewrites it as v3. Decoding is
 // defensive end to end — manifests and shard files are validated
 // structurally (magic, bounds, alignment, edge-count/file-size
 // agreement, varint ranges) before anything is allocated or trusted, so
@@ -127,8 +128,6 @@ type WriteOptions struct {
 	// Partitions is the destination-range shard count; 0 selects
 	// DefaultPartitions.
 	Partitions int
-	// Format is the shard-file encoding; 0 selects DefaultFormat.
-	Format Format
 }
 
 // normalize validates wo and resolves its defaults.
@@ -139,19 +138,14 @@ func (wo WriteOptions) normalize() (WriteOptions, error) {
 	if wo.Partitions == 0 {
 		wo.Partitions = DefaultPartitions
 	}
-	if wo.Format == 0 {
-		wo.Format = DefaultFormat
-	}
-	if !wo.Format.valid() {
-		return wo, &OptionsError{"Format", int64(wo.Format), "unknown shard-file format (have v1, v2, v3)"}
-	}
 	return wo, nil
 }
 
 // Create shards g into dir (created if needed), partitioned by
-// destination, and returns the opened store at generation 0. It is
-// the one writer entry point: the batch-mutation (ApplyBatch) and
-// compaction (Compact) surfaces hang off the Store it returns.
+// destination and written in FormatV3, and returns the opened store at
+// generation 0. It is the one writer entry point: the batch-mutation
+// (ApplyBatch) and compaction (Compact) surfaces hang off the Store it
+// returns.
 func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	wo, err := wo.normalize()
 	if err != nil {
@@ -163,7 +157,7 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	pt := partition.ByDestination(g, wo.Partitions, partition.BalanceEdges)
 	pcoo := partition.NewPCOO(g, pt)
 	m := manifest{
-		Magic:    wo.Format.manifestMagic(),
+		Magic:    FormatV3.manifestMagic(),
 		Vertices: g.NumVertices(),
 		Edges:    g.NumEdges(),
 		Shards:   pt.P,
@@ -177,10 +171,8 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	m.SrcSummary = meta.sourceSummaries(pt.Bounds)
 	for i, part := range pcoo.Parts {
 		m.EdgeCounts = append(m.EdgeCounts, part.NumEdges())
-		if wo.Format != FormatV1 { // v1 keeps the partitioner's CSR order
-			part = sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])
-		}
-		if err := writeShardFile(shardPath(dir, i), part, wo.Format); err != nil {
+		part = sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])
+		if err := writeShardFile(shardPath(dir, i), part); err != nil {
 			return nil, err
 		}
 	}
@@ -193,7 +185,7 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, format: wo.Format, m: m, meta: meta}, nil
+	return &Store{dir: dir, format: FormatV3, m: m, meta: meta}, nil
 }
 
 // Open loads an existing sharded graph directory.

@@ -345,7 +345,7 @@ func TestStoreFailurePaths(t *testing.T) {
 				}
 				other := st.Format()%FormatV3 + 1
 				otherDir := t.TempDir()
-				if _, err := Create(otherDir, gen.Chain(256), WriteOptions{Partitions: 4, Format: other}); err != nil {
+				if _, err := createFormat(otherDir, gen.Chain(256), 4, other); err != nil {
 					t.Fatal(err)
 				}
 				data, err := os.ReadFile(filepath.Join(otherDir, "shard-0000.bin"))
@@ -367,7 +367,7 @@ func TestStoreFailurePaths(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, format), func(t *testing.T) {
 				g := gen.Chain(256)
 				dir := t.TempDir()
-				if _, err := Create(dir, g, WriteOptions{Partitions: 4, Format: format}); err != nil {
+				if _, err := createFormat(dir, g, 4, format); err != nil {
 					t.Fatal(err)
 				}
 				tc.corrupt(t, dir)
