@@ -1,8 +1,8 @@
 // gserve is the multi-tenant graph-serving daemon: one process hosting
 // N sharded stores behind a single byte-budgeted, refcounted shard
-// cache, running concurrent queries that share residency, each store's
-// disk reads and — for dense sweeps — the disk pass itself. The HTTP/JSON
-// API (internal/serve) lives under /v1/: open, list and close stores, apply
+// cache, running concurrent queries that share residency and each
+// store's disk reads: a shard one query is loading serves every other
+// query that misses on it. The HTTP/JSON API (internal/serve) lives under /v1/: open, list and close stores, apply
 // edge-update batches (POST /v1/stores/{name}/updates) and compact the
 // resulting deltas (POST /v1/stores/{name}/compact), submit queries
 // and report cache/registry stats. Mutations rehost the store at its

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("opened store 'social' at %s\n", ts.URL)
 
 	// Submit PageRank, BFS and CC concurrently: three sessions over one
-	// store, sharing the refcounted cache and the disk passes.
+	// store, sharing the refcounted cache and each shard's disk read.
 	var wg sync.WaitGroup
 	for _, spec := range []map[string]any{
 		{"store": "social", "algo": "pagerank", "iters": 10},

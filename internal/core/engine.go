@@ -127,24 +127,5 @@ func (e *Engine) VertexFilter(f *frontier.Frontier, pred func(graph.VID) bool) *
 	return api.VertexFilter(e.pool, e.g, f, pred)
 }
 
-// nextAccum collects the per-worker next-frontier statistics every
-// traversal needs: active count and Σ out-degree, padded to avoid false
-// sharing between workers.
-type nextAccum struct {
-	count  int64
-	outDeg int64
-	_      [6]int64 // pad to a cache line
-}
-
-func (e *Engine) newAccums() []nextAccum { return make([]nextAccum, e.pool.Threads()) }
-
-func finishFrontier(n int, bm *frontier.Bitmap, accs []nextAccum) *frontier.Frontier {
-	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(n, bm)
-	nf.SetStats(count, outDeg)
-	return nf
-}
+// newAccums returns one next-frontier accumulator per pool worker.
+func (e *Engine) newAccums() []api.Accum { return make([]api.Accum, e.pool.Threads()) }

@@ -81,8 +81,8 @@ func (e *Engine) backwardCSC(f *frontier.Frontier, op api.EdgeOp) *frontier.Fron
 				if op.Update(u, v) {
 					if !added {
 						next.Set(v)
-						a.count++
-						a.outDeg += g.OutDegree(v)
+						a.Count++
+						a.OutDeg += g.OutDegree(v)
 						added = true
 					}
 					if !cond(v) {
@@ -92,7 +92,7 @@ func (e *Engine) backwardCSC(f *frontier.Frontier, op api.EdgeOp) *frontier.Fron
 			}
 		}
 	})
-	return finishFrontier(g.NumVertices(), next, accs)
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 // denseCOO is the dense-frontier path (§III.A.2): traversal of the
@@ -114,21 +114,11 @@ func (e *Engine) denseCOO(f *frontier.Frontier, op api.EdgeOp) *frontier.Frontie
 
 	e.pool.ParallelTasks(len(e.pcoo.Parts), func(task, worker int) {
 		part := e.pcoo.Parts[task]
-		a := &accs[worker]
-		src, dst := part.Src, part.Dst
-		for i := range src {
-			u, v := src[i], dst[i]
-			if !cur.Get(u) || !cond(v) {
-				continue
-			}
-			if op.Update(u, v) && !next.Get(v) {
-				next.Set(v)
-				a.count++
-				a.outDeg += g.OutDegree(v)
-			}
-		}
+		count, outDeg := api.DenseCOO(part.Src, part.Dst, cur, cond, op.Update, next, g)
+		accs[worker].Count += count
+		accs[worker].OutDeg += outDeg
 	})
-	return finishFrontier(g.NumVertices(), next, accs)
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 // denseCOOAtomic is the "+a" variant: edge chunks are self-scheduled
@@ -156,12 +146,12 @@ func (e *Engine) denseCOOAtomic(f *frontier.Frontier, op api.EdgeOp) *frontier.F
 				continue
 			}
 			if op.UpdateAtomic(u, v) && next.TestAndSet(v) {
-				a.count++
-				a.outDeg += g.OutDegree(v)
+				a.Count++
+				a.OutDeg += g.OutDegree(v)
 			}
 		}
 	})
-	return finishFrontier(g.NumVertices(), next, accs)
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 // edgeChunk addresses a contiguous run of one COO partition's edges.
@@ -214,13 +204,13 @@ func (e *Engine) denseCSR(f *frontier.Frontier, op api.EdgeOp) *frontier.Frontie
 			}
 			for _, v := range part.Dst[part.Off[k]:part.Off[k+1]] {
 				if cond(v) && op.UpdateAtomic(u, v) && next.TestAndSet(v) {
-					a.count++
-					a.outDeg += g.OutDegree(v)
+					a.Count++
+					a.OutDeg += g.OutDegree(v)
 				}
 			}
 		}
 	})
-	return finishFrontier(g.NumVertices(), next, accs)
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 // csrChunks splits each CSR partition's replicated vertex list into

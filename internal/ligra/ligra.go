@@ -114,11 +114,7 @@ func (e *Engine) denseForward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fro
 	cond := op.CondOf()
 	cur := f.Bitmap()
 	next := frontier.NewBitmap(g.NumVertices())
-	type acc struct {
-		count, outDeg int64
-		_             [6]int64
-	}
-	accs := make([]acc, e.pool.Threads())
+	accs := make([]api.Accum, e.pool.Threads())
 	e.pool.ParallelForChunks(g.NumVertices(), sched.DefaultChunk, func(w, lo, hi int) {
 		a := &accs[w]
 		for vi := lo; vi < hi; vi++ {
@@ -128,20 +124,13 @@ func (e *Engine) denseForward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fro
 			}
 			for _, v := range g.OutNeighbors(u) {
 				if cond(v) && op.UpdateAtomic(u, v) && next.TestAndSet(v) {
-					a.count++
-					a.outDeg += g.OutDegree(v)
+					a.Count++
+					a.OutDeg += g.OutDegree(v)
 				}
 			}
 		}
 	})
-	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(g.NumVertices(), next)
-	nf.SetStats(count, outDeg)
-	return nf
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 // denseBackward is edgeMapDense in backward direction: every destination
@@ -153,11 +142,7 @@ func (e *Engine) denseBackward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fr
 	cond := op.CondOf()
 	cur := f.Bitmap()
 	next := frontier.NewBitmap(g.NumVertices())
-	type acc struct {
-		count, outDeg int64
-		_             [6]int64
-	}
-	accs := make([]acc, e.pool.Threads())
+	accs := make([]api.Accum, e.pool.Threads())
 	e.pool.ParallelForChunks(g.NumVertices(), sched.DefaultChunk, func(w, lo, hi int) {
 		a := &accs[w]
 		for vi := lo; vi < hi; vi++ {
@@ -173,8 +158,8 @@ func (e *Engine) denseBackward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fr
 				if op.Update(u, v) {
 					if !added {
 						next.Set(v)
-						a.count++
-						a.outDeg += g.OutDegree(v)
+						a.Count++
+						a.OutDeg += g.OutDegree(v)
 						added = true
 					}
 					if !cond(v) {
@@ -184,12 +169,5 @@ func (e *Engine) denseBackward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fr
 			}
 		}
 	})
-	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(g.NumVertices(), next)
-	nf.SetStats(count, outDeg)
-	return nf
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }

@@ -124,11 +124,7 @@ func (e *Engine) sparsePartitioned(f *frontier.Frontier, op api.EdgeOp) *frontie
 	cond := op.CondOf()
 	active := f.List()
 	next := frontier.NewBitmap(g.NumVertices())
-	type acc struct {
-		count, outDeg int64
-		_             [6]int64
-	}
-	accs := make([]acc, e.pool.Threads())
+	accs := make([]api.Accum, e.pool.Threads())
 	e.pool.ParallelTasks(e.pt.P, func(task, worker int) {
 		lo, hi := e.pt.Range(task)
 		if lo == hi {
@@ -146,20 +142,13 @@ func (e *Engine) sparsePartitioned(f *frontier.Frontier, op api.EdgeOp) *frontie
 				}
 				if cond(v) && op.Update(u, v) && !next.Get(v) {
 					next.Set(v)
-					a.count++
-					a.outDeg += g.OutDegree(v)
+					a.Count++
+					a.OutDeg += g.OutDegree(v)
 				}
 			}
 		}
 	})
-	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(g.NumVertices(), next)
-	nf.SetStats(count, outDeg)
-	return nf
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 func lowerBound(ns []graph.VID, v graph.VID) int {
@@ -183,11 +172,7 @@ func (e *Engine) denseForwardPCSR(f *frontier.Frontier, op api.EdgeOp) *frontier
 	cond := op.CondOf()
 	cur := f.Bitmap()
 	next := frontier.NewBitmap(g.NumVertices())
-	type acc struct {
-		count, outDeg int64
-		_             [6]int64
-	}
-	accs := make([]acc, e.pool.Threads())
+	accs := make([]api.Accum, e.pool.Threads())
 	for _, part := range e.pcsr.Parts {
 		verts, off, dsts := part.Verts, part.Off, part.Dst
 		e.pool.ParallelForChunks(len(verts), sched.DefaultChunk, func(w, lo, hi int) {
@@ -199,21 +184,14 @@ func (e *Engine) denseForwardPCSR(f *frontier.Frontier, op api.EdgeOp) *frontier
 				}
 				for _, v := range dsts[off[k]:off[k+1]] {
 					if cond(v) && op.UpdateAtomic(u, v) && next.TestAndSet(v) {
-						a.count++
-						a.outDeg += g.OutDegree(v)
+						a.Count++
+						a.OutDeg += g.OutDegree(v)
 					}
 				}
 			}
 		})
 	}
-	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(g.NumVertices(), next)
-	nf.SetStats(count, outDeg)
-	return nf
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }
 
 // denseBackward traverses the whole-graph CSC over the partitioning's
@@ -224,11 +202,7 @@ func (e *Engine) denseBackward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fr
 	cond := op.CondOf()
 	cur := f.Bitmap()
 	next := frontier.NewBitmap(g.NumVertices())
-	type acc struct {
-		count, outDeg int64
-		_             [6]int64
-	}
-	accs := make([]acc, e.pool.Threads())
+	accs := make([]api.Accum, e.pool.Threads())
 	e.pool.ParallelTasks(e.pt.P, func(task, worker int) {
 		lo, hi := e.pt.Range(task)
 		a := &accs[worker]
@@ -244,8 +218,8 @@ func (e *Engine) denseBackward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fr
 				if op.Update(u, v) {
 					if !added {
 						next.Set(v)
-						a.count++
-						a.outDeg += g.OutDegree(v)
+						a.Count++
+						a.OutDeg += g.OutDegree(v)
 						added = true
 					}
 					if !cond(v) {
@@ -255,12 +229,5 @@ func (e *Engine) denseBackward(f *frontier.Frontier, op api.EdgeOp) *frontier.Fr
 			}
 		}
 	})
-	var count, outDeg int64
-	for i := range accs {
-		count += accs[i].count
-		outDeg += accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(g.NumVertices(), next)
-	nf.SetStats(count, outDeg)
-	return nf
+	return api.NextFrontier(g.NumVertices(), next, accs)
 }

@@ -62,8 +62,7 @@ type Config struct {
 	// shard.DefaultCacheBytes. All stores share this one budget.
 	CacheBytes int64
 	// Options is the engine option set every hosted store resolves at
-	// open time (Threads, SparseDiv). The zero value is the engine's
-	// defaults.
+	// open time (Threads). The zero value is the engine's defaults.
 	Options shard.Options
 }
 

@@ -547,10 +547,12 @@ func TestServedConcurrentPRBFS(t *testing.T) {
 
 // TestRehostReleasesCachedShards is the residency-lifecycle regression
 // test for mutations: when an update rehosts a store, the old host's
-// shards leave the daemon's shared cache at once — a drained old host
-// holds zero bytes — while a generation-pinned session keeps answering
-// queries with the old content, and the new host serves the mutated
-// content through the same budget.
+// shards leave the daemon's shared cache at once, while a
+// generation-pinned session keeps answering queries with the old
+// content, and the new host serves the mutated content through the same
+// budget. The old host is drained only until its pinned session sweeps
+// again: those misses are admitted as ordinary LRU entries, unpinned
+// between sweeps and inside the budget.
 func TestRehostReleasesCachedShards(t *testing.T) {
 	dir, _ := writeStore(t, 8)
 	s := New(Config{Options: shard.Options{Threads: 2}})
@@ -572,9 +574,13 @@ func TestRehostReleasesCachedShards(t *testing.T) {
 	if cs := s.Cache().Stats(); cs.Resident != 0 || cs.Bytes != 0 || cs.Pinned != 0 {
 		t.Fatalf("the rehost left the old host's shards in the cache: %+v", cs)
 	}
-	// The pinned session still serves generation 0 bit-exactly.
+	// The pinned session still serves generation 0 bit-exactly, and
+	// re-admits what it reads.
 	if got := digestF64(algorithms.PR(pinned, 10).Ranks); got != before {
 		t.Fatalf("pinned session digest changed across the rehost: %s vs %s", got, before)
+	}
+	if cs := s.Cache().Stats(); cs.Resident == 0 || cs.Pinned != 0 || cs.Bytes > cs.Budget {
+		t.Fatalf("after the pinned session's second PR: %+v, want its shards resident, unpinned and within budget", cs)
 	}
 
 	sess, err := s.Session("tiny")
@@ -586,5 +592,19 @@ func TestRehostReleasesCachedShards(t *testing.T) {
 	}
 	if cs := s.Cache().Stats(); cs.PeakBytes <= 0 || cs.PeakBytes > cs.Budget || cs.Pinned != 0 {
 		t.Fatalf("rehosted store's cache stats %+v, want residency within the shared budget and no pins", cs)
+	}
+}
+
+// TestServeDefaultCacheBudget pins what leaves the cache no unbounded
+// mode: a zero or negative budget selects DefaultCacheBytes, in the
+// cache and in a daemon configured without one.
+func TestServeDefaultCacheBudget(t *testing.T) {
+	for _, b := range []int64{0, -1} {
+		if got := shard.NewSharedCache(b).Budget(); got != shard.DefaultCacheBytes {
+			t.Fatalf("NewSharedCache(%d).Budget() = %d, want %d", b, got, shard.DefaultCacheBytes)
+		}
+	}
+	if got := New(Config{CacheBytes: 0}).Stats().Cache.Budget; got != shard.DefaultCacheBytes {
+		t.Fatalf("a daemon with CacheBytes 0 has budget %d, want %d", got, shard.DefaultCacheBytes)
 	}
 }

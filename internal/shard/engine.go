@@ -2,14 +2,12 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/api"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/sched"
 )
 
 // Options configures the out-of-core engine. The memory budget is not
@@ -21,17 +19,19 @@ type Options struct {
 	// shard tasks to, and the vertex operators; 0 selects GOMAXPROCS.
 	// It also sets the staging window's depth cap (see window.go).
 	Threads int
-	// SparseDiv is the density threshold divisor: a frontier with
-	// |F| + Σ out-deg ≤ |E|/SparseDiv takes the sparse path (load only
-	// shards with active sources); denser frontiers stream the full
-	// shard sequence. 0 selects the paper's 20.
-	SparseDiv int64
 }
+
+// sparseDiv is Algorithm 2's sparse threshold divisor, the paper's 20:
+// a frontier with |F| + Σ out-deg ≤ |E|/sparseDiv takes the sparse path
+// (load only shards with active sources); denser frontiers stream the
+// full shard sequence.
+const sparseDiv = 20
 
 // OptionsError is the typed rejection normalize returns for a
 // nonsensical Options value. Zero values still select defaults (the
-// long-standing construction idiom); negative knobs are errors, never
-// silent rewrites that run something other than what was asked for.
+// long-standing construction idiom); a negative value is an error,
+// never a silent rewrite that runs something other than what was asked
+// for.
 type OptionsError struct {
 	Field  string // the offending Options field
 	Value  int64  // the rejected value
@@ -42,16 +42,11 @@ func (e *OptionsError) Error() string {
 	return fmt.Sprintf("shard: invalid Options.%s = %d: %s", e.Field, e.Value, e.Reason)
 }
 
-// normalize resolves zero values to defaults and validates the result.
+// normalize validates o. The zero Threads stays zero: the pool resolves
+// it to GOMAXPROCS.
 func (o Options) normalize() (Options, error) {
 	if o.Threads < 0 {
 		return o, &OptionsError{"Threads", int64(o.Threads), "must be >= 0 (0 selects GOMAXPROCS)"}
-	}
-	if o.SparseDiv < 0 {
-		return o, &OptionsError{"SparseDiv", o.SparseDiv, "must be >= 0 (0 selects the paper's 20)"}
-	}
-	if o.SparseDiv == 0 {
-		o.SparseDiv = 20
 	}
 	return o, nil
 }
@@ -125,23 +120,18 @@ type Stats struct {
 // bit-identical either way, at any thread count.
 //
 // Every Engine is one session of a Host (see host.go): it owns its
-// stats and per-sweep accumulators, and shares the immutable hostCore,
-// the byte-budgeted SharedCache and the host's disk-read lock with any
-// other session of the same host.
-// NewEngine builds a host with exactly one session.
+// stats and per-sweep accumulators, and shares the embedded Host — its
+// store-derived substrate, byte-budgeted SharedCache and disk-read
+// lock — with any other session of the same host. NewEngine builds a
+// host with exactly one session.
 //
 // EdgeMap cannot return an error through the api.System interface, so a
 // shard that fails to load mid-sweep panics with the underlying error.
 // Engines over corrupt directories fail fast in NewEngine instead when
 // the manifest is unreadable.
 type Engine struct {
-	*hostCore
+	*Host
 
-	cache *SharedCache
-	// readMu is the host's disk-read lock: held around every uncached
-	// read, so at most one shard read is in flight per store across all
-	// of the host's sessions.
-	readMu *sync.Mutex
 	// slots is how many of the store's largest decoded shard the cache
 	// budget holds (at least one): the unit the staging window's
 	// budget bound counts in.
@@ -179,81 +169,6 @@ type Engine struct {
 
 var _ api.System = (*Engine)(nil)
 
-// hostCore is the store-derived immutable substrate one construction
-// pays for and every session of a Host shares: the resolved options,
-// the worker pool, the vertex→shard map, the source summaries, the
-// per-vertex Meta and the largest shard's decoded size.
-type hostCore struct {
-	st   *Store
-	g    *graph.Graph
-	meta *Meta // the store's per-vertex Meta: the sparse planner's feeds-masks
-	opts Options
-	pool *sched.Pool
-	// gen is the store generation the core was built over. The graph
-	// metadata and feeds describe that generation; after an ApplyBatch
-	// or Compact on the store its engines are stale, and every sweep
-	// entry point checks the pin rather than silently mixing views (see
-	// checkGen).
-	gen int64
-
-	home  []int32    // BoundaryAlign-vertex unit -> shard whose destination range holds it (shardOf)
-	feeds [][]uint64 // per-shard source-range summary (Store.SourceSummary)
-
-	// maxShardBytes is what the largest shard costs the cache once
-	// decoded (decodedBytes over the manifest's live edge count): the
-	// staging window's slot size.
-	maxShardBytes int64
-}
-
-// newHostCore validates (st, g, opts) and builds the shared substrate —
-// the construction half of the construction/execution split. A nil g
-// selects the degree-only graph of the store's Meta, so the whole
-// construction is O(V + P²) and reads no edge.
-func newHostCore(st *Store, g *graph.Graph, opts Options) (*hostCore, error) {
-	opts, err := opts.normalize()
-	if err != nil {
-		return nil, err
-	}
-	meta, err := st.Meta()
-	if err != nil {
-		return nil, err
-	}
-	if g == nil {
-		g = meta.Graph()
-	}
-	if st.NumVertices() != g.NumVertices() || st.NumEdges() != g.NumEdges() {
-		return nil, fmt.Errorf("shard: store is %dv/%de but graph is %dv/%de",
-			st.NumVertices(), st.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	feeds, err := st.SourceSummary()
-	if err != nil {
-		return nil, err
-	}
-	c := &hostCore{
-		st:    st,
-		g:     g,
-		meta:  meta,
-		opts:  opts,
-		pool:  sched.NewPool(opts.Threads),
-		gen:   st.Generation(),
-		home:  make([]int32, (g.NumVertices()+partition.BoundaryAlign-1)/partition.BoundaryAlign),
-		feeds: feeds,
-
-		maxShardBytes: 1,
-	}
-	for i := 0; i < st.NumShards(); i++ {
-		// Interior bounds are BoundaryAlign-aligned, so every unit lies
-		// in one non-empty range.
-		if lo, hi := st.Range(i); lo < hi {
-			for u := int(lo) / partition.BoundaryAlign; u < (int(hi)+partition.BoundaryAlign-1)/partition.BoundaryAlign; u++ {
-				c.home[u] = int32(i)
-			}
-		}
-		c.maxShardBytes = max(c.maxShardBytes, decodedBytes(st.m.EdgeCounts[i], c.taskCount(i)))
-	}
-	return c, nil
-}
-
 // NewEngine builds the out-of-core engine for an opened store: the one
 // session of a new Host over a SharedCache of its own at
 // DefaultCacheBytes. g is the graph the store was written from (the
@@ -273,27 +188,18 @@ func NewEngine(st *Store, g *graph.Graph, opts Options) (*Engine, error) {
 // over the new store — the one-call construction examples and tests
 // use.
 func Build(dir string, g *graph.Graph, p int, opts Options) (*Engine, error) {
-	h, err := BuildHost(dir, g, p, nil, opts)
+	st, err := Create(dir, g, WriteOptions{Partitions: p})
 	if err != nil {
 		return nil, err
 	}
-	return h.NewSession(), nil
+	return NewEngine(st, g, opts)
 }
 
 // Name implements api.System.
 func (e *Engine) Name() string { return "OOC" }
 
-// Graph implements api.System.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // Threads implements api.System.
 func (e *Engine) Threads() int { return e.pool.Threads() }
-
-// Store returns the underlying shard store.
-func (e *Engine) Store() *Store { return e.st }
-
-// Options returns the resolved engine options.
-func (e *Engine) Options() Options { return e.opts }
 
 // Stats returns a snapshot of the engine's sweep, pipeline and I/O
 // counters. Every counter is maintained atomically, so Stats is safe to
@@ -362,7 +268,7 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 	}
 	// Reuse the central Algorithm 2 thresholds; only the sparse/non-sparse
 	// cut matters here (denseDiv is irrelevant for a two-way split).
-	if f.Classify(e.g, e.opts.SparseDiv, 2) == frontier.Sparse {
+	if f.Classify(e.g, sparseDiv, 2) == frontier.Sparse {
 		atomic.AddInt64(&e.stats.SparseSweeps, 1)
 		plan := e.planSparse(f)
 		atomic.AddInt64(&e.stats.ShardsSkipped, int64(e.st.NumShards()-len(plan)))
@@ -385,20 +291,13 @@ func (e *Engine) sweepWindowed(f *frontier.Frontier, op api.EdgeOp, plan []int) 
 	next := frontier.NewBitmap(n)
 	k := &sweepKernel{
 		e: e, cur: f.Bitmap(), cond: op.CondOf(), op: op, next: next,
-		accs: make([]sweepAccum, e.pool.Threads()),
+		accs: make([]api.Accum, e.pool.Threads()),
 	}
 	w := e.startSweep(plan, k)
 	// The teardown barrier runs even when wait re-raises a failure.
 	defer w.stop()
 	w.wait()
-	var count, outDeg int64
-	for i := range k.accs {
-		count += k.accs[i].count
-		outDeg += k.accs[i].outDeg
-	}
-	nf := frontier.FromBitmap(n, next)
-	nf.SetStats(count, outDeg)
-	return nf
+	return api.NextFrontier(n, next, k.accs)
 }
 
 // planDense streams the full shard sequence but still skips shards whose
@@ -510,7 +409,7 @@ func (e *Engine) readShard(si int) (sh *resident, diskBytes int64, overlapped bo
 }
 
 // shardOf returns the shard whose destination range holds v.
-func (c *hostCore) shardOf(v graph.VID) int { return int(c.home[v/partition.BoundaryAlign]) }
+func (h *Host) shardOf(v graph.VID) int { return int(h.home[v/partition.BoundaryAlign]) }
 
 // tasksPerWorker oversubscribes intra-shard tasks relative to workers so
 // self-scheduling can balance skewed destination sub-ranges.
@@ -518,22 +417,22 @@ const tasksPerWorker = 4
 
 // shardUnits is the number of BoundaryAlign-vertex units in shard si's
 // destination range.
-func (c *hostCore) shardUnits(si int) int {
-	lo, hi := c.st.Range(si)
+func (h *Host) shardUnits(si int) int {
+	lo, hi := h.st.Range(si)
 	return (int(hi-lo) + partition.BoundaryAlign - 1) / partition.BoundaryAlign
 }
 
 // taskCount is the number of apply tasks shard si splits into: sized
 // for the pool, and never more than its units.
-func (c *hostCore) taskCount(si int) int {
-	return max(1, min(c.pool.Threads()*tasksPerWorker, c.shardUnits(si)))
+func (h *Host) taskCount(si int) int {
+	return max(1, min(h.pool.Threads()*tasksPerWorker, h.shardUnits(si)))
 }
 
 // newResident wraps a loaded shard's arrays — as decoded, never copied
 // — with the offsets of its apply tasks.
-func (c *hostCore) newResident(si int, coo *graph.COO) *resident {
-	lo, _ := c.st.Range(si)
-	return &resident{idx: si, src: coo.Src, dst: coo.Dst, off: taskOffsets(coo, lo, c.shardUnits(si), c.taskCount(si))}
+func (h *Host) newResident(si int, coo *graph.COO) *resident {
+	lo, _ := h.st.Range(si)
+	return &resident{idx: si, src: coo.Src, dst: coo.Dst, off: taskOffsets(coo, lo, h.shardUnits(si), h.taskCount(si))}
 }
 
 // taskOffsets cuts a (dst,src)-sorted shard whose destination range
@@ -553,14 +452,6 @@ func taskOffsets(c *graph.COO, lo graph.VID, units, tasks int) []int {
 	return off
 }
 
-// sweepAccum collects per-worker next-frontier statistics, padded to a
-// cache line.
-type sweepAccum struct {
-	count  int64
-	outDeg int64
-	_      [6]int64
-}
-
 // sweepKernel is one EdgeMap's apply state: the frontier, the operator,
 // the next frontier and one accumulator per pool worker.
 type sweepKernel struct {
@@ -569,7 +460,7 @@ type sweepKernel struct {
 	cond func(graph.VID) bool
 	op   api.EdgeOp
 	next *frontier.Bitmap
-	accs []sweepAccum
+	accs []api.Accum
 }
 
 // apply runs op over the edges of one task of resident shard sh as pool
@@ -580,21 +471,10 @@ func (k *sweepKernel) apply(sh *resident, task, worker int) {
 	if k.e.onTask != nil {
 		k.e.onTask(sh.idx, task, worker)
 	}
-	a := &k.accs[worker]
-	cur, cond, update, next, g := k.cur, k.cond, k.op.Update, k.next, k.e.g
-	src := sh.src[sh.off[task]:sh.off[task+1]]
-	dst := sh.dst[sh.off[task]:sh.off[task+1]]
-	for i := range src {
-		u, v := src[i], dst[i]
-		if !cur.Get(u) || !cond(v) {
-			continue
-		}
-		if update(u, v) && !next.Get(v) {
-			next.Set(v)
-			a.count++
-			a.outDeg += g.OutDegree(v)
-		}
-	}
+	lo, hi := sh.off[task], sh.off[task+1]
+	count, outDeg := api.DenseCOO(sh.src[lo:hi], sh.dst[lo:hi], k.cur, k.cond, k.op.Update, k.next, k.e.g)
+	k.accs[worker].Count += count
+	k.accs[worker].OutDeg += outDeg
 }
 
 // beginApply marks shard si mid-apply: a load that starts before the

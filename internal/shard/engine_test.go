@@ -36,7 +36,7 @@ func slotEngine(t *testing.T, st *Store, g *graph.Graph, slots int, opts Options
 	}
 	// The slot size depends on the resolved options (task counts), so
 	// the cache is sized off the built core, before any session exists.
-	h.cache = NewSharedCache(int64(slots) * h.core.maxShardBytes)
+	h.cache = NewSharedCache(int64(slots) * h.maxShardBytes)
 	return h.NewSession()
 }
 
@@ -261,7 +261,7 @@ func TestOutOfCoreSparseSweepSkipsInactiveShards(t *testing.T) {
 		e := buildTestEngine(t, g, 4, Options{})
 		active := graph.VID(int(pick) % n)
 		fr := frontier.FromVertex(g, active)
-		if fr.Count()+fr.OutDegree(g) > g.NumEdges()/e.opts.SparseDiv {
+		if fr.Count()+fr.OutDegree(g) > g.NumEdges()/sparseDiv {
 			return true // not a sparse frontier; the property targets the sparse path
 		}
 

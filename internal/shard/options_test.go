@@ -13,7 +13,7 @@ import (
 // TestOptionsSurface pins the exact field list of Options, so a new
 // knob is a visible diff here rather than a quiet addition.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"Threads", "SparseDiv"}
+	want := []string{"Threads"}
 	var got []string
 	for i, typ := 0, reflect.TypeOf(Options{}); i < typ.NumField(); i++ {
 		got = append(got, typ.Field(i).Name)
@@ -52,7 +52,7 @@ func checkConstructorsAgree(t *testing.T, opts Options, field string) {
 	}
 }
 
-// TestOptionsNormalizeRejections: every negative knob is rejected with
+// TestOptionsNormalizeRejections: a negative Threads is rejected with
 // a typed *OptionsError naming the offending field, identically by
 // Validate and by both constructors — construction-time validation, not
 // a mid-sweep surprise.
@@ -63,7 +63,6 @@ func TestOptionsNormalizeRejections(t *testing.T) {
 		field string
 	}{
 		{"negative-threads", Options{Threads: -1}, "Threads"},
-		{"negative-sparsediv", Options{SparseDiv: -1}, "SparseDiv"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkConstructorsAgree(t, tc.opts, tc.field) })
@@ -82,10 +81,10 @@ func TestOptionsNormalizeDefaults(t *testing.T) {
 		want   Options
 		window int
 	}{
-		{"all-zero", Options{}, Options{SparseDiv: 20}, runtime.GOMAXPROCS(0)},
-		{"explicit-survives", Options{Threads: 3, SparseDiv: 7}, Options{Threads: 3, SparseDiv: 7}, 3},
-		{"window-defaults-to-threads", Options{Threads: 2}, Options{Threads: 2, SparseDiv: 20}, 2},
-		{"deep-window-survives", Options{Threads: 64}, Options{Threads: 64, SparseDiv: 20}, 64},
+		{"all-zero", Options{}, Options{}, runtime.GOMAXPROCS(0)},
+		{"explicit-survives", Options{Threads: 3}, Options{Threads: 3}, 3},
+		{"window-defaults-to-threads", Options{Threads: 2}, Options{Threads: 2}, 2},
+		{"deep-window-survives", Options{Threads: 64}, Options{Threads: 64}, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

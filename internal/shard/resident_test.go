@@ -40,7 +40,7 @@ func bucketRef(c *graph.COO, lo graph.VID, units, tasks int) (src, dst []graph.V
 	return src, dst, off
 }
 
-// TestResidentMatchesBucketing pins what replaced hostCore.bucket: for
+// TestResidentMatchesBucketing pins what replaced per-load bucketing: for
 // every format — clean, under pending deltas and after compaction — the
 // resident the engine builds is element for element what bucketing the
 // loaded shard produced (the identity on its sorted edges, the counting
@@ -78,9 +78,9 @@ func TestResidentMatchesBucketing(t *testing.T) {
 					t.Fatal(err)
 				}
 				lo, _ := st.Range(si)
-				units := h.core.shardUnits(si)
-				sh := h.core.newResident(si, coo)
-				wantSrc, wantDst, wantOff := bucketRef(coo, lo, units, h.core.taskCount(si))
+				units := h.shardUnits(si)
+				sh := h.newResident(si, coo)
+				wantSrc, wantDst, wantOff := bucketRef(coo, lo, units, h.taskCount(si))
 				if !slices.Equal(sh.src, wantSrc) || !slices.Equal(sh.dst, wantDst) || !slices.Equal(sh.off, wantOff) {
 					t.Fatalf("%v %s shard %d: resident differs from the bucketed shard (offsets %v, want %v)",
 						format, stage, si, sh.off, wantOff)

@@ -1,8 +1,20 @@
 package shard
 
-// The shard residency layer. A SharedCache is the residency core (see
-// residency.go: byte budget, pins, refuse-don't-block) keyed by
-// (store, shard), plus a single-flight table: a shard resident for one
+// The shard residency layer. The paper's claim is that partitioning by
+// destination turns a sweep's working set into a bounded thing; in this
+// package that bounded thing is the decoded shards a SharedCache
+// holds: a byte-budgeted LRU with pins, keyed by (store, shard). Three
+// invariants hold at every observation point, not just at quiescence:
+//
+//   - a pinned entry (pins > 0) is never evicted,
+//   - resident bytes never exceed the budget, and
+//   - an insert that cannot fit after evicting every cold unpinned entry
+//     is refused, never blocked on: the caller still uses its value
+//     (transient, counted under rejected), so the budget is a hard bound
+//     rather than a high-water mark and no two holders can deadlock
+//     against each other however small it is.
+//
+// Beside the LRU sits a single-flight table: a shard resident for one
 // in-flight query is free for every other query on the same store, and
 // concurrent sessions missing on the same shard elect one loader and
 // the rest share its result (SharedReads), so concurrent queries
@@ -11,6 +23,8 @@ package shard
 // NewEngine is simply the only session of a cache of its own.
 
 import (
+	"container/list"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -85,12 +99,28 @@ type SharedCacheStats struct {
 // SharedCache is the refcounted, byte-budgeted shard LRU N concurrent
 // sessions share. All methods are safe for concurrent use.
 type SharedCache struct {
-	res *residency[cacheKey, *resident]
+	budget int64
 
-	// Guarded by res.mu, so a miss and the election of its loader are
-	// one atomic step.
-	inflight      map[cacheKey]*sharedLoad
-	loads, shared int64
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used; values are *cacheEntry
+	idx   map[cacheKey]*list.Element
+	bytes int64
+	// inflight is guarded by mu, so a miss and the election of its
+	// loader are one atomic step.
+	inflight map[cacheKey]*sharedLoad
+
+	peakBytes, hits, loads, shared, evictions, rejected int64
+}
+
+// cacheEntry is one resident shard plus its refcount. pins counts the
+// holders between fetch and release; eviction skips any entry with
+// pins > 0. A retired entry (see dropStore) leaves at its final unpin.
+type cacheEntry struct {
+	key     cacheKey
+	sh      *resident
+	bytes   int64
+	pins    int
+	retired bool
 }
 
 // NewSharedCache builds a shared cache with the given byte budget;
@@ -100,30 +130,64 @@ func NewSharedCache(budget int64) *SharedCache {
 		budget = DefaultCacheBytes
 	}
 	return &SharedCache{
-		res:      newResidency[cacheKey, *resident](budget),
+		budget:   budget,
+		ll:       list.New(),
+		idx:      make(map[cacheKey]*list.Element),
 		inflight: make(map[cacheKey]*sharedLoad),
 	}
 }
 
 // Budget returns the configured byte budget.
-func (c *SharedCache) Budget() int64 { return c.res.budget }
+func (c *SharedCache) Budget() int64 { return c.budget }
 
 // Stats returns a consistent snapshot of the cache counters.
 func (c *SharedCache) Stats() SharedCacheStats {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
-	rs := c.res.statsLocked()
-	return SharedCacheStats{
-		Budget:    rs.Budget,
-		Bytes:     rs.Bytes,
-		PeakBytes: rs.PeakBytes,
-		Resident:  rs.Resident,
-		Pinned:    rs.Pinned,
-		Hits:      rs.Hits,
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := SharedCacheStats{
+		Budget:    c.budget,
+		Bytes:     c.bytes,
+		PeakBytes: c.peakBytes,
+		Resident:  int64(len(c.idx)),
+		Hits:      c.hits,
 		Loads:     c.loads,
 		Shared:    c.shared,
-		Evictions: rs.Evictions,
-		Rejected:  rs.Rejected,
+		Evictions: c.evictions,
+		Rejected:  c.rejected,
+	}
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if el.Value.(*cacheEntry).pins > 0 {
+			s.Pinned++
+		}
+	}
+	return s
+}
+
+// removeLocked unlinks el and returns its bytes to the budget.
+func (c *SharedCache) removeLocked(el *list.Element) {
+	ent := c.ll.Remove(el).(*cacheEntry)
+	delete(c.idx, ent.key)
+	c.bytes -= ent.bytes
+}
+
+// pinLocked promotes el to most recently used, pins it, and returns the
+// one-shot unpin: releasing twice is a no-op. A pinned entry is never
+// evicted, so el is still linked when the release runs; the final
+// unpin of a retired entry removes it.
+func (c *SharedCache) pinLocked(el *list.Element) func() {
+	ent := el.Value.(*cacheEntry)
+	c.ll.MoveToFront(el)
+	ent.pins++
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			c.mu.Lock()
+			ent.pins--
+			if ent.retired && ent.pins == 0 {
+				c.removeLocked(el)
+			}
+			c.mu.Unlock()
+		})
 	}
 }
 
@@ -140,8 +204,18 @@ func (c *SharedCache) retireLoadLocked(k cacheKey) {
 	}
 }
 
-// get returns shard k pinned and promoted, plus its release.
-func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) { return c.res.get(k) }
+// get returns shard k pinned and promoted, plus its release; the
+// caller must invoke release when done with the shard.
+func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.idx[k]
+	if !ok {
+		return nil, nil, false
+	}
+	c.hits++
+	return el.Value.(*cacheEntry).sh, c.pinLocked(el), true
+}
 
 // getAll is the inline sparse sweep's fetch. If every shard plan names
 // of st is resident, and the budget's spare room could pay for the
@@ -151,16 +225,16 @@ func (c *SharedCache) get(k cacheKey) (*resident, func(), bool) { return c.res.g
 // spare room left. Otherwise it touches nothing and reports false, and
 // the sweep takes the window. Either way it takes one lock.
 func (c *SharedCache) getAll(st *Store, plan []int) (shs []*resident, releases []func(), spare int64, ok bool) {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
-	spare = c.res.spareLocked()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	spare = c.budget - c.bytes
 	need := int64(0)
 	for _, si := range plan {
-		el, ok := c.res.idx[cacheKey{st, si}]
+		el, ok := c.idx[cacheKey{st, si}]
 		if !ok {
 			return nil, nil, 0, false
 		}
-		if sh := el.Value.(*resEntry[cacheKey, *resident]).val; sh.index.Load() == nil {
+		if sh := el.Value.(*cacheEntry).sh; sh.index.Load() == nil {
 			if need += minIndexBytes(sh); need > spare {
 				return nil, nil, 0, false
 			}
@@ -169,7 +243,9 @@ func (c *SharedCache) getAll(st *Store, plan []int) (shs []*resident, releases [
 	shs = make([]*resident, len(plan))
 	releases = make([]func(), len(plan))
 	for i, si := range plan {
-		shs[i], releases[i], _ = c.res.getLocked(cacheKey{st, si})
+		el := c.idx[cacheKey{st, si}]
+		c.hits++
+		shs[i], releases[i] = el.Value.(*cacheEntry).sh, c.pinLocked(el)
 	}
 	return shs, releases, spare, true
 }
@@ -179,31 +255,64 @@ func (c *SharedCache) getAll(st *Store, plan []int) (shs []*resident, releases [
 // budget's spare room covers ix without evicting anything. It returns
 // the index sh carries afterwards: ix; the one a racing session
 // attached first (ix is dropped); or nil when the attach was refused
-// (or ix is nil).
+// (or ix is nil). Eviction and drop return the bytes with the entry.
 func (c *SharedCache) attachIndex(k cacheKey, sh *resident, ix *sourceIndex) *sourceIndex {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if cur := sh.index.Load(); cur != nil || ix == nil {
 		return cur
 	}
-	el, ok := c.res.idx[k]
-	if !ok || el.Value.(*resEntry[cacheKey, *resident]).val != sh || !c.res.growLocked(el, ix.bytes()) {
+	el, ok := c.idx[k]
+	if !ok {
 		return nil
 	}
+	ent := el.Value.(*cacheEntry)
+	if ent.sh != sh || ent.retired || c.bytes+ix.bytes() > c.budget {
+		return nil
+	}
+	ent.bytes += ix.bytes()
+	c.bytes += ix.bytes()
+	c.peakBytes = max(c.peakBytes, c.bytes)
 	sh.index.Store(ix)
 	return ix
 }
 
-// add admits a freshly loaded shard, pinned, and returns the shard to
-// apply (see residency.addLocked for adoption and refusal). The shard
-// is reaching residency, so the resolved single-flight record load
-// retained for the gap between read completion and this insertion is
-// retired.
+// add admits a freshly loaded shard under k, pinned, evicting cold
+// unpinned entries to make room, and returns the canonical shard to
+// apply and its release. If another holder raced the insert, the
+// existing entry is adopted (promoted and pinned) and sh is dropped.
+// If the bytes cannot fit after evicting everything evictable — every
+// other entry is pinned, or sh alone exceeds the budget — the insert is
+// refused: admitted is false, the release is a no-op, and the caller
+// applies sh uncached. The budget is therefore never exceeded, not even
+// transiently. The shard is reaching residency, so the resolved
+// single-flight record load retained for the gap between read
+// completion and this insertion is retired.
 func (c *SharedCache) add(k cacheKey, sh *resident) (canon *resident, release func(), admitted bool) {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.retireLoadLocked(k)
-	return c.res.addLocked(k, sh, residentBytes(sh))
+	if el, ok := c.idx[k]; ok {
+		return el.Value.(*cacheEntry).sh, c.pinLocked(el), true
+	}
+	bytes := residentBytes(sh)
+	for c.bytes+bytes > c.budget {
+		victim := c.ll.Back()
+		for victim != nil && victim.Value.(*cacheEntry).pins > 0 {
+			victim = victim.Prev()
+		}
+		if victim == nil {
+			c.rejected++
+			return sh, func() {}, false
+		}
+		c.removeLocked(victim)
+		c.evictions++
+	}
+	el := c.ll.PushFront(&cacheEntry{key: k, sh: sh, bytes: bytes})
+	c.idx[k] = el
+	c.bytes += bytes
+	c.peakBytes = max(c.peakBytes, c.bytes)
+	return sh, c.pinLocked(el), true
 }
 
 // load is the single-flight read path: if shard k is resident or
@@ -213,31 +322,32 @@ func (c *SharedCache) add(k cacheKey, sh *resident) (canon *resident, release fu
 // A waiter inherits the loader's error — read failures are properties
 // of the store, not the session.
 func (c *SharedCache) load(k cacheKey, read func() (*resident, error)) (sh *resident, shared bool, err error) {
-	c.res.mu.Lock()
-	if sh, ok := c.res.touchLocked(k); ok {
+	c.mu.Lock()
+	if el, ok := c.idx[k]; ok {
+		c.ll.MoveToFront(el)
 		c.shared++
-		c.res.mu.Unlock()
-		return sh, true, nil
+		c.mu.Unlock()
+		return el.Value.(*cacheEntry).sh, true, nil
 	}
 	if w, ok := c.inflight[k]; ok {
-		c.res.mu.Unlock()
+		c.mu.Unlock()
 		<-w.done
 		if w.err != nil {
 			return nil, true, w.err
 		}
-		c.res.mu.Lock()
+		c.mu.Lock()
 		c.shared++
-		c.res.mu.Unlock()
+		c.mu.Unlock()
 		return w.sh, true, nil
 	}
 	w := &sharedLoad{done: make(chan struct{})}
 	c.inflight[k] = w
-	c.res.mu.Unlock()
+	c.mu.Unlock()
 
 	sh, err = read()
 	w.sh, w.err = sh, err
 
-	c.res.mu.Lock()
+	c.mu.Lock()
 	if err != nil {
 		// Failed loads retry: nothing will admit this key, so the record
 		// must not outlive the attempt (and must not pin the error for
@@ -251,22 +361,36 @@ func (c *SharedCache) load(k cacheKey, read func() (*resident, error)) (sh *resi
 		// multiply loads for the same resident bytes" would be a race.
 		c.loads++
 	}
-	c.res.mu.Unlock()
+	c.mu.Unlock()
 	close(w.done)
 	return sh, false, err
 }
 
 // dropStore retires every resident shard of st — the close-store path.
 // Unpinned shards leave immediately; shards still pinned by in-flight
-// queries leave at their final unpin. Either way each counts as one
-// eviction, here.
+// queries leave at their final unpin, so the store's residents drain
+// instead of aging in an LRU nothing will hit again. Either way each
+// counts as one eviction, here.
 func (c *SharedCache) dropStore(st *Store) {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for k := range c.inflight {
 		if k.st == st {
 			c.retireLoadLocked(k)
 		}
 	}
-	c.res.evictions += c.res.dropLocked(func(k cacheKey) bool { return k.st == st })
+	var next *list.Element
+	for el := c.ll.Front(); el != nil; el = next {
+		next = el.Next()
+		ent := el.Value.(*cacheEntry)
+		if ent.key.st != st {
+			continue
+		}
+		c.evictions++
+		if ent.pins == 0 {
+			c.removeLocked(el)
+		} else {
+			ent.retired = true
+		}
+	}
 }

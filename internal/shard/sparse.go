@@ -184,7 +184,7 @@ func (e *Engine) sweepInline(f *frontier.Frontier, op api.EdgeOp, plan []int, sh
 			if k == nil {
 				k = &sweepKernel{
 					e: e, cur: f.Bitmap(), cond: cond, op: op, next: e.seen,
-					accs: make([]sweepAccum, e.pool.Threads()),
+					accs: make([]api.Accum, e.pool.Threads()),
 				}
 			}
 			e.applyShard(sh, k)

@@ -68,13 +68,13 @@ func residentSession(t *testing.T, st *Store, g *graph.Graph, spare int64, opts 
 // cachedResident is shard si of e's store as the cache holds it.
 func cachedResident(t *testing.T, e *Engine, si int) *resident {
 	t.Helper()
-	e.cache.res.mu.Lock()
-	defer e.cache.res.mu.Unlock()
-	el, ok := e.cache.res.idx[cacheKey{e.st, si}]
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	el, ok := e.cache.idx[cacheKey{e.st, si}]
 	if !ok {
 		t.Fatalf("shard %d is not resident", si)
 	}
-	return el.Value.(*resEntry[cacheKey, *resident]).val
+	return el.Value.(*cacheEntry).sh
 }
 
 // indexBytes sums the source indexes e's resident shards carry.
@@ -82,7 +82,7 @@ func indexBytes(t *testing.T, e *Engine) int64 {
 	t.Helper()
 	var sum int64
 	for si := 0; si < e.st.NumShards(); si++ {
-		if e.cache.res.peek(cacheKey{e.st, si}) {
+		if cached(e.cache, cacheKey{e.st, si}) {
 			sum += cachedResident(t, e, si).index.Load().bytes()
 		}
 	}
@@ -314,7 +314,7 @@ func TestIndexBytesLeaveWithShard(t *testing.T) {
 	}
 	var left int64
 	for si := 0; si < st.NumShards(); si++ {
-		if c.res.peek(cacheKey{st, si}) {
+		if cached(c, cacheKey{st, si}) {
 			sh := cachedResident(t, e, si)
 			left += residentBytes(sh)
 		}
@@ -482,7 +482,7 @@ func BenchmarkSparseSweep(b *testing.B) {
 				parents := newParents(g.NumVertices())
 				parents[0] = 0
 				for f := frontier.FromVertex(g, 0); !f.IsEmpty(); sweeps++ {
-					if f.Classify(g, e.opts.SparseDiv, 2) != frontier.Sparse {
+					if f.Classify(g, sparseDiv, 2) != frontier.Sparse {
 						b.Fatal("fixture broken: a BFS frontier on the road grid is not sparse")
 					}
 					if path == "inline" {

@@ -15,7 +15,7 @@ import (
 // planOf is the plan EdgeMap builds for f: the exact sparse plan or the
 // summary-pruned dense one, both ascending.
 func planOf(e *Engine, f *frontier.Frontier) []int {
-	if f.Classify(e.g, e.opts.SparseDiv, 2) == frontier.Sparse {
+	if f.Classify(e.g, sparseDiv, 2) == frontier.Sparse {
 		return e.planSparse(f)
 	}
 	return e.planDense(f)
@@ -231,17 +231,21 @@ func TestStagerEdgeCases(t *testing.T) {
 	})
 
 	t.Run("sparse-plans-are-ordered", func(t *testing.T) {
-		// A sparse frontier plans a subset of shards, ascending, and a
-		// cold stager reads exactly that subset in that order. SparseDiv 2
-		// keeps three sources of a graph this small on the sparse path.
-		e := slotEngine(t, st, g, 2, Options{SparseDiv: 2})
-		f := frontier.FromList(g.NumVertices(), sparseSources(g, 3))
-		if f.Classify(g, e.opts.SparseDiv, 2) != frontier.Sparse {
+		// A sparse frontier plans a proper subset of shards, ascending, and
+		// a cold stager reads exactly that subset in that order. Three
+		// spread-out vertices of a road grid stay under the paper's sparse
+		// threshold, and each one's neighbours lie in one or two shards.
+		g := gen.TinyRoad()
+		const shards = 8
+		e := slotEngine(t, createStore(t, t.TempDir(), g, shards), g, 2, Options{})
+		n := g.NumVertices()
+		f := frontier.FromList(n, []graph.VID{0, graph.VID(n / 3), graph.VID(2 * n / 3)})
+		if f.Classify(g, sparseDiv, 2) != frontier.Sparse {
 			t.Fatal("fixture broken: the frontier is not sparse")
 		}
 		plan := e.planSparse(f)
-		if len(plan) < 2 {
-			t.Fatalf("fixture too small: sparse plan %v needs >= 2 shards", plan)
+		if len(plan) < 2 || len(plan) == shards {
+			t.Fatalf("fixture broken: sparse plan %v needs >= 2 shards of %d, not all", plan, shards)
 		}
 		if !sort.IntsAreSorted(plan) {
 			t.Fatalf("sparse plan %v is not ascending", plan)
@@ -252,33 +256,6 @@ func TestStagerEdgeCases(t *testing.T) {
 			t.Fatalf("cold sparse sweep read %v, want the plan %v in order", *reads, plan)
 		}
 	})
-}
-
-// sparseSources picks k spread-out vertices with out-edges, giving the
-// sparse planner a multi-shard plan.
-func sparseSources(g *graph.Graph, k int) []graph.VID {
-	var vs []graph.VID
-	step := g.NumVertices() / k
-	if step == 0 {
-		step = 1
-	}
-	for v := 0; v < g.NumVertices() && len(vs) < k; v += step {
-		for u := v; u < g.NumVertices(); u++ {
-			if g.OutDegree(graph.VID(u)) > 0 {
-				vs = append(vs, graph.VID(u))
-				break
-			}
-		}
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	// FromList wants duplicate-free input.
-	uniq := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	return uniq
 }
 
 // TestStagerStatsFollowTheRealCache: a lone session's fetch counters

@@ -391,7 +391,7 @@ func TestHostReadsOneAtATimeInPlanOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.cache = NewSharedCache(4 * h.core.maxShardBytes)
+	h.cache = NewSharedCache(4 * h.maxShardBytes)
 
 	var inFlight, overlaps atomic.Int32
 	var sessions [2]*Engine
