@@ -47,12 +47,20 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	// decoded is what the store's edges occupy once decoded (8 bytes
-	// each): every budget below is a fraction of it. A sixth — 4 of 24
-	// shards' worth: resident edge data stays bounded by that however
-	// many iterations run, and it leaves the staging window room to run
-	// ahead of the shards being applied.
-	decoded := 8 * g.NumEdges()
+	// decoded is what the store's edges occupy once decoded: a
+	// resident keeps each edge's source (4 bytes) and, per destination
+	// run, the destination and the run's end (8 bytes), so every vertex
+	// with an in-edge costs 8 bytes once. Every budget below is a
+	// fraction of it. A sixth — 4 of 24 shards' worth: resident edge
+	// data stays bounded by that however many iterations run, and it
+	// leaves the staging window room to run ahead of the shards being
+	// applied.
+	decoded := 4 * g.NumEdges()
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.InDegree(graph.VID(v)) > 0 {
+			decoded += 8
+		}
+	}
 	ooc := engineOver(store, g, decoded/6, shard.Options{})
 	bytes, err := store.DiskBytes()
 	if err != nil {

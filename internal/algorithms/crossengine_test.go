@@ -140,13 +140,20 @@ func oocBudget(t *testing.T, st *shard.Store, g *graph.Graph, cacheBytes int64, 
 	return e
 }
 
-// oocTight is oocBudget at half the store's decoded edge bytes: every
-// dense sweep evicts and re-reads, so the differential suite also
-// exercises the residency path (the ladder asserts the pressure was
-// real).
+// oocTight is oocBudget at half the store's decoded edge bytes — 4 an
+// edge for the sources, 8 a destination run (a vertex with an in-edge)
+// for the run table: every dense sweep evicts and re-reads, so the
+// differential suite also exercises the residency path (the ladder
+// asserts the pressure was real).
 func oocTight(t *testing.T, st *shard.Store, g *graph.Graph, opts shard.Options) *shard.Engine {
 	t.Helper()
-	return oocBudget(t, st, g, st.NumEdges()*8/2, opts)
+	var runs int64
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.InDegree(graph.VID(v)) > 0 {
+			runs++
+		}
+	}
+	return oocBudget(t, st, g, (4*st.NumEdges()+8*runs)/2, opts)
 }
 
 // oocReference is the ladder's baseline rung: the sequential sweep

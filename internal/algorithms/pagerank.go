@@ -44,6 +44,16 @@ func PR(sys api.System, iters int) PRResult {
 			acc.AtomicAdd(v, contrib.Get(u))
 			return true
 		},
+		// The gather: the same additions in the same order, with acc[v]
+		// read and written once per run.
+		UpdateRun: func(v graph.VID, srcs []graph.VID) bool {
+			s := acc.Get(v)
+			for _, u := range srcs {
+				s += contrib.Get(u)
+			}
+			acc.Set(v, s)
+			return len(srcs) > 0
+		},
 	}
 
 	all := frontier.All(g)

@@ -23,16 +23,31 @@ func SPMV(sys api.System) SPMVResult {
 
 	op := api.EdgeOp{
 		Update: func(u, v graph.VID) bool {
-			y.Add(v, float64(graph.WeightOf(u, v))*SPMVInput(u))
+			y.Add(v, spmvTerm(u, v))
 			return true
 		},
 		UpdateAtomic: func(u, v graph.VID) bool {
-			y.AtomicAdd(v, float64(graph.WeightOf(u, v))*SPMVInput(u))
+			y.AtomicAdd(v, spmvTerm(u, v))
 			return true
+		},
+		UpdateRun: func(v graph.VID, srcs []graph.VID) bool {
+			s := y.Get(v)
+			for _, u := range srcs {
+				s += spmvTerm(u, v)
+			}
+			y.Set(v, s)
+			return len(srcs) > 0
 		},
 	}
 	sys.EdgeMap(frontier.All(g), op, api.DirForward)
 	return SPMVResult{Y: y.Slice()}
+}
+
+// spmvTerm is edge (u,v)'s term of y[v]. The conversion rounds the
+// product, so no platform fuses it into the sum it is added to: Update
+// and UpdateRun add the same terms.
+func spmvTerm(u, v graph.VID) float64 {
+	return float64(float64(graph.WeightOf(u, v)) * SPMVInput(u))
 }
 
 // SPMVInput is the fixed input vector element for u.

@@ -26,10 +26,19 @@ import (
 // Cond filters destinations before edges are applied (e.g. "parent not
 // yet set" for BFS); traversals skip or early-exit a destination whose
 // Cond is false. A nil Cond means "always true".
+//
+// UpdateRun is optional: the gather form of Update over one
+// destination's in-edges. UpdateRun(v, srcs) must have the same effect,
+// in the same floating-point order, as calling Update(u, v) for each u
+// in srcs in order, and report whether any of those calls would have
+// returned true. A destination-run sweep (DenseRuns) calls it only when
+// every vertex is active and Cond is nil, so an operator like PageRank
+// can sum a run's sources into a local and write the destination once.
 type EdgeOp struct {
 	Update       func(src, dst graph.VID) bool
 	UpdateAtomic func(src, dst graph.VID) bool
 	Cond         func(dst graph.VID) bool
+	UpdateRun    func(dst graph.VID, srcs []graph.VID) bool
 }
 
 // CondOf returns the operator's condition, defaulting to always-true.

@@ -9,8 +9,10 @@ import (
 // Shared VertexMap / VertexFilter implementations. All four engines use
 // identical vertex-wise operators; only EdgeMap differs between systems,
 // so the baselines and core both delegate here. EdgeMap's bookkeeping is
-// shared too: the per-worker Accum and NextFrontier, and the "COO + na"
-// loop DenseCOO that the in-memory and out-of-core dense paths both run.
+// shared too: the per-worker Accum and NextFrontier, and the two "COO +
+// na" loops — DenseCOO, the per-edge loop the in-memory engine runs over
+// its source-ordered partitions, and DenseRuns, the destination-run loop
+// the out-of-core engine runs over its destination-sorted shards.
 
 // VertexMap applies fn to every active vertex of f using the pool.
 func VertexMap(pool *sched.Pool, f *frontier.Frontier, fn func(graph.VID)) {
@@ -83,10 +85,13 @@ func NextFrontier(n int, next *frontier.Bitmap, accs []Accum) *frontier.Frontier
 	return nf
 }
 
-// DenseCOO is the paper's "COO + na" edge loop over one run of
-// destination-grouped edges (src[i] -> dst[i]): each edge whose source
-// is in cur and whose destination passes cond is applied through the
+// DenseCOO is the paper's "COO + na" edge loop over one partition's
+// edges (src[i] -> dst[i]), in any order: each edge whose source is in
+// cur and whose destination passes cond is applied through the
 // non-atomic update, and a destination an update changes joins next.
+// The in-memory engine (internal/core) runs it over partitions kept in
+// source order by default (the paper's Figure 7), which have no
+// destination runs to exploit; the out-of-core engine runs DenseRuns.
 // The caller guarantees that no concurrent call writes any destination
 // in dst, nor any next-frontier bitmap word holding one. It returns how
 // many vertices joined next and their summed out-degree in g.
@@ -97,6 +102,57 @@ func DenseCOO(src, dst []graph.VID, cur *frontier.Bitmap, cond func(graph.VID) b
 			continue
 		}
 		if update(u, v) && !next.Get(v) {
+			next.Set(v)
+			count++
+			outDeg += g.OutDegree(v)
+		}
+	}
+	return count, outDeg
+}
+
+// DenseRuns is the "COO + na" loop over destination runs, the paper's
+// backward sweep (Algorithm 2) with each destination's in-edges applied
+// together: run r is destination dst[r] with sources src[end[r-1]:end[r]]
+// (src[begin:end[0]] for the first run). A run whose destination fails
+// op.Cond is skipped whole. Otherwise each source in cur is applied
+// through op.Update, and the run is left as soon as Cond turns false —
+// the pull direction's early exit. When the frontier is full (every
+// vertex in cur), op.Cond is nil and op.UpdateRun is set, the run is
+// applied by one UpdateRun call instead. Since operators write
+// destination state only, this is bit-identical to DenseCOO over the
+// expanded runs. A destination joins next once, if any update changed
+// it. The caller guarantees that no concurrent call writes any
+// destination in dst, nor any next-frontier bitmap word holding one. It
+// returns how many vertices joined next and their summed out-degree in
+// g.
+func DenseRuns(src []graph.VID, begin uint32, dst []graph.VID, end []uint32, cur *frontier.Bitmap, full bool, op EdgeOp, next *frontier.Bitmap, g *graph.Graph) (count, outDeg int64) {
+	cond, update, gather := op.Cond, op.Update, op.UpdateRun
+	if !full || cond != nil {
+		gather = nil
+	}
+	for r, v := range dst {
+		srcs := src[begin:end[r]]
+		begin = end[r]
+		changed := false
+		switch {
+		case gather != nil:
+			changed = gather(v, srcs)
+		case cond != nil && !cond(v):
+			continue
+		default:
+			for _, u := range srcs {
+				if !full && !cur.Get(u) {
+					continue
+				}
+				if update(u, v) {
+					changed = true
+				}
+				if cond != nil && !cond(v) {
+					break
+				}
+			}
+		}
+		if changed && !next.Get(v) {
 			next.Set(v)
 			count++
 			outDeg += g.OutDegree(v)

@@ -99,6 +99,11 @@ func (e *Engine) backwardCSC(f *frontier.Frontier, op api.EdgeOp) *frontier.Fron
 // partitioned COO. In the paper's configuration each partition is
 // processed sequentially by one worker — update sets are disjoint by
 // partitioning-by-destination, so no atomics are needed ("COO + na").
+// The partitions keep their edges in source order by default (Figure
+// 7; Options.EdgeOrder may re-sort them), so a destination's in-edges
+// are not contiguous: the loop is the per-edge api.DenseCOO in every
+// order, not the out-of-core engine's run loop, and an operator's
+// UpdateRun is never called here.
 // With Options.ForceAtomics the partitions are instead split into edge
 // chunks processed by any worker using atomic updates ("COO + a"),
 // reproducing the 6.1%–23.7% atomics penalty.

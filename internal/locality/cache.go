@@ -24,14 +24,6 @@ type CacheConfig struct {
 	Assoc     int // ways
 }
 
-// DefaultLLC models a last-level-cache slice proportioned for the scaled
-// graphs: 512 KiB, 16-way, 64-byte lines. The paper's Xeon E7-4860 v2 has
-// a 30 MiB LLC for 41M-vertex graphs; 512 KiB is the same ratio of cache
-// to vertex-data footprint at our 2^17–2^18 vertex scale.
-func DefaultLLC() CacheConfig {
-	return CacheConfig{SizeBytes: 512 << 10, LineBytes: 64, Assoc: 16}
-}
-
 // AdaptiveLLC sizes the simulated LLC relative to the graph's per-vertex
 // data: one eighth of the next-array footprint (n × 4 bytes), the same
 // cache-to-data ratio as the paper's 30 MiB LLC against its 160 MiB

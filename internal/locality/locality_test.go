@@ -162,7 +162,7 @@ func TestCacheWorkingSetThreshold(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewCache(DefaultLLC())
+	c := NewCache(CacheConfig{SizeBytes: 512 << 10, LineBytes: 64, Assoc: 16})
 	c.Access(0)
 	c.Reset()
 	if c.Accesses() != 0 || c.Misses() != 0 {

@@ -39,24 +39,11 @@ func MeasureNUMATraffic(g *graph.Graph, p int, topo sched.Topology) NUMATraffic 
 	})
 }
 
-// MeasureNUMAPlacement generalises MeasureNUMATraffic to an arbitrary
-// data placement: home(v) names the domain holding v's vertex-array
-// slice, while computation keeps the round-robin discipline (partition
-// i is processed by a core of domain i mod D). It exists to score
-// placements against each other — e.g. the partition-aware placement
-// versus an unplaced baseline that stripes vertex pages across domains
-// with no regard for partition structure.
-func MeasureNUMAPlacement(g *graph.Graph, p int, topo sched.Topology, home func(graph.VID) int) NUMATraffic {
-	if topo.Domains <= 0 {
-		topo = sched.DefaultTopology()
-	}
-	pt := partition.ByDestination(g, p, partition.BalanceEdges)
-	return measureTraffic(g, pt, topo, home)
-}
-
 // measureTraffic runs one dense COO iteration under the modelled
 // execution (partition i processed on domain i mod D) and classifies
-// every vertex-array access by the data placement home.
+// every vertex-array access by the data placement home, which names the
+// domain holding v's vertex-array slice — so placements can be scored
+// against each other.
 func measureTraffic(g *graph.Graph, pt *partition.Partitioning, topo sched.Topology, home func(graph.VID) int) NUMATraffic {
 	pcoo := partition.NewPCOO(g, pt)
 	var t NUMATraffic

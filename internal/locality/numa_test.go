@@ -69,15 +69,21 @@ func TestNUMASingleDomainAllLocal(t *testing.T) {
 	}
 }
 
+// placementTraffic scores an arbitrary data placement home under the
+// model's round-robin execution.
+func placementTraffic(g *graph.Graph, p int, topo sched.Topology, home func(graph.VID) int) NUMATraffic {
+	return measureTraffic(g, partition.ByDestination(g, p, partition.BalanceEdges), topo, home)
+}
+
 func TestNUMAPlacementGeneralisesTraffic(t *testing.T) {
-	// MeasureNUMAPlacement with the partition-aware placement must
+	// Scoring the partition-aware placement explicitly must
 	// reproduce MeasureNUMATraffic exactly — same model, explicit home.
 	g := gen.TinySocial()
 	const p = 16
 	topo := sched.Topology{Domains: 4}
 	want := MeasureNUMATraffic(g, p, topo)
 	pt := partition.ByDestination(g, p, partition.BalanceEdges)
-	got := MeasureNUMAPlacement(g, p, topo, func(v graph.VID) int {
+	got := placementTraffic(g, p, topo, func(v graph.VID) int {
 		return topo.DomainOf(pt.Home(v))
 	})
 	if !reflect.DeepEqual(got, want) {
@@ -93,7 +99,7 @@ func TestNUMAPlacementScoresStripedWorse(t *testing.T) {
 	const p = 16
 	topo := sched.Topology{Domains: 4}
 	placed := MeasureNUMATraffic(g, p, topo)
-	striped := MeasureNUMAPlacement(g, p, topo, func(v graph.VID) int {
+	striped := placementTraffic(g, p, topo, func(v graph.VID) int {
 		return int(v) / partition.BoundaryAlign % topo.Domains
 	})
 	if striped.RemoteNext == 0 {
@@ -118,7 +124,7 @@ func TestNUMAPlacementNoWorseThanUnplaced(t *testing.T) {
 	for _, seed := range []uint64{3, 7, 11} {
 		g := gen.PowerLaw(1<<10, 1<<13, 2.3, seed)
 		placed := MeasureNUMATraffic(g, p, topo)
-		striped := MeasureNUMAPlacement(g, p, topo, func(v graph.VID) int {
+		striped := placementTraffic(g, p, topo, func(v graph.VID) int {
 			return int(v) / partition.BoundaryAlign % topo.Domains
 		})
 		if placed.RemoteNext != 0 {

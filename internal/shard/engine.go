@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/api"
@@ -112,8 +113,13 @@ type Stats struct {
 // Writes are partition-exclusive end to end: a shard holds all in-edges
 // of its 64-aligned destination range, and each resident shard is cut
 // into tasks over 64-aligned destination sub-ranges, so the non-atomic
-// EdgeOp.Update path is always used — the out-of-core counterpart of
-// the paper's "COO + na" configuration.
+// path is always used — the out-of-core counterpart of the paper's
+// "COO + na" configuration. A resident keeps its edges as destination
+// runs, and a task applies them with api.DenseRuns: a run whose
+// destination fails Cond is skipped whole, a run is left as soon as
+// Cond turns false, and on a full frontier an operator with a
+// run-level form (EdgeOp.UpdateRun, e.g. PageRank's) gathers each run
+// in one call.
 //
 // Sweeps are inline (a resident sparse plan; sparse.go) or pipelined
 // (plan → stage → apply → publish; see EdgeMap and window.go), and
@@ -289,10 +295,7 @@ func (e *Engine) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 func (e *Engine) sweepWindowed(f *frontier.Frontier, op api.EdgeOp, plan []int) *frontier.Frontier {
 	n := e.g.NumVertices()
 	next := frontier.NewBitmap(n)
-	k := &sweepKernel{
-		e: e, cur: f.Bitmap(), cond: op.CondOf(), op: op, next: next,
-		accs: make([]api.Accum, e.pool.Threads()),
-	}
+	k := e.newKernel(f, op, next)
 	w := e.startSweep(plan, k)
 	// The teardown barrier runs even when wait re-raises a failure.
 	defer w.stop()
@@ -394,11 +397,11 @@ func (e *Engine) readShard(si int) (sh *resident, diskBytes int64, overlapped bo
 		e.onLoadBegin(si)
 	}
 	overlapped = atomic.LoadInt32(&e.applying) != 0
-	coo, diskBytes, err := e.st.loadShard(si)
+	r, diskBytes, err := e.st.loadRuns(si)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	sh = e.newResident(si, coo)
+	sh = e.newResident(si, r)
 	if atomic.LoadInt32(&e.applying) != 0 {
 		overlapped = true
 	}
@@ -428,42 +431,51 @@ func (h *Host) taskCount(si int) int {
 	return max(1, min(h.pool.Threads()*tasksPerWorker, h.shardUnits(si)))
 }
 
-// newResident wraps a loaded shard's arrays — as decoded, never copied
+// newResident wraps a loaded shard's runs — as decoded, never copied
 // — with the offsets of its apply tasks.
-func (h *Host) newResident(si int, coo *graph.COO) *resident {
+func (h *Host) newResident(si int, r *shardRuns) *resident {
 	lo, _ := h.st.Range(si)
-	return &resident{idx: si, src: coo.Src, dst: coo.Dst, off: taskOffsets(coo, lo, h.shardUnits(si), h.taskCount(si))}
+	return &resident{idx: si, shardRuns: *r, off: taskOffsets(r.dst, lo, h.shardUnits(si), h.taskCount(si))}
 }
 
-// taskOffsets cuts a (dst,src)-sorted shard whose destination range
-// starts at lo and spans units BoundaryAlign-vertex units into tasks
-// apply tasks: units are dealt to tasks in contiguous, near-equal runs,
-// and since the shard is destination-sorted each task's edges are one
-// contiguous range, found by a search per task boundary. All in-edges of
-// a destination share a task and keep their order, so per-destination
-// application order does not depend on the task count.
-func taskOffsets(c *graph.COO, lo graph.VID, units, tasks int) []int {
+// taskOffsets cuts a shard whose destination range starts at lo and
+// spans units BoundaryAlign-vertex units into tasks apply tasks, in
+// units of its runs, whose ascending destinations are dst: units are
+// dealt to tasks in contiguous, near-equal runs, and each task's runs
+// are one contiguous range, found by a search per task boundary.
+func taskOffsets(dst []graph.VID, lo graph.VID, units, tasks int) []int {
 	off := make([]int, tasks+1)
 	for t := 1; t < tasks; t++ {
 		first := lo + graph.VID(t*units/tasks*partition.BoundaryAlign)
-		off[t] = seekPair(c.Src, c.Dst, off[t-1], first, 0)
+		d, _ := slices.BinarySearch(dst[off[t-1]:], first)
+		off[t] = off[t-1] + d
 	}
-	off[tasks] = len(c.Dst)
+	off[tasks] = len(dst)
 	return off
 }
 
-// sweepKernel is one EdgeMap's apply state: the frontier, the operator,
-// the next frontier and one accumulator per pool worker.
+// sweepKernel is one EdgeMap's apply state: the frontier (and whether
+// it holds every vertex), the operator, the next frontier and one
+// accumulator per pool worker.
 type sweepKernel struct {
 	e    *Engine
 	cur  *frontier.Bitmap
-	cond func(graph.VID) bool
+	full bool
 	op   api.EdgeOp
 	next *frontier.Bitmap
 	accs []api.Accum
 }
 
-// apply runs op over the edges of one task of resident shard sh as pool
+// newKernel builds the apply state of one EdgeMap of op over f into
+// next.
+func (e *Engine) newKernel(f *frontier.Frontier, op api.EdgeOp, next *frontier.Bitmap) *sweepKernel {
+	return &sweepKernel{
+		e: e, cur: f.Bitmap(), full: f.Count() == int64(e.g.NumVertices()), op: op, next: next,
+		accs: make([]api.Accum, e.pool.Threads()),
+	}
+}
+
+// apply runs op over the runs of one task of resident shard sh as pool
 // worker worker. A task is a 64-aligned destination sub-range, so every
 // destination (and every next-frontier bitmap word) it writes is
 // written by no other task and the non-atomic Update path is safe.
@@ -472,7 +484,11 @@ func (k *sweepKernel) apply(sh *resident, task, worker int) {
 		k.e.onTask(sh.idx, task, worker)
 	}
 	lo, hi := sh.off[task], sh.off[task+1]
-	count, outDeg := api.DenseCOO(sh.src[lo:hi], sh.dst[lo:hi], k.cur, k.cond, k.op.Update, k.next, k.e.g)
+	begin := uint32(0)
+	if lo > 0 {
+		begin = sh.end[lo-1]
+	}
+	count, outDeg := api.DenseRuns(sh.src, begin, sh.dst[lo:hi], sh.end[lo:hi], k.cur, k.full, k.op, k.next, k.e.g)
 	k.accs[worker].Count += count
 	k.accs[worker].OutDeg += outDeg
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -176,14 +177,74 @@ func encodeV2Stream(w *bufio.Writer, src, dst []graph.VID) error {
 	return nil
 }
 
+// shardRuns is the one form every shard decoder produces: a shard's
+// (dst,src)-sorted edges as destination runs. Run r holds the in-edges
+// of destination dst[r], whose sources are src[end[r-1]:end[r]] (from 0
+// for r = 0), ascending; destinations ascend strictly, so each has one
+// run. Like the v3 file, it stores a destination once per run instead
+// of once per edge: 4 bytes per edge plus 8 per run.
+type shardRuns struct {
+	src []graph.VID
+	dst []graph.VID
+	end []uint32
+}
+
+// maxShardEdges is the most edges one shard may hold: run ends are
+// uint32 offsets.
+const maxShardEdges = math.MaxUint32
+
+// coo expands r into the per-edge COO of the store's public read API.
+// The COO shares r's sources.
+func (r *shardRuns) coo(n int) *graph.COO {
+	dst := make([]graph.VID, len(r.src))
+	at := 0
+	for i, d := range r.dst {
+		end := int(r.end[i])
+		if at+8 <= len(dst) {
+			// Fill eight regardless: most runs are shorter, the next run
+			// overwrites the excess, and the loop below — whose exit the
+			// branch predictor cannot learn — usually runs zero times.
+			run := (*[8]graph.VID)(dst[at:])
+			run[0], run[1], run[2], run[3], run[4], run[5], run[6], run[7] = d, d, d, d, d, d, d, d
+			at += 8
+		}
+		for ; at < end; at++ {
+			dst[at] = d
+		}
+		at = end
+	}
+	return &graph.COO{N: n, Src: r.src, Dst: dst}
+}
+
+// runsOf compresses a (dst,src)-sorted COO of at most maxShardEdges
+// edges into runs, keeping its sources; its destinations become
+// garbage.
+func runsOf(c *graph.COO) *shardRuns {
+	runs := 0
+	for i, d := range c.Dst {
+		if i == 0 || d != c.Dst[i-1] {
+			runs++
+		}
+	}
+	r := &shardRuns{src: c.Src, dst: make([]graph.VID, 0, runs), end: make([]uint32, 0, runs)}
+	for i, d := range c.Dst {
+		if i+1 == len(c.Dst) || c.Dst[i+1] != d {
+			r.dst = append(r.dst, d)
+			r.end = append(r.end, uint32(i+1))
+		}
+	}
+	return r
+}
+
 // readShardFile decodes one shard file in the given format, returning
-// the (dst,src)-sorted COO and the on-disk bytes consumed (the file
-// size). Every decoded source must be a vertex and every destination
-// must fall inside the shard's [lo,hi) range — violations surface as
-// *VIDRangeError, never as silently corrupt edges — and no allocation is
-// sized by untrusted input before it is validated against the file's
-// actual size.
-func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdges int64) (*graph.COO, int64, error) {
+// its runs and the on-disk bytes consumed (the file size). A v3 file
+// decodes straight into runs; v1 and v2 files decode per edge and are
+// compressed to runs once, here. Every decoded source must be a vertex
+// and every destination must fall inside the shard's [lo,hi) range —
+// violations surface as *VIDRangeError, never as silently corrupt
+// edges — and no allocation is sized by untrusted input before it is
+// validated against the file's actual size.
+func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdges int64) (*shardRuns, int64, error) {
 	switch format {
 	case FormatV1:
 		c, size, err := readShardV1(path, n, lo, hi, wantEdges)
@@ -196,9 +257,13 @@ func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdge
 		if o := (&dstSrcOrder{c.Src, c.Dst}); !sort.IsSorted(o) {
 			sort.Sort(o)
 		}
-		return c, size, nil
+		return runsOf(c), size, nil
 	case FormatV2:
-		return readShardV2(path, n, lo, hi, wantEdges)
+		c, size, err := readShardV2(path, n, lo, hi, wantEdges)
+		if err != nil {
+			return nil, 0, err
+		}
+		return runsOf(c), size, nil
 	case FormatV3:
 		return readShardV3(path, n, lo, hi, wantEdges)
 	}

@@ -165,10 +165,11 @@ func TestFormatRoundTripProperty(t *testing.T) {
 			if err := writeShardFormat(path, in, f); err != nil {
 				t.Fatalf("%s: write %v: %v", tc.name, f, err)
 			}
-			got, size, err := readShardFile(path, f, n, tc.lo, tc.hi, int64(len(tc.src)))
+			r, size, err := readShardFile(path, f, n, tc.lo, tc.hi, int64(len(tc.src)))
 			if err != nil {
 				t.Fatalf("%s: read %v: %v", tc.name, f, err)
 			}
+			got := checkDecodedInvariants(t, r, int64(len(tc.src)), n, tc.lo, tc.hi)
 			if fi, _ := os.Stat(path); size != fi.Size() {
 				t.Fatalf("%s: %v reader reports %d bytes, file is %d", tc.name, f, size, fi.Size())
 			}

@@ -81,13 +81,17 @@ func encodeShardV3(src, dst []graph.VID) []byte {
 }
 
 // slabPool recycles the file-sized read buffers of the v3 load path, so
-// a steady stream of loads allocates only what it keeps: the two
-// decoded arrays.
+// a steady stream of loads allocates only what it keeps: the sources
+// and the run table.
 var slabPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// startPool recycles the decoder's run-start bitmaps (one bit per edge:
+// set where a run begins), the only per-edge scratch decoding needs.
+var startPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readShardV3 reads the whole file with one exact-size read into a
 // pooled slab and batch-decodes it.
-func readShardV3(path string, n int, lo, hi graph.VID, wantEdges int64) (c *graph.COO, size int64, err error) {
+func readShardV3(path string, n int, lo, hi graph.VID, wantEdges int64) (r *shardRuns, size int64, err error) {
 	size, err = readFileWith(path, func(f *os.File, size int64) error {
 		slab := slabPool.Get().(*[]byte)
 		defer slabPool.Put(slab)
@@ -98,13 +102,13 @@ func readShardV3(path string, n int, lo, hi graph.VID, wantEdges int64) (c *grap
 		if _, err := io.ReadFull(f, buf); err != nil {
 			return fmt.Errorf("shard: %s: %v", path, err)
 		}
-		c, err = decodeShardV3(buf, path, n, lo, hi, wantEdges)
+		r, err = decodeShardV3(buf, path, n, lo, hi, wantEdges)
 		return err
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return c, size, nil
+	return r, size, nil
 }
 
 // groupDataLen[c] is the data bytes the four values of control byte c
@@ -119,14 +123,15 @@ var groupDataLen = func() (t [256]uint8) {
 // valueMask[l] keeps the low l+1 bytes of a 4-byte load.
 var valueMask = [4]uint32{0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF}
 
-// decodeShardV3 decodes a v3 file image straight into the arrays the
-// caller keeps. Everything sized by the file is checked against len(buf)
-// first: the declared count before the allocation, the run lengths
-// against the count, the control bytes' total against the data section —
-// so the value loop runs over lengths already known to fit. Every
-// destination is held to [lo,hi) and every source to [0,n), reported as
-// *VIDRangeError like the v1/v2 decoders.
-func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges int64) (*graph.COO, error) {
+// decodeShardV3 decodes a v3 file image straight into the runs the
+// caller keeps: the run table from the run headers, the sources from
+// the group-varint stream. Everything sized by the file is checked
+// against len(buf) first: the declared counts before the allocation,
+// the run lengths against the count, the control bytes' total against
+// the data section — so the value loop runs over lengths already known
+// to fit. Every destination is held to [lo,hi) and every source to
+// [0,n), reported as *VIDRangeError like the v1/v2 decoders.
+func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges int64) (*shardRuns, error) {
 	if len(buf) < 4 || [4]byte(buf[:4]) != shardMagicV3 {
 		return nil, fmt.Errorf("shard: %s: not a v3 shard file (magic %q)", path, buf[:min(4, len(buf))])
 	}
@@ -152,14 +157,27 @@ func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges i
 	if runs > count64 || runs+count64+(count64+3)/4 > rest {
 		return nil, fmt.Errorf("shard: %s: file is %d bytes, too small for %d edges in %d runs", path, len(buf), count64, runs)
 	}
+	if count64 > maxShardEdges {
+		return nil, fmt.Errorf("shard: %s: %d edges, a shard holds at most %d", path, count64, uint64(maxShardEdges))
+	}
 	count := int(count64)
-	src := make([]graph.VID, count)
-	dst := make([]graph.VID, count)
+	r := &shardRuns{
+		src: make([]graph.VID, count),
+		dst: make([]graph.VID, runs),
+		end: make([]uint32, runs),
+	}
+	starts := startPool.Get().(*[]byte)
+	defer startPool.Put(starts)
+	if cap(*starts) < (count+7)/8 {
+		*starts = make([]byte, (count+7)/8)
+	}
+	start := (*starts)[:(count+7)/8]
+	clear(start)
 
-	// Run headers: each destination once, fanned out over its run.
+	// Run headers: each destination once, its run's start marked.
 	var next uint64 // the destination an unflagged header means
 	at := 0
-	for r := uint64(0); r < runs; r++ {
+	for ri := range r.dst {
 		var h, skip uint64
 		if p < len(buf) && buf[p] < 0x80 && buf[p]&1 == 0 {
 			// The common header: one byte, the next destination.
@@ -172,7 +190,7 @@ func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges i
 				skip, k2 = binary.Uvarint(buf[p+k1:])
 			}
 			if k1 <= 0 || k2 < 0 || (k2 == 0 && h&1 != 0) {
-				return nil, fmt.Errorf("shard: %s: header of run %d truncated or overlong", path, r)
+				return nil, fmt.Errorf("shard: %s: header of run %d truncated or overlong", path, ri)
 			}
 			p += k1 + k2
 		}
@@ -181,23 +199,12 @@ func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges i
 			return nil, &VIDRangeError{Path: path, Edge: int64(at), Field: "destination", VID: d, Lo: lo, Hi: hi}
 		}
 		if length > uint64(count-at) {
-			return nil, fmt.Errorf("shard: %s: run %d of %d edges at edge %d overruns the %d declared", path, r, length, at, count)
+			return nil, fmt.Errorf("shard: %s: run %d of %d edges at edge %d overruns the %d declared", path, ri, length, at, count)
 		}
 		next = d + 1
-		end := at + int(length)
-		if at+8 <= count {
-			// Fill eight regardless: most runs are shorter, the next
-			// run overwrites the excess, and the loop below — whose exit
-			// the branch predictor cannot learn — usually runs zero times.
-			run := (*[8]graph.VID)(dst[at:])
-			v := graph.VID(d)
-			run[0], run[1], run[2], run[3], run[4], run[5], run[6], run[7] = v, v, v, v, v, v, v, v
-			at += 8
-		}
-		for ; at < end; at++ {
-			dst[at] = graph.VID(d)
-		}
-		at = end
+		start[at>>3] |= 1 << (at & 7)
+		at += int(length)
+		r.dst[ri], r.end[ri] = graph.VID(d), uint32(at)
 	}
 	if at != count {
 		return nil, fmt.Errorf("shard: %s: runs cover %d edges of %d", path, at, count)
@@ -226,27 +233,27 @@ func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges i
 		return nil, fmt.Errorf("shard: %s: trailing bytes after %d edges", path, count)
 	}
 
-	if i, v := decodeSourcesV3(ctrl, data, src, dst, uint64(n)); i < count {
+	if i, v := decodeSourcesV3(ctrl, data, r.src, start, uint64(n)); i < count {
 		return nil, &VIDRangeError{Path: path, Edge: int64(i), Field: "source", VID: v, Lo: 0, Hi: graph.VID(n)}
 	}
-	return &graph.COO{N: n, Src: src, Dst: dst}, nil
+	return r, nil
 }
 
 // decodeSourcesV3 fills src from the control and data sections, whose
 // sizes are already validated against len(src): a run's first value is
-// absolute, the rest accumulate, and dst — already filled — says where
-// runs begin. It returns len(src), or the index and value of the first
-// source at or beyond limit.
-func decodeSourcesV3(ctrl, data []byte, src, dst []graph.VID, limit uint64) (int, uint64) {
+// absolute, the rest accumulate, and start — bit i set where edge i
+// opens a run, edge 0 always — says which is which. It returns
+// len(src), or the index and value of the first source at or beyond
+// limit.
+func decodeSourcesV3(ctrl, data []byte, src []graph.VID, start []byte, limit uint64) (int, uint64) {
 	count := len(src)
 	q, i := 0, 0
 	var acc uint64
-	prevDst := uint64(1) << 32 // outside the VID space: edge 0 opens a run
 	// Whole groups with 16 data bytes in reach: four-byte loads cannot
 	// overrun, and every index below is bounded by a constant.
 	for ; i+4 <= count && q+16 <= len(data); i += 4 {
 		blk := (*[16]byte)(data[q:])
-		d4, s4 := (*[4]graph.VID)(dst[i:]), (*[4]graph.VID)(src[i:])
+		s4 := (*[4]graph.VID)(src[i:])
 		c := uint(ctrl[i/4])
 		l0, l1, l2, l3 := c&3, c>>2&3, c>>4&3, c>>6&3
 		o1 := l0 + 1
@@ -256,24 +263,27 @@ func decodeSourcesV3(ctrl, data []byte, src, dst []graph.VID, limit uint64) (int
 		v1 := uint64(binary.LittleEndian.Uint32(blk[o1:]) & valueMask[l1])
 		v2 := uint64(binary.LittleEndian.Uint32(blk[o2:]) & valueMask[l2])
 		v3 := uint64(binary.LittleEndian.Uint32(blk[o3:]) & valueMask[l3])
-		e0, e1, e2, e3 := uint64(d4[0]), uint64(d4[1]), uint64(d4[2]), uint64(d4[3])
-		if e0 == prevDst {
+		// The group's four run-start bits: a value accumulates unless it
+		// opens a run. (Branches, not masks: a mask would put an AND on
+		// the chain that carries the running source from edge to edge.)
+		f := start[i>>3] >> (i & 4)
+		if f&1 == 0 {
 			v0 += acc
 		}
-		if e1 == e0 {
+		if f&2 == 0 {
 			v1 += v0
 		}
-		if e2 == e1 {
+		if f&4 == 0 {
 			v2 += v1
 		}
-		if e3 == e2 {
+		if f&8 == 0 {
 			v3 += v2
 		}
 		if v0 >= limit || v1 >= limit || v2 >= limit || v3 >= limit {
 			break // the loop below names the edge
 		}
 		s4[0], s4[1], s4[2], s4[3] = graph.VID(v0), graph.VID(v1), graph.VID(v2), graph.VID(v3)
-		acc, prevDst = v3, e3
+		acc = v3
 		q += int(o3 + l3 + 1)
 	}
 	// The last few values (and any group holding a range violation), on
@@ -292,14 +302,13 @@ func decodeSourcesV3(ctrl, data []byte, src, dst []graph.VID, limit uint64) (int
 			c >>= 2
 			v := uint64(binary.LittleEndian.Uint32(blk[o:]) & valueMask[l])
 			o += l + 1
-			dv := uint64(dst[i])
-			if dv == prevDst {
+			if start[i>>3]>>(i&7)&1 == 0 {
 				v += acc
 			}
 			if v >= limit {
 				return i, v
 			}
-			src[i], acc, prevDst = graph.VID(v), v, dv
+			src[i], acc = graph.VID(v), v
 		}
 		q += int(o)
 	}

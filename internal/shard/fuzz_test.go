@@ -108,11 +108,11 @@ func FuzzShardFileV2(f *testing.F) {
 			}
 		}
 		const n, lo, hi = 256, 64, 128
-		c, _, err := readShardFile(path, FormatV2, n, lo, hi, want)
+		r, _, err := readShardFile(path, FormatV2, n, lo, hi, want)
 		if err != nil {
 			return
 		}
-		checkDecodedInvariants(t, c, want, n, lo, hi)
+		c := checkDecodedInvariants(t, r, want, n, lo, hi)
 		for i := 1; i < len(c.Dst); i++ {
 			if c.Dst[i] < c.Dst[i-1] ||
 				(c.Dst[i] == c.Dst[i-1] && c.Src[i] < c.Src[i-1]) {
@@ -142,11 +142,11 @@ func FuzzShardFileV3(f *testing.F) {
 			}
 		}
 		const n, lo, hi = 256, 64, 128
-		c, err := decodeShardV3(data, "fuzz", n, lo, hi, want)
+		r, err := decodeShardV3(data, "fuzz", n, lo, hi, want)
 		if err != nil {
 			return
 		}
-		checkDecodedInvariants(t, c, want, n, lo, hi)
+		c := checkDecodedInvariants(t, r, want, n, lo, hi)
 		for i := 1; i < len(c.Dst); i++ {
 			if pairLess(c.Dst[i], c.Src[i], c.Dst[i-1], c.Src[i-1]) {
 				t.Fatalf("accepted v3 file not sorted by (dst,src) at edge %d: (%d,%d) after (%d,%d)",
@@ -154,7 +154,7 @@ func FuzzShardFileV3(f *testing.F) {
 			}
 		}
 		again, err := decodeShardV3(encodeShardV3(c.Src, c.Dst), "fuzz-reencoded", n, lo, hi, want)
-		if err != nil || !slices.Equal(again.Src, c.Src) || !slices.Equal(again.Dst, c.Dst) {
+		if err != nil || !slices.Equal(again.src, r.src) || !slices.Equal(again.dst, r.dst) || !slices.Equal(again.end, r.end) {
 			t.Fatalf("accepted v3 file does not survive a re-encode (err = %v)", err)
 		}
 	})
@@ -291,11 +291,28 @@ func metaSeeds() [][]byte {
 	}
 }
 
-// checkDecodedInvariants asserts what acceptance by either decoder
-// means: the declared edge count was honoured and every edge satisfies
-// the invariants the engine's partition-exclusive apply assumes.
-func checkDecodedInvariants(t *testing.T, c *graph.COO, want int64, n int, lo, hi graph.VID) {
+// checkDecodedInvariants asserts what acceptance by any decoder means:
+// the declared edge count was honoured, the run table is well formed
+// (non-empty runs ending in ascending order at the last edge, strictly
+// ascending destinations) and every edge satisfies the invariants the
+// engine's partition-exclusive apply assumes. It returns the shard
+// expanded to per-edge form.
+func checkDecodedInvariants(t *testing.T, r *shardRuns, want int64, n int, lo, hi graph.VID) *graph.COO {
 	t.Helper()
+	if len(r.dst) != len(r.end) {
+		t.Fatalf("run table has %d destinations and %d ends", len(r.dst), len(r.end))
+	}
+	prev := uint32(0)
+	for i, end := range r.end {
+		if end <= prev || (i > 0 && r.dst[i] <= r.dst[i-1]) {
+			t.Fatalf("run %d (destination %d, end %d) after end %d is empty or out of order", i, r.dst[i], end, prev)
+		}
+		prev = end
+	}
+	if int(prev) != len(r.src) {
+		t.Fatalf("runs cover %d of %d edges", prev, len(r.src))
+	}
+	c := r.coo(n)
 	if int64(len(c.Src)) != want || int64(len(c.Dst)) != want {
 		t.Fatalf("decoded %d/%d edges, header says %d", len(c.Src), len(c.Dst), want)
 	}
@@ -307,6 +324,7 @@ func checkDecodedInvariants(t *testing.T, c *graph.COO, want int64, n int, lo, h
 			t.Fatalf("accepted destination %d outside [%d,%d)", c.Dst[i], lo, hi)
 		}
 	}
+	return c
 }
 
 // manifestSeeds returns the corpus: valid manifests of every format plus the

@@ -45,8 +45,8 @@ type Host struct {
 	feeds [][]uint64 // per-shard source-range summary (Store.SourceSummary)
 
 	// maxShardBytes is what the largest shard costs the cache once
-	// decoded (decodedBytes over the manifest's live edge count): the
-	// staging window's slot size.
+	// decoded (decodedBytes over the manifest's live edge count and the
+	// Meta's run count): the staging window's slot size.
 	maxShardBytes int64
 
 	cache *SharedCache
@@ -101,6 +101,7 @@ func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host
 
 		maxShardBytes: 1,
 	}
+	runs := meta.runCounts(st.m.Bounds)
 	for i := 0; i < st.NumShards(); i++ {
 		// Interior bounds are BoundaryAlign-aligned, so every unit lies
 		// in one non-empty range.
@@ -109,7 +110,7 @@ func NewHost(st *Store, g *graph.Graph, cache *SharedCache, opts Options) (*Host
 				h.home[u] = int32(i)
 			}
 		}
-		h.maxShardBytes = max(h.maxShardBytes, decodedBytes(st.m.EdgeCounts[i], h.taskCount(i)))
+		h.maxShardBytes = max(h.maxShardBytes, decodedBytes(st.m.EdgeCounts[i], runs[i], h.taskCount(i)))
 	}
 	return h, nil
 }

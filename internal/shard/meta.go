@@ -128,6 +128,21 @@ func (m *Meta) sourceSummaries(bounds []graph.VID) [][]uint64 {
 	return out
 }
 
+// runCounts returns, per shard of bounds, how many of its destinations
+// have a live in-edge: the run count of its decoded form. One O(V) pass.
+func (m *Meta) runCounts(bounds []graph.VID) []int64 {
+	runs := make([]int64, len(bounds)-1)
+	for s := range runs {
+		off := m.inOff[bounds[s] : bounds[s+1]+1]
+		var n int64
+		for i := 1; i < len(off); i++ {
+			n += min(off[i]-off[i-1], 1) // branch-free: a power-law graph's zero in-degrees are unpredictable
+		}
+		runs[s] = n
+	}
+	return runs
+}
+
 // Meta returns the store's per-vertex metadata. Stores written by this
 // version persist it beside the manifest and it is read, validated
 // against the manifest, once; older directories are measured with one

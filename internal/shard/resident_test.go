@@ -40,13 +40,26 @@ func bucketRef(c *graph.COO, lo graph.VID, units, tasks int) (src, dst []graph.V
 	return src, dst, off
 }
 
+// edgeOffsets converts task offsets in run units into edge offsets.
+func edgeOffsets(r *shardRuns, off []int) []int {
+	out := make([]int, len(off))
+	for t, o := range off {
+		if o > 0 {
+			out[t] = int(r.end[o-1])
+		}
+	}
+	return out
+}
+
 // TestResidentMatchesBucketing pins what replaced per-load bucketing: for
 // every format — clean, under pending deltas and after compaction — the
-// resident the engine builds is element for element what bucketing the
-// loaded shard produced (the identity on its sorted edges, the counting
-// sort's offsets), and its arrays are the loaded arrays themselves, not
-// a copy. It then cuts every shard into every task count from 1 to its
-// unit count and holds the offsets to the reference partition.
+// resident the engine loads, its runs expanded, is element for element
+// what bucketing the shard LoadShard returns produced (the identity on
+// its sorted edges), and its task offsets, converted from runs to
+// edges, are the counting sort's. Its sources are the decoded array
+// itself, not a copy. It then cuts every shard into every task count
+// from 1 to its unit count and holds the offsets to the reference
+// partition.
 func TestResidentMatchesBucketing(t *testing.T) {
 	g := gen.TinySocial()
 	n := g.NumVertices()
@@ -79,18 +92,28 @@ func TestResidentMatchesBucketing(t *testing.T) {
 				}
 				lo, _ := st.Range(si)
 				units := h.shardUnits(si)
-				sh := h.newResident(si, coo)
-				wantSrc, wantDst, wantOff := bucketRef(coo, lo, units, h.taskCount(si))
-				if !slices.Equal(sh.src, wantSrc) || !slices.Equal(sh.dst, wantDst) || !slices.Equal(sh.off, wantOff) {
-					t.Fatalf("%v %s shard %d: resident differs from the bucketed shard (offsets %v, want %v)",
-						format, stage, si, sh.off, wantOff)
+				sh, _, _, err := h.NewSession().readShard(si)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(coo.Src) > 0 && (&sh.src[0] != &coo.Src[0] || &sh.dst[0] != &coo.Dst[0]) {
-					t.Fatalf("%v %s shard %d: resident copied the loaded arrays", format, stage, si)
+				got := sh.coo(n)
+				wantSrc, wantDst, wantOff := bucketRef(coo, lo, units, h.taskCount(si))
+				if !slices.Equal(got.Src, wantSrc) || !slices.Equal(got.Dst, wantDst) {
+					t.Fatalf("%v %s shard %d: resident's runs expand to other edges than the bucketed shard", format, stage, si)
+				}
+				if off := edgeOffsets(&sh.shardRuns, sh.off); !slices.Equal(off, wantOff) {
+					t.Fatalf("%v %s shard %d: resident's task offsets are edges %v, want %v", format, stage, si, off, wantOff)
+				}
+				r, _, err := st.loadRuns(si)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nr := h.newResident(si, r); len(r.src) > 0 && &nr.src[0] != &r.src[0] {
+					t.Fatalf("%v %s shard %d: resident copied the decoded sources", format, stage, si)
 				}
 				for tasks := 1; tasks <= units; tasks++ {
 					_, _, want := bucketRef(coo, lo, units, tasks)
-					if got := taskOffsets(coo, lo, units, tasks); !slices.Equal(got, want) {
+					if got := edgeOffsets(r, taskOffsets(r.dst, lo, units, tasks)); !slices.Equal(got, want) {
 						t.Fatalf("%v %s shard %d at %d tasks: offsets %v, want %v", format, stage, si, tasks, got, want)
 					}
 				}

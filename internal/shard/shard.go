@@ -40,12 +40,16 @@
 //	           the byte-budgeted SharedCache the engine fetches
 //	           through, uncached ones are read synchronously, one at a
 //	           time per store. A load decodes the file straight into
-//	           the resident's destination-sorted arrays (zipping in
-//	           pending deltas) and finds each apply task's edge range
-//	           with one search per task boundary — no regrouping pass;
+//	           the resident's destination runs — its sources plus one
+//	           (destination, end) pair per run, no destination per
+//	           edge (pending deltas are zipped in and the result
+//	           compressed back to runs) — and finds each apply task's
+//	           runs with one search per task boundary;
 //	apply    — the pool's workers claim the staged shards' tasks —
 //	           64-aligned destination sub-ranges — in plan order, so
 //	           updates are partition-exclusive and need no atomics;
+//	           each task applies its runs one destination at a time
+//	           (api.DenseRuns);
 //	publish  — the next frontier and its statistics are assembled once,
 //	           after the last shard.
 //
@@ -227,8 +231,8 @@ func Open(dir string) (*Store, error) {
 		if i > 0 && int(m.Bounds[i])%partition.BoundaryAlign != 0 && int(m.Bounds[i]) != m.Vertices {
 			return nil, fmt.Errorf("shard: bound %d (%d) not aligned to %d vertices", i, m.Bounds[i], partition.BoundaryAlign)
 		}
-		if m.EdgeCounts[i] < 0 {
-			return nil, fmt.Errorf("shard: negative edge count for shard %d", i)
+		if m.EdgeCounts[i] < 0 || m.EdgeCounts[i] > maxShardEdges {
+			return nil, fmt.Errorf("shard: edge count %d for shard %d outside [0,%d]", m.EdgeCounts[i], i, int64(maxShardEdges))
 		}
 		edgeSum += m.EdgeCounts[i]
 	}
@@ -277,8 +281,8 @@ func validateDeltaLayer(m *manifest) error {
 		return fmt.Errorf("shard: base edge counts cover %d shards, want %d", len(m.BaseEdgeCounts), m.Shards)
 	}
 	for i, c := range m.BaseEdgeCounts {
-		if c < 0 {
-			return fmt.Errorf("shard: negative base edge count for shard %d", i)
+		if c < 0 || c > maxShardEdges {
+			return fmt.Errorf("shard: base edge count %d for shard %d outside [0,%d]", c, i, int64(maxShardEdges))
 		}
 	}
 	if m.Deltas != nil && len(m.Deltas) != m.Shards {
@@ -382,18 +386,43 @@ func (s *Store) LoadShard(i int) (*graph.COO, error) {
 }
 
 // loadShard is LoadShard plus the on-disk byte count of the decoded
-// file(s) — the engine's BytesRead accounting. The result is
-// (dst,src)-sorted in freshly allocated arrays the caller owns; a shard
-// with pending deltas has them zipped in (mergeDeltas).
+// file(s). The result is (dst,src)-sorted in freshly allocated arrays
+// the caller owns: the base file's runs expanded, with any pending
+// deltas zipped in (mergeDeltas).
 func (s *Store) loadShard(i int) (*graph.COO, int64, error) {
+	r, size, err := s.readBase(i)
+	if err != nil {
+		return nil, 0, err
+	}
+	c := r.coo(s.m.Vertices)
+	if len(s.deltas(i)) == 0 {
+		return c, size, nil
+	}
+	return s.mergeDeltas(i, c, size)
+}
+
+// loadRuns is the engine's load: shard i as runs, plus the on-disk
+// byte count of the decoded file(s) — its BytesRead accounting. A clean
+// shard is its base file's runs as decoded; a shard with pending deltas
+// is expanded, merged and compressed back to runs once, here.
+func (s *Store) loadRuns(i int) (*shardRuns, int64, error) {
+	r, size, err := s.readBase(i)
+	if err != nil || len(s.deltas(i)) == 0 {
+		return r, size, err
+	}
+	c, size, err := s.mergeDeltas(i, r.coo(s.m.Vertices), size)
+	if err != nil {
+		return nil, 0, err
+	}
+	return runsOf(c), size, nil
+}
+
+// readBase decodes shard i's base file into runs.
+func (s *Store) readBase(i int) (*shardRuns, int64, error) {
 	if i < 0 || i >= s.m.Shards {
 		return nil, 0, fmt.Errorf("shard: index %d out of range", i)
 	}
-	c, size, err := readShardFile(s.basePath(i), s.format, s.m.Vertices, s.m.Bounds[i], s.m.Bounds[i+1], s.baseEdgeCount(i))
-	if err != nil || len(s.deltas(i)) == 0 {
-		return c, size, err
-	}
-	return s.mergeDeltas(i, c, size)
+	return readShardFile(s.basePath(i), s.format, s.m.Vertices, s.m.Bounds[i], s.m.Bounds[i+1], s.baseEdgeCount(i))
 }
 
 // basePath returns shard i's base file path — the legacy fixed name

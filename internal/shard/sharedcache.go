@@ -26,8 +26,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/graph"
 )
 
 // DefaultCacheBytes is the shared-cache budget a daemon gets when none
@@ -35,13 +33,13 @@ import (
 // decoded, small enough to stay out of core in spirit.
 const DefaultCacheBytes int64 = 256 << 20
 
-// resident is a shard decoded for parallel application: its edges,
-// (dst,src)-sorted as loadShard returns them, and the offsets that cut
-// them into destination sub-ranges whose bounds are aligned to 64
-// vertices, so each sub-range's task owns its frontier bitmap words
-// exclusively and updates need no atomics. All in-edges of a destination
-// fall into one sub-range in file order, so the per-destination
-// application order is independent of the task count.
+// resident is a shard decoded for parallel application: its runs, as
+// loadRuns returns them, and the offsets that cut them into destination
+// sub-ranges whose bounds are aligned to 64 vertices, so each
+// sub-range's task owns its frontier bitmap words exclusively and
+// updates need no atomics. A destination's in-edges are one run, so the
+// per-destination application order is file order whatever the task
+// count.
 //
 // index is the shard's source index (see sparse.go), nil until an
 // inline sparse sweep builds one for the shard while it is a cache hit
@@ -49,21 +47,27 @@ const DefaultCacheBytes int64 = 256 << 20
 // loaded shard never has one, so a store that only streams never pays
 // for it; once attached it lives and leaves with the cache entry.
 type resident struct {
-	idx      int
-	src, dst []graph.VID
-	off      []int // len = tasks+1; task t owns edges [off[t], off[t+1])
-	index    atomic.Pointer[sourceIndex]
+	idx int
+	shardRuns
+	off   []int // len = tasks+1; task t owns runs [off[t], off[t+1])
+	index atomic.Pointer[sourceIndex]
 }
 
-// decodedBytes prices a decoded shard of the given edge and task counts:
-// the src/dst arrays plus the task offsets — the memory the budget
-// actually bounds. The staging window sizes its slots with the same
-// formula from the manifest's edge counts; a shard's source index, when
-// it has one, is charged on top (residentBytes).
-func decodedBytes(edges int64, tasks int) int64 { return edges*8 + int64(tasks+1)*8 }
+// decodedBytes prices a decoded shard of the given edge, run and task
+// counts: its sources (4 bytes an edge), its run table (a destination
+// and an end offset, 8 bytes a run) and its task offsets — the memory
+// the budget actually bounds. The staging window sizes its slots with
+// the same formula from the manifest's edge counts and the Meta's run
+// counts; a shard's source index, when it has one, is charged on top
+// (residentBytes).
+func decodedBytes(edges, runs int64, tasks int) int64 {
+	return 4*edges + 8*runs + int64(tasks+1)*8
+}
 
+// residentBytes is what sh costs the budget: decodedBytes plus its
+// source index, if one is attached.
 func residentBytes(sh *resident) int64 {
-	return decodedBytes(int64(len(sh.src)), len(sh.off)-1) + sh.index.Load().bytes()
+	return decodedBytes(int64(len(sh.src)), int64(len(sh.dst)), len(sh.off)-1) + sh.index.Load().bytes()
 }
 
 // cacheKey names one shard of one open store. The *Store identity is

@@ -24,15 +24,19 @@ import (
 	"repro/internal/graph"
 )
 
-// fakeResident builds a resident shard of exactly edges edges for cache
-// property tests (residentBytes = edges*8 + 16).
+// fakeResident builds a resident shard of exactly edges edges (an even
+// count), in two-edge runs, for cache property tests: residentBytes =
+// 4·edges for the sources + 8·edges/2 for the run table + 16 for the
+// one task's offsets = edges*8 + 16.
 func fakeResident(idx, edges int) *resident {
-	return &resident{
-		idx: idx,
-		src: make([]graph.VID, edges),
-		dst: make([]graph.VID, edges),
-		off: []int{0, edges},
+	sh := &resident{idx: idx, off: []int{0, edges / 2}}
+	sh.src = make([]graph.VID, edges)
+	sh.dst = make([]graph.VID, edges/2)
+	sh.end = make([]uint32, edges/2)
+	for r := range sh.end {
+		sh.dst[r], sh.end[r] = graph.VID(r), uint32(2*r+2)
 	}
+	return sh
 }
 
 // buildHostOver writes g into a fresh store and opens a Host over it
@@ -51,8 +55,8 @@ var batteryStore = &Store{}
 
 func bkey(k int) cacheKey { return cacheKey{batteryStore, k} }
 
-// addSized admits a fake shard of the given byte size (a multiple of 8,
-// at least 16 — the granularity of a decoded shard) under key k.
+// addSized admits a fake shard of the given byte size (16 plus a
+// multiple of 16) under key k.
 func addSized(c *SharedCache, k int, bytes int64) (*resident, func(), bool) {
 	return c.add(bkey(k), fakeResident(k, int(bytes-16)/8))
 }

@@ -9,7 +9,6 @@ package shard
 // planner bucketed to it, found through the shard's source index.
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 
@@ -18,15 +17,15 @@ import (
 	"repro/internal/graph"
 )
 
-// sourceIndex is a shard's CSR by source over edge positions: the
-// shard's distinct sources ascending, and for srcs[j] the positions
-// pos[off[j]:off[j+1]] of its edges in the resident's arrays,
-// ascending. It addresses positions, not a layout, so it serves any
-// resident whatever format or delta merge produced it.
+// sourceIndex is a shard's CSR by source: the shard's distinct sources
+// ascending, and for srcs[j] the destinations dst[off[j]:off[j+1]] of
+// its edges, ascending (a parallel edge listed once per copy). It is
+// built from the runs of any resident, whatever format or delta merge
+// produced them, and the inline sweep needs nothing else of the shard.
 type sourceIndex struct {
 	srcs []graph.VID
 	off  []uint32
-	pos  []uint32
+	dst  []graph.VID
 }
 
 // bytes is what the index costs the cache budget; 0 for no index.
@@ -34,24 +33,24 @@ func (x *sourceIndex) bytes() int64 {
 	if x == nil {
 		return 0
 	}
-	return 4 * int64(len(x.srcs)+len(x.off)+len(x.pos))
+	return 4 * int64(len(x.srcs)+len(x.off)+len(x.dst))
 }
 
 // minIndexBytes is the least an index over sh could cost (every edge
 // from one source), so a sweep with less spare room skips the build.
 func minIndexBytes(sh *resident) int64 { return 4*int64(len(sh.src)) + 12 }
 
-// newSourceIndex builds the source index of a (dst,src)-sorted edge
-// array, or returns nil when its positions do not fit in uint32.
-func newSourceIndex(src []graph.VID) *sourceIndex {
-	if len(src) > math.MaxUint32 {
-		return nil
-	}
-	// Sorting (source, position) keys leaves each source's positions
-	// ascending, which is each destination's file order.
-	keys := make([]uint64, len(src))
-	for p, u := range src {
-		keys[p] = uint64(u)<<32 | uint64(p)
+// newSourceIndex builds the source index of a shard's runs. A shard
+// holds at most maxShardEdges edges, so its offsets fit in uint32.
+func newSourceIndex(r *shardRuns) *sourceIndex {
+	// Sorting (source, destination) keys leaves each source's
+	// destinations ascending, which is each destination's file order.
+	keys := make([]uint64, 0, len(r.src))
+	at := 0
+	for i, v := range r.dst {
+		for end := int(r.end[i]); at < end; at++ {
+			keys = append(keys, uint64(r.src[at])<<32|uint64(v))
+		}
 	}
 	slices.Sort(keys)
 	distinct := 0
@@ -63,14 +62,14 @@ func newSourceIndex(src []graph.VID) *sourceIndex {
 	x := &sourceIndex{
 		srcs: make([]graph.VID, 0, distinct),
 		off:  make([]uint32, 0, distinct+1),
-		pos:  make([]uint32, len(keys)),
+		dst:  make([]graph.VID, len(keys)),
 	}
 	for i, k := range keys {
 		if i == 0 || k>>32 != keys[i-1]>>32 {
 			x.srcs = append(x.srcs, graph.VID(k>>32))
 			x.off = append(x.off, uint32(i))
 		}
-		x.pos[i] = uint32(k)
+		x.dst[i] = graph.VID(k)
 	}
 	x.off = append(x.off, uint32(len(keys)))
 	return x
@@ -151,7 +150,7 @@ func (e *Engine) sweepInline(f *frontier.Frontier, op api.EdgeOp, plan []int, sh
 		si := plan[i]
 		ix := sh.index.Load()
 		if ix == nil && spare >= minIndexBytes(sh) {
-			if ix = e.cache.attachIndex(cacheKey{e.st, si}, sh, newSourceIndex(sh.src)); ix != nil {
+			if ix = e.cache.attachIndex(cacheKey{e.st, si}, sh, newSourceIndex(&sh.shardRuns)); ix != nil {
 				spare -= ix.bytes()
 			}
 		}
@@ -166,8 +165,7 @@ func (e *Engine) sweepInline(f *frontier.Frontier, op api.EdgeOp, plan []int, sh
 				if j += d; !found {
 					continue
 				}
-				for _, p := range ix.pos[ix.off[j]:ix.off[j+1]] {
-					v := sh.dst[p]
+				for _, v := range ix.dst[ix.off[j]:ix.off[j+1]] {
 					if w, bit := v>>6, uint64(1)<<(v&63); cond(v) && update(u, v) && seen[w]&bit == 0 {
 						seen[w] |= bit
 						out = append(out, v)
@@ -182,10 +180,7 @@ func (e *Engine) sweepInline(f *frontier.Frontier, op api.EdgeOp, plan []int, sh
 			}
 		} else {
 			if k == nil {
-				k = &sweepKernel{
-					e: e, cur: f.Bitmap(), cond: cond, op: op, next: e.seen,
-					accs: make([]api.Accum, e.pool.Threads()),
-				}
+				k = e.newKernel(f, op, e.seen)
 			}
 			e.applyShard(sh, k)
 			// The shard's destination range is 64-aligned and written by

@@ -123,9 +123,9 @@ func roadStore(t *testing.T) (*Store, *graph.Graph) {
 }
 
 // TestSourceIndexShape: the index of a shard lists its distinct
-// sources ascending, and under each exactly that source's positions,
-// ascending; every position appears once; the price counts every
-// element at four bytes.
+// sources ascending, and under each exactly that source's edges'
+// destinations, ascending; the entries are the shard's edges, each
+// once; the price counts every element at four bytes.
 func TestSourceIndexShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -141,31 +141,34 @@ func TestSourceIndexShape(t *testing.T) {
 			return int(a.Src) - int(b.Src)
 		})
 		coo := graph.COOFromEdges(n, edges)
-		x := newSourceIndex(coo.Src)
-		if len(x.off) != len(x.srcs)+1 || int(x.off[len(x.srcs)]) != len(coo.Src) || len(x.pos) != len(coo.Src) {
-			t.Fatalf("trial %d: %d sources, %d offsets, %d positions for %d edges", trial, len(x.srcs), len(x.off), len(x.pos), len(coo.Src))
+		x := newSourceIndex(runsOf(coo))
+		if len(x.off) != len(x.srcs)+1 || int(x.off[len(x.srcs)]) != len(coo.Src) || len(x.dst) != len(coo.Src) {
+			t.Fatalf("trial %d: %d sources, %d offsets, %d entries for %d edges", trial, len(x.srcs), len(x.off), len(x.dst), len(coo.Src))
 		}
-		if want := 4 * int64(len(x.srcs)+len(x.off)+len(x.pos)); x.bytes() != want {
+		if want := 4 * int64(len(x.srcs)+len(x.off)+len(x.dst)); x.bytes() != want {
 			t.Fatalf("trial %d: index priced at %d bytes, holds %d", trial, x.bytes(), want)
 		}
-		seen := make([]bool, len(coo.Src))
+		var listed []graph.Edge
 		for j, u := range x.srcs {
 			if j > 0 && x.srcs[j-1] >= u {
 				t.Fatalf("trial %d: sources not strictly ascending at %d", trial, j)
 			}
-			ps := x.pos[x.off[j]:x.off[j+1]]
-			if len(ps) == 0 || !slices.IsSorted(ps) {
-				t.Fatalf("trial %d: source %d has positions %v", trial, u, ps)
+			ds := x.dst[x.off[j]:x.off[j+1]]
+			if len(ds) == 0 || !slices.IsSorted(ds) {
+				t.Fatalf("trial %d: source %d has destinations %v", trial, u, ds)
 			}
-			for _, p := range ps {
-				if coo.Src[p] != u || seen[p] {
-					t.Fatalf("trial %d: position %d listed under source %d (edge source %d, seen %v)", trial, p, u, coo.Src[p], seen[p])
-				}
-				seen[p] = true
+			for _, v := range ds {
+				listed = append(listed, graph.Edge{Src: u, Dst: v})
 			}
 		}
-		if slices.Contains(seen, false) {
-			t.Fatalf("trial %d: a position is missing from the index", trial)
+		slices.SortFunc(listed, func(a, b graph.Edge) int {
+			if a.Dst != b.Dst {
+				return int(a.Dst) - int(b.Dst)
+			}
+			return int(a.Src) - int(b.Src)
+		})
+		if !slices.Equal(listed, edges) {
+			t.Fatalf("trial %d: the index's entries are not the shard's edges", trial)
 		}
 	}
 	if (*sourceIndex)(nil).bytes() != 0 {
@@ -230,7 +233,7 @@ func TestInlineSweepIndexRefusedAppliesByScan(t *testing.T) {
 	}
 	sh := cachedResident(t, e0, 3)
 	minBytes := minIndexBytes(sh)
-	if newSourceIndex(sh.src).bytes() <= minBytes {
+	if newSourceIndex(&sh.shardRuns).bytes() <= minBytes {
 		t.Fatal("fixture broken: shard 3's index costs no more than its floor")
 	}
 
