@@ -128,8 +128,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("ApplyBatch: generation %d, +%d/-%d edges (tombstones remove all copies), %d/%d shards dirty\n",
-		res.Generation, res.Inserted, res.Deleted, len(res.Dirty), shards)
+	fmt.Printf("ApplyBatch: generation %d, +%d/-%d edges (tombstones remove all copies)\n",
+		res.Generation, res.Inserted, res.Deleted)
 
 	// Reopen at the new generation; sweeps now merge base + deltas in
 	// the same per-destination order a rebuilt store would have. PageRank

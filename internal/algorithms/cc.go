@@ -28,11 +28,12 @@ type CCResult struct {
 func CC(sys api.System) CCResult {
 	g := sys.Graph()
 	n := g.NumVertices()
-	labels := NewI32s(n, 0)
-	prev := make([]int32, n)
-	for v := 0; v < n; v++ {
-		labels.Set(graph.VID(v), int32(v))
+	// The labels are built plainly before any goroutine sees them.
+	labels := &I32s{vals: make([]int32, n)}
+	for v := range labels.vals {
+		labels.vals[v] = int32(v)
 	}
+	prev := make([]int32, n)
 
 	op := api.EdgeOp{
 		Update: func(u, v graph.VID) bool {

@@ -24,24 +24,34 @@ type PRResult struct {
 //
 // Dangling vertices (out-degree 0) have their mass redistributed
 // uniformly, keeping Σ ranks = 1 so results are comparable with the
-// serial oracle.
+// serial oracle. The dangling mass is summed serially in ascending
+// vertex order, over a list of the dangling vertices built once per
+// call, so every iteration makes the same additions in the same order.
+//
+// ranks and contrib are plain arrays: no EdgeMap writes them, and the
+// one parallel vertex pass that does — after each EdgeMap, writing
+// ranks[v], the next iteration's contrib[v] = ranks[v]/outdeg(v) and a
+// zeroed acc[v] — owns each v. A dangling vertex's contrib (r/0 = +Inf)
+// is never read, since no edge leaves it, so the pass has no branch.
+// Only acc, which the atomic engine paths accumulate into, is an F64s.
 func PR(sys api.System, iters int) PRResult {
 	g := sys.Graph()
 	n := g.NumVertices()
 	if n == 0 {
 		return PRResult{Ranks: nil, Iters: 0}
 	}
-	ranks := NewF64s(n, 1/float64(n))
-	contrib := NewF64s(n, 0) // per-vertex rank[u]/outdeg[u], frozen per iteration
+	ranks := make([]float64, n)
+	contrib := make([]float64, n) // per-vertex rank[u]/outdeg[u], frozen per iteration
 	acc := NewF64s(n, 0)
+	dangling := danglingVertices(g)
 
 	op := api.EdgeOp{
 		Update: func(u, v graph.VID) bool {
-			acc.Add(v, contrib.Get(u))
+			acc.Add(v, contrib[u])
 			return true
 		},
 		UpdateAtomic: func(u, v graph.VID) bool {
-			acc.AtomicAdd(v, contrib.Get(u))
+			acc.AtomicAdd(v, contrib[u])
 			return true
 		},
 		// The gather: the same additions in the same order, with acc[v]
@@ -49,7 +59,7 @@ func PR(sys api.System, iters int) PRResult {
 		UpdateRun: func(v graph.VID, srcs []graph.VID) bool {
 			s := acc.Get(v)
 			for _, u := range srcs {
-				s += contrib.Get(u)
+				s += contrib[u]
 			}
 			acc.Set(v, s)
 			return len(srcs) > 0
@@ -57,26 +67,42 @@ func PR(sys api.System, iters int) PRResult {
 	}
 
 	all := frontier.All(g)
+	r0 := 1 / float64(n)
+	sys.VertexMap(all, func(v graph.VID) {
+		ranks[v] = r0
+		contrib[v] = r0 / float64(g.OutDegree(v))
+	})
 	for it := 0; it < iters; it++ {
-		var dangling float64
-		for v := 0; v < n; v++ {
-			d := g.OutDegree(graph.VID(v))
-			r := ranks.Get(graph.VID(v))
-			if d == 0 {
-				dangling += r
-				contrib.Set(graph.VID(v), 0)
-			} else {
-				contrib.Set(graph.VID(v), r/float64(d))
-			}
+		var mass float64
+		for _, v := range dangling {
+			mass += ranks[v]
 		}
-		acc.Fill(0)
 		sys.EdgeMap(all, op, api.DirBackward)
-		base := (1-Damping)/float64(n) + Damping*dangling/float64(n)
+		base := (1-Damping)/float64(n) + Damping*mass/float64(n)
 		sys.VertexMap(all, func(v graph.VID) {
-			ranks.Set(v, base+Damping*acc.Get(v))
+			r := base + Damping*acc.Get(v)
+			ranks[v] = r
+			contrib[v] = r / float64(g.OutDegree(v))
+			acc.Set(v, 0)
 		})
 	}
-	return PRResult{Ranks: ranks.Slice(), Iters: iters}
+	return PRResult{Ranks: ranks, Iters: iters}
+}
+
+// danglingVertices lists g's out-degree-0 vertices in ascending order.
+// Every vertex is written and only a dangling one advances the end — a
+// conditional move, not a branch that RMAT's mix of dangling and
+// non-dangling vertices would mispredict.
+func danglingVertices(g *graph.Graph) []graph.VID {
+	out := make([]graph.VID, g.NumVertices())
+	k := 0
+	for v := range out {
+		out[k] = graph.VID(v)
+		if g.OutDegree(graph.VID(v)) == 0 {
+			k++
+		}
+	}
+	return out[:k]
 }
 
 // PRDeltaResult holds the converged ranks, the iteration count, and the
@@ -101,6 +127,13 @@ const (
 // propagate their delta. Early iterations are dense, later ones sparse —
 // the workload the paper uses to demonstrate the three frontier classes
 // (on Twitter: 8 dense, 3 medium-dense, 22 sparse).
+//
+// As in PR, ranks, delta and contrib are plain arrays that only the
+// parallel vertex pass after each EdgeMap writes; that pass also
+// freezes the next round's contrib[v] = delta[v]/outdeg(v) for every
+// vertex (only the active ones are read) and zeroes acc. The active
+// dangling vertices' delta mass is summed serially in the frontier's
+// list order.
 func PRDelta(sys api.System, maxIters int) PRDeltaResult {
 	g := sys.Graph()
 	n := g.NumVertices()
@@ -110,41 +143,41 @@ func PRDelta(sys api.System, maxIters int) PRDeltaResult {
 	// The rank vector starts at the uniform distribution r₀ = 1/n; each
 	// round adds the change delta_k = r_k − r_{k−1}, so the first delta
 	// subtracts the starting mass (Ligra's PageRankDelta does the same).
-	ranks := NewF64s(n, 1/float64(n))
-	delta := NewF64s(n, 1/float64(n)) // mass being forwarded this round
-	contrib := NewF64s(n, 0)
+	ranks := make([]float64, n)
+	delta := make([]float64, n) // mass being forwarded this round
+	contrib := make([]float64, n)
 	acc := NewF64s(n, 0)
 
 	op := api.EdgeOp{
 		Update: func(u, v graph.VID) bool {
-			acc.Add(v, contrib.Get(u))
+			acc.Add(v, contrib[u])
 			return true
 		},
 		UpdateAtomic: func(u, v graph.VID) bool {
-			acc.AtomicAdd(v, contrib.Get(u))
+			acc.AtomicAdd(v, contrib[u])
 			return true
 		},
 	}
 
 	f := frontier.All(g)
 	all := frontier.All(g)
+	r0 := 1 / float64(n)
+	sys.VertexMap(all, func(v graph.VID) {
+		ranks[v], delta[v] = r0, r0
+		contrib[v] = r0 / float64(g.OutDegree(v))
+	})
 	res := PRDeltaResult{}
 	for it := 0; it < maxIters && !f.IsEmpty(); it++ {
 		res.ActiveCounts = append(res.ActiveCounts, f.Count())
-		// Freeze contributions of the active set, then accumulate fresh.
 		// Active dangling vertices (out-degree 0) contribute their delta
 		// uniformly, exactly as the power method redistributes dangling
 		// mass — without this, star-like graphs leak rank.
 		var dangling float64
 		for _, u := range f.List() {
-			if d := g.OutDegree(u); d > 0 {
-				contrib.Set(u, delta.Get(u)/float64(d))
-			} else {
-				contrib.Set(u, 0)
-				dangling += delta.Get(u)
+			if g.OutDegree(u) == 0 {
+				dangling += delta[u]
 			}
 		}
-		acc.Fill(0)
 		sys.EdgeMap(f, op, api.DirForward)
 
 		// New deltas: δ_k = d·M·δ_{k−1} + d·D/n, where D is the dangling
@@ -156,15 +189,17 @@ func PRDelta(sys api.System, maxIters int) PRDeltaResult {
 		}
 		sys.VertexMap(all, func(v graph.VID) {
 			nd := Damping*acc.Get(v) + uniform
-			ranks.Add(v, nd)
-			delta.Set(v, nd)
+			ranks[v] += nd
+			delta[v] = nd
+			contrib[v] = nd / float64(g.OutDegree(v))
+			acc.Set(v, 0)
 		})
 		f = sys.VertexFilter(all, func(v graph.VID) bool {
-			d := math.Abs(delta.Get(v))
-			return d > PRDeltaEps2*ranks.Get(v) && d > PRDeltaEps
+			d := math.Abs(delta[v])
+			return d > PRDeltaEps2*ranks[v] && d > PRDeltaEps
 		})
 		res.Iters++
 	}
-	res.Ranks = ranks.Slice()
+	res.Ranks = ranks
 	return res
 }

@@ -15,9 +15,13 @@ import (
 
 // F64s is a float64 array supporting both plain and atomic accumulation.
 // Values are stored as IEEE-754 bit patterns in uint64 so atomic updates
-// are CAS loops on the bits; the plain accessors reinterpret in place.
-// Engines guarantee the plain methods are only used on
-// destination-exclusive paths.
+// are CAS loops on the bits. Get is an atomic load, which compiles to a
+// plain MOV on amd64; Set and Add are plain stores, because a locked
+// store (XCHG on amd64) costs about 10 ns against well under 1 for a
+// MOV, and they serve the engines' destination-exclusive paths — a
+// per-run gather, a per-edge non-atomic update, a vertex pass — where
+// no other goroutine reads or writes the element meanwhile. Elements
+// several goroutines update concurrently go through AtomicAdd.
 type F64s struct{ bits []uint64 }
 
 // NewF64s allocates an array of n values initialised to init.
@@ -42,16 +46,19 @@ func (a *F64s) Get(i graph.VID) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
 }
 
-// Set stores element i (atomic store primitive, single-writer semantics).
+// Set stores element i with a plain store. The caller owns index i: no
+// other goroutine reads or writes it until a barrier (an EdgeMap or
+// VertexMap returning) orders the two.
 func (a *F64s) Set(i graph.VID, v float64) {
-	atomic.StoreUint64(&a.bits[i], math.Float64bits(v))
+	a.bits[i] = math.Float64bits(v)
 }
 
-// Add accumulates into element i. The load/store pair is not one atomic
-// operation: callers must hold exclusive ownership of index i (the
-// engines' partition-exclusive paths guarantee this).
+// Add accumulates into element i with a plain read-modify-write, under
+// Set's ownership rule (the engines' partition-exclusive paths
+// guarantee it).
 func (a *F64s) Add(i graph.VID, v float64) {
-	a.Set(i, a.Get(i)+v)
+	p := &a.bits[i]
+	*p = math.Float64bits(math.Float64frombits(*p) + v)
 }
 
 // AtomicAdd accumulates into element i with a CAS loop.

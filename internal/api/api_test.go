@@ -59,3 +59,75 @@ func TestVertexFilterStats(t *testing.T) {
 		t.Fatal("filter-all-out not empty")
 	}
 }
+
+// TestFullFrontierVertexOps: over a full frontier, VertexMap and
+// VertexFilter visit every vertex exactly once — at sizes around the
+// chunk and word boundaries — and walk [0, n) whatever form the
+// frontier holds. A full frontier listed in descending order is
+// therefore visited, and filtered, in ascending order, while the same
+// list missing one vertex keeps its list order.
+func TestFullFrontierVertexOps(t *testing.T) {
+	descending := func(n int, skip int) []graph.VID {
+		var vs []graph.VID
+		for v := n - 1; v >= 0; v-- {
+			if v != skip {
+				vs = append(vs, graph.VID(v))
+			}
+		}
+		return vs
+	}
+	for _, n := range []int{1, 63, 4095, 4096, 4097, 70001} {
+		g := graph.FromEdges(n, []graph.Edge{{Src: 0, Dst: graph.VID(n - 1)}})
+		for _, f := range []*frontier.Frontier{frontier.All(g), frontier.FromList(n, descending(n, -1))} {
+			visits := make([]int32, n)
+			VertexMap(sched.NewPool(4), f, func(v graph.VID) { atomic.AddInt32(&visits[v], 1) })
+			for v, c := range visits {
+				if c != 1 {
+					t.Fatalf("n=%d: VertexMap visited %d %d times", n, v, c)
+				}
+			}
+			clear(visits)
+			sub := VertexFilter(sched.NewPool(4), g, f, func(v graph.VID) bool {
+				atomic.AddInt32(&visits[v], 1)
+				return v%2 == 0
+			})
+			for v, c := range visits {
+				if c != 1 {
+					t.Fatalf("n=%d: VertexFilter tested %d %d times", n, v, c)
+				}
+			}
+			if want := int64((n + 1) / 2); sub.Count() != want || int64(len(sub.List())) != want {
+				t.Fatalf("n=%d: VertexFilter kept %d (list %d), want %d", n, sub.Count(), len(sub.List()), want)
+			}
+			if want := int64(1); sub.OutDegree(g) != want {
+				t.Fatalf("n=%d: VertexFilter out-degree %d, want %d", n, sub.OutDegree(g), want)
+			}
+		}
+
+		// The order shows the path: one worker walks [0, n) ascending on
+		// the full path and the list's own order otherwise.
+		for _, missing := range []bool{false, true} {
+			if missing && n == 1 {
+				continue
+			}
+			skip := -1
+			if missing {
+				skip = n / 2
+			}
+			list := descending(n, skip)
+			f := frontier.FromList(n, list)
+			var order []graph.VID
+			VertexMap(sched.NewPool(1), f, func(v graph.VID) { order = append(order, v) })
+			kept := VertexFilter(sched.NewPool(4), g, f, func(graph.VID) bool { return true }).List()
+			for i := range order {
+				want := list[i]
+				if !missing {
+					want = graph.VID(i)
+				}
+				if order[i] != want || kept[i] != want {
+					t.Fatalf("n=%d missing=%v: position %d visited %d and kept %d, want %d", n, missing, i, order[i], kept[i], want)
+				}
+			}
+		}
+	}
+}

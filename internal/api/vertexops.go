@@ -14,13 +14,23 @@ import (
 // its source-ordered partitions, and DenseRuns, the destination-run loop
 // the out-of-core engine runs over its destination-sorted shards.
 
-// VertexMap applies fn to every active vertex of f using the pool.
+// VertexMap applies fn to every active vertex of f using the pool. A
+// full frontier (every vertex active) is walked as [0, n) in
+// self-scheduled chunks, calling fn(v) directly — no vertex list is
+// materialised, whichever form f holds. Any other frontier is walked
+// through its list.
 func VertexMap(pool *sched.Pool, f *frontier.Frontier, fn func(graph.VID)) {
 	if f.Count() == 0 {
 		return
 	}
-	// Dense frontiers iterate the bitmap by 64-vertex words to avoid
-	// materialising a list; sparse frontiers iterate the list directly.
+	if f.Count() == int64(f.Len()) {
+		pool.ParallelForChunks(f.Len(), sched.DefaultChunk, func(_, lo, hi int) {
+			for v := lo; v < hi; v++ {
+				fn(graph.VID(v))
+			}
+		})
+		return
+	}
 	list := f.List()
 	pool.ParallelFor(len(list), sched.DefaultChunk, func(i int) {
 		fn(list[i])
@@ -28,21 +38,31 @@ func VertexMap(pool *sched.Pool, f *frontier.Frontier, fn func(graph.VID)) {
 }
 
 // VertexFilter returns the sub-frontier of f satisfying pred, with |F|
-// and Σ out-deg statistics filled from g.
+// and Σ out-deg statistics filled from g. Its list is in f's list
+// order, which for a full frontier is ascending: that one is walked as
+// [0, n) without a list, like VertexMap's.
 func VertexFilter(pool *sched.Pool, g *graph.Graph, f *frontier.Frontier, pred func(graph.VID) bool) *frontier.Frontier {
-	list := f.List()
-	if len(list) == 0 {
+	if f.Count() == 0 {
 		return frontier.New(g.NumVertices())
+	}
+	var list []graph.VID // nil: f is full, and i is vertex i
+	n := f.Len()
+	if f.Count() != int64(n) {
+		list = f.List()
+		n = len(list)
 	}
 	type acc struct {
 		verts  []graph.VID
 		outDeg int64
 	}
 	accs := make([]acc, pool.Threads())
-	pool.ParallelRange(len(list), func(w, lo, hi int) {
+	pool.ParallelRange(n, func(w, lo, hi int) {
 		a := &accs[w]
 		for i := lo; i < hi; i++ {
-			v := list[i]
+			v := graph.VID(i)
+			if list != nil {
+				v = list[i]
+			}
 			if pred(v) {
 				a.verts = append(a.verts, v)
 				a.outDeg += g.OutDegree(v)

@@ -35,52 +35,21 @@ func (p *Pool) Threads() int { return p.threads }
 // ParallelFor runs fn(i) for i in [0,n) across the pool using dynamic
 // chunk self-scheduling: workers grab chunks of the given size from a
 // shared counter, which load-balances skewed iterations (high-degree
-// vertices) without a work-stealing deque.
+// vertices) without a work-stealing deque. A panicking fn is re-raised
+// on the caller as in ParallelTasks.
 func (p *Pool) ParallelFor(n int, chunk int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	workers := p.threads
-	if workers > (n+chunk-1)/chunk {
-		workers = (n + chunk - 1) / chunk
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	p.ParallelForChunks(n, chunk, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			fn(i)
 		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // ParallelForChunks is ParallelFor with the worker ID and chunk bounds
 // exposed: workers self-schedule chunks of size chunk from [0,n) and call
 // fn(worker, lo, hi) per chunk. Engines use the worker ID to index
-// per-worker accumulators without atomics.
+// per-worker accumulators without atomics. A panicking fn is re-raised
+// on the caller as in ParallelTasks.
 func (p *Pool) ParallelForChunks(n, chunk int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -88,62 +57,39 @@ func (p *Pool) ParallelForChunks(n, chunk int, fn func(worker, lo, hi int)) {
 	if chunk <= 0 {
 		chunk = 1
 	}
-	workers := p.threads
-	if workers > (n+chunk-1)/chunk {
-		workers = (n + chunk - 1) / chunk
-	}
+	workers := min(p.threads, (n+chunk-1)/chunk)
 	if workers <= 1 {
 		fn(0, 0, n)
 		return
 	}
 	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				fn(w, start, end)
+	run(workers, func(w int, stopped func() bool) {
+		for !stopped() {
+			start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
+			if start >= n {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			fn(w, start, min(start+chunk, n))
+		}
+	})
 }
 
 // ParallelRange splits [0,n) into one contiguous block per worker and
 // runs fn(worker, lo, hi). Used when per-worker accumulators must be
-// indexed by worker ID (frontier statistics aggregation).
+// indexed by worker ID (frontier statistics aggregation). A panicking
+// fn is re-raised on the caller as in ParallelTasks.
 func (p *Pool) ParallelRange(n int, fn func(worker, lo, hi int)) {
-	workers := p.threads
-	if workers > n {
-		workers = n
-	}
 	if n <= 0 {
 		return
 	}
+	workers := min(p.threads, n)
 	if workers <= 1 {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	run(workers, func(w int, _ func() bool) {
+		fn(w, w*n/workers, (w+1)*n/workers)
+	})
 }
 
 // ParallelTasks runs exactly k tasks, self-scheduled over the pool's
@@ -160,7 +106,8 @@ func (p *Pool) ParallelRange(n int, fn func(worker, lo, hi int)) {
 // already running when the panic fires still complete. The value is
 // re-raised verbatim so recover sites can inspect it, at the price of
 // the worker's original stack trace; a task that needs the faulting
-// frames preserved should capture them itself before panicking.
+// frames preserved should capture them itself before panicking. Every
+// loop of the pool surfaces panics this way.
 func (p *Pool) ParallelTasks(k int, fn func(task, worker int)) {
 	if k <= 0 {
 		return
@@ -173,9 +120,26 @@ func (p *Pool) ParallelTasks(k int, fn func(task, worker int)) {
 		return
 	}
 	var next int64
-	var stop int32
+	run(workers, func(w int, stopped func() bool) {
+		for !stopped() {
+			t := int(atomic.AddInt64(&next, 1)) - 1
+			if t >= k {
+				return
+			}
+			fn(t, w)
+		}
+	})
+}
+
+// run starts body(w, stopped) on one goroutine per worker and waits for
+// all of them. The first panic among them sets stopped, so loops that
+// check it claim no further work, and is re-raised on the caller once
+// every worker has exited.
+func run(workers int, body func(w int, stopped func() bool)) {
+	var stop atomic.Bool
 	var panicMu sync.Mutex
 	var panicVal any
+	stopped := stop.Load
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -188,16 +152,10 @@ func (p *Pool) ParallelTasks(k int, fn func(task, worker int)) {
 						panicVal = r
 					}
 					panicMu.Unlock()
-					atomic.StoreInt32(&stop, 1)
+					stop.Store(true)
 				}
 			}()
-			for atomic.LoadInt32(&stop) == 0 {
-				t := int(atomic.AddInt64(&next, 1)) - 1
-				if t >= k {
-					return
-				}
-				fn(t, w)
-			}
+			body(w, stopped)
 		}()
 	}
 	wg.Wait()

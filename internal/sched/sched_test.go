@@ -190,3 +190,52 @@ func TestParallelTasksPanicPropagates(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelLoopsPanicPropagate: ParallelFor, ParallelForChunks and
+// ParallelRange surface a panicking fn the way ParallelTasks does — the
+// caller recovers the original value, and no worker goroutine outlives
+// the call.
+func TestParallelLoopsPanicPropagate(t *testing.T) {
+	loops := map[string]func(p *Pool, fn func(i int)){
+		"ParallelFor": func(p *Pool, fn func(i int)) { p.ParallelFor(4096, 16, fn) },
+		"ParallelForChunks": func(p *Pool, fn func(i int)) {
+			p.ParallelForChunks(4096, 16, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					fn(i)
+				}
+			})
+		},
+		"ParallelRange": func(p *Pool, fn func(i int)) {
+			p.ParallelRange(4096, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					fn(i)
+				}
+			})
+		},
+	}
+	for name, loop := range loops {
+		for _, threads := range []int{1, 2, 8} {
+			p := NewPool(threads)
+			baseline := runtime.NumGoroutine()
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("%s threads=%d: recovered %v, want the original panic value", name, threads, r)
+					}
+				}()
+				loop(p, func(i int) {
+					if i == 100 {
+						panic("boom")
+					}
+				})
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if now := runtime.NumGoroutine(); now > baseline {
+				t.Fatalf("%s threads=%d: goroutines grew from %d to %d after a panicking loop", name, threads, baseline, now)
+			}
+		}
+	}
+}

@@ -608,7 +608,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"generation": res.Generation,
-			"dirty":      res.Dirty,
 			"inserted":   res.Inserted,
 			"deleted":    res.Deleted,
 		})

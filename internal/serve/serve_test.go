@@ -239,7 +239,6 @@ func TestServeUpdatesAndCompact(t *testing.T) {
 	e0 := g.Edges()[0]
 	var upd struct {
 		Generation int64 `json:"generation"`
-		Dirty      []int `json:"dirty"`
 		Inserted   int64 `json:"inserted"`
 		Deleted    int64 `json:"deleted"`
 	}
@@ -252,8 +251,8 @@ func TestServeUpdatesAndCompact(t *testing.T) {
 	}
 	// RMAT graphs carry parallel edges and the tombstone removes every
 	// copy, so Deleted counts at least one.
-	if upd.Generation != 1 || upd.Inserted != 2 || upd.Deleted < 1 || len(upd.Dirty) == 0 {
-		t.Fatalf("update result = %+v, want generation 1, 2 inserted, >=1 deleted, non-empty dirty", upd)
+	if upd.Generation != 1 || upd.Inserted != 2 || upd.Deleted < 1 {
+		t.Fatalf("update result = %+v, want generation 1, 2 inserted, >=1 deleted", upd)
 	}
 
 	after := runPR()

@@ -73,10 +73,6 @@ func (e *BatchError) Error() string {
 type BatchResult struct {
 	// Generation is the manifest generation the batch created.
 	Generation int64
-	// Dirty lists (ascending) the shards whose sweep inputs changed:
-	// content-changed shards plus shards fed by a source whose
-	// out-degree changed, per the pre-batch source-range summaries.
-	Dirty []int
 	// Inserted counts the batch's insert edges; Deleted counts the
 	// live copies its tombstones actually removed (an edge inserted
 	// and deleted by the same batch contributes to both).
@@ -123,13 +119,9 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	if err := checkBatch("delete", del, n); err != nil {
 		return nil, err
 	}
-	// The dirty propagation below intersects against the pre-batch
-	// summaries. The per-vertex Meta is edited exactly, as a copy, from
-	// the per-shard decode below; the new summaries are transposed from
-	// the edited copy.
-	if _, err := s.SourceSummary(); err != nil {
-		return nil, err
-	}
+	// The per-vertex Meta is edited exactly, as a copy, from the
+	// per-shard decode below; the new summaries are transposed from the
+	// edited copy.
 	meta, err := s.Meta()
 	if err != nil {
 		return nil, err
@@ -156,20 +148,6 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	}
 
 	res := &BatchResult{Generation: gen}
-	// Home ranges of sources whose out-degree may have changed — any
-	// source named by the batch (deleting a missing edge over-marks;
-	// that is only conservative).
-	touched := make([]uint64, summaryWords(p))
-	mark := func(es []graph.Edge) {
-		for _, e := range es {
-			j := s.Home(e.Src)
-			touched[j/64] |= 1 << (j % 64)
-		}
-	}
-	mark(ins)
-	mark(del)
-
-	contentDirty := make([]bool, p)
 	for si := 0; si < p; si++ {
 		bIns, bDel := insBy[si], delBy[si]
 		if len(bIns.src) == 0 && len(bDel.src) == 0 {
@@ -203,23 +181,6 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		res.Deleted += before - live
 		newM.Edges += live - newM.EdgeCounts[si]
 		newM.EdgeCounts[si] = live
-		contentDirty[si] = true
-	}
-
-	// A shard is dirty if its content changed, or if it holds any edge
-	// from a touched source range — the out-degree of such a source
-	// changes the weight of every edge it feeds anywhere. The pre-batch
-	// summaries are the right side to intersect: untouched shards'
-	// summaries did not change, and content-changed shards are dirty
-	// regardless.
-	for j := 0; j < p; j++ {
-		dirty := contentDirty[j]
-		for w := 0; !dirty && w < len(touched); w++ {
-			dirty = s.m.SrcSummary[j][w]&touched[w] != 0
-		}
-		if dirty {
-			res.Dirty = append(res.Dirty, j)
-		}
 	}
 
 	newM.Generation = gen

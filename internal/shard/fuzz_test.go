@@ -553,8 +553,8 @@ func deltaShardSeeds() [][]byte {
 		if err != nil {
 			panic(err)
 		}
-		if len(res.Dirty) == 0 {
-			panic("seed batch dirtied nothing")
+		if res.Inserted != 3 {
+			panic(fmt.Sprintf("seed batch inserted %d edges, want 3", res.Inserted))
 		}
 		data, err := os.ReadFile(filepath.Join(dir, deltaFileName(1, 1)))
 		if err != nil {
