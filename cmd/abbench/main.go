@@ -207,7 +207,7 @@ func run(wt *worktrees, baseRev, changeRev string, runs int, seconds float64, on
 	}
 	chosen := sp.Workloads
 	if only != "" {
-		chosen = chosen[:0:0]
+		chosen = nil
 		for _, name := range strings.Split(only, ",") {
 			found := false
 			for _, w := range sp.Workloads {
