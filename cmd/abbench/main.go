@@ -46,8 +46,7 @@ import (
 
 // spec is the part of BENCHMARK.json the harness reads.
 type spec struct {
-	RunSeconds float64 `json:"run_seconds"`
-	Workloads  []struct {
+	Workloads []struct {
 		Name string `json:"name"`
 		Why  string `json:"why"`
 	} `json:"workloads"`
@@ -58,11 +57,12 @@ type spec struct {
 }
 
 // report, row and result mirror the benchmark's report format: what
-// `benchmark -runs N -out` writes and `benchmark compare` reads.
+// `benchmark -runs N -out` writes and `benchmark compare` reads. Each run
+// lasts the benchmark's own default, BENCHMARK.json's run_seconds, so the
+// report leaves the seconds field out.
 type report struct {
 	Claim   *string `json:"claim"`
 	Scale   string  `json:"scale"`
-	Seconds float64 `json:"seconds"`
 	Machine string  `json:"machine"`
 	Rows    []*row  `json:"workloads"`
 }
@@ -143,11 +143,10 @@ func main() {
 	change := flag.String("change", "HEAD", "changed revision (ignored with -aa)")
 	aa := flag.Bool("aa", false, "run the base against a second worktree of itself")
 	runs := flag.Int("runs", 10, "end-to-end runs per side and workload, on seeds 1..runs")
-	seconds := flag.Float64("seconds", 0, "measured seconds per run (0 = BENCHMARK.json's run_seconds)")
 	only := flag.String("workloads", "", "comma-separated workloads (default: every workload of BENCHMARK.json)")
 	dir := flag.String("dir", "", "directory for the worktrees, reports and logs (default: a new temporary directory)")
 	flag.Parse()
-	if flag.NArg() > 0 || *runs < 1 || *seconds < 0 {
+	if flag.NArg() > 0 || *runs < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -163,7 +162,7 @@ func main() {
 		wt.removeAll()
 		os.Exit(130)
 	}()
-	err := run(wt, *base, *change, *runs, *seconds, *only, *dir)
+	err := run(wt, *base, *change, *runs, *only, *dir)
 	signal.Stop(sig)
 	wt.removeAll()
 	if err != nil {
@@ -172,7 +171,7 @@ func main() {
 	}
 }
 
-func run(wt *worktrees, baseRev, changeRev string, runs int, seconds float64, only, dir string) error {
+func run(wt *worktrees, baseRev, changeRev string, runs int, only, dir string) error {
 	if dir == "" {
 		d, err := os.MkdirTemp("", "abbench-")
 		if err != nil {
@@ -202,9 +201,6 @@ func run(wt *worktrees, baseRev, changeRev string, runs int, seconds float64, on
 	if err := json.Unmarshal(data, &sp); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	if seconds == 0 {
-		seconds = sp.RunSeconds
-	}
 	chosen := sp.Workloads
 	if only != "" {
 		chosen = nil
@@ -223,7 +219,7 @@ func run(wt *worktrees, baseRev, changeRev string, runs int, seconds float64, on
 
 	machine := fmt.Sprintf("%d cpus, GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	for _, s := range sides {
-		s.rep = &report{Scale: "full", Seconds: seconds, Machine: machine}
+		s.rep = &report{Scale: "full", Machine: machine}
 	}
 	total, done := len(chosen)*2*(runs+1), 0
 	for _, w := range chosen {
@@ -241,7 +237,7 @@ func run(wt *worktrees, baseRev, changeRev string, runs int, seconds float64, on
 				if trace {
 					runSeed = 1
 				}
-				res, err := s.bench(wt, dir, w.Name, runSeed, seconds, trace)
+				res, err := s.bench(wt, dir, w.Name, runSeed, trace)
 				if err != nil {
 					return err
 				}
@@ -273,13 +269,15 @@ func run(wt *worktrees, baseRev, changeRev string, runs int, seconds float64, on
 	fmt.Printf("base %s, change %s: %d pairs per workload; reports %s and %s\n\n", baseRev, changeRev, runs, paths[0], paths[1])
 	cmp := exec.Command(sides[0].bin, "compare", paths[0], paths[1])
 	cmp.Stdout, cmp.Stderr = os.Stdout, os.Stderr
-	if err := cmp.Run(); err != nil {
-		// compare exits 1 on a regression or a differing exact count;
-		// its table says which.
-		logf("compare: %v", err)
-	}
+	// compare exits 1 on a regression or a differing exact count; its
+	// table says which, and abbench exits non-zero with it once the
+	// pairs are printed.
+	cmpErr := cmp.Run()
 	fmt.Println()
 	printPairs(os.Stdout, sp, sides[0].rep, sides[1].rep)
+	if cmpErr != nil {
+		return fmt.Errorf("compare: %w", cmpErr)
+	}
 	return nil
 }
 
@@ -302,7 +300,7 @@ func (s *side) checkout(wt *worktrees, dir string) error {
 // bench runs one benchmark pass in the side's worktree and reads its
 // result line, the last line of its standard output. Its standard error
 // goes to a log under dir.
-func (s *side) bench(wt *worktrees, dir, workload string, seed int, seconds float64, trace bool) (*result, error) {
+func (s *side) bench(wt *worktrees, dir, workload string, seed int, trace bool) (*result, error) {
 	t := 0
 	if trace {
 		t = 1
@@ -314,8 +312,7 @@ func (s *side) bench(wt *worktrees, dir, workload string, seed int, seconds floa
 	}
 	defer logFile.Close()
 	var stdout bytes.Buffer
-	cmd := exec.Command(s.bin, "--workload", workload, "--seed", fmt.Sprint(seed),
-		"--seconds", fmt.Sprint(seconds), "--trace", fmt.Sprint(t))
+	cmd := exec.Command(s.bin, "--workload", workload, "--seed", fmt.Sprint(seed), "--trace", fmt.Sprint(t))
 	cmd.Dir, cmd.Stdout, cmd.Stderr = s.tree, &stdout, logFile
 	if err := cmd.Start(); err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ func CC(sys api.System) CCResult {
 	g := sys.Graph()
 	n := g.NumVertices()
 	// The labels are built plainly before any goroutine sees them.
-	labels := &I32s{vals: make([]int32, n)}
+	labels := NewI32s(n, 0)
 	for v := range labels.vals {
 		labels.vals[v] = int32(v)
 	}

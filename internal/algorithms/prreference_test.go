@@ -160,9 +160,11 @@ func sameBits(a, b []float64) error {
 
 // TestPRReferenceBitIdentical holds PR and PRDelta to their reference
 // bodies above, bit for bit, on the in-memory engine, a resident and a
-// tight-budget streaming out-of-core engine, Ligra and Polymer, over a
-// small social graph, an RMAT graph most of whose vertices are dangling
-// and a graph with isolated vertices, at 1, 5 and 10 iterations.
+// tight-budget streaming out-of-core engine, an out-of-core engine over
+// a store with an uncompacted ApplyBatch pending, Ligra and Polymer,
+// over a small social graph, an RMAT graph most of whose vertices are
+// dangling and a graph with isolated vertices, at 1, 5 and 10
+// iterations.
 func TestPRReferenceBitIdentical(t *testing.T) {
 	isolated := func() *graph.Graph {
 		// Vertices 0..39 form a ring with chords; 40..59 have no edge.
@@ -188,6 +190,7 @@ func TestPRReferenceBitIdentical(t *testing.T) {
 			"core":         core.NewEngine(g, core.Options{}),
 			"ooc-resident": oocResidentEngine(t, g, true),
 			"ooc-stream":   oocTightWindowEngine(t, g),
+			"ooc-mutated":  oocMutatedStoreEngine(t, g, false),
 			"ligra":        ligra.New(g, 0),
 			"polymer":      polymer.New(g, polymer.Polymer(), 0),
 		}

@@ -39,9 +39,10 @@ func NewF64s(n int, init float64) *F64s {
 // Len returns the array length.
 func (a *F64s) Len() int { return len(a.bits) }
 
-// Get returns element i. The load uses the atomic primitive so that
-// reads racing with a writer on another engine path are well-defined and
-// race-detector-clean; on amd64 this compiles to a plain MOV.
+// Get returns element i. The load uses the atomic primitive so that a
+// read racing an AtomicAdd on another goroutine is well-defined and
+// race-detector-clean; on amd64 this compiles to a plain MOV. A Get may
+// not race a Set or an Add, which are plain stores.
 func (a *F64s) Get(i graph.VID) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
 }
