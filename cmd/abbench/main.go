@@ -23,6 +23,11 @@
 // removed on every exit path, an interrupt included; the reports and
 // the runs' logs stay in -dir. Run it from inside the repository, with
 // nothing else loading the machine.
+//
+// abbench exits 1 whenever compare does: on a regression, a differing
+// exact per-query count, or a workload missing from the reports, which
+// every session narrowed by -workloads has. Read compare's table for
+// which.
 package main
 
 import (
