@@ -47,16 +47,16 @@ func (s *Store) Compact() (int64, error) {
 		if s.format == FormatV3 && len(s.deltas(i)) == 0 {
 			continue
 		}
-		c, _, err := s.loadShard(i)
+		r, _, err := s.loadRuns(i)
 		if err != nil {
 			return 0, err
 		}
 		name := compactedShardName(i, gen)
-		if err := writeShardFile(filepath.Join(s.dir, name), c); err != nil {
+		if err := writeShardFile(filepath.Join(s.dir, name), r); err != nil {
 			return 0, err
 		}
 		newM.BaseFiles[i] = name
-		newM.BaseEdgeCounts[i] = int64(len(c.Src))
+		newM.BaseEdgeCounts[i] = int64(len(r.src))
 	}
 	newM.Deltas = nil
 	newM.Generation = gen

@@ -58,11 +58,11 @@ func TestCrashMidCompactionLeavesOldGeneration(t *testing.T) {
 		if len(st.deltas(i)) == 0 {
 			continue
 		}
-		c, _, err := st.loadShard(i)
+		r, _, err := st.loadRuns(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeShardFile(filepath.Join(dir, compactedShardName(i, next)), c); err != nil {
+		if err := writeShardFile(filepath.Join(dir, compactedShardName(i, next)), r); err != nil {
 			t.Fatal(err)
 		}
 	}

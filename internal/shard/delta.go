@@ -5,8 +5,8 @@ package shard
 // shard — (dst,src)-sorted inserts plus edge tombstones for deletes —
 // and swaps in a new manifest generation with the usual
 // temp+fsync+rename discipline, so a crash at any point leaves the
-// previous generation intact and openable. Reads merge base plus
-// deltas as linear zips of sorted streams (mergeDeltas), preserving
+// previous generation intact and openable. Reads merge the deltas
+// into the base's destination runs, run by run (mergeRuns), preserving
 // the per-destination ascending-source order every engine path
 // assumes: a mutated store is per-destination identical to a
 // from-scratch rebuild of the same edge multiset, so every thread
@@ -24,13 +24,13 @@ package shard
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -119,9 +119,8 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	if err := checkBatch("delete", del, n); err != nil {
 		return nil, err
 	}
-	// The per-vertex Meta is edited exactly, as a copy, from the
-	// per-shard decode below; the new summaries are transposed from the
-	// edited copy.
+	// The per-vertex Meta is edited exactly, as a copy, by the per-shard
+	// merge below; the new summaries are transposed from the edited copy.
 	meta, err := s.Meta()
 	if err != nil {
 		return nil, err
@@ -129,9 +128,9 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 	ed := newMetaEdit(meta)
 
 	// Group both sides by the destination's home shard, (dst,src)-
-	// sorted — the delta file order and the order the linear merge
+	// sorted — the delta file order and the order the run merge
 	// consumes. Tombstones are deduplicated: one removes all copies,
-	// so repeats are redundant (and would break the zip's invariants).
+	// so repeats are redundant.
 	p := s.m.Shards
 	insBy := groupByHome(s, ins, false)
 	delBy := groupByHome(s, del, true)
@@ -153,7 +152,7 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		if len(bIns.src) == 0 && len(bDel.src) == 0 {
 			continue
 		}
-		cur, _, err := s.loadShard(si)
+		cur, _, err := s.loadRuns(si)
 		if err != nil {
 			return nil, err
 		}
@@ -165,20 +164,15 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		newM.Deltas[si] = append(refs, deltaRef{
 			File: name, Gen: gen, Ins: int64(len(bIns.src)), Del: int64(len(bDel.src)),
 		})
-		// Learn the exact new live count and Meta edit — what
-		// loadShard's zip will reproduce — without materialising the
-		// merge: the tombstones filter the sorted base and the sorted
-		// inserts alike, in place (cur is this call's own decode, and
-		// the inserts are already on disk), counted before they go.
-		before := int64(len(cur.Src) + len(bIns.src))
-		lost := ed.remove(cur.Src, cur.Dst, bDel)
-		liveBase, _ := removeAllPairs(cur.Src, cur.Dst, bDel.src, bDel.dst)
-		liveIns, liveInsDst := removeAllPairs(bIns.src, bIns.dst, bDel.src, bDel.dst)
-		ed.insert(si, liveIns, liveInsDst)
-		ed.dropLostFeeds(si, lost, liveBase, liveIns)
-		live := int64(len(liveBase) + len(liveIns))
+		// The exact new live count and Meta edit come from the same run
+		// merge a later load makes of this delta (mergeRuns), told to
+		// report what it removes and keeps.
+		ed.si = si
+		merged := mergeRuns(cur, bIns, bDel, ed)
+		ed.dropLostFeeds(merged.src)
+		live := int64(len(merged.src))
 		res.Inserted += int64(len(bIns.src))
-		res.Deleted += before - live
+		res.Deleted += int64(len(cur.src)+len(bIns.src)) - live
 		newM.Edges += live - newM.EdgeCounts[si]
 		newM.EdgeCounts[si] = live
 	}
@@ -200,12 +194,15 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 // metaEdit is one batch's exact edit of a Meta, made on copies so the
 // previous generation's Meta stays intact: degree deltas per vertex,
 // and the feeds-masks with bits set for live inserts and cleared where
-// the batch deleted a source's last edge into a shard.
+// the batch deleted a source's last edge into a shard. mergeRuns
+// reports to it one shard at a time, shard si.
 type metaEdit struct {
 	base    *Meta
 	feeds   []uint64
 	out, in map[graph.VID]int64
-	cand    []uint64 // scratch bitmap over V for dropLostFeeds, all clear between calls
+	si      int
+	lost    []graph.VID // sources that lost an edge into shard si
+	cand    []uint64    // scratch bitmap over V for dropLostFeeds, all clear between calls
 }
 
 func newMetaEdit(base *Meta) *metaEdit {
@@ -217,42 +214,28 @@ func newMetaEdit(base *Meta) *metaEdit {
 	}
 }
 
-// remove subtracts, from the degrees, the live copies in one shard's
-// (dst,src)-sorted edges that the shard's sorted, deduplicated
-// tombstones delete, before the edges are filtered. It returns the
-// sources that lost an edge there.
-func (ed *metaEdit) remove(aS, aD []graph.VID, del pairList) (lost []graph.VID) {
-	i := 0
-	for j, u := range del.src {
-		v := del.dst[j]
-		p := seekPair(aS, aD, i, v, u)
-		for i = p; i < len(aS) && aD[i] == v && aS[i] == u; i++ {
-		}
-		if c := int64(i - p); c > 0 {
-			ed.out[u] -= c
-			ed.in[v] -= c
-			lost = append(lost, u)
-		}
-	}
-	return lost
+// remove subtracts one live copy of (u,v) that a tombstone deleted.
+func (ed *metaEdit) remove(u, v graph.VID) {
+	ed.out[u]--
+	ed.in[v]--
+	ed.lost = append(ed.lost, u)
 }
 
-// insert adds shard si's surviving inserts to the degrees and sets si
-// in their sources' masks.
-func (ed *metaEdit) insert(si int, src, dst []graph.VID) {
-	w, bit := si/64, uint64(1)<<(si%64)
-	for k, u := range src {
-		ed.out[u]++
-		ed.in[dst[k]]++
-		ed.feeds[int(u)*ed.base.words+w] |= bit
-	}
+// insert adds one insert of (u,v) that survived the batch's tombstones
+// and sets shard si in u's mask.
+func (ed *metaEdit) insert(u, v graph.VID) {
+	ed.out[u]++
+	ed.in[v]++
+	ed.feeds[int(u)*ed.base.words+ed.si/64] |= 1 << (ed.si % 64)
 }
 
 // dropLostFeeds clears si from the mask of every lost source that no
 // longer has a live edge into shard si, which it finds with one pass
 // over the shard's live sources that stops once every candidate is
 // accounted for.
-func (ed *metaEdit) dropLostFeeds(si int, lost []graph.VID, live ...[]graph.VID) {
+func (ed *metaEdit) dropLostFeeds(live []graph.VID) {
+	lost := ed.lost
+	ed.lost = ed.lost[:0]
 	if len(lost) == 0 {
 		return
 	}
@@ -266,15 +249,13 @@ func (ed *metaEdit) dropLostFeeds(si int, lost []graph.VID, live ...[]graph.VID)
 			left++
 		}
 	}
-	for _, srcs := range live {
-		for k := 0; k < len(srcs) && left > 0; k++ {
-			if u := srcs[k]; cand[u>>6]&(1<<(u&63)) != 0 {
-				cand[u>>6] &^= 1 << (u & 63)
-				left--
-			}
+	for k := 0; k < len(live) && left > 0; k++ {
+		if u := live[k]; cand[u>>6]&(1<<(u&63)) != 0 {
+			cand[u>>6] &^= 1 << (u & 63)
+			left--
 		}
 	}
-	w, bit := si/64, uint64(1)<<(si%64)
+	w, bit := ed.si/64, uint64(1)<<(ed.si%64)
 	for _, u := range lost {
 		if cand[u>>6]&(1<<(u&63)) != 0 {
 			cand[u>>6] &^= 1 << (u & 63)
@@ -336,36 +317,28 @@ func checkBatch(op string, es []graph.Edge, n graph.VID) error {
 }
 
 // pairList is one shard's half of a batch as parallel (dst,src)-sorted
-// arrays — the shape the encoder and the linear merges consume.
+// arrays — the delta file's stream shape, which mergeRuns consumes.
 type pairList struct {
 	src, dst []graph.VID
 }
 
 // groupByHome splits a validated batch by the destination's home
-// shard, sorting each group by (dst,src); dedup additionally collapses
+// shard, each group (dst,src)-sorted; dedup additionally collapses
 // equal pairs (tombstones).
 func groupByHome(s *Store, es []graph.Edge, dedup bool) map[int]pairList {
+	es = slices.Clone(es)
+	slices.SortFunc(es, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src))
+	})
+	if dedup {
+		es = slices.Compact(es)
+	}
 	out := make(map[int]pairList)
 	for _, e := range es {
 		si := s.Home(e.Dst)
 		pl := out[si]
 		pl.src = append(pl.src, e.Src)
 		pl.dst = append(pl.dst, e.Dst)
-		out[si] = pl
-	}
-	for si, pl := range out {
-		sort.Sort(&dstSrcOrder{src: pl.src, dst: pl.dst})
-		if dedup {
-			k := 0
-			for i := range pl.src {
-				if i > 0 && pl.src[i] == pl.src[i-1] && pl.dst[i] == pl.dst[i-1] {
-					continue
-				}
-				pl.src[k], pl.dst[k] = pl.src[i], pl.dst[i]
-				k++
-			}
-			pl.src, pl.dst = pl.src[:k], pl.dst[:k]
-		}
 		out[si] = pl
 	}
 	return out
@@ -472,16 +445,12 @@ func readDeltaFile(path string, n int, lo, hi graph.VID, ref deltaRef) (ins, del
 	return ins, del, size, nil
 }
 
-// mergeDeltas folds shard i's pending delta files into its decoded
-// base COO, in the base's own arrays where it can: the base is
-// (dst,src)-sorted by construction (readShardFile), so each
-// generation's inserts are zipped in and its tombstones filtered out as
-// block moves between the few positions a delta touches. The result's
-// per-destination source order is ascending, exactly what a
-// from-scratch rebuild of the merged multiset decodes to, which is why
-// every engine path is bit-identical over a mutated store.
-func (s *Store) mergeDeltas(i int, base *graph.COO, size int64) (*graph.COO, int64, error) {
-	src, dst := base.Src, base.Dst
+// mergeDeltas folds shard i's pending delta files, oldest first, into
+// its decoded base runs (mergeRuns). Every run's sources stay
+// ascending, exactly what a from-scratch rebuild of the merged multiset
+// decodes to, which is why every engine path is bit-identical over a
+// mutated store.
+func (s *Store) mergeDeltas(i int, r *Runs, size int64) (*Runs, int64, error) {
 	lo, hi := s.m.Bounds[i], s.m.Bounds[i+1]
 	for _, ref := range s.m.Deltas[i] {
 		ins, del, n, err := readDeltaFile(filepath.Join(s.dir, ref.File), s.m.Vertices, lo, hi, ref)
@@ -489,95 +458,102 @@ func (s *Store) mergeDeltas(i int, base *graph.COO, size int64) (*graph.COO, int
 			return nil, 0, err
 		}
 		size += n
-		src, dst = mergeSortedPairs(src, dst, ins.src, ins.dst)
-		src, dst = removeAllPairs(src, dst, del.src, del.dst)
+		r = mergeRuns(r, ins, del, nil)
 	}
-	if int64(len(src)) != s.m.EdgeCounts[i] {
+	if int64(len(r.src)) != s.m.EdgeCounts[i] {
 		return nil, 0, fmt.Errorf("shard: %s: %d edges after merging %d deltas, manifest says %d",
-			s.basePath(i), len(src), len(s.m.Deltas[i]), s.m.EdgeCounts[i])
+			s.basePath(i), len(r.src), len(s.m.Deltas[i]), s.m.EdgeCounts[i])
 	}
-	return &graph.COO{N: base.N, Src: src, Dst: dst}, size, nil
+	return r, size, nil
 }
 
-// dstSrcOrder sorts parallel src/dst slices by (dst, src) — the order
-// of every delta stream and every loaded shard. Equal pairs (parallel
-// edges) are interchangeable, so the unstable sort is still
-// deterministic in output.
-type dstSrcOrder struct {
-	src, dst []graph.VID
-}
-
-func (o *dstSrcOrder) Len() int { return len(o.src) }
-func (o *dstSrcOrder) Less(i, j int) bool {
-	return pairLess(o.dst[i], o.src[i], o.dst[j], o.src[j])
-}
-func (o *dstSrcOrder) Swap(i, j int) {
-	o.src[i], o.src[j] = o.src[j], o.src[i]
-	o.dst[i], o.dst[j] = o.dst[j], o.dst[i]
-}
-
-// pairLess orders (dst,src) pairs — the v2 on-disk order.
-func pairLess(d1, s1, d2, s2 graph.VID) bool {
-	if d1 != d2 {
-		return d1 < d2
+// mergeRuns returns r with one delta generation folded in, run by run.
+// ins and del are (dst,src)-sorted, del deduplicated. Runs no delta
+// names move as whole blocks of sources, their ends shifted; run v's
+// sources are zipped with the inserts into v (mergeRun), less every
+// copy of a source that a tombstone (u,v) names, the same generation's
+// inserts included. A run left empty is dropped, an insert into a new
+// destination opens a run, and a tombstone matching nothing is a no-op
+// (deleting a missing edge is legal). ed, when non-nil, is told of
+// every copy of r the tombstones remove and every insert they spare;
+// the load path passes nil.
+func mergeRuns(r *Runs, ins, del pairList, ed *metaEdit) *Runs {
+	out := &Runs{
+		src: make([]graph.VID, 0, len(r.src)+len(ins.src)),
+		dst: make([]graph.VID, 0, len(r.dst)+len(ins.dst)),
+		end: make([]uint32, 0, len(r.dst)+len(ins.dst)),
 	}
-	return s1 < s2
-}
-
-// seekPair returns the first index at or after from whose pair is not
-// below (d,s) in a (dst,src)-sorted list. It gallops from from, so the
-// cost is logarithmic in the distance moved: zipping a short sorted list
-// against a long one costs O(short · log(long/short)), and two of
-// similar length stay linear.
-func seekPair(aS, aD []graph.VID, from int, d, s graph.VID) int {
-	hi := from
-	for step := 1; hi < len(aS) && pairLess(aD[hi], aS[hi], d, s); step *= 2 {
-		from, hi = hi+1, hi+step
-	}
-	hi = min(hi, len(aS))
-	return from + sort.Search(hi-from, func(k int) bool { return !pairLess(aD[from+k], aS[from+k], d, s) })
-}
-
-// mergeSortedPairs zips two (dst,src)-sorted edge lists into one,
-// preserving duplicates from both sides (parallel edges are legal). a is
-// moved in whole blocks between the positions b's pairs land on.
-func mergeSortedPairs(aS, aD, bS, bD []graph.VID) ([]graph.VID, []graph.VID) {
-	if len(bS) == 0 {
-		return aS, aD
-	}
-	outS := make([]graph.VID, 0, len(aS)+len(bS))
-	outD := make([]graph.VID, 0, len(aS)+len(bS))
-	i := 0
-	for j := range bS {
-		p := seekPair(aS, aD, i, bD[j], bS[j])
-		outS = append(append(outS, aS[i:p]...), bS[j])
-		outD = append(append(outD, aD[i:p]...), bD[j])
-		i = p
-	}
-	return append(outS, aS[i:]...), append(outD, aD[i:]...)
-}
-
-// removeAllPairs filters, in place, every copy of every (dst,src)
-// pair named in the sorted, deduplicated tombstone list out of the
-// sorted edge list. A tombstone matching nothing is a no-op (deleting a
-// missing edge is legal); a run of parallel copies all falls to one
-// tombstone. Survivors move down in whole blocks, and not at all before
-// the first match.
-func removeAllPairs(aS, aD, tS, tD []graph.VID) ([]graph.VID, []graph.VID) {
-	k, i := 0, 0 // write and read cursors
-	keep := func(end int) {
-		if k != i {
-			copy(aS[k:], aS[i:end])
-			copy(aD[k:], aD[i:end])
+	k, a, b := 0, 0, 0 // cursors into runs, inserts and tombstones
+	for {
+		// v is the next destination a delta names; once none is left,
+		// every remaining run is untouched.
+		v, more := graph.VID(0), a < len(ins.dst)
+		if more {
+			v = ins.dst[a]
 		}
-		k += end - i
-	}
-	for j := range tS {
-		p := seekPair(aS, aD, i, tD[j], tS[j])
-		keep(p)
-		for i = p; i < len(aS) && aD[i] == tD[j] && aS[i] == tS[j]; i++ {
+		if b < len(del.dst) && (!more || del.dst[b] < v) {
+			v, more = del.dst[b], true
+		}
+		stop := len(r.dst)
+		if more {
+			at, _ := slices.BinarySearch(r.dst[k:], v)
+			stop = k + at
+		}
+		shift := uint32(len(out.src)) - r.start(k) // modular: a net deletion wraps, and adds back
+		out.src = append(out.src, r.src[r.start(k):r.start(stop)]...)
+		out.dst = append(out.dst, r.dst[k:stop]...)
+		for _, e := range r.end[k:stop] {
+			out.end = append(out.end, e+shift)
+		}
+		if k = stop; !more {
+			return out
+		}
+		var base []graph.VID
+		if k < len(r.dst) && r.dst[k] == v {
+			base = r.src[r.start(k):r.end[k]]
+			k++
+		}
+		a0, b0 := a, b
+		for a < len(ins.dst) && ins.dst[a] == v {
+			a++
+		}
+		for b < len(del.dst) && del.dst[b] == v {
+			b++
+		}
+		n := len(out.src)
+		if out.src = mergeRun(out.src, v, base, ins.src[a0:a], del.src[b0:b], ed); len(out.src) > n {
+			out.dst = append(out.dst, v)
+			out.end = append(out.end, uint32(len(out.src)))
 		}
 	}
-	keep(len(aS))
-	return aS[:k], aD[:k]
+}
+
+// mergeRun appends to out the merged sources of run v: base and ins,
+// both ascending, zipped, less every copy of a source in del
+// (ascending), reporting to ed, when non-nil, what goes and what joins.
+func mergeRun(out []graph.VID, v graph.VID, base, ins, del []graph.VID, ed *metaEdit) []graph.VID {
+	i, j, t := 0, 0, 0
+	for i < len(base) || j < len(ins) {
+		fromBase := j == len(ins) || i < len(base) && base[i] <= ins[j]
+		var u graph.VID
+		if fromBase {
+			u, i = base[i], i+1
+		} else {
+			u, j = ins[j], j+1
+		}
+		for t < len(del) && del[t] < u {
+			t++
+		}
+		if t < len(del) && del[t] == u {
+			if fromBase && ed != nil {
+				ed.remove(u, v)
+			}
+			continue
+		}
+		if !fromBase && ed != nil {
+			ed.insert(u, v)
+		}
+		out = append(out, u)
+	}
+	return out
 }

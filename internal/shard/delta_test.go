@@ -2,8 +2,10 @@ package shard
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -27,6 +29,38 @@ func (m edgeMultiset) apply(ins, del []graph.Edge) {
 	}
 	for _, e := range del {
 		delete(m, e)
+	}
+}
+
+// deleted returns how many live copies del's tombstones remove from m
+// once ins is added: the copies of each distinct tombstoned pair after
+// the same batch's inserts.
+func (m edgeMultiset) deleted(ins, del []graph.Edge) int64 {
+	after := maps.Clone(m)
+	for _, e := range ins {
+		after[e]++
+	}
+	var n int64
+	for _, e := range del {
+		n += int64(after[e])
+		delete(after, e)
+	}
+	return n
+}
+
+// checkRunTables holds the engine's load of every shard of st to the
+// decoded-run invariants: non-empty runs, strictly ascending
+// destinations inside the shard's range, ends reaching the last source,
+// and the manifest's live edge count.
+func checkRunTables(t *testing.T, st *Store) {
+	t.Helper()
+	for i := 0; i < st.NumShards(); i++ {
+		r, _, err := st.loadRuns(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := st.Range(i)
+		checkDecodedInvariants(t, r, st.m.EdgeCounts[i], st.NumVertices(), lo, hi)
 	}
 }
 
@@ -114,10 +148,12 @@ func TestApplyBatchRandomEquivalence(t *testing.T) {
 				if res.Generation != prevGen+1 || st.Generation() != res.Generation {
 					t.Fatalf("generation %d after batch on %d", st.Generation(), prevGen)
 				}
+				wantDel := want.deleted(ins, del)
 				want.apply(ins, del)
 				checkEquivalent(t, st, want)
-				if res.Inserted != int64(len(ins)) {
-					t.Fatalf("batch reports %d inserted, want %d", res.Inserted, len(ins))
+				checkRunTables(t, st)
+				if res.Inserted != int64(len(ins)) || res.Deleted != wantDel {
+					t.Fatalf("batch reports %d inserted / %d deleted, want %d / %d", res.Inserted, res.Deleted, len(ins), wantDel)
 				}
 				reopened, err := Open(dir)
 				if err != nil {
@@ -214,8 +250,8 @@ func TestApplyBatchEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantDel := int64(3 + want[e] - 3); res.Deleted != 3+int64(want[e])-3 && res.Deleted < 3 {
-			t.Fatalf("tombstone removed %d copies, want at least 3 (%d)", res.Deleted, wantDel)
+		if res.Deleted != int64(want[e]) {
+			t.Fatalf("tombstone removed %d copies, want %d", res.Deleted, want[e])
 		}
 		want.apply(nil, []graph.Edge{e})
 		checkEquivalent(t, st, want)
@@ -227,6 +263,121 @@ func TestApplyBatchEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkEquivalent(t, reopened, want)
+	})
+}
+
+// TestApplyBatchRunTableEdgeCases drives the run merge through the
+// shapes a run table takes at its edges: a destination losing every
+// in-edge, a whole shard emptied, new destinations before the first run
+// and after the last, and a pair tombstoned in one generation and
+// re-inserted in the next. After every batch the engine's load of every
+// shard holds to the run invariants — an empty run left in the table
+// would put a destination with no in-edges into PageRank's next
+// frontier — and the store to a from-scratch rebuild, as it does again
+// after a reopen and a compaction.
+func TestApplyBatchRunTableEdgeCases(t *testing.T) {
+	g := gen.ErdosRenyi(1024, 8000, 11)
+	dir := t.TempDir()
+	st, err := Create(dir, g, WriteOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < st.NumShards(); i++ {
+		if st.m.EdgeCounts[i] < 64 {
+			t.Fatalf("fixture shard %d holds %d edges: too few for the cases below", i, st.m.EdgeCounts[i])
+		}
+	}
+	want := multisetOf(g)
+	apply := func(t *testing.T, ins, del []graph.Edge) {
+		t.Helper()
+		wantDel := want.deleted(ins, del)
+		res, err := st.ApplyBatch(ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Inserted != int64(len(ins)) || res.Deleted != wantDel {
+			t.Fatalf("batch reports %d inserted / %d deleted, want %d / %d", res.Inserted, res.Deleted, len(ins), wantDel)
+		}
+		want.apply(ins, del)
+		checkRunTables(t, st)
+		checkEquivalent(t, st, want)
+	}
+	load := func(t *testing.T, si int) *Runs {
+		t.Helper()
+		r, err := st.LoadShard(si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// inEdges returns every live in-edge of the destinations of shard si
+	// that keep returns true for.
+	inEdges := func(t *testing.T, si int, keep func(graph.VID) bool) []graph.Edge {
+		var es []graph.Edge
+		r := load(t, si)
+		for k := range r.NumRuns() {
+			v, srcs := r.Run(k)
+			for _, u := range srcs {
+				if keep(v) {
+					es = append(es, graph.Edge{Src: u, Dst: v})
+				}
+			}
+		}
+		return es
+	}
+
+	t.Run("TombstoneEveryInEdgeOfOneDestination", func(t *testing.T) {
+		r := load(t, 1)
+		v, _ := r.Run(r.NumRuns() / 2)
+		apply(t, nil, inEdges(t, 1, func(d graph.VID) bool { return d == v }))
+		if r := load(t, 1); slices.Contains(r.dst, v) {
+			t.Fatalf("destination %d keeps a run after losing every in-edge", v)
+		}
+	})
+
+	t.Run("EmptyAWholeShard", func(t *testing.T) {
+		apply(t, nil, inEdges(t, 2, func(graph.VID) bool { return true }))
+		if r := load(t, 2); r.NumRuns() != 0 || r.NumEdges() != 0 {
+			t.Fatalf("emptied shard loads %d edges in %d runs", r.NumEdges(), r.NumRuns())
+		}
+		apply(t, []graph.Edge{{Src: 7, Dst: st.m.Bounds[2]}}, nil)
+	})
+
+	t.Run("InsertBeforeFirstAndAfterLastRun", func(t *testing.T) {
+		lo, hi := st.Range(3)
+		apply(t, nil, inEdges(t, 3, func(d graph.VID) bool { return d == lo || d == hi-1 }))
+		if r := load(t, 3); r.dst[0] == lo || r.dst[len(r.dst)-1] == hi-1 {
+			t.Fatalf("shard 3's runs still span [%d,%d]", r.dst[0], r.dst[len(r.dst)-1])
+		}
+		apply(t, []graph.Edge{{Src: 9, Dst: hi - 1}, {Src: 3, Dst: lo}, {Src: 4, Dst: lo}}, nil)
+		r := load(t, 3)
+		if first, firstSrc := r.Run(0); first != lo || !slices.Equal(firstSrc, []graph.VID{3, 4}) {
+			t.Fatalf("first run is destination %d with sources %v, want %d with [3 4]", first, firstSrc, lo)
+		}
+		if last, lastSrc := r.Run(r.NumRuns() - 1); last != hi-1 || !slices.Equal(lastSrc, []graph.VID{9}) {
+			t.Fatalf("last run is destination %d with sources %v, want %d with [9]", last, lastSrc, hi-1)
+		}
+	})
+
+	t.Run("ReinsertTombstonedPairNextGeneration", func(t *testing.T) {
+		e := g.Edges()[len(g.Edges())/3]
+		apply(t, nil, []graph.Edge{e})
+		apply(t, []graph.Edge{e, e}, nil)
+		if want[e] != 2 {
+			t.Fatalf("fixture holds %d copies of %v, want 2", want[e], e)
+		}
+	})
+
+	t.Run("ReopenAndCompact", func(t *testing.T) {
+		if st, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		checkRunTables(t, st)
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		checkRunTables(t, st)
+		checkEquivalent(t, st, want)
 	})
 }
 

@@ -433,9 +433,9 @@ func (h *Host) taskCount(si int) int {
 
 // newResident wraps a loaded shard's runs — as decoded, never copied
 // — with the offsets of its apply tasks.
-func (h *Host) newResident(si int, r *shardRuns) *resident {
+func (h *Host) newResident(si int, r *Runs) *resident {
 	lo, _ := h.st.Range(si)
-	return &resident{idx: si, shardRuns: *r, off: taskOffsets(r.dst, lo, h.shardUnits(si), h.taskCount(si))}
+	return &resident{idx: si, Runs: *r, off: taskOffsets(r.dst, lo, h.shardUnits(si), h.taskCount(si))}
 }
 
 // taskOffsets cuts a shard whose destination range starts at lo and

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -38,10 +38,10 @@ import (
 // engine whose dense sweeps re-read and re-decode the whole edge set
 // every iteration.
 //
-// Whatever the format, a loaded shard is (destination, source)-sorted:
-// v2 and v3 are written that way, and a v1 shard is stably sorted by
-// destination as it loads (its CSR walk already visits each
-// destination's sources in ascending order). The engine's apply depends
+// Whatever the format, a loaded shard is destination runs (Runs) with
+// ascending sources: v2 and v3 are written that way, and a v1 shard is
+// counting-sorted into runs as it loads (its CSR walk already visits
+// each destination's sources in ascending order). The engine's apply depends
 // only on per-destination order, which is ascending sources in every
 // format, so results are bit-identical across formats.
 type Format int
@@ -105,40 +105,46 @@ func v1EncodedBytes(edges int64) int64 { return 8 + 2*vidBytes*edges }
 // confused without the mismatch surfacing as a structural error.
 var shardMagicV2 = [4]byte{'G', 'G', 'S', '2'}
 
-// writeShardFile encodes one (dst,src)-sorted shard as a v3 file,
-// atomically (writeFileAtomic). Create sorts with sortByDst; Compact
-// writes what loadShard merged.
-func writeShardFile(path string, c *graph.COO) error {
+// writeShardFile encodes one shard's runs as a v3 file, atomically
+// (writeFileAtomic). Create's runs come from sortByDst, Compact's from
+// loadRuns.
+func writeShardFile(path string, r *Runs) error {
 	return writeFileAtomic(path, func(f *os.File) error {
-		_, err := f.Write(encodeShardV3(c.Src, c.Dst))
+		_, err := f.Write(encodeShardV3(r))
 		return err
 	})
 }
 
-// sortByDst returns c's edges stably sorted by destination — one
-// counting sort over the shard's destination range [lo,hi), O(E + hi-lo).
-// A CSR-order edge list (the partitioner's, a v1 file's) visits each
-// destination's sources in ascending order, so for such input the result
-// is the full (dst,src) order the v3 encoder and the delta merges
-// consume. Every destination must already be known to lie in [lo,hi).
-func sortByDst(c *graph.COO, lo, hi graph.VID) *graph.COO {
+// sortByDst returns c's edges as runs, stably sorted by destination —
+// one counting sort over the shard's destination range [lo,hi),
+// O(E + hi-lo), whose prefix sums are the run ends. A CSR-order edge
+// list (the partitioner's, a v1 file's) visits each destination's
+// sources in ascending order, so for such input every run's sources
+// ascend. Every destination must already be known to lie in [lo,hi).
+func sortByDst(c *graph.COO, lo, hi graph.VID) *Runs {
 	next := make([]int, hi-lo+1)
 	for _, d := range c.Dst {
 		next[d-lo+1]++
 	}
-	out := &graph.COO{N: c.N, Src: make([]graph.VID, len(c.Src)), Dst: make([]graph.VID, len(c.Dst))}
-	for v := range next[1:] {
+	runs := 0
+	for _, k := range next[1:] {
+		if k > 0 {
+			runs++
+		}
+	}
+	r := &Runs{src: make([]graph.VID, len(c.Src)), dst: make([]graph.VID, 0, runs), end: make([]uint32, 0, runs)}
+	for v, k := range next[1:] {
 		next[v+1] += next[v]
-		run := out.Dst[next[v]:next[v+1]]
-		for i := range run {
-			run[i] = lo + graph.VID(v)
+		if k > 0 {
+			r.dst = append(r.dst, lo+graph.VID(v))
+			r.end = append(r.end, uint32(next[v+1]))
 		}
 	}
 	for i, d := range c.Dst {
-		out.Src[next[d-lo]] = c.Src[i]
+		r.src[next[d-lo]] = c.Src[i]
 		next[d-lo]++
 	}
-	return out
+	return r
 }
 
 // putUvarint writes one uvarint to w.
@@ -177,56 +183,54 @@ func encodeV2Stream(w *bufio.Writer, src, dst []graph.VID) error {
 	return nil
 }
 
-// shardRuns is the one form every shard decoder produces: a shard's
-// (dst,src)-sorted edges as destination runs. Run r holds the in-edges
-// of destination dst[r], whose sources are src[end[r-1]:end[r]] (from 0
-// for r = 0), ascending; destinations ascend strictly, so each has one
-// run. Like the v3 file, it stores a destination once per run instead
-// of once per edge: 4 bytes per edge plus 8 per run.
-type shardRuns struct {
+// Runs is the one in-memory form of a shard, from decode to encode: its
+// (dst,src)-sorted edges as destination runs. Run k holds the in-edges
+// of destination dst[k], whose sources are src[end[k-1]:end[k]] (from
+// 0 for k = 0), ascending; runs are never empty and destinations ascend
+// strictly, so each has one run. Like the v3 file, it stores a
+// destination once per run instead of once per edge: 4 bytes per edge
+// plus 8 per run. Store.LoadShard hands it out read-only.
+type Runs struct {
 	src []graph.VID
 	dst []graph.VID
 	end []uint32
+}
+
+// NumEdges returns the shard's edge count.
+func (r *Runs) NumEdges() int { return len(r.src) }
+
+// NumRuns returns the shard's run count: its distinct destinations.
+func (r *Runs) NumRuns() int { return len(r.dst) }
+
+// Run returns run k's destination and its ascending sources, which the
+// caller must not modify.
+func (r *Runs) Run(k int) (dst graph.VID, src []graph.VID) {
+	return r.dst[k], r.src[r.start(k):r.end[k]]
+}
+
+// start returns the index of run k's first source.
+func (r *Runs) start(k int) uint32 {
+	if k == 0 {
+		return 0
+	}
+	return r.end[k-1]
 }
 
 // maxShardEdges is the most edges one shard may hold: run ends are
 // uint32 offsets.
 const maxShardEdges = math.MaxUint32
 
-// coo expands r into the per-edge COO of the store's public read API.
-// The COO shares r's sources.
-func (r *shardRuns) coo(n int) *graph.COO {
-	dst := make([]graph.VID, len(r.src))
-	at := 0
-	for i, d := range r.dst {
-		end := int(r.end[i])
-		if at+8 <= len(dst) {
-			// Fill eight regardless: most runs are shorter, the next run
-			// overwrites the excess, and the loop below — whose exit the
-			// branch predictor cannot learn — usually runs zero times.
-			run := (*[8]graph.VID)(dst[at:])
-			run[0], run[1], run[2], run[3], run[4], run[5], run[6], run[7] = d, d, d, d, d, d, d, d
-			at += 8
-		}
-		for ; at < end; at++ {
-			dst[at] = d
-		}
-		at = end
-	}
-	return &graph.COO{N: n, Src: r.src, Dst: dst}
-}
-
-// runsOf compresses a (dst,src)-sorted COO of at most maxShardEdges
-// edges into runs, keeping its sources; its destinations become
-// garbage.
-func runsOf(c *graph.COO) *shardRuns {
+// runsOf compresses a v2 stream's (dst,src)-sorted COO of at most
+// maxShardEdges edges into runs, keeping its sources; its destinations
+// become garbage.
+func runsOf(c *graph.COO) *Runs {
 	runs := 0
 	for i, d := range c.Dst {
 		if i == 0 || d != c.Dst[i-1] {
 			runs++
 		}
 	}
-	r := &shardRuns{src: c.Src, dst: make([]graph.VID, 0, runs), end: make([]uint32, 0, runs)}
+	r := &Runs{src: c.Src, dst: make([]graph.VID, 0, runs), end: make([]uint32, 0, runs)}
 	for i, d := range c.Dst {
 		if i+1 == len(c.Dst) || c.Dst[i+1] != d {
 			r.dst = append(r.dst, d)
@@ -238,26 +242,29 @@ func runsOf(c *graph.COO) *shardRuns {
 
 // readShardFile decodes one shard file in the given format, returning
 // its runs and the on-disk bytes consumed (the file size). A v3 file
-// decodes straight into runs; v1 and v2 files decode per edge and are
-// compressed to runs once, here. Every decoded source must be a vertex
+// decodes straight into runs; a v1 file's edges are counting-sorted into
+// runs (sortByDst) and a v2 stream's are compressed to runs (runsOf),
+// once, here. Every decoded source must be a vertex
 // and every destination must fall inside the shard's [lo,hi) range —
 // violations surface as *VIDRangeError, never as silently corrupt
 // edges — and no allocation is sized by untrusted input before it is
 // validated against the file's actual size.
-func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdges int64) (*shardRuns, int64, error) {
+func readShardFile(path string, format Format, n int, lo, hi graph.VID, wantEdges int64) (*Runs, int64, error) {
 	switch format {
 	case FormatV1:
 		c, size, err := readShardV1(path, n, lo, hi, wantEdges)
 		if err != nil {
 			return nil, 0, err
 		}
-		c = sortByDst(c, lo, hi)
+		r := sortByDst(c, lo, hi)
 		// A v1 file from another writer may list a destination's sources
-		// in any order; the delta zips need them ascending.
-		if o := (&dstSrcOrder{c.Src, c.Dst}); !sort.IsSorted(o) {
-			sort.Sort(o)
+		// in any order; the delta merge needs them ascending.
+		for k := range r.dst {
+			if run := r.src[r.start(k):r.end[k]]; !slices.IsSorted(run) {
+				slices.Sort(run)
+			}
 		}
-		return runsOf(c), size, nil
+		return r, size, nil
 	case FormatV2:
 		c, size, err := readShardV2(path, n, lo, hi, wantEdges)
 		if err != nil {

@@ -61,7 +61,8 @@ func createAll(t *testing.T, g *graph.Graph, p int) map[Format]*Store {
 }
 
 // checkSameShards asserts every store of sts loads every shard to the
-// same (dst,src)-sorted arrays, element for element.
+// same run table and sources, element for element, each run's sources
+// ascending.
 func checkSameShards(t *testing.T, sts map[Format]*Store, when string) {
 	t.Helper()
 	ref := sts[FormatV3]
@@ -70,9 +71,9 @@ func checkSameShards(t *testing.T, sts map[Format]*Store, when string) {
 		if err != nil {
 			t.Fatalf("%s: load v3 shard %d: %v", when, i, err)
 		}
-		for e := 1; e < len(want.Src); e++ {
-			if pairLess(want.Dst[e], want.Src[e], want.Dst[e-1], want.Src[e-1]) {
-				t.Fatalf("%s: v3 shard %d not (dst,src)-sorted at edge %d", when, i, e)
+		for k := range want.NumRuns() {
+			if _, src := want.Run(k); !slices.IsSorted(src) {
+				t.Fatalf("%s: v3 shard %d run %d sources not ascending", when, i, k)
 			}
 		}
 		for f, st := range sts {
@@ -80,12 +81,17 @@ func checkSameShards(t *testing.T, sts map[Format]*Store, when string) {
 			if err != nil {
 				t.Fatalf("%s: load %v shard %d: %v", when, f, i, err)
 			}
-			if !slices.Equal(got.Src, want.Src) || !slices.Equal(got.Dst, want.Dst) {
-				t.Fatalf("%s: shard %d decodes differently from %v (%d edges) and v3 (%d edges)",
-					when, i, f, len(got.Src), len(want.Src))
+			if !sameRuns(got, want) {
+				t.Fatalf("%s: shard %d decodes differently from %v (%d edges in %d runs) and v3 (%d edges in %d runs)",
+					when, i, f, got.NumEdges(), got.NumRuns(), want.NumEdges(), want.NumRuns())
 			}
 		}
 	}
+}
+
+// sameRuns reports whether a and b hold the same run table and sources.
+func sameRuns(a, b *Runs) bool {
+	return slices.Equal(a.src, b.src) && slices.Equal(a.dst, b.dst) && slices.Equal(a.end, b.end)
 }
 
 func TestFormatRoundTripProperty(t *testing.T) {
@@ -108,12 +114,13 @@ func TestFormatRoundTripProperty(t *testing.T) {
 				idx[e] = e
 			}
 			sort.SliceStable(idx, func(a, b int) bool { return raw.Dst[idx[a]] < raw.Dst[idx[b]] })
-			want, err := v3.LoadShard(i)
+			runs, err := v3.LoadShard(i)
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantSrc, wantDst := expand(runs)
 			for e, k := range idx {
-				if raw.Src[k] != want.Src[e] || raw.Dst[k] != want.Dst[e] {
+				if raw.Src[k] != wantSrc[e] || raw.Dst[k] != wantDst[e] {
 					t.Fatalf("trial %d shard %d: destination-sorted v1 file differs from v3 at edge %d", trial, i, e)
 				}
 			}

@@ -40,41 +40,41 @@ import (
 // shardMagicV3 opens every FormatV3 shard file.
 var shardMagicV3 = [4]byte{'G', 'G', 'S', '3'}
 
-// encodeShardV3 returns the v3 file image of an already (dst,src)-sorted
-// edge list.
-func encodeShardV3(src, dst []graph.VID) []byte {
+// encodeShardV3 returns the v3 file image of a shard's runs.
+func encodeShardV3(r *Runs) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	var hdr []byte
-	ctrl := make([]byte, (len(src)+3)/4)
-	data := make([]byte, 0, 2*len(src))
-	runs, runStart := 0, 0
+	ctrl := make([]byte, (len(r.src)+3)/4)
+	data := make([]byte, 0, 2*len(r.src))
 	var nextDst graph.VID // the destination an unflagged header means
-	for i, s := range src {
-		gap := s
-		if i > 0 && dst[i] == dst[i-1] {
-			gap = s - src[i-1]
+	i := 0                // the edge index, across runs
+	for k, d := range r.dst {
+		run := r.src[r.start(k):r.end[k]]
+		h, skip := uint64(len(run)-1)<<1, uint64(d-nextDst)
+		if skip != 0 {
+			h |= 1
 		}
-		l := (bits.Len32(gap|1) + 7) / 8
-		ctrl[i/4] |= byte(l-1) << (2 * (i % 4))
-		binary.LittleEndian.PutUint32(tmp[:], gap)
-		data = append(data, tmp[:l]...)
-		if i+1 == len(src) || dst[i+1] != dst[i] {
-			h, skip := uint64(i-runStart)<<1, uint64(dst[i]-nextDst)
-			if skip != 0 {
-				h |= 1
+		hdr = append(hdr, tmp[:binary.PutUvarint(tmp[:], h)]...)
+		if skip != 0 {
+			hdr = append(hdr, tmp[:binary.PutUvarint(tmp[:], skip)]...)
+		}
+		nextDst = d + 1
+		for j, s := range run {
+			gap := s
+			if j > 0 {
+				gap = s - run[j-1]
 			}
-			hdr = append(hdr, tmp[:binary.PutUvarint(tmp[:], h)]...)
-			if skip != 0 {
-				hdr = append(hdr, tmp[:binary.PutUvarint(tmp[:], skip)]...)
-			}
-			nextDst, runStart = dst[i]+1, i+1
-			runs++
+			l := (bits.Len32(gap|1) + 7) / 8
+			ctrl[i/4] |= byte(l-1) << (2 * (i % 4))
+			binary.LittleEndian.PutUint32(tmp[:], gap)
+			data = append(data, tmp[:l]...)
+			i++
 		}
 	}
 	out := make([]byte, 0, 4+2*binary.MaxVarintLen64+len(hdr)+len(ctrl)+len(data))
 	out = append(out, shardMagicV3[:]...)
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(src)))]...)
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(runs))]...)
+	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(r.src)))]...)
+	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(r.dst)))]...)
 	out = append(out, hdr...)
 	out = append(out, ctrl...)
 	return append(out, data...)
@@ -91,7 +91,7 @@ var startPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readShardV3 reads the whole file with one exact-size read into a
 // pooled slab and batch-decodes it.
-func readShardV3(path string, n int, lo, hi graph.VID, wantEdges int64) (r *shardRuns, size int64, err error) {
+func readShardV3(path string, n int, lo, hi graph.VID, wantEdges int64) (r *Runs, size int64, err error) {
 	size, err = readFileWith(path, func(f *os.File, size int64) error {
 		slab := slabPool.Get().(*[]byte)
 		defer slabPool.Put(slab)
@@ -131,7 +131,7 @@ var valueMask = [4]uint32{0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF}
 // the data section — so the value loop runs over lengths already known
 // to fit. Every destination is held to [lo,hi) and every source to
 // [0,n), reported as *VIDRangeError like the v1/v2 decoders.
-func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges int64) (*shardRuns, error) {
+func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges int64) (*Runs, error) {
 	if len(buf) < 4 || [4]byte(buf[:4]) != shardMagicV3 {
 		return nil, fmt.Errorf("shard: %s: not a v3 shard file (magic %q)", path, buf[:min(4, len(buf))])
 	}
@@ -161,7 +161,7 @@ func decodeShardV3(buf []byte, path string, n int, lo, hi graph.VID, wantEdges i
 		return nil, fmt.Errorf("shard: %s: %d edges, a shard holds at most %d", path, count64, uint64(maxShardEdges))
 	}
 	count := int(count64)
-	r := &shardRuns{
+	r := &Runs{
 		src: make([]graph.VID, count),
 		dst: make([]graph.VID, runs),
 		end: make([]uint32, runs),

@@ -8,7 +8,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -23,11 +22,11 @@ import (
 
 // writeShardFormat writes c as one shard file in format f: v1 as the
 // edge count and the two arrays in the order given, v2 as the magic,
-// the count and one v2 stream (c must be (dst,src)-sorted), v3 through
-// writeShardFile.
+// the count and one v2 stream (c must be (dst,src)-sorted), v3 as its
+// runs through writeShardFile.
 func writeShardFormat(path string, c *graph.COO, f Format) error {
 	if f == FormatV3 {
-		return writeShardFile(path, c)
+		return writeShardFile(path, runsOf(c))
 	}
 	return writeFileAtomic(path, func(file *os.File) error {
 		switch f {
@@ -64,7 +63,8 @@ func createFormat(dir string, g *graph.Graph, p int, f Format) (*Store, error) {
 	pt := partition.ByDestination(g, p, partition.BalanceEdges)
 	for i, part := range partition.NewPCOO(g, pt).Parts {
 		if f == FormatV2 {
-			part = sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])
+			src, dst := expand(sortByDst(part, pt.Bounds[i], pt.Bounds[i+1]))
+			part = &graph.COO{N: part.N, Src: src, Dst: dst}
 		}
 		if err := writeShardFormat(shardPath(dir, i), part, f); err != nil {
 			return nil, err
@@ -132,9 +132,9 @@ func sameDirs(t *testing.T, a, b string) {
 }
 
 // loadAll loads every shard of st.
-func loadAll(t *testing.T, st *Store) []*graph.COO {
+func loadAll(t *testing.T, st *Store) []*Runs {
 	t.Helper()
-	out := make([]*graph.COO, st.NumShards())
+	out := make([]*Runs, st.NumShards())
 	for i := range out {
 		c, err := st.LoadShard(i)
 		if err != nil {
@@ -217,9 +217,8 @@ func TestLegacyFixtureStores(t *testing.T) {
 				}
 			}
 			after := loadAll(t, compacted)
-			for i, c := range loadAll(t, pinned) {
-				if !slices.Equal(c.Src, before[i].Src) || !slices.Equal(c.Dst, before[i].Dst) ||
-					!slices.Equal(c.Src, after[i].Src) || !slices.Equal(c.Dst, after[i].Dst) {
+			for i, r := range loadAll(t, pinned) {
+				if !sameRuns(r, before[i]) || !sameRuns(r, after[i]) {
 					t.Fatalf("shard %d differs across compaction or for the pinned store", i)
 				}
 			}

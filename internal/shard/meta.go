@@ -168,21 +168,24 @@ func (s *Store) Meta() (*Meta, error) {
 }
 
 // measureMeta computes the Meta of a store that predates the file with
-// one pass over its shards, one resident at a time.
+// one pass over its shards' runs, one shard at a time: a run's length
+// is its destination's in-degree.
 func (s *Store) measureMeta() (*Meta, error) {
 	n := s.m.Vertices
 	m := &Meta{words: summaryWords(s.m.Shards), outOff: make([]int64, n+1), inOff: make([]int64, n+1)}
 	m.feeds = make([]uint64, n*m.words)
 	for i := 0; i < s.m.Shards; i++ {
-		c, err := s.LoadShard(i)
+		r, _, err := s.loadRuns(i)
 		if err != nil {
 			return nil, err
 		}
-		for e := range c.Src {
-			m.outOff[c.Src[e]+1]++
-			m.inOff[c.Dst[e]+1]++
+		for _, u := range r.src {
+			m.outOff[u+1]++
 		}
-		m.addFeeds(i, c.Src)
+		for k, v := range r.dst {
+			m.inOff[v+1] += int64(r.end[k] - r.start(k))
+		}
+		m.addFeeds(i, r.src)
 	}
 	for v := 0; v < n; v++ {
 		m.outOff[v+1] += m.outOff[v]

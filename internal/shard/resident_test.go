@@ -41,7 +41,7 @@ func bucketRef(c *graph.COO, lo graph.VID, units, tasks int) (src, dst []graph.V
 }
 
 // edgeOffsets converts task offsets in run units into edge offsets.
-func edgeOffsets(r *shardRuns, off []int) []int {
+func edgeOffsets(r *Runs, off []int) []int {
 	out := make([]int, len(off))
 	for t, o := range off {
 		if o > 0 {
@@ -54,8 +54,8 @@ func edgeOffsets(r *shardRuns, off []int) []int {
 // TestResidentMatchesBucketing pins what replaced per-load bucketing: for
 // every format — clean, under pending deltas and after compaction — the
 // resident the engine loads, its runs expanded, is element for element
-// what bucketing the shard LoadShard returns produced (the identity on
-// its sorted edges), and its task offsets, converted from runs to
+// what bucketing the expanded shard LoadShard returns produced (the
+// identity on its sorted edges), and its task offsets, converted from runs to
 // edges, are the counting sort's. Its sources are the decoded array
 // itself, not a copy. It then cuts every shard into every task count
 // from 1 to its unit count and holds the offsets to the reference
@@ -86,22 +86,24 @@ func TestResidentMatchesBucketing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for si := 0; si < st.NumShards(); si++ {
-				coo, err := st.LoadShard(si)
+				loaded, err := st.LoadShard(si)
 				if err != nil {
 					t.Fatal(err)
 				}
+				src, dst := expand(loaded)
+				coo := &graph.COO{N: n, Src: src, Dst: dst}
 				lo, _ := st.Range(si)
 				units := h.shardUnits(si)
 				sh, _, _, err := h.NewSession().readShard(si)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := sh.coo(n)
+				gotSrc, gotDst := expand(&sh.Runs)
 				wantSrc, wantDst, wantOff := bucketRef(coo, lo, units, h.taskCount(si))
-				if !slices.Equal(got.Src, wantSrc) || !slices.Equal(got.Dst, wantDst) {
+				if !slices.Equal(gotSrc, wantSrc) || !slices.Equal(gotDst, wantDst) {
 					t.Fatalf("%v %s shard %d: resident's runs expand to other edges than the bucketed shard", format, stage, si)
 				}
-				if off := edgeOffsets(&sh.shardRuns, sh.off); !slices.Equal(off, wantOff) {
+				if off := edgeOffsets(&sh.Runs, sh.off); !slices.Equal(off, wantOff) {
 					t.Fatalf("%v %s shard %d: resident's task offsets are edges %v, want %v", format, stage, si, off, wantOff)
 				}
 				r, _, err := st.loadRuns(si)

@@ -42,9 +42,9 @@
 //	           time per store. A load decodes the file straight into
 //	           the resident's destination runs — its sources plus one
 //	           (destination, end) pair per run, no destination per
-//	           edge (pending deltas are zipped in and the result
-//	           compressed back to runs) — and finds each apply task's
-//	           runs with one search per task boundary;
+//	           edge (pending deltas are merged in run by run) — and
+//	           finds each apply task's runs with one search per task
+//	           boundary;
 //	apply    — the pool's workers claim the staged shards' tasks —
 //	           64-aligned destination sub-ranges — in plan order, so
 //	           updates are partition-exclusive and need no atomics;
@@ -175,8 +175,7 @@ func Create(dir string, g *graph.Graph, wo WriteOptions) (*Store, error) {
 	m.SrcSummary = meta.sourceSummaries(pt.Bounds)
 	for i, part := range pcoo.Parts {
 		m.EdgeCounts = append(m.EdgeCounts, part.NumEdges())
-		part = sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])
-		if err := writeShardFile(shardPath(dir, i), part); err != nil {
+		if err := writeShardFile(shardPath(dir, i), sortByDst(part, pt.Bounds[i], pt.Bounds[i+1])); err != nil {
 			return nil, err
 		}
 	}
@@ -376,49 +375,31 @@ func (s *Store) SourceSummary() ([][]uint64, error) {
 	return s.m.SrcSummary, nil
 }
 
-// LoadShard reads shard i's edges from disk, validating that every
-// source is a vertex and every destination falls inside the shard's
-// range (the invariant the engine's partition-exclusive apply assumes);
-// out-of-range IDs surface as *VIDRangeError.
-func (s *Store) LoadShard(i int) (*graph.COO, error) {
-	c, _, err := s.loadShard(i)
-	return c, err
+// LoadShard reads shard i's edges from disk as destination runs — the
+// engine's own load — validating that every source is a vertex and
+// every destination falls inside the shard's range (the invariant the
+// engine's partition-exclusive apply assumes); out-of-range IDs surface
+// as *VIDRangeError. The result is read-only.
+func (s *Store) LoadShard(i int) (*Runs, error) {
+	r, _, err := s.loadRuns(i)
+	return r, err
 }
 
-// loadShard is LoadShard plus the on-disk byte count of the decoded
-// file(s). The result is (dst,src)-sorted in freshly allocated arrays
-// the caller owns: the base file's runs expanded, with any pending
-// deltas zipped in (mergeDeltas).
-func (s *Store) loadShard(i int) (*graph.COO, int64, error) {
-	r, size, err := s.readBase(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	c := r.coo(s.m.Vertices)
-	if len(s.deltas(i)) == 0 {
-		return c, size, nil
-	}
-	return s.mergeDeltas(i, c, size)
-}
-
-// loadRuns is the engine's load: shard i as runs, plus the on-disk
-// byte count of the decoded file(s) — its BytesRead accounting. A clean
-// shard is its base file's runs as decoded; a shard with pending deltas
-// is expanded, merged and compressed back to runs once, here.
-func (s *Store) loadRuns(i int) (*shardRuns, int64, error) {
+// loadRuns is the one load: shard i as runs, plus the on-disk byte
+// count of the decoded file(s) — the engine's BytesRead accounting. A
+// clean shard is its base file's runs as decoded; a shard with pending
+// deltas has them merged in run by run (mergeDeltas). The runs are
+// freshly allocated and the caller owns them.
+func (s *Store) loadRuns(i int) (*Runs, int64, error) {
 	r, size, err := s.readBase(i)
 	if err != nil || len(s.deltas(i)) == 0 {
 		return r, size, err
 	}
-	c, size, err := s.mergeDeltas(i, r.coo(s.m.Vertices), size)
-	if err != nil {
-		return nil, 0, err
-	}
-	return runsOf(c), size, nil
+	return s.mergeDeltas(i, r, size)
 }
 
 // readBase decodes shard i's base file into runs.
-func (s *Store) readBase(i int) (*shardRuns, int64, error) {
+func (s *Store) readBase(i int) (*Runs, int64, error) {
 	if i < 0 || i >= s.m.Shards {
 		return nil, 0, fmt.Errorf("shard: index %d out of range", i)
 	}
@@ -452,16 +433,18 @@ func (s *Store) deltas(i int) []deltaRef {
 	return s.m.Deltas[i]
 }
 
-// Sweep streams every shard once, in order, calling fn for each edge.
-// Only one shard is resident at a time.
+// Sweep streams every shard once, in order, calling fn for each edge,
+// run by run. Only one shard is resident at a time.
 func (s *Store) Sweep(fn func(u, v graph.VID)) error {
 	for i := 0; i < s.m.Shards; i++ {
-		c, err := s.LoadShard(i)
+		r, _, err := s.loadRuns(i)
 		if err != nil {
 			return err
 		}
-		for e := range c.Src {
-			fn(c.Src[e], c.Dst[e])
+		for k, v := range r.dst {
+			for _, u := range r.src[r.start(k):r.end[k]] {
+				fn(u, v)
+			}
 		}
 	}
 	return nil

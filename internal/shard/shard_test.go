@@ -121,12 +121,12 @@ func TestShardDestinationsInRange(t *testing.T) {
 	}
 	for i := 0; i < st.NumShards(); i++ {
 		lo, hi := st.Range(i)
-		c, err := st.LoadShard(i)
+		r, err := st.LoadShard(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range c.Dst {
-			if d < lo || d >= hi {
+		for k := range r.NumRuns() {
+			if d, _ := r.Run(k); d < lo || d >= hi {
 				t.Fatalf("shard %d: destination %d outside [%d,%d)", i, d, lo, hi)
 			}
 		}

@@ -48,7 +48,7 @@ const DefaultCacheBytes int64 = 256 << 20
 // for it; once attached it lives and leaves with the cache entry.
 type resident struct {
 	idx int
-	shardRuns
+	Runs
 	off   []int // len = tasks+1; task t owns runs [off[t], off[t+1])
 	index atomic.Pointer[sourceIndex]
 }

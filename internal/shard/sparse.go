@@ -42,7 +42,7 @@ func minIndexBytes(sh *resident) int64 { return 4*int64(len(sh.src)) + 12 }
 
 // newSourceIndex builds the source index of a shard's runs. A shard
 // holds at most maxShardEdges edges, so its offsets fit in uint32.
-func newSourceIndex(r *shardRuns) *sourceIndex {
+func newSourceIndex(r *Runs) *sourceIndex {
 	// Sorting (source, destination) keys leaves each source's
 	// destinations ascending, which is each destination's file order.
 	keys := make([]uint64, 0, len(r.src))
@@ -150,7 +150,7 @@ func (e *Engine) sweepInline(f *frontier.Frontier, op api.EdgeOp, plan []int, sh
 		si := plan[i]
 		ix := sh.index.Load()
 		if ix == nil && spare >= minIndexBytes(sh) {
-			if ix = e.cache.attachIndex(cacheKey{e.st, si}, sh, newSourceIndex(&sh.shardRuns)); ix != nil {
+			if ix = e.cache.attachIndex(cacheKey{e.st, si}, sh, newSourceIndex(&sh.Runs)); ix != nil {
 				spare -= ix.bytes()
 			}
 		}

@@ -233,7 +233,7 @@ func TestInlineSweepIndexRefusedAppliesByScan(t *testing.T) {
 	}
 	sh := cachedResident(t, e0, 3)
 	minBytes := minIndexBytes(sh)
-	if newSourceIndex(&sh.shardRuns).bytes() <= minBytes {
+	if newSourceIndex(&sh.Runs).bytes() <= minBytes {
 		t.Fatal("fixture broken: shard 3's index costs no more than its floor")
 	}
 

@@ -15,27 +15,37 @@ import (
 	"repro/internal/sched"
 )
 
+// Runs is the read surface of *shard.Runs the reference uses: one
+// shard's destination runs.
+type Runs interface {
+	NumRuns() int
+	Run(k int) (dst graph.VID, src []graph.VID)
+}
+
 // Store is the read surface of *shard.Store the reference uses.
-type Store interface {
+type Store[R Runs] interface {
 	NumShards() int
-	LoadShard(i int) (*graph.COO, error)
+	LoadShard(i int) (R, error)
 }
 
 // System implements api.System with one sweep shape: every EdgeMap
-// loads every shard in index order on the calling goroutine and applies
-// its edges in shard-file order. Vertex operators are the shared
-// api.VertexMap/VertexFilter every engine delegates to.
+// loads every shard in index order on the calling goroutine, expands
+// its runs itself and applies its edges one at a time in shard-file
+// order. Vertex operators are the shared api.VertexMap/VertexFilter
+// every engine delegates to.
 type System struct {
-	st   Store
-	g    *graph.Graph
-	pool *sched.Pool
+	shards int
+	load   func(i int) (Runs, error)
+	g      *graph.Graph
+	pool   *sched.Pool
 }
 
 var _ api.System = (*System)(nil)
 
 // New returns the reference system over st, which must hold g's edges.
-func New(st Store, g *graph.Graph) *System {
-	return &System{st: st, g: g, pool: sched.NewPool(0)}
+func New[R Runs](st Store[R], g *graph.Graph) *System {
+	load := func(i int) (Runs, error) { return st.LoadShard(i) }
+	return &System{shards: st.NumShards(), load: load, g: g, pool: sched.NewPool(0)}
 }
 
 func (s *System) Name() string        { return "OOC-ref" }
@@ -59,20 +69,22 @@ func (s *System) EdgeMap(f *frontier.Frontier, op api.EdgeOp, _ api.Direction) *
 	}
 	cur, cond, next := f.Bitmap(), op.CondOf(), frontier.NewBitmap(n)
 	var count, outDeg int64
-	for i := 0; i < s.st.NumShards(); i++ {
-		coo, err := s.st.LoadShard(i)
+	for i := 0; i < s.shards; i++ {
+		r, err := s.load(i)
 		if err != nil {
 			panic(fmt.Sprintf("sweepref: shard %d: %v", i, err))
 		}
-		for e, u := range coo.Src {
-			v := coo.Dst[e]
-			if !cur.Get(u) || !cond(v) {
-				continue
-			}
-			if op.Update(u, v) && !next.Get(v) {
-				next.Set(v)
-				count++
-				outDeg += s.g.OutDegree(v)
+		for k := 0; k < r.NumRuns(); k++ {
+			v, srcs := r.Run(k)
+			for _, u := range srcs {
+				if !cur.Get(u) || !cond(v) {
+					continue
+				}
+				if op.Update(u, v) && !next.Get(v) {
+					next.Set(v)
+					count++
+					outDeg += s.g.OutDegree(v)
+				}
 			}
 		}
 	}
