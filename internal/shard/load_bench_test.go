@@ -40,16 +40,40 @@ func BenchmarkLoadShard(b *testing.B) {
 	}
 }
 
+// TestLoadShardV3Allocations is the guard behind peak_rss_mb on
+// Store.LoadShard, which is the engine's load returned as runs: loading
+// a clean v3 shard allocates a small constant number of objects and, per
+// edge, only the sources — the bound of TestResidentLoadAllocations, so
+// a destination per edge would not fit under it.
+func TestLoadShardV3Allocations(t *testing.T) {
+	st, _, limit := loadAllocationFixture(t)
+	checkLoadAllocations(t, "Store.LoadShard", limit, func() error {
+		_, err := st.LoadShard(0)
+		return err
+	})
+}
+
 // TestResidentLoadAllocations is the guard behind peak_rss_mb on the
 // engine's load, which the dense-stream workload runs for every shard of
-// every sweep, and on Store.LoadShard, which is the same load: reading a
-// clean v3 shard, into a resident or as runs, allocates a small constant
-// number of objects and, per edge, only the sources — 4·E bytes, plus 8
-// a run for the run table and the task offsets. The slack leaves room
-// for the pooled slab and run-start bitmap, which the pools may drop at
-// any garbage collection, and is held below 4·E, so a second per-edge
-// array — a destination per edge — would not fit under the bound.
+// every sweep: reading a clean v3 shard into a resident allocates a
+// small constant number of objects and, per edge, only the sources —
+// 4·E bytes, plus 8 a run for the run table and the task offsets.
 func TestResidentLoadAllocations(t *testing.T) {
+	_, e, limit := loadAllocationFixture(t)
+	checkLoadAllocations(t, "the engine's load into a resident", limit, func() error {
+		_, _, _, err := e.readShard(0)
+		return err
+	})
+}
+
+// loadAllocationFixture builds the store and engine both load guards
+// read shard 0 of, and the byte bound a load of it must stay under: the
+// decoded sources, run table and task offsets, plus slack for the pooled
+// slab and run-start bitmap, which the pools may drop at any garbage
+// collection. The slack is held below 4·E, so a second per-edge array —
+// a destination per edge — would not fit under the bound.
+func loadAllocationFixture(t *testing.T) (*Store, *Engine, int64) {
+	t.Helper()
 	g := gen.RMAT(14, 8, 0.57, 0.19, 0.19, 3)
 	st, err := Create(t.TempDir(), g, WriteOptions{Partitions: 2})
 	if err != nil {
@@ -72,33 +96,31 @@ func TestResidentLoadAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, tasks := len(sh.dst), len(sh.off)-1
-	limit := decodedBytes(edges, int64(runs), tasks) + slack
-	for _, tc := range []struct {
-		name string
-		load func() error
-	}{
-		{"the engine's load into a resident", func() error { _, _, _, err := e.readShard(0); return err }},
-		{"Store.LoadShard", func() error { _, err := st.LoadShard(0); return err }},
-	} {
-		load := func() {
-			if err := tc.load(); err != nil {
-				t.Fatal(err)
-			}
+	return st, e, decodedBytes(edges, int64(len(sh.dst)), len(sh.off)-1) + slack
+}
+
+// checkLoadAllocations fails t if load, a load of a clean v3 shard,
+// allocates more than a small constant number of objects or more than
+// limit bytes a call.
+func checkLoadAllocations(t *testing.T, name string, limit int64, load func() error) {
+	t.Helper()
+	run := func() {
+		if err := load(); err != nil {
+			t.Fatal(err)
 		}
-		if objects := testing.AllocsPerRun(20, load); objects > 16 {
-			t.Errorf("%s of a clean v3 shard allocates %.0f objects, want a small constant (<= 16)", tc.name, objects)
-		}
-		const rounds = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			load()
-		}
-		runtime.ReadMemStats(&after)
-		if perLoad := int64(after.TotalAlloc-before.TotalAlloc) / rounds; perLoad > limit {
-			t.Errorf("%s of a clean v3 shard of %d edges in %d runs allocates %d bytes, want at most %d (4 B an edge, 8 a run, the task offsets, pooled scratch at worst)",
-				tc.name, edges, runs, perLoad, limit)
-		}
+	}
+	if objects := testing.AllocsPerRun(20, run); objects > 16 {
+		t.Errorf("%s of a clean v3 shard allocates %.0f objects, want a small constant (<= 16)", name, objects)
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perLoad := int64(after.TotalAlloc-before.TotalAlloc) / rounds; perLoad > limit {
+		t.Errorf("%s of a clean v3 shard allocates %d bytes, want at most %d (4 B an edge, 8 a run, the task offsets, pooled scratch at worst)",
+			name, perLoad, limit)
 	}
 }
